@@ -174,7 +174,10 @@ def _certify(cfg: RunConfig):
         seq = build_circle_chain(cfg.system)
         params = certify_map_hypotheses(seq)
         q = default_Q(params) if cfg.q_mode == "auto" else float(cfg.q_mode)
-        ledger = derive_constants(params, q)   # rejects Q at or below threshold
+        try:
+            ledger = derive_constants(params, q)
+        except DomainError as e:   # Q at or below the cone threshold
+            raise CertificationError("cone-threshold", str(e)) from e
         cone = ConeParams(Q=q, delta=cfg.delta, beta=cfg.beta)
     cert = certify_cone_conditions(seq, cone, params=params)
     return seq, params, cone, cert, ledger
@@ -347,10 +350,6 @@ def main(argv=None) -> int:
         print(f"certification failure: {e}", file=sys.stderr)
         return 3
     except (DomainError, StructuralError, ConvergenceError) as e:
-        # domain errors from a Q below threshold are certification-level
-        if "threshold" in str(e):
-            print(f"certification failure: {e}", file=sys.stderr)
-            return 3
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -21,6 +21,19 @@ by the linear functionals
     l_{x,y}(f) = exp(Q d(x,y)^beta) f(x) - f(y),   d(x,y) <= delta,
 
 so the ratio set gains { l_{x,y}(g) / l_{x,y}(f) } over the stored pair set.
+
+The stored pairs need only generate the constraint cone: a functional that
+is a nonnegative combination of stored ones cuts out nothing new, and its
+ratio is a mediant of theirs, so A, B and Theta are unchanged without it.
+On a circle grid with beta = 1 arc length is additive along the shorter
+arc, so for y between x and z
+
+    l_{x,z} = exp(Q d(y,z)) l_{x,y} + l_{y,z},
+
+and the 2N nearest-neighbour pairs generate every pair within delta.  For
+beta < 1, d^beta is strictly subadditive and no pair is implied by others;
+on finite spaces every pair within delta is stored as well.
+
 Distance +infinity is a first-class value (incomparable directions), never
 an exception: a positive map with image of finite diameter Delta contracts
 Theta by tanh(Delta/4), and tanh(inf) = 1 is a meaningful rate.
@@ -59,12 +72,16 @@ class ConeParams:
 
 @dataclass(eq=False)
 class PairSet:
-    """Ordered point pairs (i, j), i != j, with d(x_i, x_j) <= delta.
+    """A generating set of ordered point pairs (i, j), i != j, with
+    d(x_i, x_j) <= delta.
 
-    Closed under swap: both orientations of every pair are stored, so the
-    one-sided functional inequalities l_{i,j} >= 0 encode the symmetric
-    cone condition.  Exponential weights exp(Q d^beta) are cached per
-    (Q, beta) since they dominate the cost of repeated metric queries.
+    Complete for beta < 1 and on finite spaces; on a circle grid with
+    beta = 1 only the offset +-1 pairs are kept, since additivity of arc
+    length makes them imply every other pair within delta (see the module
+    docstring).  Closed under swap: both orientations of every pair are
+    stored, so the one-sided functional inequalities l_{i,j} >= 0 encode the
+    symmetric cone condition.  Exponential weights exp(Q d^beta) are cached
+    per (Q, beta) since they dominate the cost of repeated metric queries.
     """
 
     space: object
@@ -87,18 +104,20 @@ class PairSet:
         return w
 
 
-_PAIR_SET_CACHE: dict = {}
-
-
-def pair_set(space, delta: float) -> PairSet:
-    """Build (or fetch the cached) pair set of a space at radius delta."""
-    key = (id(space), float(delta))
-    cached = _PAIR_SET_CACHE.get(key)
-    if cached is not None and cached.space is space:
+def pair_set(space, p: ConeParams) -> PairSet:
+    """The generating pair set of Lambda(Q) on a space, built once per
+    (delta, reduction) and cached on the space itself."""
+    delta = float(p.delta)
+    nearest = space.kind == KIND_CIRCLE and p.beta == 1.0
+    key = ("pair_set", delta, nearest)
+    cached = space._caches.get(key)
+    if cached is not None:
         return cached
     n = space.n_points
     if space.kind == KIND_CIRCLE:
         omax = int(math.floor(delta * n + 1e-9))
+        if nearest:
+            omax = min(omax, 1)
         iis, jjs, dds = [], [], []
         base = np.arange(n)
         for o in range(1, omax + 1):
@@ -115,9 +134,9 @@ def pair_set(space, delta: float) -> PairSet:
     else:
         ii, jj = np.nonzero((space.dist_table <= delta) & ~np.eye(n, dtype=bool))
         i, j, d = ii, jj, space.dist_table[ii, jj]
-    ps = PairSet(space=space, delta=float(delta), i=np.ascontiguousarray(i, dtype=np.int64),
+    ps = PairSet(space=space, delta=delta, i=np.ascontiguousarray(i, dtype=np.int64),
                  j=np.ascontiguousarray(j, dtype=np.int64), d=np.asarray(d, dtype=np.float64))
-    _PAIR_SET_CACHE[key] = ps
+    space._caches[key] = ps
     return ps
 
 
@@ -142,7 +161,7 @@ def in_log_holder_cone(f: Field, p: ConeParams) -> bool:
     """Membership in Lambda(Q), with a relative slack of 1e-12 for roundoff."""
     if not in_positive_cone(f):
         return False
-    ps = pair_set(f.space, p.delta)
+    ps = pair_set(f.space, p)
     E = ps.exp_weights(p.Q, p.beta)
     return _cone_violation(f.values, ps, E) <= MEMBERSHIP_SLACK
 
@@ -227,7 +246,7 @@ def theta_log_holder(f: Field, g: Field, p: ConeParams, *, checked: bool = True)
     if checked:
         if not in_log_holder_cone(f, p) or not in_log_holder_cone(g, p):
             raise DomainError("theta_log_holder needs both fields inside the cone")
-    ps = pair_set(f.space, p.delta)
+    ps = pair_set(f.space, p)
     E = ps.exp_weights(p.Q, p.beta)
     A, B = _gap_log_holder_raw(f.values, g.values, ps, E)
     return _theta_from_gap(A, B)
@@ -236,7 +255,7 @@ def theta_log_holder(f: Field, g: Field, p: ConeParams, *, checked: bool = True)
 def hilbert_gap_log_holder(f: Field, g: Field, p: ConeParams) -> tuple[float, float]:
     """(A, B) in the Lambda(Q) order (unchecked boundary-tolerant form)."""
     _check_same_space(f, g)
-    ps = pair_set(f.space, p.delta)
+    ps = pair_set(f.space, p)
     E = ps.exp_weights(p.Q, p.beta)
     return _gap_log_holder_raw(f.values, g.values, ps, E)
 
@@ -295,7 +314,6 @@ def sample_log_holder_field(space, p: ConeParams, rng: np.random.Generator,
     whose pair set is empty, the cone is all of C+ and any positive vector
     works.
     """
-    ps = pair_set(space, p.delta)
     if space.kind == KIND_CIRCLE:
         x = space.positions
         a = rng.normal(size=modes)
@@ -308,7 +326,7 @@ def sample_log_holder_field(space, p: ConeParams, rng: np.random.Generator,
         for k, m in enumerate(ms):
             logf += scale * (a[k] * np.cos(2 * np.pi * m * x) + b[k] * np.sin(2 * np.pi * m * x))
         return Field(space, np.exp(logf))
-    if len(ps) == 0:
+    if len(pair_set(space, p)) == 0:
         return Field(space, rng.uniform(0.5, 2.0, size=space.n_points))
     # generic finite metric space: rescale a random field's log-oscillation
     v = rng.normal(size=space.n_points)

@@ -382,6 +382,22 @@ class IndependenceReport:
     passed: bool
 
 
+def _weak_gap(weak: dict, m1: MeasureVec, m2: MeasureVec) -> float:
+    """Largest norm-scaled pairing gap between two measures on one space,
+    against that space's weak* dictionary.  ``weak`` maps each space seen so
+    far to its (dictionary, norms): chains whose spaces change size compare
+    every index on its own space, and a space shared by many indices gets
+    one dictionary."""
+    sp = m1.space
+    if sp not in weak:
+        entries = weak_dictionary(sp)
+        weak[sp] = (entries, np.array([e.norm for e in entries]))
+    entries, norms = weak[sp]
+    p1 = pairing_vector(entries, m1.weights)
+    p2 = pairing_vector(entries, m2.weights)
+    return float(np.max(np.abs(p1 - p2) / norms))
+
+
 def verify_independence(seq: StageSeq, fwd: ForwardSolution,
                         bwd: Optional[BackwardSolution], *, tol: float,
                         sigma_families=None, seed_families=None,
@@ -395,16 +411,13 @@ def verify_independence(seq: StageSeq, fwd: ForwardSolution,
     sigma_families = sigma_families or [random_sigma(7), random_sigma(88)]
     thr = 10.0 * tol
     dlam = dm = dh = 0.0
-    weak = weak_dictionary(seq.space(seq.n_min))
-    norms = np.array([e.norm for e in weak])
+    weak = {}
     for fam in sigma_families:
         lam2, nu2 = _frozen_forward(seq, fwd.tail_level, fam)
         for n in fwd.reported_lam:
             dlam = max(dlam, abs(math.log(lam2[n]) - math.log(fwd.lam[n])))
         for n in fwd.reported_m:
-            p1 = pairing_vector(weak, fwd.m[n].weights)
-            p2 = pairing_vector(weak, nu2[n].weights)
-            dm = max(dm, float(np.max(np.abs(p1 - p2) / norms)))
+            dm = max(dm, _weak_gap(weak, fwd.m[n], nu2[n]))
     if bwd is not None:
         seed_families = seed_families or [
             random_cone_seed(11, cone_params or ConeParams(1.0, 0.5, 1.0)),
@@ -442,8 +455,7 @@ def verify_uniqueness(seq: StageSeq, fwd: ForwardSolution,
     reproduce h.
     """
     thr = 10.0 * tol
-    weak = weak_dictionary(seq.space(seq.n_min))
-    norms = np.array([e.norm for e in weak])
+    weak = {}
     dlam = dm = 0.0
     for shift in tail_shifts:
         tail2 = fwd.tail_level - shift
@@ -452,9 +464,7 @@ def verify_uniqueness(seq: StageSeq, fwd: ForwardSolution,
         for n in (m for m in fwd.reported_lam if m < hi):
             dlam = max(dlam, abs(math.log(lam2[n]) - math.log(fwd.lam[n])))
         for n in (m for m in fwd.reported_m if m <= hi):
-            p1 = pairing_vector(weak, fwd.m[n].weights)
-            p2 = pairing_vector(weak, nu2[n].weights)
-            dm = max(dm, float(np.max(np.abs(p1 - p2) / norms)))
+            dm = max(dm, _weak_gap(weak, fwd.m[n], nu2[n]))
     xi = 0.0
     dh = 0.0
     if bwd is not None:

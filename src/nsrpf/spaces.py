@@ -37,7 +37,7 @@ class PointSpace:
     n_points: int
     positions: np.ndarray | None = None      # circle grid: k/N
     dist_table: np.ndarray | None = None     # finite-discrete only
-    _caches: dict = field(default_factory=dict, repr=False, compare=False)
+    _caches: dict = field(default_factory=dict, repr=False, compare=False)  # cones.pair_set
 
     @classmethod
     def circle_grid(cls, n: int) -> "PointSpace":

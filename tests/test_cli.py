@@ -132,6 +132,23 @@ dir = {out}
     assert main(["run", cfg]) == 3
 
 
+def test_q_below_threshold_is_a_typed_certification_failure(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, """
+[system]
+kind = circle
+n_grid = 64
+window = -8 8
+
+[cone]
+q = 0.1
+
+[outputs]
+dir = {out}
+""".format(out=tmp_path / "o"))
+    assert main(["certify", cfg]) == 3
+    assert "certification failure: [cone-threshold]" in capsys.readouterr().err
+
+
 def test_certify_writes_constants(tmp_path):
     out = tmp_path / "outc"
     cfg = write_cfg(tmp_path, DOUBLING_CFG.format(out=out))

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 import nsrpf as nr
-from nsrpf.cones import (ConeParams, birkhoff_rate, hilbert_gap_positive,
-                         in_log_holder_cone, in_positive_cone, norm_theta_bound,
-                         pair_set, sample_log_holder_field, theta_log_holder,
-                         theta_positive)
+from nsrpf.cones import (MEMBERSHIP_SLACK, ConeParams, PairSet, _cone_violation,
+                         _gap_log_holder_raw, _theta_from_gap, birkhoff_rate,
+                         hilbert_gap_log_holder, hilbert_gap_positive, in_log_holder_cone,
+                         in_positive_cone, norm_theta_bound, pair_set,
+                         sample_extremal_log_holder, sample_log_holder_field,
+                         theta_log_holder, theta_positive)
 from nsrpf.errors import DomainError
 from nsrpf.spaces import Field, MeasureVec, PointSpace, pair, unit_field
 
@@ -35,11 +37,22 @@ def test_positive_cone_membership():
     assert not in_positive_cone(Field(sp, [1.0, -0.1]))
 
 
+def _all_pairs(space, p):
+    """Every ordered pair (i, j), i != j, within delta and its weight
+    exp(Q d^beta), scanned from ``space.distance`` alone: the oracle side of
+    every pair-set check, sharing no code with ``pair_set``."""
+    n = space.n_points
+    i, j = (a.ravel() for a in np.meshgrid(np.arange(n), np.arange(n), indexing="ij"))
+    d = space.distance(i, j)
+    keep = (i != j) & (d <= p.delta)
+    i, j, d = i[keep], j[keep], d[keep]
+    return i, j, d, np.exp(p.Q * d ** p.beta)
+
+
 def _pair_scan_inside(f, p):
     """Brute-force oracle for cone membership: check every pair directly."""
-    ps = pair_set(f.space, p.delta)
-    E = ps.exp_weights(p.Q, p.beta)
-    return bool(np.all(f.values[ps.j] <= E * f.values[ps.i] * (1 + 1e-12)))
+    i, j, _, E = _all_pairs(f.space, p)
+    return bool(np.all(f.values[j] <= E * f.values[i] * (1 + 1e-12)))
 
 
 def test_log_holder_membership(circle16, params16):
@@ -106,16 +119,15 @@ def test_theta_positive_triangle(circle16):
 
 def _sup_t_in_cone_bisect(f, g, p, hi=1e6, iters=200):
     """Independent oracle: sup { t : g - t f in Lambda(Q) } by bisection."""
-    ps = pair_set(f.space, p.delta)
-    E = ps.exp_weights(p.Q, p.beta)
+    i, j, _, E = _all_pairs(f.space, p)
 
     def inside(t):
         v = g.values - t * f.values
         if v.min() < -1e-14 * max(1.0, np.abs(v).max()):
             return False
-        if len(ps) == 0:
+        if len(i) == 0:
             return True
-        viol = v[ps.j] - E * v[ps.i]
+        viol = v[j] - E * v[i]
         scale = max(1.0, float(np.abs(v).max()))
         return bool(viol.max() <= 1e-14 * scale)
 
@@ -221,8 +233,99 @@ def test_theta_positive_metric_axioms(fv, gv, a, b):
 
 
 def test_pair_set_swap_closed(circle16):
-    ps = pair_set(circle16, 0.3)
-    fwd = set(zip(ps.i.tolist(), ps.j.tolist()))
-    assert all((j, i) in fwd for (i, j) in fwd)
-    assert np.all(ps.d <= 0.3 + 1e-15)
-    assert np.all(ps.i != ps.j)
+    for beta in (0.5, 1.0):
+        ps = pair_set(circle16, ConeParams(Q=2.0, delta=0.3, beta=beta))
+        fwd = set(zip(ps.i.tolist(), ps.j.tolist()))
+        assert all((j, i) in fwd for (i, j) in fwd)
+        assert np.all(ps.d <= 0.3 + 1e-15)
+        assert np.all(ps.i != ps.j)
+
+
+def _line_space(n, seed=None):
+    """A finite space with a nonempty pair set: n points on [0, 1) with
+    |x - y| distances, evenly spaced or (with a seed) random."""
+    x = (np.arange(n) / n if seed is None
+         else np.sort(np.random.default_rng(seed).uniform(size=n)))
+    return PointSpace.finite(np.abs(x[:, None] - x[None, :]))
+
+
+def test_pair_set_counts():
+    """beta = 1 on a circle keeps the 2N nearest-neighbour pairs; beta < 1
+    keeps every pair within delta, exactly as many as the full scan."""
+    sp = PointSpace.circle_grid(512)
+    reduced = pair_set(sp, ConeParams(Q=2.0, delta=0.2, beta=1.0))
+    assert len(reduced) == 2 * 512
+    assert set(np.abs(reduced.i - reduced.j).tolist()) == {1, 511}
+    full = pair_set(sp, ConeParams(Q=2.0, delta=0.2, beta=0.5))
+    assert len(full) == 104_448
+    assert len(full) == len(_all_pairs(sp, ConeParams(Q=2.0, delta=0.2, beta=0.5))[0])
+
+
+@pytest.mark.parametrize("space, beta", [
+    (PointSpace.circle_grid(64), 0.5), (_line_space(48), 1.0), (_line_space(40, seed=3), 0.5)])
+def test_pair_set_complete_where_nothing_is_implied(space, beta):
+    p = ConeParams(Q=1.5, delta=0.2, beta=beta)
+    ps = pair_set(space, p)
+    i, j, d, E = _all_pairs(space, p)
+    assert set(zip(ps.i.tolist(), ps.j.tolist())) == set(zip(i.tolist(), j.tolist()))
+    order = np.lexsort((ps.j, ps.i))
+    assert np.array_equal(ps.d[order], d)   # the scan is already (i, j)-sorted
+    assert np.array_equal(ps.exp_weights(p.Q, p.beta)[order], E)
+
+
+def test_pair_set_lives_on_its_space():
+    p = ConeParams(Q=2.0, delta=0.2)
+    a, b = PointSpace.circle_grid(32), PointSpace.circle_grid(32)
+    assert pair_set(a, p) is pair_set(a, p)
+    assert pair_set(a, p) is not pair_set(b, p)
+    assert pair_set(a, p).space is a and pair_set(b, p).space is b
+    assert pair_set(a, p) in a._caches.values()
+
+
+def _full_scan(space, p):
+    """The pair set before reduction, from the brute-force scan."""
+    i, j, d, _ = _all_pairs(space, p)
+    return PairSet(space=space, delta=p.delta, i=i, j=j, d=d)
+
+
+def _full_gap(f, g, p, full):
+    return _gap_log_holder_raw(f.values, g.values, full, full.exp_weights(p.Q, p.beta))
+
+
+def _full_member(f, p, full):
+    return in_positive_cone(f) and (
+        _cone_violation(f.values, full, full.exp_weights(p.Q, p.beta)) <= MEMBERSHIP_SLACK)
+
+
+@pytest.mark.parametrize("space, Q", [
+    (PointSpace.circle_grid(128), 2.0), (PointSpace.circle_grid(1024), 1.8322231300072618),
+    (_line_space(48), 2.0), (_line_space(40, seed=3), 2.0)])
+@pytest.mark.parametrize("beta", [0.5, 1.0])
+def test_reduced_pair_set_matches_full_scan(space, Q, beta):
+    """The stored generating set and the full pair scan give identical
+    (A, B), Theta and membership verdicts, on interior and near-extremal
+    fields and on the boundary directions g - A f and B f - g."""
+    p = ConeParams(Q=Q, delta=0.2, beta=beta)
+    full = _full_scan(space, p)
+    rng = np.random.default_rng(17)
+    draws = [sample_log_holder_field, sample_extremal_log_holder]
+    for trial in range(24 if space.n_points < 1024 else 6):
+        f = draws[trial % 2](space, p, rng)
+        g = draws[(trial // 2) % 2](space, p, rng)
+        assert in_log_holder_cone(f, p) and _full_member(f, p, full)
+        A, B = hilbert_gap_log_holder(f, g, p)
+        assert (A, B) == _full_gap(f, g, p, full)
+        assert theta_log_holder(f, g, p) == _theta_from_gap(A, B)
+        u = Field(space, g.values - A * f.values)
+        v = Field(space, B * f.values - g.values)
+        gap_uv = hilbert_gap_log_holder(u, v, p)
+        assert gap_uv == _full_gap(u, v, p, full)
+        assert theta_log_holder(u, v, p, checked=False) == _theta_from_gap(*gap_uv)
+        for h in (u, v):
+            assert in_log_holder_cone(h, p) == _full_member(h, p, full)
+    # fields on the wrong side of the cone boundary, and random positive fields
+    outside = [sample_extremal_log_holder(space, p, rng, strength=1.05) for _ in range(6)]
+    outside += [Field(space, rng.uniform(0.5, 2.0, space.n_points)) for _ in range(6)]
+    for h in outside:
+        assert in_log_holder_cone(h, p) == _full_member(h, p, full)
+    assert not any(_full_member(h, p, full) for h in outside[:6])

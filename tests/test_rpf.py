@@ -129,6 +129,19 @@ def test_uniqueness_report():
     assert rep.max_xi_gap < 1e-12
 
 
+def test_seed_verifiers_on_spaces_that_change_size():
+    """Independence and uniqueness compare each index on its own space's
+    dictionary; the halving chain's reported spaces shrink 256 -> 128 -> 64."""
+    from conftest import build_halving_chain
+    seq = build_halving_chain(levels=6, n_top=256)
+    fwd = solve_forward(seq, tol=1e-2, tau=1, block_factor=0.1)
+    assert [seq.space(n).n_points for n in fwd.reported_m] == [256, 128, 64]
+    ind = verify_independence(seq, fwd, None, tol=1e-2)
+    assert ind.passed and 0.0 < ind.max_dm < ind.threshold
+    uq = verify_uniqueness(seq, fwd, None, tol=1e-2, tail_shifts=(1, 2))
+    assert uq.passed and 0.0 < uq.max_dm_shift < uq.threshold
+
+
 def test_second_eigenvector_contamination_decay():
     # contaminate the tail seed with the second left eigenvector: pairings
     # must relax to m at a rate no slower than the certified block factor
