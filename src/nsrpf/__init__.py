@@ -17,8 +17,8 @@ from .rpf import (BackwardSolution, ForwardSolution, InvariantChain,
                   unit_seed, verify_cone_contraction, verify_eigen_relations,
                   verify_exponential_rates, verify_independence,
                   verify_uniqueness)
-from .spaces import (Field, MeasureVec, PointSpace, basis_field, holder_seminorm,
-                     normalize, pair, total_mass, unit_field)
+from .spaces import (Field, MeasureVec, PointSpace, holder_seminorm, normalize,
+                     pair, total_mass, unit_field)
 from .systems import (CircleMapSpec, MatrixChainSpec, build_circle_chain,
                       build_matrix_chain, oracle_nonstationary_products,
                       oracle_rpf_chain, oracle_stationary_rpf)

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cones import ConeParams
+from .cones import DEFAULT_CONE, ConeParams
 from .errors import CertificationError, ConvergenceError, DomainError, StructuralError
 from .hypotheses import (certify_cone_conditions, certify_map_hypotheses,
                          default_Q, derive_constants)
@@ -168,7 +168,7 @@ def _certify(cfg: RunConfig):
     if cfg.kind == "matrix":
         seq = build_matrix_chain(cfg.system)
         params = None
-        cone = ConeParams(Q=1.0, delta=0.5, beta=1.0)   # pair set empty: cone = C+
+        cone = DEFAULT_CONE   # pair set empty: cone = C+
         ledger = None
     else:
         seq = build_circle_chain(cfg.system)

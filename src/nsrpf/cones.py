@@ -70,6 +70,11 @@ class ConeParams:
             raise DomainError("beta must lie in (0, 1]")
 
 
+# The cone used where none is certified (operator chains): on a simplex space
+# every distance is 1 > delta, so its pair set is empty and it is C+.
+DEFAULT_CONE = ConeParams(Q=1.0, delta=0.5, beta=1.0)
+
+
 @dataclass(eq=False)
 class PairSet:
     """A generating set of ordered point pairs (i, j), i != j, with

@@ -12,96 +12,92 @@ flavors are used:
   test functions.  Entries are exponentials of slow trigonometric waves and
   of concave distance bumps, all with log-Lipschitz constant at most Q/2.
 
-Each entry carries its sup norm and, on circle grids, an exact callable so
-pairings against pushforwards can evaluate it at off-grid image points.
+Each space gets one ``Dictionary`` per flavor (per Q for the cone flavor),
+built on first use and cached in the space's ``PointSpace._caches``.  It
+holds the entries stacked into one read-only matrix, the sup norm of each
+row and, on circle grids, the exact callables so pairings against
+pushforwards can evaluate the entries at off-grid image points.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from .cones import ConeParams
-from .spaces import KIND_CIRCLE, Field, PointSpace
+from .spaces import KIND_CIRCLE, PointSpace
 
 
 @dataclass(frozen=True, eq=False)
-class DictEntry:
-    name: str
-    field: Field
-    fn: Optional[Callable] = None   # exact evaluation at raw positions
-
-    @property
-    def norm(self) -> float:
-        return self.field.norm_inf()
+class Dictionary:
+    matrix: np.ndarray              # (k, n_points): one entry per row, read-only
+    norms: np.ndarray               # sup norm of each row
+    fns: Optional[tuple]            # exact callables at raw positions (circle), else None
 
 
-def _circle_entry(space, name, fn):
-    return DictEntry(name=name, field=Field(space, fn(space.positions)), fn=fn)
-
-
-def weak_dictionary(space: PointSpace, size: int = 20) -> list[DictEntry]:
-    """A separating family of continuous test functions (at most ``size``)."""
-    entries: list[DictEntry] = []
+def _dictionary(space: PointSpace, key: tuple, fns, basis: int) -> Dictionary:
+    """The dictionary cached on ``space`` under ``key``, built on first use:
+    the callables ``fns()`` sampled on a circle grid, or on a finite space the
+    constant function plus the first min(n, basis) indicator fields."""
+    cached = space._caches.get(key)
+    if cached is not None:
+        return cached
     if space.kind == KIND_CIRCLE:
-        entries.append(_circle_entry(space, "one", lambda x: np.ones_like(x)))
-        for m in range(1, 9):
-            entries.append(_circle_entry(
-                space, f"cos{m}",
-                lambda x, m=m: np.cos(2.0 * math.pi * m * x)))
-            entries.append(_circle_entry(
-                space, f"sin{m}",
-                lambda x, m=m: np.sin(2.0 * math.pi * m * x)))
-        for c in (0.0, 1.0 / 3.0, 2.0 / 3.0):
-            def bump(x, c=c):
-                o = np.abs(np.asarray(x) - c) % 1.0
-                d = np.minimum(o, 1.0 - o)
-                return np.exp(-(d / 0.1) ** 2)
-            entries.append(_circle_entry(space, f"bump{c:.2f}", bump))
-        return entries[:size]
-    n = space.n_points
-    vals = np.ones(n)
-    entries.append(DictEntry("one", Field(space, vals)))
-    for i in range(min(n, size - 1)):
-        v = np.zeros(n)
-        v[i] = 1.0
-        entries.append(DictEntry(f"e{i}", Field(space, v)))
-    return entries[:size]
+        exact = tuple(fns())
+        matrix = np.stack([fn(space.positions) for fn in exact])
+    else:
+        n = space.n_points
+        exact = None
+        matrix = np.vstack([np.ones(n), np.eye(min(n, basis), n)])
+    norms = np.abs(matrix).max(axis=1)
+    matrix.setflags(write=False)
+    norms.setflags(write=False)
+    d = space._caches[key] = Dictionary(matrix=matrix, norms=norms, fns=exact)
+    return d
 
 
-def cone_dictionary(space: PointSpace, p: ConeParams, size: int = 13) -> list[DictEntry]:
+def _weak_fns() -> list:
+    fns = [lambda x: np.ones_like(x)]
+    for m in range(1, 9):
+        fns.append(lambda x, m=m: np.cos(2.0 * math.pi * m * x))
+        fns.append(lambda x, m=m: np.sin(2.0 * math.pi * m * x))
+    for c in (0.0, 1.0 / 3.0, 2.0 / 3.0):
+        def bump(x, c=c):
+            o = np.abs(np.asarray(x) - c) % 1.0
+            d = np.minimum(o, 1.0 - o)
+            return np.exp(-(d / 0.1) ** 2)
+        fns.append(bump)
+    return fns
+
+
+def _cone_fns(q: float) -> list:
+    fns = [lambda x: np.ones_like(x)]
+    amp_budget = 0.5 * q
+    for m in range(1, 5):
+        amp = amp_budget / (2.0 * math.pi * m)
+        fns.append(lambda x, m=m, amp=amp: np.exp(amp * np.cos(2.0 * math.pi * m * x)))
+        fns.append(lambda x, m=m, amp=amp: np.exp(amp * np.sin(2.0 * math.pi * m * x)))
+    for c in (0.25, 0.75):
+        def cone_bump(x, c=c):
+            o = np.abs(np.asarray(x) - c) % 1.0
+            d = np.minimum(o, 1.0 - o)
+            return np.exp(-0.5 * q * d ** 2)
+        fns.append(cone_bump)
+    return fns
+
+
+def weak_dictionary(space: PointSpace) -> Dictionary:
+    """A separating family of continuous test functions."""
+    return _dictionary(space, ("weak",), _weak_fns, 19)
+
+
+def cone_dictionary(space: PointSpace, p: ConeParams) -> Dictionary:
     """Test functions inside the log-Holder cone (log-Lipschitz <= Q/2)."""
-    entries: list[DictEntry] = []
-    if space.kind == KIND_CIRCLE:
-        entries.append(_circle_entry(space, "one", lambda x: np.ones_like(x)))
-        amp_budget = 0.5 * p.Q
-        for m in range(1, 5):
-            amp = amp_budget / (2.0 * math.pi * m)
-            entries.append(_circle_entry(
-                space, f"expcos{m}",
-                lambda x, m=m, amp=amp: np.exp(amp * np.cos(2.0 * math.pi * m * x))))
-            entries.append(_circle_entry(
-                space, f"expsin{m}",
-                lambda x, m=m, amp=amp: np.exp(amp * np.sin(2.0 * math.pi * m * x))))
-        for c in (0.25, 0.75):
-            def cone_bump(x, c=c, q=p.Q):
-                o = np.abs(np.asarray(x) - c) % 1.0
-                d = np.minimum(o, 1.0 - o)
-                return np.exp(-0.5 * q * d ** 2)
-            entries.append(_circle_entry(space, f"conebump{c}", cone_bump))
-        return entries[:size]
-    n = space.n_points
-    entries.append(DictEntry("one", Field(space, np.ones(n))))
-    for i in range(min(n, size - 1)):
-        v = np.zeros(n)
-        v[i] = 1.0
-        entries.append(DictEntry(f"e{i}", Field(space, v)))
-    return entries[:size]
+    return _dictionary(space, ("cone", p.Q), lambda: _cone_fns(p.Q), 12)
 
 
-def pairing_vector(entries: list[DictEntry], weights: np.ndarray) -> np.ndarray:
+def pairing_vector(dictionary: Dictionary, weights: np.ndarray) -> np.ndarray:
     """Pairings of every entry against raw measure weights, in one matmul."""
-    mat = np.stack([e.field.values for e in entries])
-    return mat @ weights
+    return dictionary.matrix @ weights

@@ -36,7 +36,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .cones import (ConeParams, birkhoff_rate, hilbert_gap_log_holder,
+from .cones import (DEFAULT_CONE, ConeParams, birkhoff_rate, hilbert_gap_log_holder,
                     sample_log_holder_field, theta_log_holder)
 from .dictionaries import cone_dictionary, pairing_vector, weak_dictionary
 from .errors import ConvergenceError, DomainError, StructuralError
@@ -166,23 +166,14 @@ def solve_forward(seq: StageSeq, *, tol: float, tau: int, block_factor: float,
     s_tol = stop_tol if stop_tol is not None else tol * (1.0 - gamma_step) / 2.0
     k_cap = hr + 2 * tau + 2 if k_max is None else k_max
 
-    weak = {}
-    coned = {}
-    for n in seq.space_indices:
-        sp = seq.space(n)
-        if id(sp) not in weak:
-            weak[id(sp)] = weak_dictionary(sp)
-            cp = cone_params or ConeParams(Q=1.0, delta=0.5, beta=1.0)
-            coned[id(sp)] = cone_dictionary(sp, cp)
-    weak_norms = {k: np.array([e.norm for e in v]) for k, v in weak.items()}
-    cone_norms = {k: np.array([e.norm for e in v]) for k, v in coned.items()}
-    m_pairs = {n: pairing_vector(coned[id(seq.space(n))], nu[n].weights)
-               for n in reported_m}
+    weak = {n: weak_dictionary(seq.space(n)) for n in seq.space_indices}
+    coned = {n: cone_dictionary(seq.space(n), cone_params or DEFAULT_CONE)
+             for n in reported_m}
+    m_pairs = {n: pairing_vector(coned[n], nu[n].weights) for n in reported_m}
 
     cur = {n: normalize(sigma_family(n, seq.space(n))).weights
            for n in seq.space_indices}
-    prev_weak = {n: pairing_vector(weak[id(seq.space(n))], cur[n])
-                 for n in seq.space_indices}
+    prev_weak = {n: pairing_vector(weak[n], cur[n]) for n in seq.space_indices}
     last_r: dict = {}
     hist: dict = {n: {"ks": [], "r": [], "succ": [], "el": [], "em": []}
                   for n in reported_m}
@@ -198,13 +189,12 @@ def solve_forward(seq: StageSeq, *, tol: float, tau: int, block_factor: float,
             new[n] = nu_k
             r_nk = math.log(mass)
             if n in hist:
-                sid = id(seq.space(n))
-                wp = pairing_vector(weak[sid], nu_k)
-                succ_w = float(np.max(np.abs(wp - prev_weak[n]) / weak_norms[sid]))
+                wp = pairing_vector(weak[n], nu_k)
+                succ_w = float(np.max(np.abs(wp - prev_weak[n]) / weak[n].norms))
                 succ_r = abs(r_nk - last_r[n]) if n in last_r else math.inf
                 succ = max(succ_r, succ_w)
-                cp = pairing_vector(coned[sid], nu_k)
-                em = float(np.max(np.abs(cp - m_pairs[n]) / cone_norms[sid]))
+                cp = pairing_vector(coned[n], nu_k)
+                em = float(np.max(np.abs(cp - m_pairs[n]) / coned[n].norms))
                 h = hist[n]
                 h["ks"].append(k)
                 h["r"].append(r_nk)
@@ -382,20 +372,37 @@ class IndependenceReport:
     passed: bool
 
 
-def _weak_gap(weak: dict, m1: MeasureVec, m2: MeasureVec) -> float:
-    """Largest norm-scaled pairing gap between two measures on one space,
-    against that space's weak* dictionary.  ``weak`` maps each space seen so
-    far to its (dictionary, norms): chains whose spaces change size compare
-    every index on its own space, and a space shared by many indices gets
-    one dictionary."""
-    sp = m1.space
-    if sp not in weak:
-        entries = weak_dictionary(sp)
-        weak[sp] = (entries, np.array([e.norm for e in entries]))
-    entries, norms = weak[sp]
-    p1 = pairing_vector(entries, m1.weights)
-    p2 = pairing_vector(entries, m2.weights)
-    return float(np.max(np.abs(p1 - p2) / norms))
+def _reseed_gaps(seq: StageSeq, fwd: ForwardSolution,
+                 bwd: Optional[BackwardSolution], runs, seed_families
+                 ) -> tuple[float, float, float]:
+    """Largest gaps between the reported data and re-solves from other seeds.
+
+    Forward: each (tail, sigma_family) in ``runs`` is re-solved and compared
+    in log lambda and, against each index's own weak* dictionary, in m, over
+    the reported indices below that tail's headroom.  Backward: each of
+    ``seed_families`` is re-solved from the bottom and compared in h.
+    Returns (max |d log lambda|, max norm-scaled dm, max |dh|).
+    """
+    dlam = dm = dh = 0.0
+    weak = {n: weak_dictionary(seq.space(n)) for n in fwd.reported_m}
+    for tail, fam in runs:
+        lam2, nu2 = _frozen_forward(seq, tail, fam)
+        hi = tail - fwd.headroom
+        for n in (m for m in fwd.reported_lam if m < hi):
+            dlam = max(dlam, abs(math.log(lam2[n]) - math.log(fwd.lam[n])))
+        for n in (m for m in fwd.reported_m if m <= hi):
+            d = weak[n]
+            gap = np.abs(pairing_vector(d, fwd.m[n].weights)
+                         - pairing_vector(d, nu2[n].weights)) / d.norms
+            dm = max(dm, float(np.max(gap)))
+    if bwd is not None:
+        bottom = bwd.bottom_level
+        for fam in seed_families:
+            h2 = _frozen_backward(seq, fwd.lam, bottom, fam(bottom, seq.space(bottom)),
+                                  fwd.m[bottom])
+            for n in bwd.reported_h:
+                dh = max(dh, float(np.abs(h2[n].values - bwd.h[n].values).max()))
+    return dlam, dm, dh
 
 
 def verify_independence(seq: StageSeq, fwd: ForwardSolution,
@@ -409,25 +416,13 @@ def verify_independence(seq: StageSeq, fwd: ForwardSolution,
     convergence error, so reported indices must agree to within 10 tol.
     """
     sigma_families = sigma_families or [random_sigma(7), random_sigma(88)]
+    cone = cone_params or DEFAULT_CONE
+    seed_families = seed_families or [random_cone_seed(11, cone),
+                                      random_cone_seed(23, cone)]
     thr = 10.0 * tol
-    dlam = dm = dh = 0.0
-    weak = {}
-    for fam in sigma_families:
-        lam2, nu2 = _frozen_forward(seq, fwd.tail_level, fam)
-        for n in fwd.reported_lam:
-            dlam = max(dlam, abs(math.log(lam2[n]) - math.log(fwd.lam[n])))
-        for n in fwd.reported_m:
-            dm = max(dm, _weak_gap(weak, fwd.m[n], nu2[n]))
-    if bwd is not None:
-        seed_families = seed_families or [
-            random_cone_seed(11, cone_params or ConeParams(1.0, 0.5, 1.0)),
-            random_cone_seed(23, cone_params or ConeParams(1.0, 0.5, 1.0))]
-        for fam in seed_families:
-            h2 = _frozen_backward(seq, fwd.lam, bwd.bottom_level,
-                                  fam(bwd.bottom_level, seq.space(bwd.bottom_level)),
-                                  fwd.m[bwd.bottom_level])
-            for n in bwd.reported_h:
-                dh = max(dh, float(np.abs(h2[n].values - bwd.h[n].values).max()))
+    dlam, dm, dh = _reseed_gaps(seq, fwd, bwd,
+                                [(fwd.tail_level, fam) for fam in sigma_families],
+                                seed_families)
     passed = dlam < thr and dm < thr and dh < thr
     return IndependenceReport(max_dlam=dlam, max_dm=dm, max_dh=dh,
                               threshold=thr, passed=passed)
@@ -455,18 +450,11 @@ def verify_uniqueness(seq: StageSeq, fwd: ForwardSolution,
     reproduce h.
     """
     thr = 10.0 * tol
-    weak = {}
-    dlam = dm = 0.0
-    for shift in tail_shifts:
-        tail2 = fwd.tail_level - shift
-        lam2, nu2 = _frozen_forward(seq, tail2, uniform_sigma)
-        hi = tail2 - fwd.headroom
-        for n in (m for m in fwd.reported_lam if m < hi):
-            dlam = max(dlam, abs(math.log(lam2[n]) - math.log(fwd.lam[n])))
-        for n in (m for m in fwd.reported_m if m <= hi):
-            dm = max(dm, _weak_gap(weak, fwd.m[n], nu2[n]))
+    cone = cone_params or DEFAULT_CONE
+    dlam, dm, dh = _reseed_gaps(
+        seq, fwd, bwd, [(fwd.tail_level - shift, uniform_sigma) for shift in tail_shifts],
+        [random_cone_seed(100 + s, cone) for s in range(trials)])
     xi = 0.0
-    dh = 0.0
     if bwd is not None:
         rng = np.random.default_rng(5)
         for n in bwd.reported_h:
@@ -477,13 +465,6 @@ def verify_uniqueness(seq: StageSeq, fwd: ForwardSolution,
             g = g * (1.0 / pair(g, fwd.m[n]))      # normalization pins the scale
             xi_n = pair(apply_L(seq.stage(n), g), fwd.m[n + 1])
             xi = max(xi, abs(xi_n - fwd.lam[n]) / fwd.lam[n])
-        for s in range(trials):
-            fam = random_cone_seed(100 + s, cone_params or ConeParams(1.0, 0.5, 1.0))
-            h2 = _frozen_backward(seq, fwd.lam, bwd.bottom_level,
-                                  fam(bwd.bottom_level, seq.space(bwd.bottom_level)),
-                                  fwd.m[bwd.bottom_level])
-            for n in bwd.reported_h:
-                dh = max(dh, float(np.abs(h2[n].values - bwd.h[n].values).max()))
     passed = dlam < thr and dm < thr and xi < thr and dh < thr
     return UniquenessReport(max_dlam_shift=dlam, max_dm_shift=dm, max_xi_gap=xi,
                             max_dh_seed=dh, threshold=thr, passed=passed)
@@ -590,6 +571,8 @@ def verify_cone_contraction(seq: StageSeq, p: ConeParams, *, tau: int,
     rng = rng or np.random.default_rng(20250811)
     if indices is None:
         indices = [n for n in seq.stage_indices if n + tau <= seq.n_max]
+    if not indices:
+        raise StructuralError("window too short for one tau-block")
     delta_m = extra_delta
     for n in indices:
         img1 = compose_L(seq, n, tau, unit_field(seq.space(n)))
@@ -671,6 +654,8 @@ def build_invariant_chain(seq: StageSeq, fwd: ForwardSolution,
             f"exceed {guard}; refusing to build the invariant chain")
     window = [n for n in bwd.reported_h if n + 1 in bwd.h and n in fwd.lam
               and n + 1 in fwd.m and n + 1 in bwd.reported_h]
+    if not window:
+        raise ConvergenceError("window too short to report any invariant-chain index")
     mu = {}
     for n in window + [window[-1] + 1]:
         w = bwd.h[n].values * fwd.m[n].weights
@@ -683,26 +668,28 @@ def build_invariant_chain(seq: StageSeq, fwd: ForwardSolution,
         st = seq.stage(n)
         nst = normalize_stage(st, bwd.h[n], bwd.h[n + 1], fwd.lam[n])
         stages[n] = nst
-        entries = weak_dictionary(seq.space(n + 1))
+        sp = seq.space(n + 1)
+        d = weak_dictionary(sp)
         tilde_one = apply_L(nst, unit_field(seq.space(n)))
         one_err[n] = float(np.abs(tilde_one.values - 1.0).max())
         gaps = []
         dgaps = []
-        for e in entries:
-            rhs = pair(e.field, mu[n + 1])
+        for i, (row, norm) in enumerate(zip(d.matrix, d.norms.tolist())):
+            f = Field(sp, row)
+            rhs = pair(f, mu[n + 1])
             if st.has_map:
-                if st.forward_pos is not None and e.fn is not None:
-                    fT = e.fn(st.forward_pos)
+                if st.forward_pos is not None and d.fns is not None:
+                    fT = d.fns[i](st.forward_pos)
                 else:
-                    fT = e.field.values[st.forward_index]
+                    fT = row[st.forward_index]
                 lhs = float(fT @ mu[n].weights)
             else:
                 # no map: transport along the normalized weights; the defect
                 # is exactly <f, mu_{n+1} (L~1 - 1)>
-                lhs = float(e.field.values @ (mu[n + 1].weights * tilde_one.values))
-            gaps.append(abs(lhs - rhs) / e.norm)
-            lf = apply_L(nst, e.field)
-            dgaps.append(abs(pair(lf, mu[n + 1]) - pair(e.field, mu[n])) / e.norm)
+                lhs = float(row @ (mu[n + 1].weights * tilde_one.values))
+            gaps.append(abs(lhs - rhs) / norm)
+            lf = apply_L(nst, f)
+            dgaps.append(abs(pair(lf, mu[n + 1]) - pair(f, mu[n])) / norm)
         push_gap[n] = max(gaps)
         dual_gap[n] = max(dgaps)
     passed = (max(push_gap.values()) < tol and max(one_err.values()) < tol

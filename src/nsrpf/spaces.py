@@ -37,7 +37,7 @@ class PointSpace:
     n_points: int
     positions: np.ndarray | None = None      # circle grid: k/N
     dist_table: np.ndarray | None = None     # finite-discrete only
-    _caches: dict = field(default_factory=dict, repr=False, compare=False)  # cones.pair_set
+    _caches: dict = field(default_factory=dict, repr=False, compare=False)  # pair sets, dictionaries
 
     @classmethod
     def circle_grid(cls, n: int) -> "PointSpace":
@@ -139,12 +139,6 @@ class Field(object):
 
 def unit_field(space: PointSpace) -> Field:
     return Field(space, np.ones(space.n_points))
-
-
-def basis_field(space: PointSpace, i: int) -> Field:
-    v = np.zeros(space.n_points)
-    v[i] = 1.0
-    return Field(space, v)
 
 
 @dataclass(frozen=True, eq=False)

@@ -180,3 +180,30 @@ def test_outdir_env_override(tmp_path, monkeypatch):
     assert main(["run", cfg]) == 0
     assert (out / "report.txt").exists()
     assert not (tmp_path / "ignored").exists()
+
+
+def test_invariant_chain_on_a_too_short_window_is_a_typed_error(tmp_path, capsys):
+    # one reported backward index leaves no invariant-chain step to check
+    cfg = write_cfg(tmp_path, """
+[system]
+kind = matrix
+d = 3
+window = 0 10
+seed = 1
+
+[cone]
+q = 1.0
+delta = 0.5
+
+[solver]
+tol = 1e-2
+
+[outputs]
+dir = {out}
+
+[checks]
+run = eigen invariant_chain
+""".format(out=tmp_path / "o"))
+    assert main(["run", cfg]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "invariant-chain" in err

@@ -5,7 +5,7 @@ import pytest
 
 import nsrpf as nr
 from nsrpf.cones import ConeParams
-from nsrpf.errors import ConvergenceError, DomainError
+from nsrpf.errors import ConvergenceError, DomainError, StructuralError
 from nsrpf.rpf import (_frozen_forward, build_invariant_chain, headroom_steps,
                        solve_backward, solve_forward, verify_cone_contraction,
                        verify_eigen_relations, verify_exponential_rates,
@@ -140,6 +140,23 @@ def test_seed_verifiers_on_spaces_that_change_size():
     assert ind.passed and 0.0 < ind.max_dm < ind.threshold
     uq = verify_uniqueness(seq, fwd, None, tol=1e-2, tail_shifts=(1, 2))
     assert uq.passed and 0.0 < uq.max_dm_shift < uq.threshold
+
+
+def test_invariant_chain_needs_two_backward_indices():
+    seq = build_matrix_chain(MatrixChainSpec.random(d=3, window=(0, 10), seed=1))
+    cert = nr.certify_cone_conditions(seq, CONE2)
+    fwd = solve_forward(seq, tol=1e-2, tau=cert.tau, block_factor=cert.block_factor,
+                        cone_params=CONE2)
+    bwd = solve_backward(seq, fwd, tol=1e-2)
+    assert len(bwd.reported_h) == 1
+    with pytest.raises(ConvergenceError, match="too short"):
+        build_invariant_chain(seq, fwd, bwd, tol=1e-2)
+
+
+def test_cone_contraction_needs_one_tau_block():
+    seq = build_circle_chain(CircleMapSpec.make(N=64, window=(0, 2)))
+    with pytest.raises(StructuralError, match="window too short for one tau-block"):
+        verify_cone_contraction(seq, ConeParams(Q=4.0, delta=0.2), tau=3)
 
 
 def test_second_eigenvector_contamination_decay():
