@@ -12,9 +12,8 @@ from .hypotheses import (ConeCertificate, ConstantsLedger, HypothesisParams,
                          default_Q, derive_constants, log_shift_seminorm_bound,
                          q_threshold, scan_Q)
 from .rpf import (BackwardSolution, ForwardSolution, InvariantChain,
-                  build_invariant_chain, headroom_steps, random_cone_seed,
-                  random_sigma, solve_backward, solve_forward, uniform_sigma,
-                  unit_seed, verify_cone_contraction, verify_eigen_relations,
+                  build_invariant_chain, headroom_steps, solve_backward,
+                  solve_forward, verify_cone_contraction, verify_eigen_relations,
                   verify_exponential_rates, verify_independence,
                   verify_uniqueness)
 from .spaces import (Field, MeasureVec, PointSpace, holder_seminorm, normalize,

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cones import DEFAULT_CONE, ConeParams
+from .cones import ConeParams
 from .errors import CertificationError, ConvergenceError, DomainError, StructuralError
 from .hypotheses import (certify_cone_conditions, certify_map_hypotheses,
                          default_Q, derive_constants)
@@ -121,9 +121,15 @@ def parse_config(path: str) -> RunConfig:
     q_mode = _get(cp, "cone", "q", str, "auto")
     if q_mode != "auto":
         try:
-            float(q_mode)
+            q_ok = float(q_mode) > 0.0
         except ValueError:
-            raise ConfigError("[cone].q: must be 'auto' or a number") from None
+            q_ok = False
+        if not q_ok:
+            raise ConfigError("[cone].q: must be 'auto' or a positive number")
+    delta = _get(cp, "cone", "delta", float, 0.2 if kind == "circle" else 0.5)
+    beta = _get(cp, "cone", "beta", float, 1.0)
+    if not (delta > 0.0 and 0.0 < beta <= 1.0):
+        raise ConfigError("[cone]: delta must be positive and beta in (0, 1]")
     tol = _get(cp, "solver", "tol", float, 1e-10 if kind == "matrix" else 1e-6)
     if tol <= 0.0:
         raise ConfigError("[solver].tol: must be positive")
@@ -134,9 +140,7 @@ def parse_config(path: str) -> RunConfig:
         if c not in KNOWN_CHECKS:
             raise ConfigError(f"[checks].run: unknown check {c!r} "
                               f"(known: {', '.join(KNOWN_CHECKS)})")
-    return RunConfig(kind=kind, system=system, q_mode=q_mode,
-                     delta=_get(cp, "cone", "delta", float, 0.2 if kind == "circle" else 0.5),
-                     beta=_get(cp, "cone", "beta", float, 1.0),
+    return RunConfig(kind=kind, system=system, q_mode=q_mode, delta=delta, beta=beta,
                      tol=tol, k_max=k_max,
                      solver_seed=_get(cp, "solver", "seed", int, 123),
                      out_dir=out_dir, checks=checks)
@@ -165,11 +169,12 @@ def _write_csv(path: str, header: list, rows):
 
 def _certify(cfg: RunConfig):
     """Build the chain and certify; returns everything the solvers need."""
+    ledger = None
     if cfg.kind == "matrix":
         seq = build_matrix_chain(cfg.system)
         params = None
-        cone = DEFAULT_CONE   # pair set empty: cone = C+
-        ledger = None
+        # q = auto: default_Q's value at a zero threshold
+        q = 1.0 if cfg.q_mode == "auto" else float(cfg.q_mode)
     else:
         seq = build_circle_chain(cfg.system)
         params = certify_map_hypotheses(seq)
@@ -178,7 +183,7 @@ def _certify(cfg: RunConfig):
             ledger = derive_constants(params, q)
         except DomainError as e:   # Q at or below the cone threshold
             raise CertificationError("cone-threshold", str(e)) from e
-        cone = ConeParams(Q=q, delta=cfg.delta, beta=cfg.beta)
+    cone = ConeParams(Q=q, delta=cfg.delta, beta=cfg.beta)
     cert = certify_cone_conditions(seq, cone, params=params)
     return seq, params, cone, cert, ledger
 

@@ -309,17 +309,18 @@ def sample_extremal_log_holder(space, p: ConeParams, rng: np.random.Generator,
     return Field(space, np.exp(q * d ** p.beta))
 
 
-def sample_log_holder_field(space, p: ConeParams, rng: np.random.Generator,
-                            strength: float = 0.9, modes: int = 6) -> Field:
+def sample_log_holder_field(space, p: ConeParams, rng: np.random.Generator) -> Field:
     """A random field strictly inside Lambda(Q).
 
-    On a circle grid, log f is a random trigonometric polynomial whose
-    Lipschitz constant is held below strength * Q (beta = 1 samples remain
-    valid for any beta <= 1 on subunit distances).  On a discrete space
-    whose pair set is empty, the cone is all of C+ and any positive vector
-    works.
+    On a circle grid, log f is a random trigonometric polynomial of six
+    modes whose Lipschitz constant is held below 0.9 Q (beta = 1 samples
+    remain valid for any beta <= 1 on subunit distances).  On a discrete
+    space whose pair set is empty, the cone is all of C+ and any positive
+    vector works.
     """
+    strength = 0.9
     if space.kind == KIND_CIRCLE:
+        modes = 6
         x = space.positions
         a = rng.normal(size=modes)
         b = rng.normal(size=modes)

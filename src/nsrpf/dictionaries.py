@@ -10,13 +10,17 @@ flavors are used:
 * the cone dictionary contains only elements of the log-Holder cone, since
   the explicit exponential rate for measure pairings is stated for cone
   test functions.  Entries are exponentials of slow trigonometric waves and
-  of concave distance bumps, all with log-Lipschitz constant at most Q/2.
+  of concave distance bumps on a circle grid, or distance bumps
+  exp(-(Q/2) d(x, c)^beta) on a finite set, all with log-Holder constant
+  at most Q/2.  A finite set whose pair set is empty (every simplex space)
+  has all of C+ as its cone and keeps the indicator fields.
 
-Each space gets one ``Dictionary`` per flavor (per Q for the cone flavor),
-built on first use and cached in the space's ``PointSpace._caches``.  It
-holds the entries stacked into one read-only matrix, the sup norm of each
-row and, on circle grids, the exact callables so pairings against
-pushforwards can evaluate the entries at off-grid image points.
+Each space gets one ``Dictionary`` per flavor (per Q for the cone flavor,
+and per beta where the rows are distance bumps), built on first use and
+cached in the space's ``PointSpace._caches``.  It holds the entries
+stacked into one read-only matrix, the sup norm of each row and, on
+circle grids, the exact callables so pairings against pushforwards can
+evaluate the entries at off-grid image points.
 """
 from __future__ import annotations
 
@@ -26,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from .cones import ConeParams
+from .cones import ConeParams, pair_set
 from .spaces import KIND_CIRCLE, PointSpace
 
 
@@ -37,10 +41,13 @@ class Dictionary:
     fns: Optional[tuple]            # exact callables at raw positions (circle), else None
 
 
-def _dictionary(space: PointSpace, key: tuple, fns, basis: int) -> Dictionary:
+def _dictionary(space: PointSpace, key: tuple, fns, basis: int,
+                bumps: Optional[ConeParams] = None) -> Dictionary:
     """The dictionary cached on ``space`` under ``key``, built on first use:
     the callables ``fns()`` sampled on a circle grid, or on a finite space the
-    constant function plus the first min(n, basis) indicator fields."""
+    constant function plus one field for each of the first min(n, basis)
+    points c: its indicator, or with ``bumps`` exp(-(Q/2) d(x, c)^beta),
+    whose log-Holder constant is Q/2 because d^beta is a metric."""
     cached = space._caches.get(key)
     if cached is not None:
         return cached
@@ -50,7 +57,11 @@ def _dictionary(space: PointSpace, key: tuple, fns, basis: int) -> Dictionary:
     else:
         n = space.n_points
         exact = None
-        matrix = np.vstack([np.ones(n), np.eye(min(n, basis), n)])
+        if bumps is None:
+            rows = np.eye(min(n, basis), n)
+        else:
+            rows = np.exp(-0.5 * bumps.Q * space.dist_table[:basis] ** bumps.beta)
+        matrix = np.vstack([np.ones(n), rows])
     norms = np.abs(matrix).max(axis=1)
     matrix.setflags(write=False)
     norms.setflags(write=False)
@@ -94,7 +105,9 @@ def weak_dictionary(space: PointSpace) -> Dictionary:
 
 
 def cone_dictionary(space: PointSpace, p: ConeParams) -> Dictionary:
-    """Test functions inside the log-Holder cone (log-Lipschitz <= Q/2)."""
+    """Test functions inside the log-Holder cone (log-Holder constant <= Q/2)."""
+    if space.kind != KIND_CIRCLE and len(pair_set(space, p)) > 0:
+        return _dictionary(space, ("cone", p.Q, p.beta), None, 12, bumps=p)
     return _dictionary(space, ("cone", p.Q), lambda: _cone_fns(p.Q), 12)
 
 

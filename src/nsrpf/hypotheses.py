@@ -38,7 +38,7 @@ from .errors import CertificationError, DomainError, StructuralError
 from .spaces import Field, holder_seminorm, unit_field
 from .transfer import StageSeq, apply_L, compose_L
 
-_DEFAULT_RNG_SEED = 20250811
+_RNG_SEED = 20250811
 
 
 @dataclass(frozen=True)
@@ -373,7 +373,6 @@ def _column_diameter(mat: np.ndarray) -> float:
 
 def certify_cone_conditions(seq: StageSeq, p: ConeParams, *,
                             params: HypothesisParams | None = None,
-                            rng: np.random.Generator | None = None,
                             n_pairs: int = 12, stride: int = 8) -> ConeCertificate:
     """Check the abstract cone conditions on samples and measure Delta.
 
@@ -388,7 +387,7 @@ def certify_cone_conditions(seq: StageSeq, p: ConeParams, *,
     tau-block contraction factor rho, so the certified tanh(Delta/4) rate is
     an upper envelope for everything seen.
     """
-    rng = rng or np.random.default_rng(_DEFAULT_RNG_SEED)
+    rng = np.random.default_rng(_RNG_SEED)
     has_map = seq.stage(seq.n_min).has_map
     tau = params.tau if params is not None else (1 if not has_map else None)
     if tau is None:

@@ -20,6 +20,13 @@ stopping index k*; distances to the frozen solution give the error
 histories that the exponential-rate verifier replays against the C1 gamma^k
 and C3 gamma^k envelopes.
 
+Stopping rule (both solvers).  With gamma = block_factor^(1/tau) the
+per-step contraction rate and s_tol = tol (1 - gamma) / 2, the stopping
+depth k* of a reported index is the first recorded depth k >= tau at which
+its successive gap falls below s_tol.  The sweep runs to depth
+headroom + 2 tau + 2 (or k_max); an index that never meets the rule raises
+ConvergenceError with its history.
+
 Backward data.  With lambda fixed, one forward sweep of the normalized
 operators from the bottom of the window yields h_n with
 L_n h_n = lambda_n h_{n+1} exact by construction and <h_n, m_n> = 1
@@ -52,32 +59,22 @@ _ZERO_FLOOR = 1e-13   # error values below this count as converged noise
 # seed families
 # ---------------------------------------------------------------------------
 
-def uniform_sigma(level: int, space) -> MeasureVec:
+def _uniform_sigma(level: int, space) -> MeasureVec:
     return MeasureVec.uniform(space)
 
 
-def random_sigma(seed: int) -> Callable:
+def _random_sigma(seed: int) -> Callable:
     def fam(level: int, space) -> MeasureVec:
         rng = np.random.default_rng((seed, level + 2 ** 20))
         return MeasureVec(space, rng.uniform(0.5, 1.5, size=space.n_points))
-    fam.label = f"random({seed})"
     return fam
 
 
-def unit_seed(level: int, space) -> Field:
-    return unit_field(space)
-
-
-def random_cone_seed(seed: int, p: ConeParams) -> Callable:
+def _random_cone_seed(seed: int, p: ConeParams) -> Callable:
     def fam(level: int, space) -> Field:
         rng = np.random.default_rng((seed, level + 2 ** 20))
         return sample_log_holder_field(space, p, rng)
-    fam.label = f"cone({seed})"
     return fam
-
-
-def _label(fam) -> str:
-    return getattr(fam, "label", getattr(fam, "__name__", "custom"))
 
 
 def headroom_steps(tol: float, block_factor: float, tau: int) -> int:
@@ -88,6 +85,28 @@ def headroom_steps(tol: float, block_factor: float, tau: int) -> int:
     return tau * blocks
 
 
+def _stopping_rule(side: str, sol: ForwardSolution | BackwardSolution,
+                   k_max: Optional[int], sweep: Callable) -> None:
+    """The stopping rule of both solvers (see the module docstring).
+
+    Fills ``sol.histories`` with ``sweep(k_cap)``, the histories of the
+    reported indices over depths 1..k_cap, and ``sol.k_star`` from them.
+    Raises ConvergenceError carrying the history of the first reported index
+    that never meets the rule.
+    """
+    gamma_step = sol.block_factor ** (1.0 / sol.tau)
+    s_tol = sol.tol * (1.0 - gamma_step) / 2.0
+    k_cap = sol.headroom + 2 * sol.tau + 2 if k_max is None else k_max
+    sol.histories = sweep(k_cap)
+    for n, h in sol.histories.items():
+        hits = np.nonzero((h.ks >= sol.tau) & (h.succ < s_tol))[0]
+        if hits.size == 0:
+            raise ConvergenceError(
+                f"{side} index {n}: successive gaps never fell below {s_tol} "
+                f"within {k_cap} iterations", history=h)
+        sol.k_star[n] = int(h.ks[hits[0]])
+
+
 # ---------------------------------------------------------------------------
 # forward solver
 # ---------------------------------------------------------------------------
@@ -95,7 +114,6 @@ def headroom_steps(tol: float, block_factor: float, tau: int) -> int:
 @dataclass
 class ForwardHistory:
     ks: np.ndarray
-    r: np.ndarray
     succ: np.ndarray        # max successive gap (growth log and weak pairings)
     err_lambda: np.ndarray  # |r_{n,k} - log lambda_n|
     err_m: np.ndarray       # max normalized cone-dictionary pairing gap vs m_n
@@ -115,10 +133,6 @@ class ForwardSolution:
     reported_lam: list
     k_star: dict
     histories: dict
-    sigma_label: str
-
-    def log_lambda(self, n: int) -> float:
-        return math.log(self.lam[n])
 
 
 def _frozen_forward(seq: StageSeq, tail: int, sigma_family) -> tuple[dict, dict]:
@@ -133,50 +147,18 @@ def _frozen_forward(seq: StageSeq, tail: int, sigma_family) -> tuple[dict, dict]
     return lam, nu
 
 
-def solve_forward(seq: StageSeq, *, tol: float, tau: int, block_factor: float,
-                  sigma_family=uniform_sigma, cone_params: Optional[ConeParams] = None,
-                  k_max: Optional[int] = None, stop_tol: Optional[float] = None,
-                  with_diagnostics: bool = True) -> ForwardSolution:
-    """Growth factors and eigenmeasures over the window.
-
-    The returned solution is frozen from the deepest available tail (the
-    window top), so its eigenrelations telescope exactly; per-index stopping
-    depths k* and full error histories come from the incremental sweep.
-    Raises ConvergenceError when a reportable index fails to meet the
-    stopping rule within its available depth.
-    """
-    tail = seq.n_max
-    lam, nu = _frozen_forward(seq, tail, sigma_family)
-    hr = headroom_steps(tol, block_factor, tau)
-    hi_m = tail - hr
-    if hi_m < seq.n_min:
-        raise ConvergenceError(
-            f"window of {seq.n_max - seq.n_min} steps is shorter than the "
-            f"required headroom {hr}; enlarge the window")
-    reported_m = list(range(seq.n_min, hi_m + 1))
-    reported_lam = list(range(seq.n_min, hi_m))
-    sol = ForwardSolution(seq=seq, tol=tol, tau=tau, block_factor=block_factor,
-                          headroom=hr, tail_level=tail, lam=lam, m=nu,
-                          reported_m=reported_m, reported_lam=reported_lam,
-                          k_star={}, histories={}, sigma_label=_label(sigma_family))
-    if not with_diagnostics:
-        return sol
-
-    gamma_step = block_factor ** (1.0 / tau)
-    s_tol = stop_tol if stop_tol is not None else tol * (1.0 - gamma_step) / 2.0
-    k_cap = hr + 2 * tau + 2 if k_max is None else k_max
-
+def _forward_sweep(sol: ForwardSolution, cone: ConeParams, k_cap: int) -> dict:
+    """Histories of the incremental dual sweep, one per reported index."""
+    seq, tail, lam = sol.seq, sol.tail_level, sol.lam
     weak = {n: weak_dictionary(seq.space(n)) for n in seq.space_indices}
-    coned = {n: cone_dictionary(seq.space(n), cone_params or DEFAULT_CONE)
-             for n in reported_m}
-    m_pairs = {n: pairing_vector(coned[n], nu[n].weights) for n in reported_m}
+    coned = {n: cone_dictionary(seq.space(n), cone) for n in sol.reported_m}
+    m_pairs = {n: pairing_vector(coned[n], sol.m[n].weights) for n in sol.reported_m}
 
-    cur = {n: normalize(sigma_family(n, seq.space(n))).weights
+    cur = {n: normalize(_uniform_sigma(n, seq.space(n))).weights
            for n in seq.space_indices}
     prev_weak = {n: pairing_vector(weak[n], cur[n]) for n in seq.space_indices}
     last_r: dict = {}
-    hist: dict = {n: {"ks": [], "r": [], "succ": [], "el": [], "em": []}
-                  for n in reported_m}
+    hist: dict = {n: {"ks": [], "succ": [], "el": [], "em": []} for n in sol.reported_m}
     for k in range(1, k_cap + 1):
         new = {}
         hi_n = tail - k
@@ -192,30 +174,52 @@ def solve_forward(seq: StageSeq, *, tol: float, tau: int, block_factor: float,
                 wp = pairing_vector(weak[n], nu_k)
                 succ_w = float(np.max(np.abs(wp - prev_weak[n]) / weak[n].norms))
                 succ_r = abs(r_nk - last_r[n]) if n in last_r else math.inf
-                succ = max(succ_r, succ_w)
                 cp = pairing_vector(coned[n], nu_k)
                 em = float(np.max(np.abs(cp - m_pairs[n]) / coned[n].norms))
                 h = hist[n]
                 h["ks"].append(k)
-                h["r"].append(r_nk)
-                h["succ"].append(succ)
+                h["succ"].append(max(succ_r, succ_w))
                 h["el"].append(abs(r_nk - math.log(lam[n])))
                 h["em"].append(em)
                 prev_weak[n] = wp
-                if n not in sol.k_star and k >= tau and succ < s_tol:
-                    sol.k_star[n] = k
             last_r[n] = r_nk
         cur = new
-    for n in reported_m:
-        h = hist[n]
-        sol.histories[n] = ForwardHistory(
-            ks=np.array(h["ks"], dtype=np.int64), r=np.array(h["r"]),
-            succ=np.array(h["succ"]), err_lambda=np.array(h["el"]),
-            err_m=np.array(h["em"]))
-        if n not in sol.k_star:
-            raise ConvergenceError(
-                f"index {n}: successive gaps never fell below {s_tol} "
-                f"within {k_cap} iterations", history=sol.histories[n])
+    return {n: ForwardHistory(ks=np.array(h["ks"], dtype=np.int64),
+                              succ=np.array(h["succ"]), err_lambda=np.array(h["el"]),
+                              err_m=np.array(h["em"]))
+            for n, h in hist.items()}
+
+
+def solve_forward(seq: StageSeq, *, tol: float, tau: int, block_factor: float,
+                  cone_params: Optional[ConeParams] = None,
+                  k_max: Optional[int] = None,
+                  with_diagnostics: bool = True) -> ForwardSolution:
+    """Growth factors and eigenmeasures over the window.
+
+    The returned solution is frozen from the deepest available tail (the
+    window top), so its eigenrelations telescope exactly; per-index stopping
+    depths k* and full error histories come from the incremental sweep.
+    Raises ConvergenceError when a reportable index fails to meet the
+    stopping rule within its available depth.
+    """
+    tail = seq.n_max
+    lam, nu = _frozen_forward(seq, tail, _uniform_sigma)
+    hr = headroom_steps(tol, block_factor, tau)
+    hi_m = tail - hr
+    if hi_m < seq.n_min:
+        raise ConvergenceError(
+            f"window of {seq.n_max - seq.n_min} steps is shorter than the "
+            f"required headroom {hr}; enlarge the window")
+    reported_m = list(range(seq.n_min, hi_m + 1))
+    reported_lam = list(range(seq.n_min, hi_m))
+    sol = ForwardSolution(seq=seq, tol=tol, tau=tau, block_factor=block_factor,
+                          headroom=hr, tail_level=tail, lam=lam, m=nu,
+                          reported_m=reported_m, reported_lam=reported_lam,
+                          k_star={}, histories={})
+    if with_diagnostics:
+        cone = cone_params or DEFAULT_CONE
+        _stopping_rule("forward", sol, k_max,
+                       lambda k_cap: _forward_sweep(sol, cone, k_cap))
     return sol
 
 
@@ -242,7 +246,6 @@ class BackwardSolution:
     reported_h: list
     k_star: dict
     histories: dict
-    seed_label: str
 
 
 def _frozen_backward(seq: StageSeq, lam: dict, bottom: int, seed: Field,
@@ -257,43 +260,14 @@ def _frozen_backward(seq: StageSeq, lam: dict, bottom: int, seed: Field,
     return h
 
 
-def solve_backward(seq: StageSeq, fwd: ForwardSolution, *, tol: float,
-                   seed_family=unit_seed, k_max: Optional[int] = None,
-                   stop_tol: Optional[float] = None,
-                   with_diagnostics: bool = True) -> BackwardSolution:
-    """Eigenfunctions h_n as uniform limits of normalized forward iterates.
-
-    Reuses the forward solution's growth factors for the normalized
-    operators and freezes the chain from the bottom of the window, making
-    L_n h_n = lambda_n h_{n+1} exact by construction.
-    """
-    if not seq.two_sided:
-        raise StructuralError("backward limits need a two-sided sequence")
-    tau, bf = fwd.tau, fwd.block_factor
-    bottom = seq.n_min
-    h = _frozen_backward(seq, fwd.lam, bottom,
-                         seed_family(bottom, seq.space(bottom)), fwd.m[bottom])
-    hr = fwd.headroom
-    lo_h = bottom + hr
-    hi_h = max(fwd.reported_m)
-    if lo_h > hi_h:
-        raise ConvergenceError("window too short to report any backward index")
-    reported_h = list(range(lo_h, hi_h + 1))
-    sol = BackwardSolution(seq=seq, tol=tol, tau=tau, block_factor=bf, headroom=hr,
-                           bottom_level=bottom, h=h, reported_h=reported_h,
-                           k_star={}, histories={}, seed_label=_label(seed_family))
-    if not with_diagnostics:
-        return sol
-
-    gamma_step = bf ** (1.0 / tau)
-    s_tol = stop_tol if stop_tol is not None else tol * (1.0 - gamma_step) / 2.0
-    k_cap = hr + 2 * tau + 2 if k_max is None else k_max
-
+def _backward_sweep(sol: BackwardSolution, fwd: ForwardSolution, k_cap: int) -> dict:
+    """Histories of the incremental forward sweep, one per reported index."""
+    seq, bottom, h = sol.seq, sol.bottom_level, sol.h
     cur = {}
     for n in seq.space_indices:
-        g = seed_family(n, seq.space(n))
+        g = unit_field(seq.space(n))
         cur[n] = g.values / pair(g, fwd.m[n])
-    hist = {n: {"ks": [], "succ": [], "eh": []} for n in reported_h}
+    hist = {n: {"ks": [], "succ": [], "eh": []} for n in sol.reported_h}
     for k in range(1, k_cap + 1):
         new = {}
         lo_n = bottom + k
@@ -303,24 +277,42 @@ def solve_backward(seq: StageSeq, fwd: ForwardSolution, *, tol: float,
             it = _apply_values(seq.stage(n - 1), cur[n - 1]) / fwd.lam[n - 1]
             new[n] = it
             if n in hist:
-                succ = float(np.abs(it - cur[n]).max())
-                errh = float(np.abs(it - h[n].values).max())
                 hh = hist[n]
                 hh["ks"].append(k)
-                hh["succ"].append(succ)
-                hh["eh"].append(errh)
-                if n not in sol.k_star and k >= tau and succ < s_tol:
-                    sol.k_star[n] = k
+                hh["succ"].append(float(np.abs(it - cur[n]).max()))
+                hh["eh"].append(float(np.abs(it - h[n].values).max()))
         cur = new
-    for n in reported_h:
-        hh = hist[n]
-        sol.histories[n] = BackwardHistory(ks=np.array(hh["ks"], dtype=np.int64),
-                                           succ=np.array(hh["succ"]),
-                                           err_h=np.array(hh["eh"]))
-        if n not in sol.k_star:
-            raise ConvergenceError(
-                f"backward index {n}: gaps never fell below {s_tol}",
-                history=sol.histories[n])
+    return {n: BackwardHistory(ks=np.array(hh["ks"], dtype=np.int64),
+                               succ=np.array(hh["succ"]), err_h=np.array(hh["eh"]))
+            for n, hh in hist.items()}
+
+
+def solve_backward(seq: StageSeq, fwd: ForwardSolution, *, tol: float,
+                   k_max: Optional[int] = None,
+                   with_diagnostics: bool = True) -> BackwardSolution:
+    """Eigenfunctions h_n as uniform limits of normalized forward iterates.
+
+    Reuses the forward solution's growth factors for the normalized
+    operators and freezes the chain from the bottom of the window, making
+    L_n h_n = lambda_n h_{n+1} exact by construction.
+    """
+    if not seq.two_sided:
+        raise StructuralError("backward limits need a two-sided sequence")
+    bottom = seq.n_min
+    h = _frozen_backward(seq, fwd.lam, bottom, unit_field(seq.space(bottom)),
+                         fwd.m[bottom])
+    hr = fwd.headroom
+    lo_h = bottom + hr
+    hi_h = max(fwd.reported_m)
+    if lo_h > hi_h:
+        raise ConvergenceError("window too short to report any backward index")
+    reported_h = list(range(lo_h, hi_h + 1))
+    sol = BackwardSolution(seq=seq, tol=tol, tau=fwd.tau, block_factor=fwd.block_factor,
+                           headroom=hr, bottom_level=bottom, h=h, reported_h=reported_h,
+                           k_star={}, histories={})
+    if with_diagnostics:
+        _stopping_rule("backward", sol, k_max,
+                       lambda k_cap: _backward_sweep(sol, fwd, k_cap))
     return sol
 
 
@@ -407,7 +399,6 @@ def _reseed_gaps(seq: StageSeq, fwd: ForwardSolution,
 
 def verify_independence(seq: StageSeq, fwd: ForwardSolution,
                         bwd: Optional[BackwardSolution], *, tol: float,
-                        sigma_families=None, seed_families=None,
                         cone_params: Optional[ConeParams] = None) -> IndependenceReport:
     """Re-solve with different tail seeds and compare the reported data.
 
@@ -415,14 +406,11 @@ def verify_independence(seq: StageSeq, fwd: ForwardSolution,
     difference is bounded by the same contraction envelope as the
     convergence error, so reported indices must agree to within 10 tol.
     """
-    sigma_families = sigma_families or [random_sigma(7), random_sigma(88)]
     cone = cone_params or DEFAULT_CONE
-    seed_families = seed_families or [random_cone_seed(11, cone),
-                                      random_cone_seed(23, cone)]
     thr = 10.0 * tol
-    dlam, dm, dh = _reseed_gaps(seq, fwd, bwd,
-                                [(fwd.tail_level, fam) for fam in sigma_families],
-                                seed_families)
+    dlam, dm, dh = _reseed_gaps(
+        seq, fwd, bwd, [(fwd.tail_level, _random_sigma(s)) for s in (7, 88)],
+        [_random_cone_seed(s, cone) for s in (11, 23)])
     passed = dlam < thr and dm < thr and dh < thr
     return IndependenceReport(max_dlam=dlam, max_dm=dm, max_dh=dh,
                               threshold=thr, passed=passed)
@@ -440,8 +428,8 @@ class UniquenessReport:
 
 def verify_uniqueness(seq: StageSeq, fwd: ForwardSolution,
                       bwd: Optional[BackwardSolution], *, tol: float,
-                      tail_shifts=(3, 5), cone_params: Optional[ConeParams] = None,
-                      trials: int = 4) -> UniquenessReport:
+                      tail_shifts=(3, 5),
+                      cone_params: Optional[ConeParams] = None) -> UniquenessReport:
     """Collapse checks for the uniqueness statements.
 
     Tail-shifted re-solves must reproduce (lambda, m); any normalized
@@ -452,8 +440,9 @@ def verify_uniqueness(seq: StageSeq, fwd: ForwardSolution,
     thr = 10.0 * tol
     cone = cone_params or DEFAULT_CONE
     dlam, dm, dh = _reseed_gaps(
-        seq, fwd, bwd, [(fwd.tail_level - shift, uniform_sigma) for shift in tail_shifts],
-        [random_cone_seed(100 + s, cone) for s in range(trials)])
+        seq, fwd, bwd,
+        [(fwd.tail_level - shift, _uniform_sigma) for shift in tail_shifts],
+        [_random_cone_seed(100 + s, cone) for s in range(4)])
     xi = 0.0
     if bwd is not None:
         rng = np.random.default_rng(5)
@@ -502,8 +491,7 @@ def _fit_slope(ks, errs, k_lo):
 
 
 def verify_exponential_rates(fwd: ForwardSolution, bwd: Optional[BackwardSolution],
-                             rc: RateConstants, *, slack: float = 1e-9,
-                             slope_slack: float = 1.0) -> RatesReport:
+                             rc: RateConstants, *, slack: float = 1e-9) -> RatesReport:
     """Replay recorded error histories against the contraction envelopes.
 
     Growth-log errors are held to C1 gamma^k for k >= tau + 1 (one dual step
@@ -511,15 +499,15 @@ def verify_exponential_rates(fwd: ForwardSolution, bwd: Optional[BackwardSolutio
     C1 gamma^k for k >= tau, and eigenfunction errors to C3 gamma^k for
     k >= tau.  The envelope comparison at absolute slack is the quantitative
     assertion; fitted log-error slopes additionally must be strictly
-    negative and within slope_slack (one e-fold per step by default) of
-    log(gamma), a smell test that tolerates histories whose fast transient
-    bottoms out onto a tiny slow regime.  Indices whose history is flat at
-    roundoff pass as degenerate (slope -inf).
+    negative and within one e-fold per step of log(gamma), a smell test
+    that tolerates histories whose fast transient bottoms out onto a tiny
+    slow regime.  Indices whose history is flat at roundoff pass as
+    degenerate (slope -inf).
     """
     rows = []
     viol = 0
     slopes = {}
-    bound = math.log(rc.gamma) + slope_slack
+    bound = math.log(rc.gamma) + 1.0
     for n, h in fwd.histories.items():
         env = rc.C1 * rc.gamma ** h.ks
         viol += int(np.sum((h.err_lambda > env + slack) & (h.ks >= rc.tau + 1)))
@@ -555,8 +543,7 @@ class ContractionReport:
 def verify_cone_contraction(seq: StageSeq, p: ConeParams, *, tau: int,
                             n_samples: int = 100,
                             rng: Optional[np.random.Generator] = None,
-                            indices=None, extra_delta: float = 0.0,
-                            slack: float = 1e-9,
+                            extra_delta: float = 0.0,
                             monotone_every: int = 1) -> ContractionReport:
     """Sampled tau-block contraction factors against tanh(Delta_measured/4).
 
@@ -569,8 +556,8 @@ def verify_cone_contraction(seq: StageSeq, p: ConeParams, *, tau: int,
     sample rather than merely plausible.
     """
     rng = rng or np.random.default_rng(20250811)
-    if indices is None:
-        indices = [n for n in seq.stage_indices if n + tau <= seq.n_max]
+    slack = 1e-9
+    indices = [n for n in seq.stage_indices if n + tau <= seq.n_max]
     if not indices:
         raise StructuralError("window too short for one tau-block")
     delta_m = extra_delta
@@ -634,8 +621,7 @@ class InvariantChain:
 
 
 def build_invariant_chain(seq: StageSeq, fwd: ForwardSolution,
-                          bwd: BackwardSolution, *, tol: float,
-                          guard_tol: Optional[float] = None) -> InvariantChain:
+                          bwd: BackwardSolution, *, tol: float) -> InvariantChain:
     """Measures mu_n with d mu_n = h_n d m_n, plus the normalized stages.
 
     Verifies the pushforward identity through dictionary pairings, the
@@ -646,12 +632,11 @@ def build_invariant_chain(seq: StageSeq, fwd: ForwardSolution,
     operator; the map-based families get the genuine composition test with
     test functions evaluated at exact image points.
     """
-    guard = guard_tol if guard_tol is not None else tol
-    eig = verify_eigen_relations(seq, fwd, bwd, guard)
+    eig = verify_eigen_relations(seq, fwd, bwd, tol)
     if not eig.passed:
         raise DomainError(
             f"eigenrelation residuals (dual {eig.max_resid_dual}, h {eig.max_resid_h}) "
-            f"exceed {guard}; refusing to build the invariant chain")
+            f"exceed {tol}; refusing to build the invariant chain")
     window = [n for n in bwd.reported_h if n + 1 in bwd.h and n in fwd.lam
               and n + 1 in fwd.m and n + 1 in bwd.reported_h]
     if not window:
@@ -673,7 +658,6 @@ def build_invariant_chain(seq: StageSeq, fwd: ForwardSolution,
         tilde_one = apply_L(nst, unit_field(seq.space(n)))
         one_err[n] = float(np.abs(tilde_one.values - 1.0).max())
         gaps = []
-        dgaps = []
         for i, (row, norm) in enumerate(zip(d.matrix, d.norms.tolist())):
             f = Field(sp, row)
             rhs = pair(f, mu[n + 1])
@@ -688,9 +672,14 @@ def build_invariant_chain(seq: StageSeq, fwd: ForwardSolution,
                 # is exactly <f, mu_{n+1} (L~1 - 1)>
                 lhs = float(row @ (mu[n + 1].weights * tilde_one.values))
             gaps.append(abs(lhs - rhs) / norm)
-            lf = apply_L(nst, f)
-            dgaps.append(abs(pair(lf, mu[n + 1]) - pair(f, mu[n])) / norm)
         push_gap[n] = max(gaps)
+        # the dual transport <L~ f, mu_{n+1}> = <f, mu_n> tests f on X_n
+        dom = seq.space(n)
+        d_dom = weak_dictionary(dom)
+        dgaps = []
+        for row, norm in zip(d_dom.matrix, d_dom.norms.tolist()):
+            f = Field(dom, row)
+            dgaps.append(abs(pair(apply_L(nst, f), mu[n + 1]) - pair(f, mu[n])) / norm)
         dual_gap[n] = max(dgaps)
     passed = (max(push_gap.values()) < tol and max(one_err.values()) < tol
               and max(dual_gap.values()) < tol)

@@ -230,13 +230,12 @@ class OracleConvergenceError(RuntimeError):
     """Power iteration failed its Rayleigh consistency check."""
 
 
-def oracle_stationary_rpf(m: np.ndarray, iters: int = 2000,
-                          check_tol: float = 1e-13) -> tuple[float, np.ndarray, np.ndarray]:
-    """Classical single-matrix eigendata by long power iteration.
+def oracle_stationary_rpf(m: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """Classical single-matrix eigendata by 2000 steps of power iteration.
 
     Returns (lam, m_left, h_right) with m_left a probability vector and
     <h, m> = 1.  Left and right iterations run independently; a Rayleigh
-    check guards against non-convergence.
+    check at relative 1e-13 guards against non-convergence.
     """
     m = np.asarray(m, dtype=np.float64)
     if np.any(m <= 0.0):
@@ -245,14 +244,14 @@ def oracle_stationary_rpf(m: np.ndarray, iters: int = 2000,
     v = np.full(d, 1.0 / d)            # right vector, h direction
     w = np.full(d, 1.0 / d)            # left vector, eigenmeasure direction
     lam = 0.0
-    for _ in range(iters):
+    for _ in range(2000):
         v_new = m @ v
         lam = float(v_new.sum() / v.sum())
         v = v_new / v_new.sum()
         w_new = m.T @ w
         w = w_new / w_new.sum()
     rayleigh = float(w @ (m @ v)) / float(w @ v)
-    if abs(rayleigh - lam) > check_tol * max(1.0, abs(lam)):
+    if abs(rayleigh - lam) > 1e-13 * max(1.0, abs(lam)):
         raise OracleConvergenceError(f"power iteration drift {abs(rayleigh - lam)}")
     w = w / w.sum()
     v = v / float(v @ w)
@@ -271,16 +270,15 @@ class OracleEstimate:
     h_values: Optional[np.ndarray]
 
 
-def _pullback_chain(spec: MatrixChainSpec, tail: int, bottom: int,
-                    seed_weights: Optional[np.ndarray] = None):
-    """Normalized dual products (M_n^T ... ) from the tail level downward.
+def _pullback_chain(spec: MatrixChainSpec, tail: int, bottom: int):
+    """Normalized dual products (M_n^T ... ) from the uniform seed at the tail
+    level downward.
 
     Returns dicts n -> weights and n -> lam with  M_n^T m_{n+1} = lam_n m_n
     exact by construction, mirroring the limit's defining quotients.
     """
     d = spec.d
-    w = np.full(d, 1.0 / d) if seed_weights is None else seed_weights / seed_weights.sum()
-    weights = {tail: w}
+    weights = {tail: np.full(d, 1.0 / d)}
     lams = {}
     for n in range(tail - 1, bottom - 1, -1):
         raw = spec.matrix(n).T @ weights[n + 1]
@@ -290,19 +288,15 @@ def _pullback_chain(spec: MatrixChainSpec, tail: int, bottom: int,
     return weights, lams
 
 
-def oracle_rpf_chain(spec: MatrixChainSpec, *, tail: Optional[int] = None,
-                     bottom: Optional[int] = None,
-                     seed_weights: Optional[np.ndarray] = None):
+def oracle_rpf_chain(spec: MatrixChainSpec):
     """Full oracle chain (lam_n, m_n, h_n) from dense log-rescaled products.
 
-    m and lam come from one dual sweep off the tail; h_n is the forward
-    product from the bottom seed, normalized with the oracle's own lam and
-    m.  Shares no code with the incremental solver.
+    m and lam come from one dual sweep off the window top; h_n is the
+    forward product from the window bottom, normalized with the oracle's own
+    lam and m.  Shares no code with the incremental solver.
     """
-    n_min, n_max = spec.window
-    tail = n_max if tail is None else tail
-    bottom = n_min if bottom is None else bottom
-    weights, lams = _pullback_chain(spec, tail, bottom, seed_weights)
+    bottom, tail = spec.window
+    weights, lams = _pullback_chain(spec, tail, bottom)
     d = spec.d
     h = {bottom: np.ones(d) / float(np.ones(d) @ weights[bottom])}
     for n in range(bottom, tail):
@@ -310,8 +304,7 @@ def oracle_rpf_chain(spec: MatrixChainSpec, *, tail: Optional[int] = None,
     return lams, weights, h
 
 
-def oracle_nonstationary_products(spec: MatrixChainSpec, n: int, k: int,
-                                  seed_weights: Optional[np.ndarray] = None) -> OracleEstimate:
+def oracle_nonstationary_products(spec: MatrixChainSpec, n: int, k: int) -> OracleEstimate:
     """Depth-k estimates at index n by explicit dense products.
 
     r is log( <L_n^k 1, sigma> / <L_{n+1}^{k-1} 1, sigma> ) computed from the
@@ -322,13 +315,11 @@ def oracle_nonstationary_products(spec: MatrixChainSpec, n: int, k: int,
     if n + k > n_max or n - k < n_min:
         raise StructuralError("window does not cover depth k on both sides of n")
     if k == 0:
-        d = spec.d
-        w = np.full(d, 1.0 / d) if seed_weights is None else seed_weights / seed_weights.sum()
         return OracleEstimate(n=n, k=0, r=math.nan, lam=math.nan,
-                              m_weights=w, h_values=None)
-    weights, lams = _pullback_chain(spec, n + k, n, seed_weights)
+                              m_weights=np.full(spec.d, 1.0 / spec.d), h_values=None)
+    weights, lams = _pullback_chain(spec, n + k, n)
     # backward estimate of h at n from depth k below, using oracle data only
-    sub_weights, sub_lams = _pullback_chain(spec, n_max, n - k, seed_weights)
+    sub_weights, sub_lams = _pullback_chain(spec, n_max, n - k)
     g = np.ones(spec.d) / float(np.ones(spec.d) @ sub_weights[n - k])
     for j in range(n - k, n):
         g = (spec.matrix(j) @ g) / sub_lams[j]

@@ -149,6 +149,22 @@ dir = {out}
     assert "certification failure: [cone-threshold]" in capsys.readouterr().err
 
 
+def test_matrix_chain_honors_cone_section(tmp_path):
+    out = tmp_path / "out"
+    body = MATRIX_CFG.format(out=out).replace(
+        "[solver]", "[cone]\nq = 3.0\ndelta = 0.25\n\n[solver]")
+    assert main(["certify", write_cfg(tmp_path, body)]) == 0
+    lines = (out / "constants.txt").read_text().splitlines()
+    assert "Q = 3" in lines and "delta = 0.25" in lines and "beta = 1" in lines
+
+
+def test_out_of_range_cone_values_are_config_errors(tmp_path):
+    for line in ("q = -1.0", "delta = -0.5", "beta = 1.5"):
+        body = MATRIX_CFG.format(out=tmp_path / "o").replace(
+            "[solver]", f"[cone]\n{line}\n\n[solver]")
+        assert main(["certify", write_cfg(tmp_path, body)]) == 2
+
+
 def test_certify_writes_constants(tmp_path):
     out = tmp_path / "outc"
     cfg = write_cfg(tmp_path, DOUBLING_CFG.format(out=out))

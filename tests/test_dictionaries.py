@@ -21,7 +21,9 @@ def test_circle_rows_are_the_exact_callables(build):
 @pytest.mark.parametrize("p", [ConeParams(Q=1.0, delta=0.5, beta=1.0), P,
                                ConeParams(Q=6.0, delta=0.3, beta=0.5)])
 @pytest.mark.parametrize("sp", [PointSpace.circle_grid(64), PointSpace.circle_grid(500),
-                                PointSpace.simplex(3), PointSpace.simplex(20)])
+                                PointSpace.simplex(3), PointSpace.simplex(20),
+                                PointSpace.finite(np.abs(np.subtract.outer(
+                                    np.arange(32), np.arange(32))) / 32)])
 def test_cone_rows_lie_in_the_cone(sp, p):
     d = cone_dictionary(sp, p)
     for row in d.matrix:

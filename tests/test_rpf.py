@@ -6,15 +6,16 @@ import pytest
 import nsrpf as nr
 from nsrpf.cones import ConeParams
 from nsrpf.errors import ConvergenceError, DomainError, StructuralError
-from nsrpf.rpf import (_frozen_forward, build_invariant_chain, headroom_steps,
-                       solve_backward, solve_forward, verify_cone_contraction,
+from nsrpf.rpf import (BackwardHistory, ForwardHistory, _frozen_forward,
+                       build_invariant_chain, headroom_steps, solve_backward,
+                       solve_forward, verify_cone_contraction,
                        verify_eigen_relations, verify_exponential_rates,
                        verify_independence, verify_uniqueness)
 from nsrpf.spaces import MeasureVec, pair, unit_field
 from nsrpf.systems import (CircleMapSpec, MatrixChainSpec, build_circle_chain,
                            build_matrix_chain, oracle_rpf_chain,
                            oracle_stationary_rpf)
-from nsrpf.transfer import compose_L
+from nsrpf.transfer import StageSeq, compose_L
 
 
 RNG = np.random.default_rng(17)
@@ -222,6 +223,38 @@ def test_convergence_error_on_tiny_window():
     seq = build_matrix_chain(MatrixChainSpec.random(d=2, window=(0, 4), seed=1))
     with pytest.raises(ConvergenceError):
         solve_forward(seq, tol=1e-10, tau=1, block_factor=0.9)
+
+
+def test_stopping_rule_failure_names_side_and_index():
+    # k_max below tau: no recorded depth can meet the rule k >= tau
+    seq = build_matrix_chain(MatrixChainSpec.random(d=2, window=(-40, 40), seed=3))
+    kw = dict(tol=1e-2, tau=3, block_factor=0.5)
+    with pytest.raises(ConvergenceError, match=r"^forward index -40: ") as exc:
+        solve_forward(seq, k_max=2, **kw)
+    hist = exc.value.history
+    assert isinstance(hist, ForwardHistory)
+    assert hist.ks.tolist() == [1, 2]
+    fwd = solve_forward(seq, with_diagnostics=False, **kw)
+    lo_h = seq.n_min + fwd.headroom
+    with pytest.raises(ConvergenceError, match=rf"^backward index {lo_h}: ") as exc:
+        solve_backward(seq, fwd, tol=1e-2, k_max=2)
+    hist = exc.value.history
+    assert isinstance(hist, BackwardHistory)
+    assert hist.ks.tolist() == [1, 2]
+
+
+def test_invariant_chain_on_spaces_that_change_size():
+    """The dual transport <L~ f, mu_{n+1}> = <f, mu_n> takes f on X_n, not on
+    X_{n+1}: the two-sided halving chain halves its space at every step."""
+    from conftest import build_halving_chain
+    halving = build_halving_chain(levels=8, n_top=256)
+    seq = StageSeq(n_min=0, n_max=8, stages=halving.stages, two_sided=True)
+    fwd = solve_forward(seq, tol=1e-2, tau=1, block_factor=0.01, with_diagnostics=False)
+    bwd = solve_backward(seq, fwd, tol=1e-2, with_diagnostics=False)
+    chain = build_invariant_chain(seq, fwd, bwd, tol=1e-2)
+    assert [seq.space(n).n_points for n in chain.window] == [32, 16]
+    assert chain.passed
+    assert max(chain.tilde_dual_gap.values()) < 1e-14
 
 
 def test_invariant_chain_matrix():
