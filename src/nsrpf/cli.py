@@ -201,8 +201,13 @@ def _constants_text(cfg, params, cone, cert, ledger) -> str:
     lines += [f"gamma_measured = {_fmt(rcm.gamma)}",
               f"C1_measured = {_fmt(rcm.C1)}", f"C3_measured = {_fmt(rcm.C3)}"]
     if ledger is not None:
+        p = ledger.params
         lines.append("# closed-form ledger from the certified map hypotheses")
-        lines.append(ledger.as_text())
+        lines += [f"{k} = {_fmt(v)}" for k, v in (
+            ("D", p.D), ("delta", p.delta), ("rho", p.rho), ("tau", p.tau), ("H", p.H),
+            ("beta", p.beta), ("V", p.V), ("Q_threshold", ledger.Q_threshold),
+            ("Q", ledger.Q), ("S", ledger.S), ("R", ledger.R), ("Delta", ledger.Delta),
+            ("gamma", ledger.gamma), ("C1", ledger.C1), ("C3", ledger.C3))]
     return "\n".join(lines) + "\n"
 
 
@@ -223,11 +228,11 @@ def cmd_run(cfg: RunConfig) -> int:
     fwd = solve_forward(seq, tol=cfg.tol, tau=cert.tau,
                         block_factor=cert.block_factor, cone_params=cone,
                         k_max=cfg.k_max)
-    bwd = solve_backward(seq, fwd, tol=cfg.tol, k_max=cfg.k_max) if seq.two_sided else None
+    bwd = solve_backward(fwd, k_max=cfg.k_max) if seq.two_sided else None
 
     report_lines = []
     all_passed = True
-    eig = verify_eigen_relations(seq, fwd, bwd, cfg.tol)
+    eig = verify_eigen_relations(fwd, bwd, cfg.tol)
 
     def note(name, passed, detail):
         nonlocal all_passed
@@ -245,12 +250,12 @@ def cmd_run(cfg: RunConfig) -> int:
         note("rates", rates.passed,
              f"{rates.violations} envelope violations over {len(rates.rows)} records")
     if "independence" in cfg.checks:
-        ind = verify_independence(seq, fwd, bwd, tol=cfg.tol, cone_params=cone)
+        ind = verify_independence(fwd, bwd, tol=cfg.tol)
         note("independence", ind.passed,
              f"max dlam {_fmt(ind.max_dlam)}, max dm {_fmt(ind.max_dm)}, "
              f"max dh {_fmt(ind.max_dh)} (threshold {_fmt(ind.threshold)})")
     if "uniqueness" in cfg.checks:
-        uq = verify_uniqueness(seq, fwd, bwd, tol=cfg.tol, cone_params=cone)
+        uq = verify_uniqueness(fwd, bwd, tol=cfg.tol)
         note("uniqueness", uq.passed,
              f"tail-shift dlam {_fmt(uq.max_dlam_shift)}, dm {_fmt(uq.max_dm_shift)}, "
              f"xi gap {_fmt(uq.max_xi_gap)}, seed dh {_fmt(uq.max_dh_seed)}")
@@ -262,7 +267,6 @@ def cmd_run(cfg: RunConfig) -> int:
              f"{cc.n_pairs} pairs, Delta {_fmt(cc.Delta_measured)}, "
              f"max ratio {_fmt(float(cc.ratios.max()) if cc.n_pairs else 0.0)} "
              f"vs tanh(Delta/4) {_fmt(cc.block_factor)}")
-    chain = None
     if "invariant_chain" in cfg.checks and bwd is not None:
         if cfg.kind == "matrix":
             chain_tol = cfg.tol
@@ -271,7 +275,7 @@ def cmd_run(cfg: RunConfig) -> int:
             # which scales like 1/N^2; 1e-4 is the measured scale at N = 1024
             n = seq.space(seq.n_min).n_points
             chain_tol = max(cfg.tol, 1e-4 * (1024.0 / n) ** 2)
-        chain = build_invariant_chain(seq, fwd, bwd, tol=chain_tol)
+        chain = build_invariant_chain(fwd, bwd, tol=chain_tol)
         note("invariant_chain", chain.passed,
              f"max push gap {_fmt(max(chain.push_gap.values()))}, "
              f"max ||L~1 - 1|| {_fmt(max(chain.tilde_one_err.values()))}, "
@@ -308,7 +312,7 @@ def cmd_oracle(cfg: RunConfig) -> int:
     fwd = solve_forward(seq, tol=cfg.tol, tau=cert.tau,
                         block_factor=cert.block_factor, cone_params=cone,
                         with_diagnostics=False)
-    bwd = solve_backward(seq, fwd, tol=cfg.tol, with_diagnostics=False)
+    bwd = solve_backward(fwd, with_diagnostics=False)
     lams, ms, hs = oracle_rpf_chain(cfg.system)
     rows = []
     worst = 0.0

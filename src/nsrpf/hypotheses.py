@@ -119,16 +119,6 @@ class ConstantsLedger:
         return RateConstants(tau=self.params.tau, Delta=self.Delta,
                              gamma=self.gamma, C1=self.C1, C3=self.C3)
 
-    def as_text(self) -> str:
-        p = self.params
-        rows = [("D", p.D), ("delta", p.delta), ("rho", p.rho), ("tau", p.tau),
-                ("H", p.H), ("beta", p.beta), ("V", p.V),
-                ("Q_threshold", self.Q_threshold), ("Q", self.Q), ("S", self.S),
-                ("R", self.R), ("Delta", self.Delta), ("gamma", self.gamma),
-                ("C1", self.C1), ("C3", self.C3)]
-        return "\n".join(f"{k} = {v:.17g}" if isinstance(v, float) else f"{k} = {v}"
-                         for k, v in rows)
-
 
 def derive_constants(p: HypothesisParams, Q: float) -> ConstantsLedger:
     """Evaluate the closed-form ledger at cone parameter Q.

@@ -31,9 +31,10 @@ Backward data.  With lambda fixed, one forward sweep of the normalized
 operators from the bottom of the window yields h_n with
 L_n h_n = lambda_n h_{n+1} exact by construction and <h_n, m_n> = 1
 telescoping through the dual relations.  Reported indices keep a headroom of
-tau * (ceil(log(1/tol)/log(1/block_factor)) + 2) steps to the window edge on
-the relevant side, so truncation of the (bi-)infinite chain stays below
-tolerance at every reported index.
+tau * (max(ceil(log(1/tol)/log(1/block_factor)), 0) + 2) >= 2 tau steps to
+the window edge on the relevant side, so truncation of the (bi-)infinite
+chain stays below tolerance at every reported index, and every reported
+index n has n + 1 inside the window.
 """
 from __future__ import annotations
 
@@ -81,7 +82,8 @@ def headroom_steps(tol: float, block_factor: float, tau: int) -> int:
     """Window steps needed before an index may be reported."""
     if not (0.0 < block_factor < 1.0):
         raise DomainError("block contraction factor must lie in (0, 1)")
-    blocks = math.ceil(math.log(1.0 / tol) / math.log(1.0 / block_factor)) + 2
+    # at least two blocks, also when tol >= 1 makes the logarithm negative
+    blocks = max(math.ceil(math.log(1.0 / tol) / math.log(1.0 / block_factor)), 0) + 2
     return tau * blocks
 
 
@@ -126,7 +128,7 @@ class ForwardSolution:
     tau: int
     block_factor: float
     headroom: int
-    tail_level: int
+    cone: ConeParams        # seeds the cone-dictionary errors and the seed verifiers
     lam: dict
     m: dict
     reported_m: list
@@ -147,11 +149,11 @@ def _frozen_forward(seq: StageSeq, tail: int, sigma_family) -> tuple[dict, dict]
     return lam, nu
 
 
-def _forward_sweep(sol: ForwardSolution, cone: ConeParams, k_cap: int) -> dict:
+def _forward_sweep(sol: ForwardSolution, k_cap: int) -> dict:
     """Histories of the incremental dual sweep, one per reported index."""
-    seq, tail, lam = sol.seq, sol.tail_level, sol.lam
+    seq, tail, lam = sol.seq, sol.seq.n_max, sol.lam
     weak = {n: weak_dictionary(seq.space(n)) for n in seq.space_indices}
-    coned = {n: cone_dictionary(seq.space(n), cone) for n in sol.reported_m}
+    coned = {n: cone_dictionary(seq.space(n), sol.cone) for n in sol.reported_m}
     m_pairs = {n: pairing_vector(coned[n], sol.m[n].weights) for n in sol.reported_m}
 
     cur = {n: normalize(_uniform_sigma(n, seq.space(n))).weights
@@ -213,13 +215,12 @@ def solve_forward(seq: StageSeq, *, tol: float, tau: int, block_factor: float,
     reported_m = list(range(seq.n_min, hi_m + 1))
     reported_lam = list(range(seq.n_min, hi_m))
     sol = ForwardSolution(seq=seq, tol=tol, tau=tau, block_factor=block_factor,
-                          headroom=hr, tail_level=tail, lam=lam, m=nu,
-                          reported_m=reported_m, reported_lam=reported_lam,
+                          headroom=hr, cone=cone_params or DEFAULT_CONE, lam=lam,
+                          m=nu, reported_m=reported_m, reported_lam=reported_lam,
                           k_star={}, histories={})
     if with_diagnostics:
-        cone = cone_params or DEFAULT_CONE
         _stopping_rule("forward", sol, k_max,
-                       lambda k_cap: _forward_sweep(sol, cone, k_cap))
+                       lambda k_cap: _forward_sweep(sol, k_cap))
     return sol
 
 
@@ -241,28 +242,28 @@ class BackwardSolution:
     tau: int
     block_factor: float
     headroom: int
-    bottom_level: int
     h: dict
     reported_h: list
     k_star: dict
     histories: dict
 
 
-def _frozen_backward(seq: StageSeq, lam: dict, bottom: int, seed: Field,
-                     m_bottom: MeasureVec) -> dict:
-    g0 = pair(seed, m_bottom)
+def _frozen_backward(fwd: ForwardSolution, seed: Field) -> dict:
+    """One coherent forward sweep from a seed on the bottom of the window."""
+    seq, bottom = fwd.seq, fwd.seq.n_min
+    g0 = pair(seed, fwd.m[bottom])
     if g0 <= 0.0:
         raise DomainError("backward seed must have positive mass against m")
     h = {bottom: Field(seq.space(bottom), seed.values / g0)}
     for n in range(bottom, seq.n_max):
         h[n + 1] = Field(seq.space(n + 1),
-                         _apply_values(seq.stage(n), h[n].values) / lam[n])
+                         _apply_values(seq.stage(n), h[n].values) / fwd.lam[n])
     return h
 
 
 def _backward_sweep(sol: BackwardSolution, fwd: ForwardSolution, k_cap: int) -> dict:
     """Histories of the incremental forward sweep, one per reported index."""
-    seq, bottom, h = sol.seq, sol.bottom_level, sol.h
+    seq, bottom, h = sol.seq, sol.seq.n_min, sol.h
     cur = {}
     for n in seq.space_indices:
         g = unit_field(seq.space(n))
@@ -287,29 +288,27 @@ def _backward_sweep(sol: BackwardSolution, fwd: ForwardSolution, k_cap: int) -> 
             for n, hh in hist.items()}
 
 
-def solve_backward(seq: StageSeq, fwd: ForwardSolution, *, tol: float,
-                   k_max: Optional[int] = None,
+def solve_backward(fwd: ForwardSolution, *, k_max: Optional[int] = None,
                    with_diagnostics: bool = True) -> BackwardSolution:
     """Eigenfunctions h_n as uniform limits of normalized forward iterates.
 
-    Reuses the forward solution's growth factors for the normalized
-    operators and freezes the chain from the bottom of the window, making
-    L_n h_n = lambda_n h_{n+1} exact by construction.
+    Solves the forward solution's chain at its tolerance and headroom: reuses
+    its growth factors for the normalized operators and freezes the chain
+    from the bottom of the window, making L_n h_n = lambda_n h_{n+1} exact by
+    construction.
     """
+    seq = fwd.seq
     if not seq.two_sided:
         raise StructuralError("backward limits need a two-sided sequence")
-    bottom = seq.n_min
-    h = _frozen_backward(seq, fwd.lam, bottom, unit_field(seq.space(bottom)),
-                         fwd.m[bottom])
+    h = _frozen_backward(fwd, unit_field(seq.space(seq.n_min)))
     hr = fwd.headroom
-    lo_h = bottom + hr
+    lo_h = seq.n_min + hr
     hi_h = max(fwd.reported_m)
     if lo_h > hi_h:
         raise ConvergenceError("window too short to report any backward index")
     reported_h = list(range(lo_h, hi_h + 1))
-    sol = BackwardSolution(seq=seq, tol=tol, tau=fwd.tau, block_factor=fwd.block_factor,
-                           headroom=hr, bottom_level=bottom, h=h, reported_h=reported_h,
-                           k_star={}, histories={})
+    sol = BackwardSolution(seq=seq, tol=fwd.tol, tau=fwd.tau, block_factor=fwd.block_factor,
+                           headroom=hr, h=h, reported_h=reported_h, k_star={}, histories={})
     if with_diagnostics:
         _stopping_rule("backward", sol, k_max,
                        lambda k_cap: _backward_sweep(sol, fwd, k_cap))
@@ -326,14 +325,14 @@ class EigenReport:
     max_resid_dual: float
     max_pair_h: float
     max_resid_h: float
-    tol: float
     passed: bool
 
 
-def verify_eigen_relations(seq: StageSeq, fwd: ForwardSolution,
-                           bwd: Optional[BackwardSolution], tol: float) -> EigenReport:
+def verify_eigen_relations(fwd: ForwardSolution, bwd: Optional[BackwardSolution],
+                           tol: float) -> EigenReport:
     """Residuals of L_n^* m_{n+1} = lambda_n m_n, <h_n, m_n> = 1, and
     L_n h_n = lambda_n h_{n+1} at every reported index."""
+    seq = fwd.seq
     rows = []
     md = mp = mh = 0.0
     h_idx = set(bwd.reported_h) if bwd is not None else set()
@@ -345,14 +344,13 @@ def verify_eigen_relations(seq: StageSeq, fwd: ForwardSolution,
         if bwd is not None and n in h_idx:
             ph = abs(pair(bwd.h[n], fwd.m[n]) - 1.0)
             mp = max(mp, ph)
-            if n + 1 in bwd.h:
-                img = apply_L(seq.stage(n), bwd.h[n])
-                rh = float(np.abs(img.values - fwd.lam[n] * bwd.h[n + 1].values).max())
-                mh = max(mh, rh)
+            img = apply_L(seq.stage(n), bwd.h[n])
+            rh = float(np.abs(img.values - fwd.lam[n] * bwd.h[n + 1].values).max())
+            mh = max(mh, rh)
         rows.append((n, resid, ph, rh))
     passed = md < tol and (bwd is None or (mp < tol and mh < tol))
     return EigenReport(rows=rows, max_resid_dual=md, max_pair_h=mp,
-                       max_resid_h=mh, tol=tol, passed=passed)
+                       max_resid_h=mh, passed=passed)
 
 
 @dataclass
@@ -364,9 +362,8 @@ class IndependenceReport:
     passed: bool
 
 
-def _reseed_gaps(seq: StageSeq, fwd: ForwardSolution,
-                 bwd: Optional[BackwardSolution], runs, seed_families
-                 ) -> tuple[float, float, float]:
+def _reseed_gaps(fwd: ForwardSolution, bwd: Optional[BackwardSolution], runs,
+                 seed_families) -> tuple[float, float, float]:
     """Largest gaps between the reported data and re-solves from other seeds.
 
     Forward: each (tail, sigma_family) in ``runs`` is re-solved and compared
@@ -375,6 +372,7 @@ def _reseed_gaps(seq: StageSeq, fwd: ForwardSolution,
     ``seed_families`` is re-solved from the bottom and compared in h.
     Returns (max |d log lambda|, max norm-scaled dm, max |dh|).
     """
+    seq = fwd.seq
     dlam = dm = dh = 0.0
     weak = {n: weak_dictionary(seq.space(n)) for n in fwd.reported_m}
     for tail, fam in runs:
@@ -388,29 +386,27 @@ def _reseed_gaps(seq: StageSeq, fwd: ForwardSolution,
                          - pairing_vector(d, nu2[n].weights)) / d.norms
             dm = max(dm, float(np.max(gap)))
     if bwd is not None:
-        bottom = bwd.bottom_level
+        bottom = seq.n_min
         for fam in seed_families:
-            h2 = _frozen_backward(seq, fwd.lam, bottom, fam(bottom, seq.space(bottom)),
-                                  fwd.m[bottom])
+            h2 = _frozen_backward(fwd, fam(bottom, seq.space(bottom)))
             for n in bwd.reported_h:
                 dh = max(dh, float(np.abs(h2[n].values - bwd.h[n].values).max()))
     return dlam, dm, dh
 
 
-def verify_independence(seq: StageSeq, fwd: ForwardSolution,
-                        bwd: Optional[BackwardSolution], *, tol: float,
-                        cone_params: Optional[ConeParams] = None) -> IndependenceReport:
+def verify_independence(fwd: ForwardSolution, bwd: Optional[BackwardSolution], *,
+                        tol: float) -> IndependenceReport:
     """Re-solve with different tail seeds and compare the reported data.
 
     The limits do not depend on the seed sequence; at finite depth the
     difference is bounded by the same contraction envelope as the
     convergence error, so reported indices must agree to within 10 tol.
+    Backward seeds are drawn from the forward solution's cone.
     """
-    cone = cone_params or DEFAULT_CONE
     thr = 10.0 * tol
     dlam, dm, dh = _reseed_gaps(
-        seq, fwd, bwd, [(fwd.tail_level, _random_sigma(s)) for s in (7, 88)],
-        [_random_cone_seed(s, cone) for s in (11, 23)])
+        fwd, bwd, [(fwd.seq.n_max, _random_sigma(s)) for s in (7, 88)],
+        [_random_cone_seed(s, fwd.cone) for s in (11, 23)])
     passed = dlam < thr and dm < thr and dh < thr
     return IndependenceReport(max_dlam=dlam, max_dm=dm, max_dh=dh,
                               threshold=thr, passed=passed)
@@ -426,29 +422,24 @@ class UniquenessReport:
     passed: bool
 
 
-def verify_uniqueness(seq: StageSeq, fwd: ForwardSolution,
-                      bwd: Optional[BackwardSolution], *, tol: float,
-                      tail_shifts=(3, 5),
-                      cone_params: Optional[ConeParams] = None) -> UniquenessReport:
+def verify_uniqueness(fwd: ForwardSolution, bwd: Optional[BackwardSolution], *,
+                      tol: float, tail_shifts=(3, 5)) -> UniquenessReport:
     """Collapse checks for the uniqueness statements.
 
     Tail-shifted re-solves must reproduce (lambda, m); any normalized
     candidate chain satisfying the eigenrelations recovers its scalars as
     exactly lambda_n; and backward re-solves from fresh cone seeds must
-    reproduce h.
+    reproduce h (seeds drawn from the forward solution's cone).
     """
+    seq = fwd.seq
     thr = 10.0 * tol
-    cone = cone_params or DEFAULT_CONE
     dlam, dm, dh = _reseed_gaps(
-        seq, fwd, bwd,
-        [(fwd.tail_level - shift, _uniform_sigma) for shift in tail_shifts],
-        [_random_cone_seed(100 + s, cone) for s in range(4)])
+        fwd, bwd, [(seq.n_max - shift, _uniform_sigma) for shift in tail_shifts],
+        [_random_cone_seed(100 + s, fwd.cone) for s in range(4)])
     xi = 0.0
     if bwd is not None:
         rng = np.random.default_rng(5)
         for n in bwd.reported_h:
-            if n + 1 not in fwd.m or n not in fwd.lam:
-                continue
             c = rng.uniform(0.5, 2.0)
             g = bwd.h[n] * c
             g = g * (1.0 / pair(g, fwd.m[n]))      # normalization pins the scale
@@ -464,7 +455,6 @@ class RatesReport:
     rows: list            # (n, k, err_lambda, err_m, err_h) with nan padding
     violations: int
     slopes: dict          # n -> (slope_lambda, slope_h)
-    slope_bound: float
     passed: bool
 
 
@@ -526,7 +516,7 @@ def verify_exponential_rates(fwd: ForwardSolution, bwd: Optional[BackwardSolutio
     slope_ok = all(s[0] < 0.0 and s[0] <= bound and s[1] < 0.0 and s[1] <= bound
                    for s in slopes.values())
     return RatesReport(rows=rows, violations=viol, slopes=slopes,
-                       slope_bound=bound, passed=(viol == 0 and slope_ok))
+                       passed=(viol == 0 and slope_ok))
 
 
 @dataclass
@@ -536,7 +526,6 @@ class ContractionReport:
     ratios: np.ndarray
     monotone_violations: int
     n_pairs: int
-    slack: float
     passed: bool
 
 
@@ -601,7 +590,7 @@ def verify_cone_contraction(seq: StageSeq, p: ConeParams, *, tau: int,
     passed = bool(np.all(ratios <= bf + slack)) and mono_viol == 0
     return ContractionReport(Delta_measured=delta_m, block_factor=bf, ratios=ratios,
                              monotone_violations=mono_viol, n_pairs=len(ratios),
-                             slack=slack, passed=passed)
+                             passed=passed)
 
 
 # ---------------------------------------------------------------------------
@@ -616,12 +605,11 @@ class InvariantChain:
     push_gap: dict        # n -> max dictionary pushforward gap
     tilde_one_err: dict   # n -> ||L~ 1 - 1||_inf
     tilde_dual_gap: dict  # n -> max dictionary gap of L~* mu_{n+1} vs mu_n
-    tol: float
     passed: bool
 
 
-def build_invariant_chain(seq: StageSeq, fwd: ForwardSolution,
-                          bwd: BackwardSolution, *, tol: float) -> InvariantChain:
+def build_invariant_chain(fwd: ForwardSolution, bwd: BackwardSolution, *,
+                          tol: float) -> InvariantChain:
     """Measures mu_n with d mu_n = h_n d m_n, plus the normalized stages.
 
     Verifies the pushforward identity through dictionary pairings, the
@@ -632,13 +620,13 @@ def build_invariant_chain(seq: StageSeq, fwd: ForwardSolution,
     operator; the map-based families get the genuine composition test with
     test functions evaluated at exact image points.
     """
-    eig = verify_eigen_relations(seq, fwd, bwd, tol)
+    seq = fwd.seq
+    eig = verify_eigen_relations(fwd, bwd, tol)
     if not eig.passed:
         raise DomainError(
             f"eigenrelation residuals (dual {eig.max_resid_dual}, h {eig.max_resid_h}) "
             f"exceed {tol}; refusing to build the invariant chain")
-    window = [n for n in bwd.reported_h if n + 1 in bwd.h and n in fwd.lam
-              and n + 1 in fwd.m and n + 1 in bwd.reported_h]
+    window = bwd.reported_h[:-1]
     if not window:
         raise ConvergenceError("window too short to report any invariant-chain index")
     mu = {}
@@ -685,4 +673,4 @@ def build_invariant_chain(seq: StageSeq, fwd: ForwardSolution,
               and max(dual_gap.values()) < tol)
     return InvariantChain(window=window, mu=mu, normalized_stages=stages,
                           push_gap=push_gap, tilde_one_err=one_err,
-                          tilde_dual_gap=dual_gap, tol=tol, passed=passed)
+                          tilde_dual_gap=dual_gap, passed=passed)

@@ -1,10 +1,10 @@
 """Finite models of compact metric spaces, with functions and measures on them.
 
 Two kinds of space are supported: an explicit finite point set with a stored
-symmetric distance table, and the uniform circle grid {k/N : 0 <= k < N} with
-arc-length distance min(|x - y|, 1 - |x - y|).  A Field is a real-valued
-function on a space, a MeasureVec is a vector of nonnegative weights, and the
-duality pairing is
+distance table, checked to be a metric, and the uniform circle grid
+{k/N : 0 <= k < N} with arc-length distance min(|x - y|, 1 - |x - y|).  A
+Field is a real-valued function on a space, a MeasureVec is a vector of
+nonnegative weights, and the duality pairing is
 
     <f, sigma> = sum_i f(x_i) w_i.
 
@@ -56,6 +56,11 @@ class PointSpace:
             raise StructuralError("distance table must be symmetric")
         if np.any(np.diag(d) != 0.0) or np.any(d < 0.0):
             raise StructuralError("distances must be nonnegative with zero diagonal")
+        # triangle inequality through every k, up to roundoff on the largest entry
+        slack = 1e-12 * float(d.max(initial=0.0))
+        for k in range(d.shape[0]):
+            if np.any(d > d[:, k, None] + d[None, k, :] + slack):
+                raise StructuralError("distance table violates the triangle inequality")
         d = d.copy()
         d.setflags(write=False)
         return cls(kind=KIND_FINITE, n_points=d.shape[0], dist_table=d)
@@ -164,9 +169,9 @@ class MeasureVec:
         return cls(space, np.full(space.n_points, 1.0 / space.n_points))
 
     @classmethod
-    def point_mass(cls, space: PointSpace, i: int, mass: float = 1.0) -> "MeasureVec":
+    def point_mass(cls, space: PointSpace, i: int) -> "MeasureVec":
         w = np.zeros(space.n_points)
-        w[i] = mass
+        w[i] = 1.0
         return cls(space, w)
 
 

@@ -78,7 +78,7 @@ class CirclePipeline:
         self.fwd = nr.solve_forward(self.seq, tol=tol, tau=self.cert.tau,
                                     block_factor=self.cert.block_factor,
                                     cone_params=self.cone)
-        self.bwd = nr.solve_backward(self.seq, self.fwd, tol=tol)
+        self.bwd = nr.solve_backward(self.fwd)
 
 
 PERTURBED = dict(eps=0.05, eps_mode="alternating", a=0.1, a_mode="sin")
@@ -100,7 +100,7 @@ def circle_fine():
                          beta=params.beta)
     fwd = nr.solve_forward(seq, tol=1e-6, tau=params.tau, block_factor=0.2,
                            cone_params=cone, with_diagnostics=False)
-    bwd = nr.solve_backward(seq, fwd, tol=1e-6, with_diagnostics=False)
+    bwd = nr.solve_backward(fwd, with_diagnostics=False)
     return seq, fwd, bwd
 
 
@@ -124,7 +124,7 @@ def matrix_pipeline():
     cert = nr.certify_cone_conditions(seq, cone)
     fwd = nr.solve_forward(seq, tol=1e-10, tau=cert.tau,
                            block_factor=cert.block_factor, cone_params=cone)
-    bwd = nr.solve_backward(seq, fwd, tol=1e-10)
+    bwd = nr.solve_backward(fwd)
     return spec, seq, cone, cert, fwd, bwd
 
 
@@ -137,7 +137,7 @@ class ChainRun:
         self.fwd = nr.solve_forward(self.seq, tol=1e-10, tau=self.cert.tau,
                                     block_factor=self.cert.block_factor,
                                     cone_params=self.cone)
-        self.bwd = nr.solve_backward(self.seq, self.fwd, tol=1e-10)
+        self.bwd = nr.solve_backward(self.fwd)
         self.oracle = nr.oracle_rpf_chain(spec)
 
 

@@ -29,7 +29,7 @@ def test_c01_stationary_reduction():
     cert = nr.certify_cone_conditions(seq, cone)
     fwd = nr.solve_forward(seq, tol=1e-10, tau=1, block_factor=cert.block_factor,
                            cone_params=cone)
-    bwd = nr.solve_backward(seq, fwd, tol=1e-10)
+    bwd = nr.solve_backward(fwd)
     lam_o, m_o, h_o = oracle_stationary_rpf(m)
     golden = (3.0 + math.sqrt(5.0)) / 2.0
     assert lam_o == pytest.approx(golden, abs=1e-12)
@@ -63,11 +63,10 @@ def test_c02_nonstationary_oracle_equivalence(random_chain_suite):
 
 def test_c03_seed_independence(matrix_pipeline, circle_pipeline):
     _, seq, cone, cert, fwd, bwd = matrix_pipeline
-    rep_m = nr.verify_independence(seq, fwd, bwd, tol=1e-10, cone_params=cone)
+    rep_m = nr.verify_independence(fwd, bwd, tol=1e-10)
     assert rep_m.passed, (rep_m.max_dlam, rep_m.max_dm)
     cp = circle_pipeline
-    rep_c = nr.verify_independence(cp.seq, cp.fwd, cp.bwd, tol=cp.tol,
-                                   cone_params=cp.cone)
+    rep_c = nr.verify_independence(cp.fwd, cp.bwd, tol=cp.tol)
     assert rep_c.passed, (rep_c.max_dlam, rep_c.max_dm)
     _report(3, "tail-seed independence: matrix gaps "
                f"{max(rep_m.max_dlam, rep_m.max_dm):.2e} < {rep_m.threshold:.0e}, "
@@ -77,11 +76,11 @@ def test_c03_seed_independence(matrix_pipeline, circle_pipeline):
 
 def test_c04_eigen_relations(matrix_pipeline, circle_pipeline):
     _, seq, cone, cert, fwd, bwd = matrix_pipeline
-    rep_m = nr.verify_eigen_relations(seq, fwd, bwd, 1e-10)
+    rep_m = nr.verify_eigen_relations(fwd, bwd, 1e-10)
     assert rep_m.passed, (rep_m.max_resid_dual, rep_m.max_pair_h, rep_m.max_resid_h)
     cp = circle_pipeline
     assert cp.seq.space(0).n_points == 1024
-    rep_c = nr.verify_eigen_relations(cp.seq, cp.fwd, cp.bwd, 1e-6)
+    rep_c = nr.verify_eigen_relations(cp.fwd, cp.bwd, 1e-6)
     assert rep_c.passed, (rep_c.max_resid_dual, rep_c.max_pair_h, rep_c.max_resid_h)
     worst_m = max(rep_m.max_resid_dual, rep_m.max_pair_h, rep_m.max_resid_h)
     worst_c = max(rep_c.max_resid_dual, rep_c.max_pair_h, rep_c.max_resid_h)
@@ -160,12 +159,12 @@ def test_c07_cone_invariance(circle_small):
 
 def test_c08_pseudo_invariance(matrix_pipeline, circle_fine):
     _, seq, cone, cert, fwd, bwd = matrix_pipeline
-    chain_m = nr.build_invariant_chain(seq, fwd, bwd, tol=1e-10)
+    chain_m = nr.build_invariant_chain(fwd, bwd, tol=1e-10)
     assert chain_m.passed
     gm = max(max(chain_m.push_gap.values()), max(chain_m.tilde_one_err.values()),
              max(chain_m.tilde_dual_gap.values()))
     seq_f, fwd_f, bwd_f = circle_fine
-    chain_c = nr.build_invariant_chain(seq_f, fwd_f, bwd_f, tol=1e-5)
+    chain_c = nr.build_invariant_chain(fwd_f, bwd_f, tol=1e-5)
     assert chain_c.passed
     gc = max(max(chain_c.push_gap.values()), max(chain_c.tilde_one_err.values()),
              max(chain_c.tilde_dual_gap.values()))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import nsrpf as nr
-from nsrpf.cones import ConeParams
+from nsrpf.cones import DEFAULT_CONE, ConeParams
 from nsrpf.errors import ConvergenceError, DomainError, StructuralError
 from nsrpf.rpf import (BackwardHistory, ForwardHistory, _frozen_forward,
                        build_invariant_chain, headroom_steps, solve_backward,
@@ -27,7 +27,7 @@ def small_matrix_pipeline(m, window=(-25, 25), tol=1e-11):
     cert = nr.certify_cone_conditions(seq, CONE2)
     fwd = solve_forward(seq, tol=tol, tau=cert.tau,
                         block_factor=cert.block_factor, cone_params=CONE2)
-    bwd = solve_backward(seq, fwd, tol=tol)
+    bwd = solve_backward(fwd)
     return seq, cert, fwd, bwd
 
 
@@ -60,7 +60,7 @@ def test_stationary_doubling_rpf_triple():
     cert = nr.certify_cone_conditions(seq, cone, params=meas)
     fwd = solve_forward(seq, tol=1e-8, tau=cert.tau,
                         block_factor=cert.block_factor, cone_params=cone)
-    bwd = solve_backward(seq, fwd, tol=1e-8)
+    bwd = solve_backward(fwd)
     for n in fwd.reported_lam:
         assert fwd.lam[n] == pytest.approx(2.0, abs=1e-12)
     n0 = fwd.reported_m[0]
@@ -82,7 +82,7 @@ def test_matrix_solver_matches_dense_oracle_chain():
     cert = nr.certify_cone_conditions(seq, CONE2)
     fwd = solve_forward(seq, tol=1e-10, tau=1, block_factor=cert.block_factor,
                         cone_params=CONE2, with_diagnostics=False)
-    bwd = solve_backward(seq, fwd, tol=1e-10, with_diagnostics=False)
+    bwd = solve_backward(fwd, with_diagnostics=False)
     lams, ms, hs = oracle_rpf_chain(spec)
     for n in fwd.reported_lam:
         assert fwd.lam[n] == pytest.approx(lams[n], rel=1e-13)
@@ -91,9 +91,22 @@ def test_matrix_solver_matches_dense_oracle_chain():
         assert np.allclose(bwd.h[n].values, hs[n], atol=1e-12)
 
 
+def test_solutions_carry_their_chain_tolerance_and_cone():
+    seq = build_matrix_chain(MatrixChainSpec.random(d=3, window=(-30, 30), seed=6))
+    cone = ConeParams(Q=2.0, delta=0.25, beta=1.0)
+    fwd = solve_forward(seq, tol=1e-6, tau=1, block_factor=0.5, cone_params=cone,
+                        with_diagnostics=False)
+    assert fwd.cone is cone
+    plain = solve_forward(seq, tol=1e-6, tau=1, block_factor=0.5)
+    assert plain.cone is DEFAULT_CONE
+    bwd = solve_backward(fwd)
+    assert bwd.seq is fwd.seq
+    assert bwd.tol == fwd.tol and bwd.headroom == fwd.headroom
+
+
 def test_eigen_relations_report():
     seq, cert, fwd, bwd = small_matrix_pipeline([[2.0, 1.0], [1.0, 1.0]])
-    rep = verify_eigen_relations(seq, fwd, bwd, 1e-10)
+    rep = verify_eigen_relations(fwd, bwd, 1e-10)
     assert rep.passed
     assert rep.max_resid_dual < 1e-13
     assert rep.max_pair_h < 1e-13
@@ -113,7 +126,7 @@ def test_adjoint_chain_telescoping():
 
 def test_independence_of_seeds():
     seq, cert, fwd, bwd = small_matrix_pipeline([[2.0, 1.0], [1.0, 1.0]])
-    rep = verify_independence(seq, fwd, bwd, tol=1e-11, cone_params=CONE2)
+    rep = verify_independence(fwd, bwd, tol=1e-11)
     assert rep.passed
     assert rep.max_dlam < 1e-10 and rep.max_dm < 1e-10 and rep.max_dh < 1e-10
 
@@ -124,8 +137,8 @@ def test_uniqueness_report():
     cert = nr.certify_cone_conditions(seq, CONE2)
     fwd = solve_forward(seq, tol=1e-10, tau=1, block_factor=cert.block_factor,
                         cone_params=CONE2)
-    bwd = solve_backward(seq, fwd, tol=1e-10)
-    rep = verify_uniqueness(seq, fwd, bwd, tol=1e-10, cone_params=CONE2)
+    bwd = solve_backward(fwd)
+    rep = verify_uniqueness(fwd, bwd, tol=1e-10)
     assert rep.passed
     assert rep.max_xi_gap < 1e-12
 
@@ -137,9 +150,9 @@ def test_seed_verifiers_on_spaces_that_change_size():
     seq = build_halving_chain(levels=6, n_top=256)
     fwd = solve_forward(seq, tol=1e-2, tau=1, block_factor=0.1)
     assert [seq.space(n).n_points for n in fwd.reported_m] == [256, 128, 64]
-    ind = verify_independence(seq, fwd, None, tol=1e-2)
+    ind = verify_independence(fwd, None, tol=1e-2)
     assert ind.passed and 0.0 < ind.max_dm < ind.threshold
-    uq = verify_uniqueness(seq, fwd, None, tol=1e-2, tail_shifts=(1, 2))
+    uq = verify_uniqueness(fwd, None, tol=1e-2, tail_shifts=(1, 2))
     assert uq.passed and 0.0 < uq.max_dm_shift < uq.threshold
 
 
@@ -148,10 +161,10 @@ def test_invariant_chain_needs_two_backward_indices():
     cert = nr.certify_cone_conditions(seq, CONE2)
     fwd = solve_forward(seq, tol=1e-2, tau=cert.tau, block_factor=cert.block_factor,
                         cone_params=CONE2)
-    bwd = solve_backward(seq, fwd, tol=1e-2)
+    bwd = solve_backward(fwd)
     assert len(bwd.reported_h) == 1
     with pytest.raises(ConvergenceError, match="too short"):
-        build_invariant_chain(seq, fwd, bwd, tol=1e-2)
+        build_invariant_chain(fwd, bwd, tol=1e-2)
 
 
 def test_cone_contraction_needs_one_tau_block():
@@ -194,7 +207,7 @@ def test_rates_report_matrix():
     cert = nr.certify_cone_conditions(seq, CONE2)
     fwd = solve_forward(seq, tol=1e-10, tau=1, block_factor=cert.block_factor,
                         cone_params=CONE2)
-    bwd = solve_backward(seq, fwd, tol=1e-10)
+    bwd = solve_backward(fwd)
     rep = verify_exponential_rates(fwd, bwd, cert.rate_constants())
     assert rep.passed and rep.violations == 0
     for n, (sl, sh) in rep.slopes.items():
@@ -237,7 +250,7 @@ def test_stopping_rule_failure_names_side_and_index():
     fwd = solve_forward(seq, with_diagnostics=False, **kw)
     lo_h = seq.n_min + fwd.headroom
     with pytest.raises(ConvergenceError, match=rf"^backward index {lo_h}: ") as exc:
-        solve_backward(seq, fwd, tol=1e-2, k_max=2)
+        solve_backward(fwd, k_max=2)
     hist = exc.value.history
     assert isinstance(hist, BackwardHistory)
     assert hist.ks.tolist() == [1, 2]
@@ -250,8 +263,8 @@ def test_invariant_chain_on_spaces_that_change_size():
     halving = build_halving_chain(levels=8, n_top=256)
     seq = StageSeq(n_min=0, n_max=8, stages=halving.stages, two_sided=True)
     fwd = solve_forward(seq, tol=1e-2, tau=1, block_factor=0.01, with_diagnostics=False)
-    bwd = solve_backward(seq, fwd, tol=1e-2, with_diagnostics=False)
-    chain = build_invariant_chain(seq, fwd, bwd, tol=1e-2)
+    bwd = solve_backward(fwd, with_diagnostics=False)
+    chain = build_invariant_chain(fwd, bwd, tol=1e-2)
     assert [seq.space(n).n_points for n in chain.window] == [32, 16]
     assert chain.passed
     assert max(chain.tilde_dual_gap.values()) < 1e-14
@@ -263,8 +276,8 @@ def test_invariant_chain_matrix():
     cert = nr.certify_cone_conditions(seq, CONE2)
     fwd = solve_forward(seq, tol=1e-10, tau=1, block_factor=cert.block_factor,
                         cone_params=CONE2, with_diagnostics=False)
-    bwd = solve_backward(seq, fwd, tol=1e-10, with_diagnostics=False)
-    chain = build_invariant_chain(seq, fwd, bwd, tol=1e-10)
+    bwd = solve_backward(fwd, with_diagnostics=False)
+    chain = build_invariant_chain(fwd, bwd, tol=1e-10)
     assert chain.passed
     # mu is the componentwise product of the left and right chain data
     for n in chain.window:
@@ -280,10 +293,10 @@ def test_invariant_chain_guard():
     seq = build_matrix_chain(spec)
     fwd = solve_forward(seq, tol=1e-10, tau=1, block_factor=0.4,
                         with_diagnostics=False)
-    bwd = solve_backward(seq, fwd, tol=1e-10, with_diagnostics=False)
+    bwd = solve_backward(fwd, with_diagnostics=False)
     fwd.lam[0] *= 1.0 + 1e-6    # corrupt the chain: the guard must refuse
     with pytest.raises(DomainError):
-        build_invariant_chain(seq, fwd, bwd, tol=1e-10)
+        build_invariant_chain(fwd, bwd, tol=1e-10)
 
 
 def test_invariant_chain_circle_pushforward():
@@ -296,9 +309,9 @@ def test_invariant_chain_circle_pushforward():
     fwd = solve_forward(seq, tol=1e-6, tau=cert.tau,
                         block_factor=cert.block_factor, cone_params=cone,
                         with_diagnostics=False)
-    bwd = solve_backward(seq, fwd, tol=1e-6, with_diagnostics=False)
+    bwd = solve_backward(fwd, with_diagnostics=False)
     # interpolation-limited at N = 512: gaps sit at the 1/N^2 scale
-    chain = build_invariant_chain(seq, fwd, bwd, tol=4e-4)
+    chain = build_invariant_chain(fwd, bwd, tol=4e-4)
     assert chain.passed
     assert max(chain.tilde_one_err.values()) < 1e-12
 
@@ -324,6 +337,16 @@ def test_cone_contraction_report_circle():
     rep = verify_cone_contraction(seq, cone, tau=meas.tau, n_samples=60)
     assert rep.passed
     assert rep.n_pairs > 40
+
+
+def test_headroom_keeps_two_blocks_at_a_loose_tolerance():
+    # tol = 5 >= 1/block_factor^2: the block count log(1/tol)/log(2) is negative
+    assert headroom_steps(5.0, 0.5, 3) == 6
+    seq = build_matrix_chain(MatrixChainSpec.random(d=3, window=(-20, 20), seed=8))
+    fwd = solve_forward(seq, tol=5.0, tau=1, block_factor=0.5, with_diagnostics=False)
+    assert max(fwd.reported_m) == seq.n_max - 2
+    bwd = solve_backward(fwd, with_diagnostics=False)
+    assert verify_uniqueness(fwd, bwd, tol=5.0).passed
 
 
 def test_headroom_steps():

@@ -106,3 +106,10 @@ def test_holder_shift_invariance(vals, c):
     f = Field(sp, vals)
     assert holder_seminorm(f + c, 1.0) == pytest.approx(
         holder_seminorm(f, 1.0), rel=1e-12, abs=1e-9)
+
+
+def test_finite_rejects_a_table_that_breaks_the_triangle_inequality():
+    # d(0, 2) = 1 > d(0, 1) + d(1, 2) = 0.2: the cone dictionary's distance
+    # bumps would leave Lambda(Q) on such a table
+    with pytest.raises(StructuralError, match="triangle inequality"):
+        PointSpace.finite([[0.0, 0.1, 1.0], [0.1, 0.0, 0.1], [1.0, 0.1, 0.0]])

@@ -221,7 +221,7 @@ def test_normalize_stage_iterated_cocycle_matrix():
     cert = nr.certify_cone_conditions(seq, cone)
     fwd = nr.solve_forward(seq, tol=1e-11, tau=1, block_factor=cert.block_factor,
                            cone_params=cone, with_diagnostics=False)
-    bwd = nr.solve_backward(seq, fwd, tol=1e-11, with_diagnostics=False)
+    bwd = nr.solve_backward(fwd, with_diagnostics=False)
     n, k = -5, 4
     stages = [normalize_stage(seq.stage(n + j), bwd.h[n + j], bwd.h[n + j + 1],
                               fwd.lam[n + j]) for j in range(k)]
