@@ -11,7 +11,11 @@ Reads the modules of PACKAGE_DIR (default: this checkout's src/nsrpf) with
   a class without one; nested functions are not counted) with its
   parameters, ``self``/``cls`` left out, and how many of them have a
   default value, followed by the totals;
-* every dataclass with its field count, followed by the total.
+* every dataclass with its field count, followed by the total;
+* every config key that ``cli.parse_config`` reads, as ``[section].key``
+  with its default (the source text of each distinct default, ``required``
+  when there is none, ``-`` for an optional key without a default),
+  followed by the total.
 
 Two checkouts can be compared by ``diff`` of their outputs.
 """
@@ -48,16 +52,42 @@ def _n_fields(cls: ast.ClassDef) -> int:
                and "ClassVar" not in ast.unparse(s.annotation) for s in cls.body)
 
 
+def _config_keys(tree: ast.Module) -> dict:
+    """[section].key -> defaults, from the ``_get(cp, section, key, conv,
+    default)`` and ``cp.get(section, key)`` calls of the CLI module."""
+    keys: dict = {}
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        if isinstance(f, ast.Name) and f.id == "_get":
+            where, default = node.args[1:3], (ast.unparse(node.args[4])
+                                               if len(node.args) > 4 else "required")
+        elif isinstance(f, ast.Attribute) and f.attr == "get" and len(node.args) == 2:
+            where, default = node.args, "-"
+        else:
+            continue
+        if all(isinstance(a, ast.Constant) and isinstance(a.value, str) for a in where):
+            defaults = keys.setdefault(f"[{where[0].value}].{where[1].value}", [])
+            if default not in defaults:
+                defaults.append(default)
+    return keys
+
+
 def main(argv) -> int:
     pkg = pathlib.Path(argv[0]) if argv else ROOT / "src" / "nsrpf"
     lines = 0
     funcs = []     # (qualified name, parameter names, defaults)
     classes = []   # (qualified name, field count)
+    config_keys = {}
     for path in sorted(pkg.glob("*.py")):
         text = path.read_text()
         lines += len(text.splitlines())
         mod = path.stem
-        for node in ast.parse(text).body:
+        tree = ast.parse(text)
+        if mod == "cli":
+            config_keys = _config_keys(tree)
+        for node in tree.body:
             if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
                 funcs.append((f"{mod}.{node.name}", *_params(node, method=False)))
             elif isinstance(node, ast.ClassDef):
@@ -80,6 +110,10 @@ def main(argv) -> int:
     for name, n in sorted(classes):
         print(f"  {name} {n}")
     print(f"total: {len(classes)} dataclasses, {sum(n for _, n in classes)} fields")
+    print("config keys: [section].key default")
+    for key, defaults in sorted(config_keys.items()):
+        print(f"  {key} {' | '.join(defaults)}")
+    print(f"total: {len(config_keys)} config keys")
     return 0
 
 

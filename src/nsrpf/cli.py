@@ -10,7 +10,8 @@ Config files use INI syntax with the sections [system], [cone], [solver],
 [outputs], [checks]; see the shipped configs/ directory for examples.  The
 output directory can be overridden with the NSRPF_OUTDIR environment
 variable.  Exit codes: 0 all requested checks passed, 1 a verifier failed,
-2 config error, 3 certification failure (the message names the axiom).
+2 config error (also for a key the run does not read), 3 certification
+failure (the message names the axiom).
 
 Artifacts: lambda.csv (n, lambda, k_star, residual), m_<n>.csv and
 h_<n>.csv per reported index, rates.csv (n, k, error_lambda, error_m,
@@ -52,7 +53,6 @@ class RunConfig:
     delta: float
     beta: float
     tol: float
-    k_max: int | None
     solver_seed: int
     out_dir: str
     checks: list
@@ -60,6 +60,15 @@ class RunConfig:
 
 class ConfigError(Exception):
     pass
+
+
+class _Config(configparser.ConfigParser):
+    """INI parser that remembers every (section, key) the run looks up."""
+    looked_up = frozenset()
+
+    def has_option(self, section, option):
+        self.looked_up |= {(section, option)}
+        return super().has_option(section, option)
 
 
 def _get(cp, section, key, conv, default=None):
@@ -85,7 +94,7 @@ def _window(raw: str) -> tuple[int, int]:
 
 
 def parse_config(path: str) -> RunConfig:
-    cp = configparser.ConfigParser(inline_comment_prefixes=(";", "#"))
+    cp = _Config(inline_comment_prefixes=(";", "#"))
     read = cp.read(path)
     if not read:
         raise ConfigError(f"cannot read config file {path!r}")
@@ -133,17 +142,20 @@ def parse_config(path: str) -> RunConfig:
     tol = _get(cp, "solver", "tol", float, 1e-10 if kind == "matrix" else 1e-6)
     if tol <= 0.0:
         raise ConfigError("[solver].tol: must be positive")
-    k_max = _get(cp, "solver", "k_max", int, 0) or None
-    out_dir = os.environ.get("NSRPF_OUTDIR") or _get(cp, "outputs", "dir", str, "out")
+    out_dir = _get(cp, "outputs", "dir", str, "out")
     checks = _get(cp, "checks", "run", str, "eigen").split()
     for c in checks:
         if c not in KNOWN_CHECKS:
             raise ConfigError(f"[checks].run: unknown check {c!r} "
                               f"(known: {', '.join(KNOWN_CHECKS)})")
+    solver_seed = _get(cp, "solver", "seed", int, 123)
+    unread = [f"[{sec}].{key}" for sec in cp.sections() for key in cp[sec]
+              if (sec, key) not in cp.looked_up]
+    if unread:
+        raise ConfigError(f"{', '.join(unread)}: unknown key")
     return RunConfig(kind=kind, system=system, q_mode=q_mode, delta=delta, beta=beta,
-                     tol=tol, k_max=k_max,
-                     solver_seed=_get(cp, "solver", "seed", int, 123),
-                     out_dir=out_dir, checks=checks)
+                     tol=tol, solver_seed=solver_seed,
+                     out_dir=os.environ.get("NSRPF_OUTDIR") or out_dir, checks=checks)
 
 
 def _fmt(x) -> str:
@@ -226,9 +238,8 @@ def cmd_run(cfg: RunConfig) -> int:
     _atomic_write(os.path.join(cfg.out_dir, "constants.txt"),
                   _constants_text(cfg, params, cone, cert, ledger))
     fwd = solve_forward(seq, tol=cfg.tol, tau=cert.tau,
-                        block_factor=cert.block_factor, cone_params=cone,
-                        k_max=cfg.k_max)
-    bwd = solve_backward(fwd, k_max=cfg.k_max) if seq.two_sided else None
+                        block_factor=cert.block_factor, cone_params=cone)
+    bwd = solve_backward(fwd) if seq.two_sided else None
 
     report_lines = []
     all_passed = True

@@ -90,7 +90,6 @@ class PairSet:
     """
 
     space: object
-    delta: float
     i: np.ndarray
     j: np.ndarray
     d: np.ndarray
@@ -139,7 +138,7 @@ def pair_set(space, p: ConeParams) -> PairSet:
     else:
         ii, jj = np.nonzero((space.dist_table <= delta) & ~np.eye(n, dtype=bool))
         i, j, d = ii, jj, space.dist_table[ii, jj]
-    ps = PairSet(space=space, delta=delta, i=np.ascontiguousarray(i, dtype=np.int64),
+    ps = PairSet(space=space, i=np.ascontiguousarray(i, dtype=np.int64),
                  j=np.ascontiguousarray(j, dtype=np.int64), d=np.asarray(d, dtype=np.float64))
     space._caches[key] = ps
     return ps
@@ -171,23 +170,31 @@ def in_log_holder_cone(f: Field, p: ConeParams) -> bool:
     return _cone_violation(f.values, ps, E) <= MEMBERSHIP_SLACK
 
 
-def hilbert_gap_positive(f: Field, g: Field) -> tuple[float, float]:
-    """(A, B) for the pointwise order on C+.
+def _pointwise_gap(fv: np.ndarray, gv: np.ndarray) -> tuple[float, float]:
+    """(A, B) over the pointwise ratio set { g(x)/f(x) : f(x) > 0 }.
 
     A zero of f where g > 0 yields B = +inf (incomparable), reported as a
-    value rather than raised.  Points where both vanish impose no constraint.
+    value rather than raised.  Points where both vanish impose no constraint,
+    so an f with no positive value gives (inf, 0).
     """
-    _check_same_space(f, g)
-    fv, gv = f.values, g.values
+    A = math.inf
+    B = 0.0
     mask = fv > 0.0
-    if not mask.any():
-        raise DomainError("f must be a nonzero element of the positive cone")
-    ratios = gv[mask] / fv[mask]
-    A = float(ratios.min())
-    B = float(ratios.max())
+    if mask.any():
+        r = gv[mask] / fv[mask]
+        A = float(r.min())
+        B = float(r.max())
     if np.any(~mask & (gv > 0.0)):
         B = math.inf
     return A, B
+
+
+def hilbert_gap_positive(f: Field, g: Field) -> tuple[float, float]:
+    """(A, B) for the pointwise order on C+ (see _pointwise_gap)."""
+    _check_same_space(f, g)
+    if not np.any(f.values > 0.0):
+        raise DomainError("f must be a nonzero element of the positive cone")
+    return _pointwise_gap(f.values, g.values)
 
 
 def theta_positive(f: Field, g: Field) -> float:
@@ -212,15 +219,7 @@ def _gap_log_holder_raw(fv: np.ndarray, gv: np.ndarray, ps: PairSet,
     l(f) = 0 are skipped when l(g) >= 0 and force an infinite gap
     otherwise, matching the feasibility logic of sup{t : g - t f in cone}.
     """
-    A = math.inf
-    B = 0.0
-    mask = fv > 0.0
-    if mask.any():
-        r = gv[mask] / fv[mask]
-        A = float(r.min())
-        B = float(r.max())
-    if np.any(~mask & (gv > 0.0)):
-        B = math.inf
+    A, B = _pointwise_gap(fv, gv)
     if len(ps) > 0:
         lf = E * fv[ps.i] - fv[ps.j]
         lg = E * gv[ps.i] - gv[ps.j]
@@ -251,10 +250,7 @@ def theta_log_holder(f: Field, g: Field, p: ConeParams, *, checked: bool = True)
     if checked:
         if not in_log_holder_cone(f, p) or not in_log_holder_cone(g, p):
             raise DomainError("theta_log_holder needs both fields inside the cone")
-    ps = pair_set(f.space, p)
-    E = ps.exp_weights(p.Q, p.beta)
-    A, B = _gap_log_holder_raw(f.values, g.values, ps, E)
-    return _theta_from_gap(A, B)
+    return _theta_from_gap(*hilbert_gap_log_holder(f, g, p))
 
 
 def hilbert_gap_log_holder(f: Field, g: Field, p: ConeParams) -> tuple[float, float]:
@@ -295,12 +291,12 @@ def norm_theta_bound(f: Field, g: Field, m: MeasureVec) -> tuple[float, float]:
     return lhs, rhs
 
 
-def sample_extremal_log_holder(space, p: ConeParams, rng: np.random.Generator,
-                               strength: float = 0.98) -> Field:
-    """A field near an extreme ray of Lambda(Q): exp(+-q d(x, c)) with q
-    close to Q saturates the defining inequality along one direction, the
-    way coordinate directions are extremal for the positive cone."""
-    q = strength * p.Q * rng.choice([-1.0, 1.0])
+def sample_extremal_log_holder(space, p: ConeParams, rng: np.random.Generator) -> Field:
+    """A field near an extreme ray of Lambda(Q): exp(+-q d(x, c)^beta) with
+    q = 0.98 Q at a random centre c saturates the defining inequality along
+    one direction, the way coordinate directions are extremal for the
+    positive cone."""
+    q = 0.98 * p.Q * rng.choice([-1.0, 1.0])
     c = rng.integers(space.n_points)
     if space.kind == KIND_CIRCLE:
         d = space.circle_distance_points(space.positions, space.positions[c])

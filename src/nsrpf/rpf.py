@@ -24,7 +24,7 @@ Stopping rule (both solvers).  With gamma = block_factor^(1/tau) the
 per-step contraction rate and s_tol = tol (1 - gamma) / 2, the stopping
 depth k* of a reported index is the first recorded depth k >= tau at which
 its successive gap falls below s_tol.  The sweep runs to depth
-headroom + 2 tau + 2 (or k_max); an index that never meets the rule raises
+headroom + 2 tau + 2; an index that never meets the rule raises
 ConvergenceError with its history.
 
 Backward data.  With lambda fixed, one forward sweep of the normalized
@@ -87,8 +87,7 @@ def headroom_steps(tol: float, block_factor: float, tau: int) -> int:
     return tau * blocks
 
 
-def _stopping_rule(side: str, sol: ForwardSolution | BackwardSolution,
-                   k_max: Optional[int], sweep: Callable) -> None:
+def _stopping_rule(side: str, sol: ForwardSolution | BackwardSolution, sweep: Callable) -> None:
     """The stopping rule of both solvers (see the module docstring).
 
     Fills ``sol.histories`` with ``sweep(k_cap)``, the histories of the
@@ -98,7 +97,7 @@ def _stopping_rule(side: str, sol: ForwardSolution | BackwardSolution,
     """
     gamma_step = sol.block_factor ** (1.0 / sol.tau)
     s_tol = sol.tol * (1.0 - gamma_step) / 2.0
-    k_cap = sol.headroom + 2 * sol.tau + 2 if k_max is None else k_max
+    k_cap = sol.headroom + 2 * sol.tau + 2
     sol.histories = sweep(k_cap)
     for n, h in sol.histories.items():
         hits = np.nonzero((h.ks >= sol.tau) & (h.succ < s_tol))[0]
@@ -194,7 +193,6 @@ def _forward_sweep(sol: ForwardSolution, k_cap: int) -> dict:
 
 def solve_forward(seq: StageSeq, *, tol: float, tau: int, block_factor: float,
                   cone_params: Optional[ConeParams] = None,
-                  k_max: Optional[int] = None,
                   with_diagnostics: bool = True) -> ForwardSolution:
     """Growth factors and eigenmeasures over the window.
 
@@ -219,8 +217,7 @@ def solve_forward(seq: StageSeq, *, tol: float, tau: int, block_factor: float,
                           m=nu, reported_m=reported_m, reported_lam=reported_lam,
                           k_star={}, histories={})
     if with_diagnostics:
-        _stopping_rule("forward", sol, k_max,
-                       lambda k_cap: _forward_sweep(sol, k_cap))
+        _stopping_rule("forward", sol, lambda k_cap: _forward_sweep(sol, k_cap))
     return sol
 
 
@@ -288,8 +285,7 @@ def _backward_sweep(sol: BackwardSolution, fwd: ForwardSolution, k_cap: int) -> 
             for n, hh in hist.items()}
 
 
-def solve_backward(fwd: ForwardSolution, *, k_max: Optional[int] = None,
-                   with_diagnostics: bool = True) -> BackwardSolution:
+def solve_backward(fwd: ForwardSolution, *, with_diagnostics: bool = True) -> BackwardSolution:
     """Eigenfunctions h_n as uniform limits of normalized forward iterates.
 
     Solves the forward solution's chain at its tolerance and headroom: reuses
@@ -310,8 +306,7 @@ def solve_backward(fwd: ForwardSolution, *, k_max: Optional[int] = None,
     sol = BackwardSolution(seq=seq, tol=fwd.tol, tau=fwd.tau, block_factor=fwd.block_factor,
                            headroom=hr, h=h, reported_h=reported_h, k_star={}, histories={})
     if with_diagnostics:
-        _stopping_rule("backward", sol, k_max,
-                       lambda k_cap: _backward_sweep(sol, fwd, k_cap))
+        _stopping_rule("backward", sol, lambda k_cap: _backward_sweep(sol, fwd, k_cap))
     return sol
 
 
@@ -423,18 +418,19 @@ class UniquenessReport:
 
 
 def verify_uniqueness(fwd: ForwardSolution, bwd: Optional[BackwardSolution], *,
-                      tol: float, tail_shifts=(3, 5)) -> UniquenessReport:
+                      tol: float) -> UniquenessReport:
     """Collapse checks for the uniqueness statements.
 
-    Tail-shifted re-solves must reproduce (lambda, m); any normalized
-    candidate chain satisfying the eigenrelations recovers its scalars as
-    exactly lambda_n; and backward re-solves from fresh cone seeds must
-    reproduce h (seeds drawn from the forward solution's cone).
+    Re-solves from tails 3 and 5 steps below the window top must reproduce
+    (lambda, m); any normalized candidate chain satisfying the eigenrelations
+    recovers its scalars as exactly lambda_n; and backward re-solves from
+    fresh cone seeds must reproduce h (seeds drawn from the forward
+    solution's cone).
     """
     seq = fwd.seq
     thr = 10.0 * tol
     dlam, dm, dh = _reseed_gaps(
-        fwd, bwd, [(seq.n_max - shift, _uniform_sigma) for shift in tail_shifts],
+        fwd, bwd, [(seq.n_max - shift, _uniform_sigma) for shift in (3, 5)],
         [_random_cone_seed(100 + s, fwd.cone) for s in range(4)])
     xi = 0.0
     if bwd is not None:

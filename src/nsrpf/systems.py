@@ -182,7 +182,6 @@ def _make_circle_stage(space: PointSpace, eps: float, a: float, b: float) -> Sta
     branch_idx = np.empty((2, n), dtype=np.int64)
     branch_frac = np.empty((2, n))
     branch_w = np.empty((2, n))
-    branch_pos = np.empty((2, n))
     for br in range(2):
         target = x + br
         lo = np.full(n, br / 2.0)
@@ -201,7 +200,6 @@ def _make_circle_stage(space: PointSpace, eps: float, a: float, b: float) -> Sta
         frac = scaled - base
         branch_idx[br] = base % n
         branch_frac[br] = frac
-        branch_pos[br] = scaled / n
         branch_w[br] = np.exp(potential_fn(scaled / n))
     fwd_pos = lift(x) % 1.0
     fwd_idx = np.round(fwd_pos * n).astype(np.int64) % n
@@ -209,8 +207,7 @@ def _make_circle_stage(space: PointSpace, eps: float, a: float, b: float) -> Sta
                  branch_frac=branch_frac, branch_weight=branch_w,
                  forward_index=fwd_idx, forward_pos=fwd_pos,
                  potential=Field(space, potential_fn(x)),
-                 potential_fn=potential_fn, map_fn=lift,
-                 branch_pos=branch_pos, degree_bound=2)
+                 potential_fn=potential_fn, map_fn=lift)
 
 
 def build_circle_chain(spec: CircleMapSpec) -> StageSeq:

@@ -54,9 +54,7 @@ class Stage:
     potential: Optional[Field] = None
     potential_fn: Optional[Callable] = None      # exact potential at raw positions
     map_fn: Optional[Callable] = None            # exact lift of the forward map
-    branch_pos: Optional[np.ndarray] = None      # (B, n_cod) exact preimage positions
     dense: Optional[np.ndarray] = None           # operator stages: exact matvec path
-    degree_bound: int = 0
 
     def __post_init__(self):
         b, n = self.branch_index.shape
@@ -66,9 +64,6 @@ class Stage:
             raise StructuralError("branch arrays must be indexed by codomain points")
         if np.any(self.branch_weight <= 0.0) or not np.all(np.isfinite(self.branch_weight)):
             raise StructuralError("branch weights must be strictly positive and finite")
-        if self.degree_bound and b > self.degree_bound:
-            raise StructuralError(
-                f"{b} preimage branches exceed the declared degree bound {self.degree_bound}")
         object.__setattr__(self, "_next_index",
                            (self.branch_index + 1) % self.domain.n_points)
 
@@ -93,8 +88,7 @@ class Stage:
         frac = np.zeros((n_dom, n_cod))
         weight = m.T.copy()   # weight[b, x] = M[x, b]
         return cls(domain=domain, codomain=codomain, branch_index=idx,
-                   branch_frac=frac, branch_weight=weight, dense=m.copy(),
-                   degree_bound=n_dom)
+                   branch_frac=frac, branch_weight=weight, dense=m.copy())
 
     def matrix(self) -> np.ndarray:
         """Dense matrix of apply_L (rows = codomain points). For cross-checks."""
@@ -250,6 +244,8 @@ def normalize_stage(stage: Stage, h_dom: Field, h_cod: Field, lam: float) -> Sta
     Branch weights become w * h_dom(y) / (lambda * h_cod(x)), evaluating
     h_dom at the preimages exactly like apply_L does, so the normalized
     operator satisfies  L~ 1 = L(h_dom)/(lambda h_cod)  identically.
+    Normalizing changes the weights, not the map: the forward images and the
+    exact lift are kept.
     """
     if h_dom.space is not stage.domain or h_cod.space is not stage.codomain:
         raise StructuralError("h fields must live on the stage's spaces")
@@ -279,5 +275,4 @@ def normalize_stage(stage: Stage, h_dom: Field, h_cod: Field, lam: float) -> Sta
                  branch_index=stage.branch_index, branch_frac=stage.branch_frac,
                  branch_weight=new_weight, forward_index=stage.forward_index,
                  forward_pos=stage.forward_pos, potential=new_potential,
-                 branch_pos=stage.branch_pos, dense=new_dense,
-                 degree_bound=stage.degree_bound)
+                 map_fn=stage.map_fn, dense=new_dense)

@@ -40,7 +40,7 @@ def build_halving_chain(levels=3, n_top=16, seed=0, potentials=None):
             domain=dom, codomain=cod, branch_index=bidx,
             branch_frac=np.zeros(bidx.shape), branch_weight=np.exp(phi[bidx]),
             forward_index=np.arange(dom.n_points) // 2,
-            potential=Field(dom, phi), degree_bound=2))
+            potential=Field(dom, phi)))
     return StageSeq(n_min=0, n_max=levels, stages=tuple(stages), two_sided=False)
 
 

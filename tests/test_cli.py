@@ -2,7 +2,7 @@ import pathlib
 
 import pytest
 
-from nsrpf.cli import main
+from nsrpf.cli import main, parse_config
 
 HERE = pathlib.Path(__file__).resolve().parent
 
@@ -163,6 +163,24 @@ def test_out_of_range_cone_values_are_config_errors(tmp_path):
         body = MATRIX_CFG.format(out=tmp_path / "o").replace(
             "[solver]", f"[cone]\n{line}\n\n[solver]")
         assert main(["certify", write_cfg(tmp_path, body)]) == 2
+
+
+def test_unknown_keys_are_config_errors(tmp_path, capsys):
+    # a misspelled key, and the solver's former k_max: neither is read
+    for old, new, name in (("n_grid = 256", "n_gird = 256", "[system].n_gird"),
+                           ("tol = 1e-6", "tol = 1e-6\nk_max = 40", "[solver].k_max")):
+        body = DOUBLING_CFG.format(out=tmp_path / "o").replace(old, new)
+        assert main(["certify", write_cfg(tmp_path, body)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and f"{name}: unknown key" in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("name", ["circle_perturbed", "doubling", "matrix_random"])
+def test_shipped_configs_use_only_keys_that_are_read(name, monkeypatch):
+    monkeypatch.delenv("NSRPF_OUTDIR", raising=False)
+    cfg = parse_config(str(HERE.parent / "configs" / f"{name}.ini"))
+    assert cfg.out_dir.startswith("out-")
 
 
 def test_certify_writes_constants(tmp_path):

@@ -285,7 +285,7 @@ def test_pair_set_lives_on_its_space():
 def _full_scan(space, p):
     """The pair set before reduction, from the brute-force scan."""
     i, j, d, _ = _all_pairs(space, p)
-    return PairSet(space=space, delta=p.delta, i=i, j=j, d=d)
+    return PairSet(space=space, i=i, j=j, d=d)
 
 
 def _full_gap(f, g, p, full):
@@ -323,8 +323,12 @@ def test_reduced_pair_set_matches_full_scan(space, Q, beta):
         assert theta_log_holder(u, v, p, checked=False) == _theta_from_gap(*gap_uv)
         for h in (u, v):
             assert in_log_holder_cone(h, p) == _full_member(h, p, full)
-    # fields on the wrong side of the cone boundary, and random positive fields
-    outside = [sample_extremal_log_holder(space, p, rng, strength=1.05) for _ in range(6)]
+    # fields on the wrong side of the cone boundary, exp(+-1.05 Q d(x, c)^beta),
+    # and random positive fields
+    outside = [Field(space, np.exp(rng.choice([-1.05, 1.05]) * Q
+                                   * space.distance(np.arange(space.n_points),
+                                                    rng.integers(space.n_points)) ** beta))
+               for _ in range(6)]
     outside += [Field(space, rng.uniform(0.5, 2.0, space.n_points)) for _ in range(6)]
     for h in outside:
         assert in_log_holder_cone(h, p) == _full_member(h, p, full)

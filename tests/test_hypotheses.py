@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -11,6 +12,7 @@ from nsrpf.hypotheses import (HypothesisParams, certify_cone_conditions,
                               log_shift_seminorm_bound, q_threshold, scan_Q)
 from nsrpf.spaces import Field, PointSpace, holder_seminorm
 from nsrpf.systems import CircleMapSpec, MatrixChainSpec, build_circle_chain, build_matrix_chain
+from nsrpf.transfer import Stage, StageSeq
 
 RNG = np.random.default_rng(31)
 
@@ -141,6 +143,81 @@ def test_certify_rejects_contracting_map():
     assert e.value.axiom in ("uniform-expansion", "topological-exactness")
 
 
+def sampled_doubling_chain(n_top, n_bottom, declared):
+    """The doubling map sampled exactly on shrinking circle-distance spaces:
+    point i of the n-point space maps to i mod n/2 of the next, n/2-point
+    space, with potential 0.1 cos(2 pi x)."""
+    spaces = []
+    n = n_top
+    while n >= n_bottom:
+        o = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :]) / n
+        spaces.append(PointSpace.finite(np.minimum(o, 1.0 - o)))
+        n //= 2
+    stages = []
+    for dom, cod in zip(spaces, spaces[1:]):
+        phi = 0.1 * np.cos(2.0 * np.pi * np.arange(dom.n_points) / dom.n_points)
+        half = np.arange(cod.n_points)
+        bidx = np.stack([half, half + cod.n_points])
+        stages.append(Stage(
+            domain=dom, codomain=cod, branch_index=bidx,
+            branch_frac=np.zeros(bidx.shape), branch_weight=np.exp(phi[bidx]),
+            forward_index=np.arange(dom.n_points) % cod.n_points,
+            potential=Field(dom, phi)))
+    return StageSeq(n_min=0, n_max=len(stages), stages=tuple(stages),
+                    two_sided=False, declared=declared)
+
+
+SAMPLED_DOUBLING = HypothesisParams(D=2, delta=0.1, rho=0.5, tau=3,
+                                    H=0.2 * math.pi, beta=1.0, V=0.2)
+
+
+def test_certify_finite_doubling_sample():
+    # 256 -> 128 -> ... -> 8 points: delta-balls of 2 delta = 0.2 cover the
+    # circle after three doublings
+    seq = sampled_doubling_chain(256, 8, SAMPLED_DOUBLING)
+    meas = certify_map_hypotheses(seq)
+    assert (meas.D, meas.rho, meas.tau) == (2, 0.5, 3)
+    assert 0.0 < meas.H <= SAMPLED_DOUBLING.H and 0.0 < meas.V <= SAMPLED_DOUBLING.V
+
+
+def test_certify_finite_halving_fails_expansion():
+    # floor(y/2) sends the neighbours 2k, 2k + 1 to one point
+    from conftest import build_halving_chain
+    halving = build_halving_chain(levels=5, n_top=256)
+    seq = StageSeq(n_min=0, n_max=5, stages=halving.stages, two_sided=False,
+                   declared=SAMPLED_DOUBLING)
+    with pytest.raises(CertificationError) as e:
+        certify_map_hypotheses(seq)
+    assert e.value.axiom == "uniform-expansion"
+
+
+def test_certify_normalized_circle_stages():
+    # normalizing changes the potential, not the map: expansion and
+    # exactness measure exactly as on the original stages
+    from nsrpf.rpf import build_invariant_chain, solve_backward, solve_forward
+    seq = build_circle_chain(CircleMapSpec.make(
+        N=128, window=(-24, 24), eps=0.05, eps_mode="alternating", a=0.1, a_mode="sin"))
+    fwd = solve_forward(seq, tol=1e-6, tau=2, block_factor=0.2, with_diagnostics=False)
+    bwd = solve_backward(fwd, with_diagnostics=False)
+    stages = build_invariant_chain(fwd, bwd, tol=1e-2).normalized_stages
+    lo, hi = min(stages), max(stages) + 1
+    normalized = StageSeq(n_min=lo, n_max=hi, stages=tuple(stages[n] for n in range(lo, hi)),
+                          declared=seq.declared)
+    original = StageSeq(n_min=lo, n_max=hi, stages=tuple(seq.stage(n) for n in range(lo, hi)),
+                        declared=seq.declared)
+    meas, want = certify_map_hypotheses(normalized), certify_map_hypotheses(original)
+    assert (meas.D, meas.rho, meas.tau) == (want.D, want.rho, want.tau)
+
+
+def test_certify_circle_stage_without_lift_is_typed():
+    seq = build_circle_chain(CircleMapSpec.make(N=64, window=(0, 4)))
+    bare = dataclasses.replace(seq.stage(0), map_fn=None)
+    broken = StageSeq(n_min=0, n_max=4, stages=(bare,) + seq.stages[1:], declared=seq.declared)
+    with pytest.raises(CertificationError) as e:
+        certify_map_hypotheses(broken)
+    assert e.value.axiom == "uniform-expansion"
+
+
 def test_cone_conditions_matrix_column_diameter():
     m = np.array([[2.0, 1.0], [1.0, 1.0]])
     seq = build_matrix_chain(MatrixChainSpec.stationary(m, (0, 4)))
@@ -161,7 +238,7 @@ def test_cone_conditions_circle():
     seq = build_circle_chain(spec)
     meas = certify_map_hypotheses(seq)
     cone = ConeParams(Q=default_Q(meas), delta=meas.delta, beta=meas.beta)
-    cert = certify_cone_conditions(seq, cone, params=meas, n_pairs=6, stride=2)
+    cert = certify_cone_conditions(seq, cone, params=meas)
     assert cert.tau == meas.tau
     assert 0.0 < cert.Delta_measured < derive_constants(meas, cone.Q).Delta
     assert 0.0 < cert.block_factor < 1.0

@@ -145,14 +145,19 @@ def test_uniqueness_report():
 
 def test_seed_verifiers_on_spaces_that_change_size():
     """Independence and uniqueness compare each index on its own space's
-    dictionary; the halving chain's reported spaces shrink 256 -> 128 -> 64."""
+    dictionary; the halving chain's reported spaces shrink 256 -> 128 -> ..."""
     from conftest import build_halving_chain
     seq = build_halving_chain(levels=6, n_top=256)
     fwd = solve_forward(seq, tol=1e-2, tau=1, block_factor=0.1)
     assert [seq.space(n).n_points for n in fwd.reported_m] == [256, 128, 64]
     ind = verify_independence(fwd, None, tol=1e-2)
     assert ind.passed and 0.0 < ind.max_dm < ind.threshold
-    uq = verify_uniqueness(fwd, None, tol=1e-2, tail_shifts=(1, 2))
+    # the tails 3 and 5 steps below the top need two more levels to reach
+    # a reported index
+    seq = build_halving_chain(levels=8, n_top=256)
+    fwd = solve_forward(seq, tol=1e-2, tau=1, block_factor=0.1)
+    assert [seq.space(n).n_points for n in fwd.reported_m] == [256, 128, 64, 32, 16]
+    uq = verify_uniqueness(fwd, None, tol=1e-2)
     assert uq.passed and 0.0 < uq.max_dm_shift < uq.threshold
 
 
@@ -239,21 +244,22 @@ def test_convergence_error_on_tiny_window():
 
 
 def test_stopping_rule_failure_names_side_and_index():
-    # k_max below tau: no recorded depth can meet the rule k >= tau
+    # an understated block factor: the headroom of 4 steps (cap 8) is far too
+    # short for the chain's real contraction to reach gaps below 5e-13
     seq = build_matrix_chain(MatrixChainSpec.random(d=2, window=(-40, 40), seed=3))
-    kw = dict(tol=1e-2, tau=3, block_factor=0.5)
-    with pytest.raises(ConvergenceError, match=r"^forward index -40: ") as exc:
-        solve_forward(seq, k_max=2, **kw)
+    kw = dict(tol=1e-12, tau=1, block_factor=1e-8)
+    with pytest.raises(ConvergenceError, match=r"^forward index -40: .* within 8 ") as exc:
+        solve_forward(seq, **kw)
     hist = exc.value.history
     assert isinstance(hist, ForwardHistory)
-    assert hist.ks.tolist() == [1, 2]
+    assert hist.ks.tolist() == list(range(1, 9))
     fwd = solve_forward(seq, with_diagnostics=False, **kw)
     lo_h = seq.n_min + fwd.headroom
-    with pytest.raises(ConvergenceError, match=rf"^backward index {lo_h}: ") as exc:
-        solve_backward(fwd, k_max=2)
+    with pytest.raises(ConvergenceError, match=rf"^backward index {lo_h}: .* within 8 ") as exc:
+        solve_backward(fwd)
     hist = exc.value.history
     assert isinstance(hist, BackwardHistory)
-    assert hist.ks.tolist() == [1, 2]
+    assert hist.ks.tolist() == [1, 2, 3, 4]
 
 
 def test_invariant_chain_on_spaces_that_change_size():
@@ -305,7 +311,7 @@ def test_invariant_chain_circle_pushforward():
         a=0.1, a_mode="sin"))
     meas = nr.certify_map_hypotheses(seq)
     cone = ConeParams(Q=nr.default_Q(meas), delta=meas.delta, beta=meas.beta)
-    cert = nr.certify_cone_conditions(seq, cone, params=meas, stride=16)
+    cert = nr.certify_cone_conditions(seq, cone, params=meas)
     fwd = solve_forward(seq, tol=1e-6, tau=cert.tau,
                         block_factor=cert.block_factor, cone_params=cone,
                         with_diagnostics=False)

@@ -240,8 +240,9 @@ def test_circle_branch_inverse_accuracy():
                               eps_mode="constant", a=0.0, a_mode="constant")
     seq = build_circle_chain(spec)
     st = seq.stage(0)
+    pre = (st.branch_index + st.branch_frac) / st.domain.n_points
     for b in range(2):
-        y = st.branch_pos[b]
+        y = pre[b]
         img = st.map_fn(y) % 1.0
         gap = np.abs(img - st.codomain.positions)
         gap = np.minimum(gap, 1.0 - gap)
@@ -258,8 +259,9 @@ def test_pure_doubling_branch_structure():
         a_mode="constant"))
     st = seq.stage(0)
     x = st.codomain.positions
+    pre = (st.branch_index + st.branch_frac) / n
     for b in range(2):
-        assert np.allclose(st.branch_pos[b], (x + b) / 2.0, atol=1e-12)
+        assert np.allclose(pre[b], (x + b) / 2.0, atol=1e-12)
     even = np.arange(0, n, 2)
     odd = np.arange(1, n, 2)
     assert np.all(st.branch_frac[:, even] == 0.0)
