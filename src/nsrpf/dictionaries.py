@@ -112,5 +112,11 @@ def cone_dictionary(space: PointSpace, p: ConeParams) -> Dictionary:
 
 
 def pairing_vector(dictionary: Dictionary, weights: np.ndarray) -> np.ndarray:
-    """Pairings of every entry against raw measure weights, in one matmul."""
-    return dictionary.matrix @ weights
+    """Pairings of every entry against raw measure weights, in one matmul.
+
+    ``weights`` is one measure of shape (n_points,) or a stack (R, n_points);
+    a stack gets one row of pairings per measure.  Both go through gemv per
+    measure, so a stacked row equals ``dictionary.matrix @ row`` bit for bit
+    (``weights @ dictionary.matrix.T`` would be a gemm and does not).
+    """
+    return np.matmul(dictionary.matrix, weights[..., None])[..., 0]

@@ -18,7 +18,14 @@ index with tail seeds supplied per level.  Successive-iterate gaps (in the
 growth logs and in pairings against a separating dictionary) give the
 stopping index k*; distances to the frozen solution give the error
 histories that the exponential-rate verifier replays against the C1 gamma^k
-and C3 gamma^k envelopes.
+and C3 gamma^k envelopes.  One depth advances all live indices at once:
+the chain is cut into runs of stages that share their spaces and kind, the
+iterates of a run are the rows of one array, and each run takes one
+batched call per depth (one stacked matmul on dense runs, the per-stage
+branch kernel on circle runs; a stage between spaces of different sizes is
+a run of its own).  Gaps and errors are row-wise array operations, and every
+history equals the one a per-index loop of apply_L_dual / apply_L would
+record, bit for bit.
 
 Stopping rule (both solvers).  With gamma = block_factor^(1/tau) the
 per-step contraction rate and s_tol = tol (1 - gamma) / 2, the stopping
@@ -50,8 +57,9 @@ from .dictionaries import cone_dictionary, pairing_vector, weak_dictionary
 from .errors import ConvergenceError, DomainError, StructuralError
 from .hypotheses import RateConstants
 from .spaces import Field, MeasureVec, normalize, pair, unit_field
-from .transfer import (StageSeq, _apply_values, _dual_weights, apply_L,
-                       apply_L_dual, compose_L, normalize_stage)
+from .transfer import (StageSeq, _apply_batch, _apply_values, _dual_batch,
+                       _dual_weights, _stage_runs, apply_L, apply_L_dual, compose_L,
+                       normalize_stage)
 
 _ZERO_FLOOR = 1e-13   # error values below this count as converged noise
 
@@ -149,46 +157,67 @@ def _frozen_forward(seq: StageSeq, tail: int, sigma_family) -> tuple[dict, dict]
 
 
 def _forward_sweep(sol: ForwardSolution, k_cap: int) -> dict:
-    """Histories of the incremental dual sweep, one per reported index."""
-    seq, tail, lam = sol.seq, sol.seq.n_max, sol.lam
-    weak = {n: weak_dictionary(seq.space(n)) for n in seq.space_indices}
-    coned = {n: cone_dictionary(seq.space(n), sol.cone) for n in sol.reported_m}
-    m_pairs = {n: pairing_vector(coned[n], sol.m[n].weights) for n in sol.reported_m}
+    """Histories of the incremental dual sweep, one per reported index.
 
-    cur = {n: normalize(_uniform_sigma(n, seq.space(n))).weights
-           for n in seq.space_indices}
-    prev_weak = {n: pairing_vector(weak[n], cur[n]) for n in seq.space_indices}
-    last_r: dict = {}
-    hist: dict = {n: {"ks": [], "succ": [], "el": [], "em": []} for n in sol.reported_m}
-    for k in range(1, k_cap + 1):
-        new = {}
-        hi_n = tail - k
-        if hi_n < seq.n_min:
-            break
-        for n in range(seq.n_min, hi_n + 1):
-            raw = _dual_weights(seq.stage(n), cur[n + 1])
-            mass = float(raw.sum())
-            nu_k = raw / mass
-            new[n] = nu_k
-            r_nk = math.log(mass)
-            if n in hist:
-                wp = pairing_vector(weak[n], nu_k)
-                succ_w = float(np.max(np.abs(wp - prev_weak[n]) / weak[n].norms))
-                succ_r = abs(r_nk - last_r[n]) if n in last_r else math.inf
-                cp = pairing_vector(coned[n], nu_k)
-                em = float(np.max(np.abs(cp - m_pairs[n]) / coned[n].norms))
-                h = hist[n]
-                h["ks"].append(k)
-                h["succ"].append(max(succ_r, succ_w))
-                h["el"].append(abs(r_nk - math.log(lam[n])))
-                h["em"].append(em)
-                prev_weak[n] = wp
-            last_r[n] = r_nk
+    The live iterates on the domain indices of one stage run are the rows of
+    one array (the window top is one more row), and one depth advances every
+    run with one batched dual call.  Index n is live at depths 1..n_max - n,
+    so each run keeps a prefix of its rows.
+    """
+    seq, lam, bottom, top = sol.seq, sol.lam, sol.seq.n_min, sol.seq.n_max
+    runs = _stage_runs(seq)
+    spaces = [r.stages[0].domain for r in runs]
+    # depth 0: the normalized uniform seed on every index, as read-only
+    # broadcast rows
+    cur = [np.broadcast_to(normalize(_uniform_sigma(r.lo, sp)).weights,
+                           (len(r.stages), sp.n_points)) for r, sp in zip(runs, spaces)]
+    cur.append(normalize(_uniform_sigma(top, seq.space(top))).weights[None])
+    weak = [weak_dictionary(sp) for sp in spaces]
+    coned = [cone_dictionary(sp, sol.cone) for sp in spaces]
+    prev_weak = [pairing_vector(d, c) for d, c in zip(weak, cur)]
+    m_pairs = [pairing_vector(d, np.array([sol.m[n].weights for n in range(r.lo, r.hi)]))
+               for r, d in zip(runs, coned)]
+    log_lam = [np.array([math.log(lam[n]) for n in range(r.lo, r.hi)]) for r in runs]
+
+    # row n - n_min, column k - 1: the record of index n at depth k
+    succ, err_l, err_m = (np.full((top - bottom, k_cap), np.nan) for _ in range(3))
+    last_r: list = [None] * len(runs)
+    for k in range(1, min(k_cap, top - bottom) + 1):
+        new = []
+        for g, run in enumerate(runs):
+            width = len(run.stages)
+            w = min(width, top - k + 1 - run.lo)
+            if w <= 0:
+                break
+            # the iterates one index up: this run's rows 1.., then the first
+            # row of the next run while this run is live to its end
+            if w < width:
+                s = cur[g][1:]
+            elif width == 1:     # also every stage between spaces of different sizes
+                s = cur[g + 1][:1]
+            else:
+                s = np.concatenate((cur[g][1:], cur[g + 1][:1]))
+            nu = _dual_batch(run, 0, w, s)
+            mass = nu.sum(axis=1)
+            nu /= mass[:, None]
+            r_nk = np.array([math.log(x) for x in mass.tolist()])
+            wp = pairing_vector(weak[g], nu)
+            succ_w = (np.abs(wp - prev_weak[g][:w]) / weak[g].norms).max(axis=1)
+            succ_r = np.abs(r_nk - last_r[g][:w]) if k > 1 else math.inf
+            em = np.abs(pairing_vector(coned[g], nu) - m_pairs[g][:w]) / coned[g].norms
+            rows = slice(run.lo - bottom, run.lo - bottom + w)
+            succ[rows, k - 1] = np.maximum(succ_r, succ_w)
+            err_l[rows, k - 1] = np.abs(r_nk - log_lam[g][:w])
+            err_m[rows, k - 1] = em.max(axis=1)
+            prev_weak[g], last_r[g] = wp, r_nk
+            new.append(nu)
         cur = new
-    return {n: ForwardHistory(ks=np.array(h["ks"], dtype=np.int64),
-                              succ=np.array(h["succ"]), err_lambda=np.array(h["el"]),
-                              err_m=np.array(h["em"]))
-            for n, h in hist.items()}
+    hist = {}
+    for n in sol.reported_m:
+        i, d = n - bottom, min(top - n, k_cap)
+        hist[n] = ForwardHistory(ks=np.arange(1, d + 1, dtype=np.int64), succ=succ[i, :d],
+                                 err_lambda=err_l[i, :d], err_m=err_m[i, :d])
+    return hist
 
 
 def solve_forward(seq: StageSeq, *, tol: float, tau: int, block_factor: float,
@@ -258,31 +287,64 @@ def _frozen_backward(fwd: ForwardSolution, seed: Field) -> dict:
     return h
 
 
+def _row_sup_gap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """max |a - b| over each row, with one temporary of a's size."""
+    d = a - b
+    return np.abs(d, out=d).max(axis=1)
+
+
 def _backward_sweep(sol: BackwardSolution, fwd: ForwardSolution, k_cap: int) -> dict:
-    """Histories of the incremental forward sweep, one per reported index."""
-    seq, bottom, h = sol.seq, sol.seq.n_min, sol.h
-    cur = {}
-    for n in seq.space_indices:
-        g = unit_field(seq.space(n))
-        cur[n] = g.values / pair(g, fwd.m[n])
-    hist = {n: {"ks": [], "succ": [], "eh": []} for n in sol.reported_h}
-    for k in range(1, k_cap + 1):
-        new = {}
-        lo_n = bottom + k
-        if lo_n > seq.n_max:
-            break
-        for n in range(lo_n, seq.n_max + 1):
-            it = _apply_values(seq.stage(n - 1), cur[n - 1]) / fwd.lam[n - 1]
-            new[n] = it
-            if n in hist:
-                hh = hist[n]
-                hh["ks"].append(k)
-                hh["succ"].append(float(np.abs(it - cur[n]).max()))
-                hh["eh"].append(float(np.abs(it - h[n].values).max()))
+    """Histories of the incremental forward sweep, one per reported index.
+
+    The live iterates on the codomain indices of one stage run are the rows
+    of one array (the window bottom is one more row, before the runs), and
+    one depth advances every run with one batched call.  Index n is live at
+    depths 1..n - n_min, so each run keeps a suffix of its rows.
+    """
+    seq, bottom, top = sol.seq, sol.seq.n_min, sol.seq.n_max
+    runs = _stage_runs(seq)
+
+    def seeds(lo, hi):
+        """Depth 0 on indices lo..hi-1: the unit field over its pairing with
+        m_n, as read-only broadcast rows."""
+        c = np.array([pair(unit_field(seq.space(n)), fwd.m[n]) for n in range(lo, hi)])
+        return np.broadcast_to(1.0 / c[:, None], (hi - lo, seq.space(lo).n_points))
+
+    cur = [seeds(bottom, bottom + 1)] + [seeds(r.lo + 1, r.hi + 1) for r in runs]
+    lams = [np.array([fwd.lam[n] for n in range(r.lo, r.hi)]) for r in runs]
+    h_rows = [np.array([sol.h[n].values for n in range(r.lo + 1, r.hi + 1)]) for r in runs]
+
+    # row n - n_min, column k - 1: the record of index n at depth k
+    succ, err_h = (np.full((top - bottom + 1, k_cap), np.nan) for _ in range(2))
+    for k in range(1, min(k_cap, top - bottom) + 1):
+        new = [None]
+        for g, run in enumerate(runs):
+            width = len(run.stages)
+            w = min(width, run.hi - bottom - k + 1)
+            if w <= 0:
+                new.append(None)
+                continue
+            # the iterates one index down: the last row of the previous run
+            # while this run is live from its start, then this run's rows
+            if w < width:
+                s = cur[g + 1][:-1]
+            elif width == 1:
+                s = cur[g][-1:]
+            else:
+                s = np.concatenate((cur[g][-1:], cur[g + 1][:-1]))
+            it = _apply_batch(run, width - w, width, s)
+            it /= lams[g][width - w:, None]
+            rows = slice(run.hi - w + 1 - bottom, run.hi + 1 - bottom)
+            succ[rows, k - 1] = _row_sup_gap(it, cur[g + 1][-w:])
+            err_h[rows, k - 1] = _row_sup_gap(it, h_rows[g][-w:])
+            new.append(it)
         cur = new
-    return {n: BackwardHistory(ks=np.array(hh["ks"], dtype=np.int64),
-                               succ=np.array(hh["succ"]), err_h=np.array(hh["eh"]))
-            for n, hh in hist.items()}
+    hist = {}
+    for n in sol.reported_h:
+        i, d = n - bottom, min(n - bottom, k_cap)
+        hist[n] = BackwardHistory(ks=np.arange(1, d + 1, dtype=np.int64), succ=succ[i, :d],
+                                  err_h=err_h[i, :d])
+    return hist
 
 
 def solve_backward(fwd: ForwardSolution, *, with_diagnostics: bool = True) -> BackwardSolution:
@@ -365,11 +427,14 @@ def _reseed_gaps(fwd: ForwardSolution, bwd: Optional[BackwardSolution], runs,
     in log lambda and, against each index's own weak* dictionary, in m, over
     the reported indices below that tail's headroom.  Backward: each of
     ``seed_families`` is re-solved from the bottom and compared in h.
-    Returns (max |d log lambda|, max norm-scaled dm, max |dh|).
+    Returns (max |d log lambda|, max norm-scaled dm, max |dh|).  Raises
+    ConvergenceError when no re-solve reaches a reported index, since gaps
+    over no index would read 0 and pass.
     """
     seq = fwd.seq
     dlam = dm = dh = 0.0
     weak = {n: weak_dictionary(seq.space(n)) for n in fwd.reported_m}
+    compared = 0
     for tail, fam in runs:
         lam2, nu2 = _frozen_forward(seq, tail, fam)
         hi = tail - fwd.headroom
@@ -380,6 +445,11 @@ def _reseed_gaps(fwd: ForwardSolution, bwd: Optional[BackwardSolution], runs,
             gap = np.abs(pairing_vector(d, fwd.m[n].weights)
                          - pairing_vector(d, nu2[n].weights)) / d.norms
             dm = max(dm, float(np.max(gap)))
+            compared += 1
+    if not compared:
+        raise ConvergenceError(
+            f"no re-solve reaches a reported index: tails {[t for t, _ in runs]} "
+            f"leave none {fwd.headroom} steps below them")
     if bwd is not None:
         bottom = seq.n_min
         for fam in seed_families:
@@ -425,7 +495,8 @@ def verify_uniqueness(fwd: ForwardSolution, bwd: Optional[BackwardSolution], *,
     (lambda, m); any normalized candidate chain satisfying the eigenrelations
     recovers its scalars as exactly lambda_n; and backward re-solves from
     fresh cone seeds must reproduce h (seeds drawn from the forward
-    solution's cone).
+    solution's cone).  Raises ConvergenceError when neither tail leaves a
+    reported index a full headroom below it.
     """
     seq = fwd.seq
     thr = 10.0 * tol

@@ -19,11 +19,16 @@ same apply/dual code covers three cases:
 The dual is the exact transpose of the linear map apply_L, so the adjoint
 identity <f, L* sigma> = <L f, sigma> holds to roundoff by construction.
 Compositions are evaluated by sequential application; dense products are
-kept to the oracle code paths.
+kept to the oracle code paths.  The solvers' sweeps apply many stages at one
+depth: the chain is cut into runs of stages with the same spaces and kind,
+and one batched call applies each stage of a run to its own row of one
+array (a single stacked matmul on dense runs), with the same bits as
+applying the stages one at a time.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Callable, Optional
 
 import numpy as np
@@ -186,6 +191,57 @@ class StageSeq:
         if k < 0 or n < self.n_min or n + k > self.n_max:
             raise StructuralError(
                 f"window [{n}, {n + k}] not contained in [{self.n_min}, {self.n_max}]")
+
+
+@dataclass(frozen=True, eq=False)
+class _StageRun:
+    """Consecutive stages lo..hi-1 of a chain that share their domain, their
+    codomain and their kind (dense or branch).  A dense run also holds its
+    matrices stacked as one (W, n_codomain, n_domain) array; branch arrays
+    are not stacked, they stay on their stages."""
+
+    lo: int
+    stages: tuple
+    dense: Optional[np.ndarray]
+
+    @property
+    def hi(self) -> int:
+        return self.lo + len(self.stages)
+
+
+def _stage_runs(seq: StageSeq) -> list:
+    """The chain cut into maximal runs of stages that one batched call can
+    advance.  A stage between spaces of different sizes is a run of its own."""
+    runs, lo = [], seq.n_min
+    # spaces compare by identity (PointSpace has eq=False)
+    for _, group in groupby(seq.stages, lambda st: (st.domain, st.codomain, st.dense is None)):
+        group = tuple(group)
+        dense = None if group[0].dense is None else np.stack([st.dense for st in group])
+        runs.append(_StageRun(lo=lo, stages=group, dense=dense))
+        lo += len(group)
+    return runs
+
+
+def _dual_batch(run: _StageRun, i: int, j: int, s: np.ndarray) -> np.ndarray:
+    """Row r is _dual_weights of stage i + r of ``run`` on row r of ``s``."""
+    if run.dense is not None:
+        # one stacked gemv; each matrix keeps the strides of dense.T, so every
+        # row equals dense.T @ s bit for bit
+        return np.matmul(run.dense[i:j].transpose(0, 2, 1), s[..., None])[..., 0]
+    out = np.empty((j - i, run.stages[0].domain.n_points))
+    for r, stage in enumerate(run.stages[i:j]):
+        out[r] = _dual_weights(stage, s[r])
+    return out
+
+
+def _apply_batch(run: _StageRun, i: int, j: int, v: np.ndarray) -> np.ndarray:
+    """Row r is _apply_values of stage i + r of ``run`` on row r of ``v``."""
+    if run.dense is not None:
+        return np.matmul(run.dense[i:j], v[..., None])[..., 0]
+    out = np.empty((j - i, run.stages[0].codomain.n_points))
+    for r, stage in enumerate(run.stages[i:j]):
+        out[r] = _apply_values(stage, v[r])
+    return out
 
 
 def compose_L(seq: StageSeq, n: int, k: int, f: Field) -> Field:

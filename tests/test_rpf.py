@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,11 +12,12 @@ from nsrpf.rpf import (BackwardHistory, ForwardHistory, _frozen_forward,
                        solve_forward, verify_cone_contraction,
                        verify_eigen_relations, verify_exponential_rates,
                        verify_independence, verify_uniqueness)
-from nsrpf.spaces import MeasureVec, pair, unit_field
+from nsrpf.dictionaries import cone_dictionary, weak_dictionary
+from nsrpf.spaces import Field, MeasureVec, pair, unit_field
 from nsrpf.systems import (CircleMapSpec, MatrixChainSpec, build_circle_chain,
                            build_matrix_chain, oracle_rpf_chain,
                            oracle_stationary_rpf)
-from nsrpf.transfer import StageSeq, compose_L
+from nsrpf.transfer import StageSeq, apply_L, apply_L_dual, compose_L
 
 
 RNG = np.random.default_rng(17)
@@ -161,6 +163,17 @@ def test_seed_verifiers_on_spaces_that_change_size():
     assert uq.passed and 0.0 < uq.max_dm_shift < uq.threshold
 
 
+def test_seed_verifiers_refuse_to_compare_nothing():
+    """Gaps over no index would read 0.0 and pass: on the levels=6 halving
+    chain (headroom 4) the tails 3 and 5 steps below the top leave no
+    reported index below their headroom."""
+    from conftest import build_halving_chain
+    seq = build_halving_chain(levels=6, n_top=256)
+    fwd = solve_forward(seq, tol=1e-2, tau=1, block_factor=0.1)
+    with pytest.raises(ConvergenceError, match="no re-solve reaches a reported index"):
+        verify_uniqueness(fwd, None, tol=1e-2)
+
+
 def test_invariant_chain_needs_two_backward_indices():
     seq = build_matrix_chain(MatrixChainSpec.random(d=3, window=(0, 10), seed=1))
     cert = nr.certify_cone_conditions(seq, CONE2)
@@ -260,6 +273,107 @@ def test_stopping_rule_failure_names_side_and_index():
     hist = exc.value.history
     assert isinstance(hist, BackwardHistory)
     assert hist.ks.tolist() == [1, 2, 3, 4]
+
+
+def _reference_histories(fwd, k_cap):
+    """The sweep histories from a plain per-index, per-step loop of the public
+    apply_L_dual / apply_L, normalized at every step (no batched kernel)."""
+    seq, bottom, top = fwd.seq, fwd.seq.n_min, fwd.seq.n_max
+    weak = {n: weak_dictionary(seq.space(n)) for n in seq.space_indices}
+    coned = {n: cone_dictionary(seq.space(n), fwd.cone) for n in fwd.reported_m}
+    cur = {n: MeasureVec.uniform(seq.space(n)).weights for n in seq.space_indices}
+    cur = {n: w / w.sum() for n, w in cur.items()}
+    prev = {n: weak[n].matrix @ cur[n] for n in seq.space_indices}
+    last_r = {}
+    f_rows = {n: [] for n in fwd.reported_m}
+    for k in range(1, min(k_cap, top - bottom) + 1):
+        new = {}
+        for n in range(bottom, top - k + 1):
+            raw = apply_L_dual(seq.stage(n), MeasureVec(seq.space(n + 1), cur[n + 1])).weights
+            mass = float(raw.sum())
+            new[n] = raw / mass
+            r = math.log(mass)
+            if n in f_rows:
+                wp = weak[n].matrix @ new[n]
+                succ = float(np.max(np.abs(wp - prev[n]) / weak[n].norms))
+                if n in last_r:
+                    succ = max(abs(r - last_r[n]), succ)
+                else:
+                    succ = math.inf
+                em = float(np.max(np.abs(coned[n].matrix @ new[n] - coned[n].matrix @ fwd.m[n].weights)
+                                  / coned[n].norms))
+                f_rows[n].append((k, succ, abs(r - math.log(fwd.lam[n])), em))
+                prev[n] = wp
+            last_r[n] = r
+        cur = new
+    bwd = solve_backward(fwd, with_diagnostics=False)
+    lo_h, hi_h = bottom + fwd.headroom, max(fwd.reported_m)
+    cur = {}
+    for n in seq.space_indices:
+        g = unit_field(seq.space(n))
+        cur[n] = g.values / pair(g, fwd.m[n])
+    b_rows = {n: [] for n in range(lo_h, hi_h + 1)}
+    for k in range(1, min(k_cap, top - bottom) + 1):
+        new = {}
+        for n in range(bottom + k, top + 1):
+            it = apply_L(seq.stage(n - 1), Field(seq.space(n - 1), cur[n - 1])).values
+            new[n] = it / fwd.lam[n - 1]
+            if n in b_rows:
+                b_rows[n].append((k, float(np.abs(new[n] - cur[n]).max()),
+                                  float(np.abs(new[n] - bwd.h[n].values).max())))
+        cur = new
+    return f_rows, b_rows
+
+
+def _assert_history(hist, rows):
+    cols = [np.array(c) for c in zip(*rows)]
+    got = [hist.ks] + [getattr(hist, f) for f in vars(hist) if f != "ks"]
+    assert len(got) == len(cols)
+    for g, c in zip(got, cols):
+        assert np.array_equal(g, c)
+
+
+def _check_sweeps_against_reference(fwd, bwd_or_error):
+    k_cap = fwd.headroom + 2 * fwd.tau + 2
+    f_rows, b_rows = _reference_histories(fwd, k_cap)
+    assert list(fwd.histories) == list(f_rows)
+    for n, rows in f_rows.items():
+        _assert_history(fwd.histories[n], rows)
+    if isinstance(bwd_or_error, ConvergenceError):
+        n = int(re.match(r"backward index (-?\d+):", str(bwd_or_error)).group(1))
+        _assert_history(bwd_or_error.history, b_rows[n])
+    else:
+        assert list(bwd_or_error.histories) == list(b_rows)
+        for n, rows in b_rows.items():
+            _assert_history(bwd_or_error.histories[n], rows)
+
+
+def test_sweep_histories_equal_a_per_step_reference():
+    """The batched sweeps record, bit for bit, the histories of a per-index
+    loop: on a d = 3 matrix chain (one stacked matmul per depth), on an
+    N = 64 circle chain (branch stages) and on the halving chain, whose
+    spaces change size at every stage (one-stage runs)."""
+    from conftest import PERTURBED, build_halving_chain
+    seq = build_matrix_chain(MatrixChainSpec.random(d=3, window=(-30, 30), seed=21))
+    cert = nr.certify_cone_conditions(seq, CONE2)
+    fwd = solve_forward(seq, tol=1e-10, tau=cert.tau, block_factor=cert.block_factor,
+                        cone_params=CONE2)
+    _check_sweeps_against_reference(fwd, solve_backward(fwd))
+
+    seq = build_circle_chain(CircleMapSpec.make(N=64, window=(-24, 24), **PERTURBED))
+    params = nr.certify_map_hypotheses(seq)
+    cone = ConeParams(Q=nr.default_Q(params), delta=params.delta, beta=params.beta)
+    cert = nr.certify_cone_conditions(seq, cone, params=params)
+    fwd = solve_forward(seq, tol=1e-6, tau=cert.tau, block_factor=cert.block_factor,
+                        cone_params=cone)
+    _check_sweeps_against_reference(fwd, solve_backward(fwd))
+
+    halving = build_halving_chain(levels=8, n_top=256)
+    seq = StageSeq(n_min=0, n_max=8, stages=halving.stages, two_sided=True)
+    fwd = solve_forward(seq, tol=1e-2, tau=1, block_factor=0.1)
+    with pytest.raises(ConvergenceError, match="^backward index") as exc:
+        solve_backward(fwd)
+    _check_sweeps_against_reference(fwd, exc.value)
 
 
 def test_invariant_chain_on_spaces_that_change_size():
