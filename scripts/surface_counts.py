@@ -15,7 +15,10 @@ Reads the modules of PACKAGE_DIR (default: this checkout's src/nsrpf) with
 * every config key that ``cli.parse_config`` reads, as ``[section].key``
   with its default (the source text of each distinct default, ``required``
   when there is none, ``-`` for an optional key without a default),
-  followed by the total.
+  followed by the total;
+* every private name (leading underscore) that one module of the package
+  imports from another, as ``importer <- module._name``, followed by the
+  total.
 
 Two checkouts can be compared by ``diff`` of their outputs.
 """
@@ -80,6 +83,7 @@ def main(argv) -> int:
     funcs = []     # (qualified name, parameter names, defaults)
     classes = []   # (qualified name, field count)
     config_keys = {}
+    private_imports = []   # "importer <- module._name"
     for path in sorted(pkg.glob("*.py")):
         text = path.read_text()
         lines += len(text.splitlines())
@@ -87,6 +91,10 @@ def main(argv) -> int:
         tree = ast.parse(text)
         if mod == "cli":
             config_keys = _config_keys(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                private_imports += [f"{mod} <- {node.module}.{a.name}"
+                                    for a in node.names if a.name.startswith("_")]
         for node in tree.body:
             if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
                 funcs.append((f"{mod}.{node.name}", *_params(node, method=False)))
@@ -114,6 +122,10 @@ def main(argv) -> int:
     for key, defaults in sorted(config_keys.items()):
         print(f"  {key} {' | '.join(defaults)}")
     print(f"total: {len(config_keys)} config keys")
+    print("private imports: importer <- module._name")
+    for line in sorted(private_imports):
+        print(f"  {line}")
+    print(f"total: {len(private_imports)} private imports")
     return 0
 
 

@@ -399,6 +399,7 @@ def certify_cone_conditions(seq: StageSeq, p: ConeParams, *,
                 "cone-invariance",
                 f"S(Q) = {s_param} is not below Q = {p.Q}; raise Q above the threshold")
 
+    target = ConeParams(Q=s_param, delta=p.delta, beta=p.beta) if s_param else p
     delta_m = 0.0
     max_ratio = 0.0
     n_sampled = 0
@@ -422,13 +423,12 @@ def certify_cone_conditions(seq: StageSeq, p: ConeParams, *,
             draw = sample_extremal_log_holder if extremal else sample_log_holder_field
             f = draw(seq.space(n), p, rng)
             lf = apply_L(st, f)
-            target = ConeParams(Q=s_param, delta=p.delta, beta=p.beta) if s_param else p
             if not in_log_holder_cone(lf, target):
                 raise CertificationError(
                     "cone-invariance",
                     f"image of a sampled cone field left the cone at stage {n}")
             g = draw(seq.space(n), p, rng)
-            fi = compose_L(seq, n, tau, f)
+            fi = compose_L(seq, n + 1, tau - 1, lf)
             gi = compose_L(seq, n, tau, g)
             theta_out = theta_log_holder(fi, gi, p, checked=False)
             delta_m = max(delta_m, theta_out)

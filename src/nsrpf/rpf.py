@@ -18,14 +18,11 @@ index with tail seeds supplied per level.  Successive-iterate gaps (in the
 growth logs and in pairings against a separating dictionary) give the
 stopping index k*; distances to the frozen solution give the error
 histories that the exponential-rate verifier replays against the C1 gamma^k
-and C3 gamma^k envelopes.  One depth advances all live indices at once:
-the chain is cut into runs of stages that share their spaces and kind, the
-iterates of a run are the rows of one array, and each run takes one
-batched call per depth (one stacked matmul on dense runs, the per-stage
-branch kernel on circle runs; a stage between spaces of different sizes is
-a run of its own).  Gaps and errors are row-wise array operations, and every
-history equals the one a per-index loop of apply_L_dual / apply_L would
-record, bit for bit.
+and C3 gamma^k envelopes.  The sweeps are index-major: all depths of one
+index are the rows of one array, advanced by one stacked call of its stage
+from the previous index's rows.  Gaps and errors are row-wise array
+operations, and every history equals the one a per-index loop of
+apply_L_dual / apply_L would record, bit for bit.
 
 Stopping rule (both solvers).  With gamma = block_factor^(1/tau) the
 per-step contraction rate and s_tol = tol (1 - gamma) / 2, the stopping
@@ -57,9 +54,8 @@ from .dictionaries import cone_dictionary, pairing_vector, weak_dictionary
 from .errors import ConvergenceError, DomainError, StructuralError
 from .hypotheses import RateConstants
 from .spaces import Field, MeasureVec, normalize, pair, unit_field
-from .transfer import (StageSeq, _apply_batch, _apply_values, _dual_batch,
-                       _dual_weights, _stage_runs, apply_L, apply_L_dual, compose_L,
-                       normalize_stage)
+from .transfer import (StageSeq, _apply_values, _dual_weights, apply_L, apply_L_dual,
+                       compose_L, normalize_stage)
 
 _ZERO_FLOOR = 1e-13   # error values below this count as converged noise
 
@@ -90,6 +86,8 @@ def headroom_steps(tol: float, block_factor: float, tau: int) -> int:
     """Window steps needed before an index may be reported."""
     if not (0.0 < block_factor < 1.0):
         raise DomainError("block contraction factor must lie in (0, 1)")
+    if not tol > 0.0 or tau < 1:
+        raise DomainError("need a positive tolerance and tau >= 1")
     # at least two blocks, also when tol >= 1 makes the logarithm negative
     blocks = max(math.ceil(math.log(1.0 / tol) / math.log(1.0 / block_factor)), 0) + 2
     return tau * blocks
@@ -159,65 +157,41 @@ def _frozen_forward(seq: StageSeq, tail: int, sigma_family) -> tuple[dict, dict]
 def _forward_sweep(sol: ForwardSolution, k_cap: int) -> dict:
     """Histories of the incremental dual sweep, one per reported index.
 
-    The live iterates on the domain indices of one stage run are the rows of
-    one array (the window top is one more row), and one depth advances every
-    run with one batched dual call.  Index n is live at depths 1..n_max - n,
-    so each run keeps a prefix of its rows.
+    Walks the window down from its top.  Index n is live at depths
+    1..min(n_max - n, k_cap), and all of them are one dual call of stage n
+    on the stack [depth-0 seed on X_{n+1}; depths 1.. of index n + 1], so
+    only the previous index's iterates are kept.
     """
-    seq, lam, bottom, top = sol.seq, sol.lam, sol.seq.n_min, sol.seq.n_max
-    runs = _stage_runs(seq)
-    spaces = [r.stages[0].domain for r in runs]
-    # depth 0: the normalized uniform seed on every index, as read-only
-    # broadcast rows
-    cur = [np.broadcast_to(normalize(_uniform_sigma(r.lo, sp)).weights,
-                           (len(r.stages), sp.n_points)) for r, sp in zip(runs, spaces)]
-    cur.append(normalize(_uniform_sigma(top, seq.space(top))).weights[None])
-    weak = [weak_dictionary(sp) for sp in spaces]
-    coned = [cone_dictionary(sp, sol.cone) for sp in spaces]
-    prev_weak = [pairing_vector(d, c) for d, c in zip(weak, cur)]
-    m_pairs = [pairing_vector(d, np.array([sol.m[n].weights for n in range(r.lo, r.hi)]))
-               for r, d in zip(runs, coned)]
-    log_lam = [np.array([math.log(lam[n]) for n in range(r.lo, r.hi)]) for r in runs]
-
-    # row n - n_min, column k - 1: the record of index n at depth k
-    succ, err_l, err_m = (np.full((top - bottom, k_cap), np.nan) for _ in range(3))
-    last_r: list = [None] * len(runs)
-    for k in range(1, min(k_cap, top - bottom) + 1):
-        new = []
-        for g, run in enumerate(runs):
-            width = len(run.stages)
-            w = min(width, top - k + 1 - run.lo)
-            if w <= 0:
-                break
-            # the iterates one index up: this run's rows 1.., then the first
-            # row of the next run while this run is live to its end
-            if w < width:
-                s = cur[g][1:]
-            elif width == 1:     # also every stage between spaces of different sizes
-                s = cur[g + 1][:1]
-            else:
-                s = np.concatenate((cur[g][1:], cur[g + 1][:1]))
-            nu = _dual_batch(run, 0, w, s)
-            mass = nu.sum(axis=1)
-            nu /= mass[:, None]
-            r_nk = np.array([math.log(x) for x in mass.tolist()])
-            wp = pairing_vector(weak[g], nu)
-            succ_w = (np.abs(wp - prev_weak[g][:w]) / weak[g].norms).max(axis=1)
-            succ_r = np.abs(r_nk - last_r[g][:w]) if k > 1 else math.inf
-            em = np.abs(pairing_vector(coned[g], nu) - m_pairs[g][:w]) / coned[g].norms
-            rows = slice(run.lo - bottom, run.lo - bottom + w)
-            succ[rows, k - 1] = np.maximum(succ_r, succ_w)
-            err_l[rows, k - 1] = np.abs(r_nk - log_lam[g][:w])
-            err_m[rows, k - 1] = em.max(axis=1)
-            prev_weak[g], last_r[g] = wp, r_nk
-            new.append(nu)
-        cur = new
+    seq, top = sol.seq, sol.seq.n_max
+    # per space: depth-0 seed, dictionaries and the seed's weak pairings
+    seed, weak, coned, seed_weak = {}, {}, {}, {}
+    for sp in {seq.space(n) for n in seq.space_indices}:
+        seed[sp] = normalize(MeasureVec.uniform(sp)).weights
+        weak[sp] = weak_dictionary(sp)
+        coned[sp] = cone_dictionary(sp, sol.cone)
+        seed_weak[sp] = pairing_vector(weak[sp], seed[sp])
     hist = {}
-    for n in sol.reported_m:
-        i, d = n - bottom, min(top - n, k_cap)
-        hist[n] = ForwardHistory(ks=np.arange(1, d + 1, dtype=np.int64), succ=succ[i, :d],
-                                 err_lambda=err_l[i, :d], err_m=err_m[i, :d])
-    return hist
+    prev = np.empty((0, seq.space(top).n_points))
+    for n in range(top - 1, seq.n_min - 1, -1):
+        sp, up, d = seq.space(n), seq.space(n + 1), min(top - n, k_cap)
+        nu = _dual_weights(seq.stage(n), np.concatenate((seed[up][None], prev[:d - 1])))
+        mass = nu.sum(axis=1)
+        nu /= mass[:, None]
+        prev = nu
+        if n > sol.reported_m[-1]:
+            continue
+        r = np.array([math.log(x) for x in mass.tolist()])
+        wp = pairing_vector(weak[sp], nu)
+        succ_w = (np.abs(wp - np.concatenate((seed_weak[sp][None], wp[:-1])))
+                  / weak[sp].norms).max(axis=1)
+        succ_r = np.concatenate(([math.inf], np.abs(r[1:] - r[:-1])))
+        m_pair = pairing_vector(coned[sp], sol.m[n].weights)
+        em = np.abs(pairing_vector(coned[sp], nu) - m_pair) / coned[sp].norms
+        hist[n] = ForwardHistory(ks=np.arange(1, d + 1, dtype=np.int64),
+                                 succ=np.maximum(succ_r, succ_w),
+                                 err_lambda=np.abs(r - math.log(sol.lam[n])),
+                                 err_m=em.max(axis=1))
+    return {n: hist[n] for n in sol.reported_m}
 
 
 def solve_forward(seq: StageSeq, *, tol: float, tau: int, block_factor: float,
@@ -231,9 +205,9 @@ def solve_forward(seq: StageSeq, *, tol: float, tau: int, block_factor: float,
     Raises ConvergenceError when a reportable index fails to meet the
     stopping rule within its available depth.
     """
+    hr = headroom_steps(tol, block_factor, tau)
     tail = seq.n_max
     lam, nu = _frozen_forward(seq, tail, _uniform_sigma)
-    hr = headroom_steps(tol, block_factor, tau)
     hi_m = tail - hr
     if hi_m < seq.n_min:
         raise ConvergenceError(
@@ -296,54 +270,29 @@ def _row_sup_gap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _backward_sweep(sol: BackwardSolution, fwd: ForwardSolution, k_cap: int) -> dict:
     """Histories of the incremental forward sweep, one per reported index.
 
-    The live iterates on the codomain indices of one stage run are the rows
-    of one array (the window bottom is one more row, before the runs), and
-    one depth advances every run with one batched call.  Index n is live at
-    depths 1..n - n_min, so each run keeps a suffix of its rows.
+    Walks the window up from its bottom.  Index n is live at depths
+    1..min(n - n_min, k_cap), and all of them are one call of stage n - 1 on
+    the stack [depth-0 seed on X_{n-1}; depths 1.. of index n - 1], so only
+    the previous index's iterates are kept.
     """
-    seq, bottom, top = sol.seq, sol.seq.n_min, sol.seq.n_max
-    runs = _stage_runs(seq)
+    seq, bottom = sol.seq, sol.seq.n_min
 
-    def seeds(lo, hi):
-        """Depth 0 on indices lo..hi-1: the unit field over its pairing with
-        m_n, as read-only broadcast rows."""
-        c = np.array([pair(unit_field(seq.space(n)), fwd.m[n]) for n in range(lo, hi)])
-        return np.broadcast_to(1.0 / c[:, None], (hi - lo, seq.space(lo).n_points))
+    def seed(n):
+        """Depth 0 on X_n: the unit field over its pairing with m_n."""
+        one = unit_field(seq.space(n))
+        return np.full((1, one.values.size), 1.0 / pair(one, fwd.m[n]))
 
-    cur = [seeds(bottom, bottom + 1)] + [seeds(r.lo + 1, r.hi + 1) for r in runs]
-    lams = [np.array([fwd.lam[n] for n in range(r.lo, r.hi)]) for r in runs]
-    h_rows = [np.array([sol.h[n].values for n in range(r.lo + 1, r.hi + 1)]) for r in runs]
-
-    # row n - n_min, column k - 1: the record of index n at depth k
-    succ, err_h = (np.full((top - bottom + 1, k_cap), np.nan) for _ in range(2))
-    for k in range(1, min(k_cap, top - bottom) + 1):
-        new = [None]
-        for g, run in enumerate(runs):
-            width = len(run.stages)
-            w = min(width, run.hi - bottom - k + 1)
-            if w <= 0:
-                new.append(None)
-                continue
-            # the iterates one index down: the last row of the previous run
-            # while this run is live from its start, then this run's rows
-            if w < width:
-                s = cur[g + 1][:-1]
-            elif width == 1:
-                s = cur[g][-1:]
-            else:
-                s = np.concatenate((cur[g][-1:], cur[g + 1][:-1]))
-            it = _apply_batch(run, width - w, width, s)
-            it /= lams[g][width - w:, None]
-            rows = slice(run.hi - w + 1 - bottom, run.hi + 1 - bottom)
-            succ[rows, k - 1] = _row_sup_gap(it, cur[g + 1][-w:])
-            err_h[rows, k - 1] = _row_sup_gap(it, h_rows[g][-w:])
-            new.append(it)
-        cur = new
     hist = {}
-    for n in sol.reported_h:
-        i, d = n - bottom, min(n - bottom, k_cap)
-        hist[n] = BackwardHistory(ks=np.arange(1, d + 1, dtype=np.int64), succ=succ[i, :d],
-                                  err_h=err_h[i, :d])
+    below, prev = seed(bottom), np.empty((0, seq.space(bottom).n_points))
+    for n in range(bottom + 1, sol.reported_h[-1] + 1):
+        here, d = seed(n), min(n - bottom, k_cap)
+        it = _apply_values(seq.stage(n - 1), np.concatenate((below, prev[:d - 1])))
+        it /= fwd.lam[n - 1]
+        if n >= sol.reported_h[0]:
+            hist[n] = BackwardHistory(ks=np.arange(1, d + 1, dtype=np.int64),
+                                      succ=_row_sup_gap(it, np.concatenate((here, it[:-1]))),
+                                      err_h=_row_sup_gap(it, sol.h[n].values))
+        below, prev = here, it
     return hist
 
 
@@ -611,6 +560,8 @@ def verify_cone_contraction(seq: StageSeq, p: ConeParams, *, tau: int,
     exactly that derived pair, which makes the asserted bound sound on the
     sample rather than merely plausible.
     """
+    if tau < 1 or n_samples < 1 or monotone_every < 1:
+        raise DomainError("tau, n_samples and monotone_every must be at least 1")
     rng = rng or np.random.default_rng(20250811)
     slack = 1e-9
     indices = [n for n in seq.stage_indices if n + tau <= seq.n_max]

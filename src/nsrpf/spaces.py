@@ -105,7 +105,7 @@ class Field(object):
         if v.shape != (self.space.n_points,):
             raise StructuralError(
                 f"field has {v.shape} values for a space of {self.space.n_points} points")
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             raise DomainError("field values must be finite")
         object.__setattr__(self, "values", v)
 
@@ -158,9 +158,9 @@ class MeasureVec:
         if w.shape != (self.space.n_points,):
             raise StructuralError(
                 f"measure has {w.shape} weights for a space of {self.space.n_points} points")
-        if not np.all(np.isfinite(w)):
+        if not np.isfinite(w).all():
             raise DomainError("weights must be finite")
-        if np.any(w < 0.0):
+        if (w < 0.0).any():
             raise DomainError("weights must be nonnegative")
         object.__setattr__(self, "weights", w)
 

@@ -19,16 +19,14 @@ same apply/dual code covers three cases:
 The dual is the exact transpose of the linear map apply_L, so the adjoint
 identity <f, L* sigma> = <L f, sigma> holds to roundoff by construction.
 Compositions are evaluated by sequential application; dense products are
-kept to the oracle code paths.  The solvers' sweeps apply many stages at one
-depth: the chain is cut into runs of stages with the same spaces and kind,
-and one batched call applies each stage of a run to its own row of one
-array (a single stacked matmul on dense runs), with the same bits as
-applying the stages one at a time.
+kept to the oracle code paths.  The raw kernels behind apply_L and
+apply_L_dual also take a stack of rows, one vector per row, and give every
+row the same bits as a call on that row alone; the solvers' sweeps push all
+depths of one index through its stage in one call.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby
 from typing import Callable, Optional
 
 import numpy as np
@@ -112,10 +110,13 @@ class Stage:
 
 
 def _apply_values(stage: Stage, v: np.ndarray) -> np.ndarray:
-    """apply_L on a raw value vector (no wrapping; solver-internal hot path)."""
+    """apply_L on a raw value vector, or on each row of an (R, n) stack (no
+    wrapping; solver-internal hot path)."""
     if stage.dense is not None:
-        # operator stages reproduce the dense matrix-vector product bit for bit
-        return stage.dense @ v
+        # one gemv per row: every row equals dense @ row bit for bit
+        return np.matmul(stage.dense, v[..., None])[..., 0]
+    if v.ndim == 2:
+        return np.stack([_apply_values(stage, row) for row in v])
     lo = v[stage.branch_index]
     hi = v[stage._next_index]
     vals = stage.branch_weight * ((1.0 - stage.branch_frac) * lo + stage.branch_frac * hi)
@@ -123,9 +124,12 @@ def _apply_values(stage: Stage, v: np.ndarray) -> np.ndarray:
 
 
 def _dual_weights(stage: Stage, s: np.ndarray) -> np.ndarray:
-    """apply_L_dual on a raw weight vector (exact transpose of _apply_values)."""
+    """apply_L_dual on a raw weight vector, or on each row of an (R, n)
+    stack (exact transpose of _apply_values)."""
     if stage.dense is not None:
-        return stage.dense.T @ s
+        return np.matmul(stage.dense.T, s[..., None])[..., 0]
+    if s.ndim == 2:
+        return np.stack([_dual_weights(stage, row) for row in s])
     n_dom = stage.domain.n_points
     out = np.zeros(n_dom)
     for b in range(stage.n_branches):
@@ -191,57 +195,6 @@ class StageSeq:
         if k < 0 or n < self.n_min or n + k > self.n_max:
             raise StructuralError(
                 f"window [{n}, {n + k}] not contained in [{self.n_min}, {self.n_max}]")
-
-
-@dataclass(frozen=True, eq=False)
-class _StageRun:
-    """Consecutive stages lo..hi-1 of a chain that share their domain, their
-    codomain and their kind (dense or branch).  A dense run also holds its
-    matrices stacked as one (W, n_codomain, n_domain) array; branch arrays
-    are not stacked, they stay on their stages."""
-
-    lo: int
-    stages: tuple
-    dense: Optional[np.ndarray]
-
-    @property
-    def hi(self) -> int:
-        return self.lo + len(self.stages)
-
-
-def _stage_runs(seq: StageSeq) -> list:
-    """The chain cut into maximal runs of stages that one batched call can
-    advance.  A stage between spaces of different sizes is a run of its own."""
-    runs, lo = [], seq.n_min
-    # spaces compare by identity (PointSpace has eq=False)
-    for _, group in groupby(seq.stages, lambda st: (st.domain, st.codomain, st.dense is None)):
-        group = tuple(group)
-        dense = None if group[0].dense is None else np.stack([st.dense for st in group])
-        runs.append(_StageRun(lo=lo, stages=group, dense=dense))
-        lo += len(group)
-    return runs
-
-
-def _dual_batch(run: _StageRun, i: int, j: int, s: np.ndarray) -> np.ndarray:
-    """Row r is _dual_weights of stage i + r of ``run`` on row r of ``s``."""
-    if run.dense is not None:
-        # one stacked gemv; each matrix keeps the strides of dense.T, so every
-        # row equals dense.T @ s bit for bit
-        return np.matmul(run.dense[i:j].transpose(0, 2, 1), s[..., None])[..., 0]
-    out = np.empty((j - i, run.stages[0].domain.n_points))
-    for r, stage in enumerate(run.stages[i:j]):
-        out[r] = _dual_weights(stage, s[r])
-    return out
-
-
-def _apply_batch(run: _StageRun, i: int, j: int, v: np.ndarray) -> np.ndarray:
-    """Row r is _apply_values of stage i + r of ``run`` on row r of ``v``."""
-    if run.dense is not None:
-        return np.matmul(run.dense[i:j], v[..., None])[..., 0]
-    out = np.empty((j - i, run.stages[0].codomain.n_points))
-    for r, stage in enumerate(run.stages[i:j]):
-        out[r] = _apply_values(stage, v[r])
-    return out
 
 
 def compose_L(seq: StageSeq, n: int, k: int, f: Field) -> Field:

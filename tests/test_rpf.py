@@ -191,6 +191,15 @@ def test_cone_contraction_needs_one_tau_block():
         verify_cone_contraction(seq, ConeParams(Q=4.0, delta=0.2), tau=3)
 
 
+def test_cone_contraction_rejects_degenerate_sampling():
+    # tau = 0 compares each pair with itself: the difference directions sit on
+    # the cone boundary, tanh(inf/4) = 1 and no ratio could fail
+    seq = build_matrix_chain(MatrixChainSpec.random(d=2, window=(-20, 20), seed=1))
+    for kw in (dict(tau=0), dict(tau=1, n_samples=0), dict(tau=1, monotone_every=0)):
+        with pytest.raises(DomainError, match="at least 1"):
+            verify_cone_contraction(seq, CONE2, **kw)
+
+
 def test_second_eigenvector_contamination_decay():
     # contaminate the tail seed with the second left eigenvector: pairings
     # must relax to m at a rate no slower than the certified block factor
@@ -277,7 +286,7 @@ def test_stopping_rule_failure_names_side_and_index():
 
 def _reference_histories(fwd, k_cap):
     """The sweep histories from a plain per-index, per-step loop of the public
-    apply_L_dual / apply_L, normalized at every step (no batched kernel)."""
+    apply_L_dual / apply_L, normalized at every step (no stacked kernel)."""
     seq, bottom, top = fwd.seq, fwd.seq.n_min, fwd.seq.n_max
     weak = {n: weak_dictionary(seq.space(n)) for n in seq.space_indices}
     coned = {n: cone_dictionary(seq.space(n), fwd.cone) for n in fwd.reported_m}
@@ -349,10 +358,10 @@ def _check_sweeps_against_reference(fwd, bwd_or_error):
 
 
 def test_sweep_histories_equal_a_per_step_reference():
-    """The batched sweeps record, bit for bit, the histories of a per-index
-    loop: on a d = 3 matrix chain (one stacked matmul per depth), on an
-    N = 64 circle chain (branch stages) and on the halving chain, whose
-    spaces change size at every stage (one-stage runs)."""
+    """The stacked sweeps record, bit for bit, the histories of a per-index
+    loop: on a d = 3 matrix chain (one matmul per index), on an N = 64
+    circle chain (branch stages) and on the halving chain, whose spaces
+    change size at every stage."""
     from conftest import PERTURBED, build_halving_chain
     seq = build_matrix_chain(MatrixChainSpec.random(d=3, window=(-30, 30), seed=21))
     cert = nr.certify_cone_conditions(seq, CONE2)
@@ -474,3 +483,12 @@ def test_headroom_steps():
     assert headroom_steps(1e-6, 0.25, 2) == 2 * (math.ceil(6 * math.log(10) / math.log(4)) + 2)
     with pytest.raises(DomainError):
         headroom_steps(1e-6, 1.0, 1)
+
+
+@pytest.mark.parametrize("tol, tau", [(1e-6, 0), (0.0, 1), (-1.0, 1), (1e-6, -1)])
+def test_solver_rejects_a_nonpositive_tolerance_or_tau(tol, tau):
+    with pytest.raises(DomainError, match="positive tolerance and tau >= 1"):
+        headroom_steps(tol, 0.5, tau)
+    seq = build_matrix_chain(MatrixChainSpec.random(d=2, window=(-20, 20), seed=1))
+    with pytest.raises(DomainError, match="positive tolerance and tau >= 1"):
+        solve_forward(seq, tol=tol, tau=tau, block_factor=0.5)
