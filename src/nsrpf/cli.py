@@ -18,11 +18,21 @@ h_<n>.csv per reported index, rates.csv (n, k, error_lambda, error_m,
 error_h), constants.txt (flat name = value ledger), report.txt (one
 PASS/FAIL line per check).  Numbers are written with 17 significant digits
 so reruns with the same seeds reproduce files byte for byte.
+
+Every CSV has a per-column row template, "%d" for the integer columns (n,
+index, k, k_star, which is -1 where no k* was found) and "%.17g" for every
+float, and its body is one ``%`` of that template repeated once per row over
+the row-major cell values; m_<n>.csv and h_<n>.csv interleave the point
+indices with the vector's ``tolist()``.  The scalar rule ``_fmt`` of
+constants.txt and report.txt uses the same "%.17g".  A value the config
+admits but the chain does not (an odd grid, a negative matrix entry, zero
+states) is a config error naming [system].
 """
 from __future__ import annotations
 
 import argparse
 import configparser
+import itertools
 import math
 import os
 import sys
@@ -93,29 +103,25 @@ def _window(raw: str) -> tuple[int, int]:
     return lo, hi
 
 
-def parse_config(path: str) -> RunConfig:
-    cp = _Config(inline_comment_prefixes=(";", "#"))
-    read = cp.read(path)
-    if not read:
-        raise ConfigError(f"cannot read config file {path!r}")
-    kind = _get(cp, "system", "kind", str)
+def _system_spec(cp, kind: str):
+    """The [system] spec; the spec constructors raise the package's typed errors."""
     window = _get(cp, "system", "window", _window)
     if kind == "matrix":
         d = _get(cp, "system", "d", int, 2)
         if cp.has_option("system", "matrix"):
-            entries = [float(t) for t in cp.get("system", "matrix").split()]
-            if len(entries) != d * d:
-                raise ConfigError(f"[system].matrix: need {d * d} row-major entries")
-            m = np.array(entries).reshape(d, d)
-            system = MatrixChainSpec.stationary(m, window)
-        else:
-            system = MatrixChainSpec.random(
-                d=d, window=window,
-                low=_get(cp, "system", "entry_low", float, 1.0),
-                high=_get(cp, "system", "entry_high", float, 2.0),
-                seed=_get(cp, "system", "seed", int, 0))
-    elif kind == "circle":
-        system = CircleMapSpec.make(
+            try:
+                m = np.array(cp.get("system", "matrix").split(), dtype=float)
+                m = m.reshape(d, d)
+            except ValueError as e:
+                raise ConfigError(f"[system].matrix: {e}") from e
+            return MatrixChainSpec.stationary(m, window)
+        return MatrixChainSpec.random(
+            d=d, window=window,
+            low=_get(cp, "system", "entry_low", float, 1.0),
+            high=_get(cp, "system", "entry_high", float, 2.0),
+            seed=_get(cp, "system", "seed", int, 0))
+    if kind == "circle":
+        return CircleMapSpec.make(
             N=_get(cp, "system", "n_grid", int, 1024), window=window,
             eps=_get(cp, "system", "eps", float, 0.05),
             eps_mode=_get(cp, "system", "eps_mode", str, "alternating"),
@@ -125,8 +131,19 @@ def parse_config(path: str) -> RunConfig:
             b_mode=_get(cp, "system", "b_mode", str, "constant"),
             delta=_get(cp, "cone", "delta", float, 0.2),
             seed=_get(cp, "system", "seed", int, 0))
-    else:
-        raise ConfigError(f"[system].kind: unknown kind {kind!r}")
+    raise ConfigError(f"[system].kind: unknown kind {kind!r}")
+
+
+def parse_config(path: str) -> RunConfig:
+    cp = _Config(inline_comment_prefixes=(";", "#"))
+    read = cp.read(path)
+    if not read:
+        raise ConfigError(f"cannot read config file {path!r}")
+    kind = _get(cp, "system", "kind", str)
+    try:
+        system = _system_spec(cp, kind)
+    except (DomainError, StructuralError) as e:
+        raise ConfigError(f"[system]: {e}") from e
     q_mode = _get(cp, "cone", "q", str, "auto")
     if q_mode != "auto":
         try:
@@ -158,25 +175,50 @@ def parse_config(path: str) -> RunConfig:
                      out_dir=os.environ.get("NSRPF_OUTDIR") or out_dir, checks=checks)
 
 
+# the one number rule: floats at 17 significant digits, integers in full
+_INT, _FLOAT = "%d", "%.17g"
+_LAMBDA_COLUMNS = (("n", _INT), ("lambda", _FLOAT), ("k_star", _INT),
+                   ("residual", _FLOAT))
+_M_COLUMNS = (("index", _INT), ("weight", _FLOAT))
+_H_COLUMNS = (("index", _INT), ("value", _FLOAT))
+_RATES_COLUMNS = (("n", _INT), ("k", _INT), ("error_lambda", _FLOAT),
+                  ("error_m", _FLOAT), ("error_h", _FLOAT))
+_ORACLE_COLUMNS = (("n", _INT), ("dlambda_rel", _FLOAT), ("dm_max", _FLOAT),
+                   ("dh_max", _FLOAT))
+
+
 def _fmt(x) -> str:
-    if isinstance(x, float):
-        return f"{x:.17g}"
-    return str(x)
+    return _FLOAT % x if isinstance(x, float) else str(x)
 
 
 def _atomic_write(path: str, text: str):
     d = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-nsrpf-")
-    with os.fdopen(fd, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
-def _write_csv(path: str, header: list, rows):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    _atomic_write(path, "\n".join(lines) + "\n")
+def _interleave(*columns) -> list:
+    """Row-major cell values of equally long columns, without a tuple per row."""
+    flat = [None] * (len(columns) * len(columns[0]))
+    for j, col in enumerate(columns):
+        flat[j::len(columns)] = col
+    return flat
+
+
+def _write_csv(path: str, columns: tuple, values):
+    """Write ``columns`` ((name, template) pairs) over the row-major cell
+    ``values``: the body is one ``%`` of the repeated row template."""
+    names, templates = zip(*columns)
+    cells = tuple(values)
+    row = ",".join(templates) + "\n"
+    body = (row * (len(cells) // len(columns))) % cells
+    _atomic_write(path, ",".join(names) + "\n" + body)
 
 
 def _certify(cfg: RunConfig):
@@ -295,21 +337,24 @@ def cmd_run(cfg: RunConfig) -> int:
 
     # artifacts
     resid = {n: r for (n, r, _, _) in eig.rows}
-    _write_csv(os.path.join(cfg.out_dir, "lambda.csv"),
-               ["n", "lambda", "k_star", "residual"],
-               [(n, fwd.lam[n], fwd.k_star.get(n, -1), resid.get(n, math.nan))
-                for n in fwd.reported_lam])
+    ns = fwd.reported_lam
+    _write_csv(os.path.join(cfg.out_dir, "lambda.csv"), _LAMBDA_COLUMNS,
+               _interleave(ns, [fwd.lam[n] for n in ns],
+                           [fwd.k_star.get(n, -1) for n in ns],
+                           [resid.get(n, math.nan) for n in ns]))
     for n in fwd.reported_m:
-        _write_csv(os.path.join(cfg.out_dir, f"m_{n}.csv"), ["index", "weight"],
-                   list(enumerate(fwd.m[n].weights)))
+        w = fwd.m[n].weights
+        _write_csv(os.path.join(cfg.out_dir, f"m_{n}.csv"), _M_COLUMNS,
+                   _interleave(range(len(w)), w.tolist()))
     if bwd is not None:
         for n in bwd.reported_h:
-            _write_csv(os.path.join(cfg.out_dir, f"h_{n}.csv"), ["index", "value"],
-                       list(enumerate(bwd.h[n].values)))
+            v = bwd.h[n].values
+            _write_csv(os.path.join(cfg.out_dir, f"h_{n}.csv"), _H_COLUMNS,
+                       _interleave(range(len(v)), v.tolist()))
     rate_rows = (rates.rows if rates is not None
                  else verify_exponential_rates(fwd, bwd, cert.rate_constants()).rows)
-    _write_csv(os.path.join(cfg.out_dir, "rates.csv"),
-               ["n", "k", "error_lambda", "error_m", "error_h"], rate_rows)
+    _write_csv(os.path.join(cfg.out_dir, "rates.csv"), _RATES_COLUMNS,
+               itertools.chain.from_iterable(rate_rows))
     _atomic_write(os.path.join(cfg.out_dir, "report.txt"),
                   "\n".join(report_lines) + "\n")
     sys.stdout.write("\n".join(report_lines) + "\n")
@@ -335,8 +380,8 @@ def cmd_oracle(cfg: RunConfig) -> int:
         worst = max(worst, dl, dm, 0.0 if math.isnan(dh) else dh)
         rows.append((n, dl, dm, dh))
     os.makedirs(cfg.out_dir, exist_ok=True)
-    _write_csv(os.path.join(cfg.out_dir, "oracle_diff.csv"),
-               ["n", "dlambda_rel", "dm_max", "dh_max"], rows)
+    _write_csv(os.path.join(cfg.out_dir, "oracle_diff.csv"), _ORACLE_COLUMNS,
+               itertools.chain.from_iterable(rows))
     ok = worst < 1e-9
     line = f"{'PASS' if ok else 'FAIL'} oracle: max solver-oracle gap {_fmt(worst)}\n"
     _atomic_write(os.path.join(cfg.out_dir, "report.txt"), line)

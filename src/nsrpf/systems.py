@@ -39,6 +39,11 @@ _BISECT_TOL = 1e-13
 # matrix chains
 # ---------------------------------------------------------------------------
 
+def _require_states(d: int):
+    if d < 1:
+        raise StructuralError(f"a matrix chain needs d >= 1 states, got {d}")
+
+
 @dataclass(frozen=True, eq=False)
 class MatrixChainSpec:
     """Per-index strictly positive matrices M_n over an integer window.
@@ -53,6 +58,7 @@ class MatrixChainSpec:
     seed: Optional[int] = None
 
     def __post_init__(self):
+        _require_states(self.d)
         n_min, n_max = self.window
         if n_max <= n_min:
             raise StructuralError("window must be nonempty")
@@ -74,6 +80,7 @@ class MatrixChainSpec:
     @classmethod
     def random(cls, d: int, window: tuple[int, int], low: float = 1.0,
                high: float = 2.0, seed: int = 0) -> "MatrixChainSpec":
+        _require_states(d)
         rng = np.random.default_rng(seed)
         k = window[1] - window[0]
         mats = tuple(rng.uniform(low, high, size=(d, d)) for _ in range(k))

@@ -1,7 +1,11 @@
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
+from nsrpf import cli
 from nsrpf.cli import main, parse_config
 
 HERE = pathlib.Path(__file__).resolve().parent
@@ -241,3 +245,44 @@ run = eigen invariant_chain
     assert main(["run", cfg]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "invariant-chain" in err
+
+
+SHIPPED = HERE.parent / "configs"
+
+
+@pytest.mark.parametrize("config, old, new", [
+    ("circle_perturbed", "n_grid = 1024", "n_grid = 7"),
+    ("circle_perturbed", "eps = 0.05", "eps = 0.5"),
+    ("circle_perturbed", "eps_mode = alternating", "eps_mode = bogus"),
+    ("matrix_random", "entry_low = 1.0", "entry_low = -1.0"),
+    ("matrix_random", "d = 3", "d = 0"),
+])
+@pytest.mark.parametrize("cmd", ["certify", "run"])
+def test_system_value_errors_exit_2_without_a_traceback(tmp_path, config, old, new, cmd):
+    body = (SHIPPED / f"{config}.ini").read_text()
+    assert f"\n{old}\n" in body
+    cfg = write_cfg(tmp_path, body.replace(f"\n{old}\n", f"\n{new}\n"))
+    env = dict(os.environ, NSRPF_OUTDIR=str(tmp_path / "o"),
+               PYTHONPATH=str(HERE.parent / "src"))
+    proc = subprocess.run([sys.executable, "-m", "nsrpf.cli", cmd, cfg], env=env,
+                          capture_output=True, text=True, check=False)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("config error: [system]: ")
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "o").exists()
+
+
+def test_atomic_write_removes_its_temp_file_when_the_rename_fails(tmp_path, monkeypatch):
+    def refuse(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(os, "replace", refuse)
+    with pytest.raises(OSError, match="rename refused"):
+        cli._atomic_write(str(tmp_path / "lambda.csv"), "n,lambda\n")
+    assert os.listdir(tmp_path) == []
+
+
+def test_atomic_write_removes_its_temp_file_when_the_write_fails(tmp_path):
+    with pytest.raises(TypeError):
+        cli._atomic_write(str(tmp_path / "lambda.csv"), b"not text")
+    assert os.listdir(tmp_path) == []

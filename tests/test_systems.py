@@ -26,6 +26,16 @@ def test_matrix_spec_validation():
     assert np.array_equal(spec.matrix(0), again.matrix(0))
 
 
+def test_matrix_spec_rejects_no_states():
+    for d in (0, -1):
+        with pytest.raises(StructuralError, match="d >= 1"):
+            MatrixChainSpec.random(d=d, window=(0, 4), seed=1)
+    with pytest.raises(StructuralError, match="d >= 1"):
+        MatrixChainSpec(d=0, window=(0, 1), matrices=(np.ones((0, 0)),))
+    with pytest.raises(StructuralError, match="d >= 1"):
+        MatrixChainSpec.stationary(np.ones((0, 0)), (0, 2))
+
+
 def test_build_matrix_chain_exact():
     spec = MatrixChainSpec.random(d=3, window=(0, 4), seed=1)
     seq = build_matrix_chain(spec)
