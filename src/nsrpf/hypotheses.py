@@ -171,28 +171,38 @@ def _circle_offsets(n: int, omax: int) -> list[int]:
     return sorted(set(offs))
 
 
-def _measure_circle_stage(st, delta, beta, offsets):
-    """(rho_max, H_max, expanding_ok, onto_ok) for one circle stage."""
+def _measure_circle_map(st, delta, offsets):
+    """(rho_max, expanding_ok, onto_ok) of the lift of one circle stage."""
     x = st.domain.positions
     n = st.domain.n_points
+    fx = st.map_fn(x)
     rho_m = 0.0
-    h_m = 0.0
-    phi = st.potential.values
     for o in offsets:
         d = o / n
         if d > delta + 1e-15:
             continue
-        y = x + d
-        img_gap = st.map_fn(y) - st.map_fn(x)   # lift difference, positive
+        img_gap = st.map_fn(x + d) - fx   # lift difference, positive
         if np.any(img_gap <= d):
-            return None, None, False, True
+            return None, False, True
         rho_m = max(rho_m, float((d / img_gap).max()))
+    lo = fx - st.map_fn(x - delta)
+    hi = st.map_fn(x + delta) - fx
+    onto_ok = bool(lo.min() >= delta and hi.min() >= delta)
+    return rho_m, True, onto_ok
+
+
+def _circle_holder(st, delta, beta, offsets) -> float:
+    """Largest sampled Holder quotient of the potential of one circle stage."""
+    n = st.domain.n_points
+    phi = st.potential.values
+    h_m = 0.0
+    for o in offsets:
+        d = o / n
+        if d > delta + 1e-15:
+            continue
         dphi = np.abs(np.roll(phi, -o) - phi)
         h_m = max(h_m, float(dphi.max()) / d ** beta)
-    lo = st.map_fn(x) - st.map_fn(x - delta)
-    hi = st.map_fn(x + delta) - st.map_fn(x)
-    onto_ok = bool(lo.min() >= delta and hi.min() >= delta)
-    return rho_m, h_m, True, onto_ok
+    return h_m
 
 
 def _circle_exactness(seq: StageSeq, n: int, delta: float, k_max: int) -> int | None:
@@ -249,6 +259,7 @@ def certify_map_hypotheses(seq: StageSeq) -> HypothesisParams:
     d_m = 0
     rho_m, h_m, v_m = 0.0, 0.0, 0.0
     k_max = 8 * max(1, math.ceil(math.log2(1.0 / delta)))
+    maps = {}   # (lift, grid) -> its expansion measurement, shared by the stages
     for n in seq.stage_indices:
         st = seq.stage(n)
         if not st.has_map:
@@ -261,7 +272,10 @@ def certify_map_hypotheses(seq: StageSeq) -> HypothesisParams:
                     "uniform-expansion", f"circle stage {n} has no exact lift of its map")
             offsets = _circle_offsets(st.domain.n_points,
                                       int(delta * st.domain.n_points))
-            rho_s, h_s, expanding, onto = _measure_circle_stage(st, delta, beta, offsets)
+            key = (st.map_fn, st.domain)
+            if key not in maps:
+                maps[key] = _measure_circle_map(st, delta, offsets)
+            rho_s, expanding, onto = maps[key]
             if not expanding:
                 raise CertificationError(
                     "uniform-expansion", f"non-expanding pair at stage {n}")
@@ -269,7 +283,7 @@ def certify_map_hypotheses(seq: StageSeq) -> HypothesisParams:
                 raise CertificationError(
                     "uniform-expansion", f"delta-ball image fails to cover a delta-ball at stage {n}")
             rho_m = max(rho_m, rho_s)
-            h_m = max(h_m, h_s)
+            h_m = max(h_m, _circle_holder(st, delta, beta, offsets))
         else:
             dt = st.domain.dist_table
             iu, ju = np.nonzero((dt <= delta) & (dt > 0.0))

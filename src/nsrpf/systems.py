@@ -14,7 +14,10 @@ Two families:
   |eps| < 1/(2 pi), the derivative stays in [2 - 2 pi |eps|, 2 + 2 pi |eps|],
   so the map hypotheses hold with analytic parameter values recorded on the
   sequence.  Branch inverses are solved by bisection on the monotone lift to
-  1e-13; off-grid function values are linearly interpolated.
+  1e-13; off-grid function values are linearly interpolated.  The branch
+  inverses, forward images and lift depend on eps_n alone, so they are
+  solved once per distinct eps_n and shared, read-only, by the stages that
+  use that map; only the branch weights and the potential are per stage.
 
 Oracles recompute the chain data by explicit (log-rescaled) dense matrix
 products, independently of the incremental solver code path.
@@ -142,6 +145,10 @@ class CircleMapSpec:
         for arr, name in ((self.eps, "eps"), (self.a, "a"), (self.b, "b")):
             if np.asarray(arr).shape != (k,):
                 raise StructuralError(f"{name} needs one value per window step")
+            if not np.isfinite(arr).all():
+                raise DomainError(f"{name} values must be finite")
+        if not (math.isfinite(self.delta) and self.delta > 0.0):
+            raise DomainError("delta must be positive and finite")
         emax = float(np.abs(self.eps).max())
         if emax >= 1.0 / (2.0 * math.pi):
             raise DomainError("need |eps| < 1/(2 pi) for uniform expansion")
@@ -153,6 +160,9 @@ class CircleMapSpec:
              eps_mode: str = "alternating", a: float = 0.1, a_mode: str = "sin",
              b: float = 0.0, b_mode: str = "constant", delta: float = 0.2,
              seed: Optional[int] = None) -> "CircleMapSpec":
+        for name, amp in (("eps", eps), ("a", a), ("b", b)):
+            if not math.isfinite(amp):
+                raise DomainError(f"{name} must be finite")
         return cls(N=N, window=window,
                    eps=_mode_values(eps_mode, eps, window, seed),
                    a=_mode_values(a_mode, a, window, None if seed is None else seed + 1),
@@ -173,22 +183,22 @@ class CircleMapSpec:
 _GRID_SNAP_UNITS = 1e-9   # in grid units; exact-grid preimages stay exact
 
 
-def _make_circle_stage(space: PointSpace, eps: float, a: float, b: float) -> Stage:
+def _circle_map(space: PointSpace, eps: float):
+    """Geometry of x -> 2x + eps sin(2 pi x) on the grid, shared by every
+    stage with this eps: (lift, branch_index, branch_frac, branch positions,
+    forward_index, forward_pos).  The arrays are read-only."""
     n = space.n_points
     x = space.positions
 
     def lift(y):
         return 2.0 * y + eps * np.sin(2.0 * math.pi * y)
 
-    def potential_fn(y):
-        return a * np.cos(2.0 * math.pi * y) + b
-
     # branch inverses: the lift is strictly increasing with lift(0) = 0,
     # lift(1/2) = 1, lift(1) = 2, so branch br solves lift(y) = x + br
     # on [br/2, (br+1)/2], independent of eps
     branch_idx = np.empty((2, n), dtype=np.int64)
     branch_frac = np.empty((2, n))
-    branch_w = np.empty((2, n))
+    branch_pos = np.empty((2, n))
     for br in range(2):
         target = x + br
         lo = np.full(n, br / 2.0)
@@ -204,25 +214,44 @@ def _make_circle_stage(space: PointSpace, eps: float, a: float, b: float) -> Sta
         snap = np.abs(scaled - nearest) < _GRID_SNAP_UNITS
         scaled = np.where(snap, nearest, scaled)
         base = np.floor(scaled).astype(np.int64)
-        frac = scaled - base
         branch_idx[br] = base % n
-        branch_frac[br] = frac
-        branch_w[br] = np.exp(potential_fn(scaled / n))
+        branch_frac[br] = scaled - base
+        branch_pos[br] = scaled / n
     fwd_pos = lift(x) % 1.0
     fwd_idx = np.round(fwd_pos * n).astype(np.int64) % n
+    geometry = (branch_idx, branch_frac, branch_pos, fwd_idx, fwd_pos)
+    for arr in geometry:
+        arr.flags.writeable = False
+    return (lift,) + geometry
+
+
+def _make_circle_stage(space: PointSpace, geometry, a: float, b: float) -> Stage:
+    lift, branch_idx, branch_frac, branch_pos, fwd_idx, fwd_pos = geometry
+
+    def potential_fn(y):
+        return a * np.cos(2.0 * math.pi * y) + b
+
     return Stage(domain=space, codomain=space, branch_index=branch_idx,
-                 branch_frac=branch_frac, branch_weight=branch_w,
+                 branch_frac=branch_frac, branch_weight=np.exp(potential_fn(branch_pos)),
                  forward_index=fwd_idx, forward_pos=fwd_pos,
-                 potential=Field(space, potential_fn(x)),
+                 potential=Field(space, potential_fn(space.positions)),
                  potential_fn=potential_fn, map_fn=lift)
 
 
 def build_circle_chain(spec: CircleMapSpec) -> StageSeq:
+    """One stage per window step; the branch inverses and forward images are
+    solved once per distinct eps_n and shared by the stages with that map."""
     space = PointSpace.circle_grid(spec.N)
-    stages = tuple(_make_circle_stage(space, float(spec.eps[k]), float(spec.a[k]),
-                                      float(spec.b[k]))
-                   for k in range(spec.window[1] - spec.window[0]))
-    return StageSeq(n_min=spec.window[0], n_max=spec.window[1], stages=stages,
+    steps_of = {}   # eps -> the window steps that use that map
+    for k in range(spec.window[1] - spec.window[0]):
+        steps_of.setdefault(float(spec.eps[k]), []).append(k)
+    stages = [None] * (spec.window[1] - spec.window[0])
+    for eps, steps in steps_of.items():
+        geometry = _circle_map(space, eps)
+        for k in steps:
+            stages[k] = _make_circle_stage(space, geometry, float(spec.a[k]),
+                                           float(spec.b[k]))
+    return StageSeq(n_min=spec.window[0], n_max=spec.window[1], stages=tuple(stages),
                     two_sided=True, declared=spec.declared_params())
 
 

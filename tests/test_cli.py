@@ -254,6 +254,11 @@ SHIPPED = HERE.parent / "configs"
     ("circle_perturbed", "n_grid = 1024", "n_grid = 7"),
     ("circle_perturbed", "eps = 0.05", "eps = 0.5"),
     ("circle_perturbed", "eps_mode = alternating", "eps_mode = bogus"),
+    ("circle_perturbed", "eps = 0.05", "eps = nan"),
+    ("circle_perturbed", "a = 0.1", "a = nan"),
+    ("circle_perturbed", "b = 0.0", "b = inf"),
+    ("circle_perturbed", "a = 0.1", "a = -inf"),
+    ("circle_perturbed", "delta = 0.2", "delta = nan"),
     ("matrix_random", "entry_low = 1.0", "entry_low = -1.0"),
     ("matrix_random", "d = 3", "d = 0"),
 ])

@@ -1,9 +1,11 @@
 import dataclasses
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
+from nsrpf.cli import parse_config
 from nsrpf.cones import ConeParams
 from nsrpf.errors import CertificationError, DomainError
 from nsrpf.hypotheses import (HypothesisParams, certify_cone_conditions,
@@ -284,3 +286,37 @@ def test_log_shift_bound_sweep():
         c = RNG.uniform(0.01, 3.0) - f.inf()
         lhs, rhs = log_shift_seminorm_bound(f, c, 1.0)
         assert lhs <= rhs + 1e-12 * max(1.0, rhs)
+
+
+def _unshared(seq, map_fns):
+    stages = tuple(dataclasses.replace(st, map_fn=fn) for st, fn in zip(seq.stages, map_fns))
+    return StageSeq(n_min=seq.n_min, n_max=seq.n_max, stages=stages,
+                    two_sided=seq.two_sided, declared=seq.declared)
+
+
+def test_certify_shared_maps_equals_per_stage_result():
+    # a fresh wrapper per stage gives every stage its own map, so nothing
+    # measured on one stage's lift can be reused for another
+    spec = parse_config(str(pathlib.Path(__file__).resolve().parent.parent
+                            / "configs" / "circle_perturbed.ini")).system
+    seq = build_circle_chain(spec)
+    assert len({st.map_fn for st in seq.stages}) == 2
+
+    def wrap(fn):
+        return lambda y: fn(y)
+
+    per_stage = _unshared(seq, [wrap(st.map_fn) for st in seq.stages])
+    assert certify_map_hypotheses(per_stage) == certify_map_hypotheses(seq)
+
+
+def test_certify_names_the_first_stage_of_a_shared_non_expanding_map():
+    seq = build_circle_chain(CircleMapSpec.make(N=64, window=(-4, 4)))
+
+    def halve(y):
+        return 0.5 * y
+
+    broken = _unshared(seq, [halve if n in (-1, 1, 3) else seq.stage(n).map_fn
+                             for n in seq.stage_indices])
+    with pytest.raises(CertificationError, match="non-expanding pair at stage -1$") as e:
+        certify_map_hypotheses(broken)
+    assert e.value.axiom == "uniform-expansion"

@@ -1,8 +1,11 @@
 import math
+import pathlib
+import warnings
 
 import numpy as np
 import pytest
 
+from nsrpf.cli import parse_config
 from nsrpf.errors import DomainError, StructuralError
 from nsrpf.spaces import Field, MeasureVec
 from nsrpf.systems import (CircleMapSpec, MatrixChainSpec, build_circle_chain,
@@ -78,6 +81,106 @@ def test_circle_chain_surjective_branches():
             img = st.map_fn(pre[b]) % 1.0
             gap = np.abs(img - st.codomain.positions)
             assert float(np.minimum(gap, 1.0 - gap).max()) < 1e-12
+
+
+@pytest.mark.parametrize("field, value", [
+    ("eps", math.nan), ("eps", math.inf), ("a", math.nan), ("a", -math.inf),
+    ("b", math.inf), ("delta", math.nan), ("delta", math.inf), ("delta", 0.0),
+    ("delta", -0.1)])
+@pytest.mark.parametrize("mode", ["constant", "sin", "random"])
+def test_circle_spec_rejects_non_finite_coefficients(field, value, mode):
+    kwargs = dict(eps=0.05, a=0.1, b=0.0, delta=0.2)
+    kwargs[field] = value
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError):
+            CircleMapSpec.make(N=64, window=(0, 4), eps_mode=mode, a_mode=mode,
+                               b_mode=mode, seed=1, **kwargs)
+    if field != "delta":
+        # the constructor checks the per-index values themselves
+        values = dict(eps=np.full(4, 0.05), a=np.zeros(4), b=np.zeros(4))
+        values[field] = np.array([0.0, value, 0.0, 0.0])
+        with pytest.raises(DomainError, match=f"{field} values must be finite"):
+            CircleMapSpec(N=64, window=(0, 4), **values)
+
+
+def _reference_stage_arrays(N, eps, a, b):
+    """One stage's arrays from first principles: bisect each branch inverse of
+    T(y) = 2y + eps sin(2 pi y) to 1e-13, snap to the grid within 1e-9 grid
+    units, and weigh by exp(a cos(2 pi y) + b)."""
+    x = np.arange(N, dtype=np.float64) / N
+
+    def T(y):
+        return 2.0 * y + eps * np.sin(2.0 * math.pi * y)
+
+    def phi(y):
+        return a * np.cos(2.0 * math.pi * y) + b
+
+    rows = {"branch_index": [], "branch_frac": [], "branch_weight": []}
+    for br in (0, 1):
+        lo, hi = np.full(N, br / 2.0), np.full(N, (br + 1) / 2.0)
+        while (hi - lo).max() > 1e-13:
+            mid = 0.5 * (lo + hi)
+            up = T(mid) > x + br
+            lo, hi = np.where(up, lo, mid), np.where(up, mid, hi)
+        s = 0.5 * (lo + hi) * N
+        r = np.round(s)
+        s = np.where(np.abs(s - r) < 1e-9, r, s)
+        base = np.floor(s)
+        rows["branch_index"].append(base.astype(np.int64) % N)
+        rows["branch_frac"].append(s - base)
+        rows["branch_weight"].append(np.exp(phi(s / N)))
+    out = {k: np.array(v) for k, v in rows.items()}
+    out["forward_pos"] = T(x) % 1.0
+    out["forward_index"] = np.round(out["forward_pos"] * N).astype(np.int64) % N
+    out["potential"] = phi(x)
+    return out
+
+
+GEOMETRY = ("branch_index", "branch_frac", "forward_index", "forward_pos")
+
+SHIPPED_CIRCLE = pathlib.Path(__file__).resolve().parent.parent / "configs" / "circle_perturbed.ini"
+
+
+@pytest.mark.parametrize("spec, n_maps", [
+    (CircleMapSpec.make(N=64, window=(-6, 6), eps=0.05, eps_mode="alternating"), 2),
+    (CircleMapSpec.make(N=64, window=(-6, 6), eps=0.0, eps_mode="constant"), 1),
+    (CircleMapSpec.make(N=64, window=(-6, 6), eps=0.05, eps_mode="sin", b=0.3), 12),
+    (CircleMapSpec.make(N=64, window=(-6, 6), eps=0.05, eps_mode="random",
+                        a_mode="random", seed=11), 12),
+    (parse_config(str(SHIPPED_CIRCLE)).system, 2),
+], ids=["alternating", "constant", "sin", "random", "shipped"])
+def test_circle_stages_match_a_per_stage_reference(spec, n_maps):
+    seq = build_circle_chain(spec)
+    first = {}
+    for k, n in enumerate(seq.stage_indices):
+        st = seq.stage(n)
+        eps = float(spec.eps[k])
+        want = _reference_stage_arrays(spec.N, eps, float(spec.a[k]), float(spec.b[k]))
+        for name in GEOMETRY + ("branch_weight",):
+            assert np.array_equal(getattr(st, name), want[name]), (n, name)
+        assert np.array_equal(st.potential.values, want["potential"]), n
+        # one geometry per distinct eps, shared by identity
+        first.setdefault(eps, st)
+        for other_eps, other in first.items():
+            same = other_eps == eps
+            assert (st.map_fn is other.map_fn) == same, n
+            for name in GEOMETRY:
+                assert (getattr(st, name) is getattr(other, name)) == same, (n, name)
+    assert len(first) == n_maps
+
+
+def test_shared_circle_geometry_is_read_only():
+    seq = build_circle_chain(CircleMapSpec.make(N=64, window=(0, 4), eps=0.05,
+                                                eps_mode="alternating"))
+    st, twin = seq.stage(0), seq.stage(2)
+    assert st.branch_frac is twin.branch_frac
+    for name in GEOMETRY:
+        arr = getattr(st, name)
+        before = arr.copy()
+        with pytest.raises(ValueError):
+            arr[..., 0] = arr[..., 1]
+        assert np.array_equal(getattr(twin, name), before)
 
 
 def test_oracle_stationary_hand_values():
