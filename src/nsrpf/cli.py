@@ -147,18 +147,18 @@ def parse_config(path: str) -> RunConfig:
     q_mode = _get(cp, "cone", "q", str, "auto")
     if q_mode != "auto":
         try:
-            q_ok = float(q_mode) > 0.0
+            q_ok = 0.0 < float(q_mode) < math.inf
         except ValueError:
             q_ok = False
         if not q_ok:
-            raise ConfigError("[cone].q: must be 'auto' or a positive number")
+            raise ConfigError("[cone].q: must be 'auto' or a positive finite number")
     delta = _get(cp, "cone", "delta", float, 0.2 if kind == "circle" else 0.5)
     beta = _get(cp, "cone", "beta", float, 1.0)
-    if not (delta > 0.0 and 0.0 < beta <= 1.0):
-        raise ConfigError("[cone]: delta must be positive and beta in (0, 1]")
+    if not (0.0 < delta < math.inf and 0.0 < beta <= 1.0):
+        raise ConfigError("[cone]: delta must be positive and finite and beta in (0, 1]")
     tol = _get(cp, "solver", "tol", float, 1e-10 if kind == "matrix" else 1e-6)
-    if tol <= 0.0:
-        raise ConfigError("[solver].tol: must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ConfigError("[solver].tol: must be positive and finite")
     out_dir = _get(cp, "outputs", "dir", str, "out")
     checks = _get(cp, "checks", "run", str, "eigen").split()
     for c in checks:
@@ -166,6 +166,8 @@ def parse_config(path: str) -> RunConfig:
             raise ConfigError(f"[checks].run: unknown check {c!r} "
                               f"(known: {', '.join(KNOWN_CHECKS)})")
     solver_seed = _get(cp, "solver", "seed", int, 123)
+    if solver_seed < 0:
+        raise ConfigError("[solver].seed: must be a non-negative integer")
     unread = [f"[{sec}].{key}" for sec in cp.sections() for key in cp[sec]
               if (sec, key) not in cp.looked_up]
     if unread:

@@ -134,9 +134,14 @@ def derive_constants(p: HypothesisParams, Q: float) -> ConstantsLedger:
             "S(Q) < Q holds exactly on that side of the threshold")
     rb = p.rho ** p.beta
     S = rb * (p.H + Q)
-    R = float(p.D) ** p.tau * math.exp(p.tau * p.V) * math.exp(Q * p.delta ** p.beta)
-    Delta = 2.0 * math.log((Q + S) / (Q - S) * R)
-    gamma, C1, C3 = contraction_constants(Delta, p.tau)
+    try:
+        R = float(p.D) ** p.tau * math.exp(p.tau * p.V) * math.exp(Q * p.delta ** p.beta)
+        Delta = 2.0 * math.log((Q + S) / (Q - S) * R)
+        gamma, C1, C3 = contraction_constants(Delta, p.tau)
+        if not math.isfinite(C3):   # C3 >= exp(2 Delta): finite only if R and Delta are
+            raise OverflowError("C3 is not finite")
+    except OverflowError as e:
+        raise DomainError(f"Q = {Q} overflows the ledger constants: {e}") from e
     return ConstantsLedger(params=p, Q=Q, Q_threshold=thr, S=S, R=R,
                            Delta=Delta, gamma=gamma, C1=C1, C3=C3)
 
@@ -397,6 +402,8 @@ def certify_cone_conditions(seq: StageSeq, p: ConeParams, *,
     """
     rng = np.random.default_rng(_RNG_SEED)
     has_map = seq.stage(seq.n_min).has_map
+    if not has_map and any(st.dense is None for st in seq.stages):
+        raise StructuralError("a chain without forward maps needs operator stages")
     tau = params.tau if params is not None else (1 if not has_map else None)
     if tau is None:
         raise StructuralError("map chains need measured hypothesis params for tau")
@@ -424,9 +431,9 @@ def certify_cone_conditions(seq: StageSeq, p: ConeParams, *,
     for n in check_indices:
         st = seq.stage(n)
         if not has_map:
-            block = st.matrix()
+            block = st.dense
             for j in range(n + 1, n + tau):
-                block = seq.stage(j).matrix() @ block
+                block = seq.stage(j).dense @ block
             delta_m = max(delta_m, _column_diameter(block))
         # unit-image ratio bound after tau steps
         img1 = compose_L(seq, n, tau, unit_field(seq.space(n)))

@@ -84,6 +84,8 @@ class MatrixChainSpec:
     def random(cls, d: int, window: tuple[int, int], low: float = 1.0,
                high: float = 2.0, seed: int = 0) -> "MatrixChainSpec":
         _require_states(d)
+        if not (0.0 < low <= high < math.inf and seed >= 0):
+            raise DomainError("random entries need 0 < low <= high < inf and a seed >= 0")
         rng = np.random.default_rng(seed)
         k = window[1] - window[0]
         mats = tuple(rng.uniform(low, high, size=(d, d)) for _ in range(k))
@@ -111,6 +113,8 @@ def build_matrix_chain(spec: MatrixChainSpec) -> StageSeq:
 
 def _mode_values(mode: str, amp: float, window: tuple[int, int],
                  seed: Optional[int]) -> np.ndarray:
+    if seed is not None and seed < 0:
+        raise DomainError(f"seed must be a non-negative integer, got {seed}")
     ns = np.arange(window[0], window[1])
     if mode == "constant":
         return np.full(ns.shape, amp)

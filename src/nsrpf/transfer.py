@@ -1,20 +1,19 @@
 """Transfer operators for one step of a nonstationary chain, and their algebra.
 
-A Stage encodes one operator L : C(X_n) -> C(X_{n+1}) in preimage form,
+A Stage encodes one positive operator L : C(X_n) -> C(X_{n+1}) in exactly
+one of two representations, and the kernels dispatch once on which:
 
-    (L f)(x) = sum over preimage branches y of x  of  w(y) f(y),
+* a branch table, for map stages: L is given in preimage form,
 
-with strictly positive branch weights w(y) = exp(potential at y).  Branches
-are stored as (grid index, interpolation fraction, weight) triples so the
-same apply/dual code covers three cases:
+      (L f)(x) = sum over preimage branches y of x  of  w(y) f(y),
 
-* map stages on a circle grid, where branch preimages are solved off-grid
-  and f(y) is linearly interpolated between grid neighbours;
-* map stages on finite point sets, where preimages sit exactly on points
-  (fraction 0);
-* operator stages given by a strictly positive matrix M, where every domain
-  point is a branch of every codomain point with weight M[x, y] and no
-  forward map exists.
+  with strictly positive branch weights w(y) = exp(potential at y), stored
+  as (grid index, interpolation fraction, weight) triples.  On a circle
+  grid the branch preimages are solved off-grid and f(y) is linearly
+  interpolated between grid neighbours; on finite point sets preimages sit
+  exactly on points (fraction 0);
+* a dense matrix, for operator stages given by a strictly positive matrix
+  M: L is exactly f -> M f, and no forward map exists.
 
 The dual is the exact transpose of the linear map apply_L, so the adjoint
 identity <f, L* sigma> = <L f, sigma> holds to roundoff by construction.
@@ -37,42 +36,59 @@ from .spaces import Field, MeasureVec, PointSpace
 
 @dataclass(frozen=True, eq=False)
 class Stage:
-    """One step (X_n, T_n, phi_n) of the chain, in preimage form.
+    """One step (X_n, T_n, phi_n) of the chain: a branch table or a matrix.
 
-    ``branch_index[b, x]`` is the base grid index of the b-th preimage of
-    codomain point x, ``branch_frac[b, x]`` its interpolation fraction
-    toward the next grid point, and ``branch_weight[b, x]`` the positive
-    weight exp(potential) carried by that branch.  Map stages additionally
-    store the forward images of the domain points (snapped index plus, on a
-    circle, the exact position) and the sampled potential.
+    Map stages hold a branch table: ``branch_index[b, x]`` is the base grid
+    index of the b-th preimage of codomain point x, ``branch_frac[b, x]`` its
+    interpolation fraction toward the next grid point, ``branch_weight[b, x]``
+    the positive weight exp(potential) of that branch; plus the forward
+    images of the domain points (snapped index and, on a circle, the exact
+    position) and the sampled potential.  Operator stages hold only
+    ``dense``, the strictly positive (n_codomain, n_domain) matrix of L.
     """
 
     domain: PointSpace
     codomain: PointSpace
-    branch_index: np.ndarray    # (B, n_cod) int64
-    branch_frac: np.ndarray     # (B, n_cod) float64 in [0, 1)
-    branch_weight: np.ndarray   # (B, n_cod) float64 > 0
+    branch_index: Optional[np.ndarray] = None    # (B, n_cod) int64
+    branch_frac: Optional[np.ndarray] = None     # (B, n_cod) float64 in [0, 1)
+    branch_weight: Optional[np.ndarray] = None   # (B, n_cod) float64 > 0
     forward_index: Optional[np.ndarray] = None   # (n_dom,) snapped image index
     forward_pos: Optional[np.ndarray] = None     # (n_dom,) exact image position
     potential: Optional[Field] = None
     potential_fn: Optional[Callable] = None      # exact potential at raw positions
     map_fn: Optional[Callable] = None            # exact lift of the forward map
-    dense: Optional[np.ndarray] = None           # operator stages: exact matvec path
+    dense: Optional[np.ndarray] = None           # operator stages: the matrix of L
 
     def __post_init__(self):
-        b, n = self.branch_index.shape
-        if self.branch_frac.shape != (b, n) or self.branch_weight.shape != (b, n):
+        n_dom, n_cod = self.domain.n_points, self.codomain.n_points
+        table = (self.branch_index, self.branch_frac, self.branch_weight)
+        if (self.dense is None) == all(a is None for a in table):
+            raise StructuralError("a stage needs exactly one of a branch table and a matrix")
+        if self.dense is not None:
+            if np.shape(self.dense) != (n_cod, n_dom):
+                raise StructuralError("matrix shape must be (n_codomain, n_domain)")
+            if np.any(self.dense <= 0.0) or not np.all(np.isfinite(self.dense)):
+                raise DomainError("operator stages need strictly positive finite entries")
+            return
+        shape = np.shape(self.branch_index)   # a partial table fails the shape check
+        if len(shape) != 2 or any(np.shape(a) != shape for a in table):
             raise StructuralError("branch arrays must share one (B, n_codomain) shape")
-        if n != self.codomain.n_points:
+        if shape[1] != n_cod:
             raise StructuralError("branch arrays must be indexed by codomain points")
+        if not _indices_in(self.branch_index, n_dom):
+            raise StructuralError("branch indices must be integers in [0, n_domain)")
+        if not np.all((self.branch_frac >= 0.0) & (self.branch_frac < 1.0)):
+            raise StructuralError("branch fractions must be finite and in [0, 1)")
         if np.any(self.branch_weight <= 0.0) or not np.all(np.isfinite(self.branch_weight)):
             raise StructuralError("branch weights must be strictly positive and finite")
-        object.__setattr__(self, "_next_index",
-                           (self.branch_index + 1) % self.domain.n_points)
+        if self.forward_index is not None and not _indices_in(self.forward_index, n_cod):
+            raise StructuralError("forward indices must be integers in [0, n_codomain)")
+        object.__setattr__(self, "_next_index", (self.branch_index + 1) % n_dom)
 
     @property
     def n_branches(self) -> int:
-        return self.branch_index.shape[0]
+        """Branches per codomain point; every domain point on an operator stage."""
+        return self.domain.n_points if self.dense is not None else self.branch_index.shape[0]
 
     @property
     def has_map(self) -> bool:
@@ -81,32 +97,14 @@ class Stage:
     @classmethod
     def from_matrix(cls, m: np.ndarray, domain: PointSpace, codomain: PointSpace) -> "Stage":
         """Operator stage: apply_L is exactly f -> M f, the dual f -> M^T sigma."""
-        m = np.asarray(m, dtype=np.float64)
-        n_cod, n_dom = m.shape
-        if n_dom != domain.n_points or n_cod != codomain.n_points:
-            raise StructuralError("matrix shape must be (n_codomain, n_domain)")
-        if np.any(m <= 0.0) or not np.all(np.isfinite(m)):
-            raise DomainError("operator stages need strictly positive finite entries")
-        idx = np.tile(np.arange(n_dom, dtype=np.int64)[:, None], (1, n_cod))
-        frac = np.zeros((n_dom, n_cod))
-        weight = m.T.copy()   # weight[b, x] = M[x, b]
-        return cls(domain=domain, codomain=codomain, branch_index=idx,
-                   branch_frac=frac, branch_weight=weight, dense=m.copy())
+        return cls(domain, codomain, dense=np.array(m, dtype=np.float64))
 
-    def matrix(self) -> np.ndarray:
-        """Dense matrix of apply_L (rows = codomain points). For cross-checks."""
-        if self.dense is not None:
-            return self.dense.copy()
-        n_dom = self.domain.n_points
-        n_cod = self.codomain.n_points
-        m = np.zeros((n_cod, n_dom))
-        cols = np.arange(n_cod)
-        for b in range(self.n_branches):
-            np.add.at(m, (cols, self.branch_index[b]),
-                      self.branch_weight[b] * (1.0 - self.branch_frac[b]))
-            np.add.at(m, (cols, self._next_index[b]),
-                      self.branch_weight[b] * self.branch_frac[b])
-        return m
+
+def _indices_in(idx, n: int) -> bool:
+    """Whether ``idx`` is an integer array with every entry in [0, n)."""
+    idx = np.asarray(idx)
+    return np.issubdtype(idx.dtype, np.integer) and (
+        idx.size == 0 or 0 <= int(idx.min()) <= int(idx.max()) < n)
 
 
 def _apply_values(stage: Stage, v: np.ndarray) -> np.ndarray:
@@ -254,19 +252,20 @@ def normalize_stage(stage: Stage, h_dom: Field, h_cod: Field, lam: float) -> Sta
     h_dom at the preimages exactly like apply_L does, so the normalized
     operator satisfies  L~ 1 = L(h_dom)/(lambda h_cod)  identically.
     Normalizing changes the weights, not the map: the forward images and the
-    exact lift are kept.
+    exact lift are kept.  An operator stage's matrix becomes
+    M[x, y] h_dom(y) / (lambda h_cod(x)).
     """
     if h_dom.space is not stage.domain or h_cod.space is not stage.codomain:
         raise StructuralError("h fields must live on the stage's spaces")
     if lam <= 0.0 or h_dom.inf() <= 0.0 or h_cod.inf() <= 0.0:
         raise DomainError("normalization needs positive h and lambda")
     hv = h_dom.values
+    if stage.dense is not None:
+        return Stage(stage.domain, stage.codomain,
+                     dense=stage.dense * hv[None, :] / (lam * h_cod.values[:, None]))
     h_at_pre = ((1.0 - stage.branch_frac) * hv[stage.branch_index]
                 + stage.branch_frac * hv[stage._next_index])
     new_weight = stage.branch_weight * h_at_pre / (lam * h_cod.values[None, :])
-    new_dense = None
-    if stage.dense is not None:
-        new_dense = stage.dense * hv[None, :] / (lam * h_cod.values[:, None])
     new_potential = None
     if stage.potential is not None and stage.has_map:
         if stage.forward_pos is not None:
@@ -284,4 +283,4 @@ def normalize_stage(stage: Stage, h_dom: Field, h_cod: Field, lam: float) -> Sta
                  branch_index=stage.branch_index, branch_frac=stage.branch_frac,
                  branch_weight=new_weight, forward_index=stage.forward_index,
                  forward_pos=stage.forward_pos, potential=new_potential,
-                 map_fn=stage.map_fn, dense=new_dense)
+                 map_fn=stage.map_fn)

@@ -261,6 +261,11 @@ SHIPPED = HERE.parent / "configs"
     ("circle_perturbed", "delta = 0.2", "delta = nan"),
     ("matrix_random", "entry_low = 1.0", "entry_low = -1.0"),
     ("matrix_random", "d = 3", "d = 0"),
+    ("matrix_random", "entry_low = 1.0", "entry_low = nan"),
+    ("matrix_random", "entry_high = 2.0", "entry_high = inf"),
+    ("matrix_random", "entry_low = 1.0", "entry_low = 2.5"),
+    ("matrix_random", "seed = 1234", "seed = -1"),
+    ("circle_perturbed", "eps_mode = alternating", "eps_mode = random\nseed = -1"),
 ])
 @pytest.mark.parametrize("cmd", ["certify", "run"])
 def test_system_value_errors_exit_2_without_a_traceback(tmp_path, config, old, new, cmd):
@@ -275,6 +280,32 @@ def test_system_value_errors_exit_2_without_a_traceback(tmp_path, config, old, n
     assert proc.stderr.startswith("config error: [system]: ")
     assert "Traceback" not in proc.stderr
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("config, old, new, section", [
+    ("circle_perturbed", "tol = 1e-6", "tol = inf", "[solver].tol"),
+    ("circle_perturbed", "tol = 1e-6", "tol = nan", "[solver].tol"),
+    ("circle_perturbed", "seed = 123", "seed = -1", "[solver].seed"),
+    ("circle_perturbed", "q = auto", "q = inf", "[cone].q"),
+    ("matrix_random", "delta = 0.5", "delta = inf", "[cone]"),
+])
+def test_cone_and_solver_value_errors_exit_2(tmp_path, monkeypatch, capsys,
+                                             config, old, new, section):
+    body = (SHIPPED / f"{config}.ini").read_text()
+    assert f"\n{old}\n" in body
+    monkeypatch.setenv("NSRPF_OUTDIR", str(tmp_path / "o"))
+    assert main(["run", write_cfg(tmp_path, body.replace(f"\n{old}\n", f"\n{new}\n"))]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {section}")
+    assert not (tmp_path / "o").exists()
+
+
+def test_overflowing_q_is_a_certification_failure(tmp_path, monkeypatch, capsys):
+    body = (SHIPPED / "circle_perturbed.ini").read_text()
+    assert "\nq = auto\n" in body
+    monkeypatch.setenv("NSRPF_OUTDIR", str(tmp_path / "o"))
+    cfg = write_cfg(tmp_path, body.replace("\nq = auto\n", "\nq = 1e300\n"))
+    assert main(["certify", cfg]) == 3
+    assert "overflows" in capsys.readouterr().err
 
 
 def test_atomic_write_removes_its_temp_file_when_the_rename_fails(tmp_path, monkeypatch):

@@ -7,7 +7,7 @@ import pytest
 
 from nsrpf.cli import parse_config
 from nsrpf.cones import ConeParams
-from nsrpf.errors import CertificationError, DomainError
+from nsrpf.errors import CertificationError, DomainError, StructuralError
 from nsrpf.hypotheses import (HypothesisParams, certify_cone_conditions,
                               certify_map_hypotheses, contraction_constants,
                               default_Q, derive_constants,
@@ -61,6 +61,13 @@ def test_rejects_Q_at_or_below_threshold():
     with pytest.raises(DomainError, match="threshold"):
         derive_constants(WORKED, 0.5)
     derive_constants(WORKED, 1.0 + 1e-9)   # just above: fine
+
+
+@pytest.mark.parametrize("v, q", [(0.4, 3000.0), (0.4, 1e300), (0.4, 1e308),
+                                  (200.0, 3000.0)])   # the last R is an inf product
+def test_ledger_overflow_is_a_domain_error(v, q):
+    with pytest.raises(DomainError, match="overflows"):
+        derive_constants(dataclasses.replace(WORKED, V=v), q)
 
 
 def test_S_lt_Q_biconditional():
@@ -232,6 +239,17 @@ def test_cone_conditions_matrix_column_diameter():
     lam2_over_lam1 = (3 - math.sqrt(5)) / (3 + math.sqrt(5))
     assert cert.block_factor >= lam2_over_lam1
     assert cert.density_basis == "coordinate-span"
+
+
+def test_cone_conditions_need_operator_stages_without_a_map():
+    m = np.array([[2.0, 1.0], [1.0, 1.0]])
+    seq = build_matrix_chain(MatrixChainSpec.stationary(m, (0, 2)))
+    space = seq.space(0)
+    table = Stage(space, space, branch_index=np.array([[0, 0], [1, 1]]),
+                  branch_frac=np.zeros((2, 2)), branch_weight=m.T.copy())
+    mixed = StageSeq(n_min=0, n_max=2, stages=(seq.stage(0), table))
+    with pytest.raises(StructuralError, match="operator stages"):
+        certify_cone_conditions(mixed, ConeParams(Q=1.0, delta=0.5, beta=1.0))
 
 
 def test_cone_conditions_circle():

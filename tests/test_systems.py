@@ -39,6 +39,19 @@ def test_matrix_spec_rejects_no_states():
         MatrixChainSpec.stationary(np.ones((0, 0)), (0, 2))
 
 
+@pytest.mark.parametrize("low, high, seed", [
+    (math.nan, 2.0, 0), (1.0, math.inf, 0), (2.5, 2.0, 0), (0.0, 2.0, 0), (1.0, 2.0, -1)])
+def test_random_specs_reject_bad_ranges_and_seeds(low, high, seed):
+    with pytest.raises(DomainError):
+        MatrixChainSpec.random(d=2, window=(0, 4), low=low, high=high, seed=seed)
+
+
+@pytest.mark.parametrize("mode", ["constant", "random"])
+def test_circle_spec_rejects_a_negative_seed(mode):
+    with pytest.raises(DomainError, match="seed"):
+        CircleMapSpec.make(N=64, window=(0, 4), eps_mode=mode, seed=-1)
+
+
 def test_build_matrix_chain_exact():
     spec = MatrixChainSpec.random(d=3, window=(0, 4), seed=1)
     seq = build_matrix_chain(spec)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ from nsrpf.cones import ConeParams, in_log_holder_cone, sample_log_holder_field
 from nsrpf.errors import DomainError, StructuralError
 from nsrpf.spaces import Field, MeasureVec, PointSpace, pair, unit_field
 from nsrpf.systems import CircleMapSpec, MatrixChainSpec, build_circle_chain, build_matrix_chain
-from nsrpf.transfer import (apply_L, apply_L_dual, birkhoff_sum, compose_L,
+from nsrpf.transfer import (Stage, apply_L, apply_L_dual, birkhoff_sum, compose_L,
                             compose_L_dual, normalize_stage)
 
 from conftest import brute_compose_values, build_halving_chain
@@ -35,12 +36,68 @@ def test_matrix_stage_is_matvec():
     st = seq.stage(0)
     f = Field(st.domain, [1.0, 0.0])
     assert np.allclose(apply_L(st, f).values, m @ [1.0, 0.0])
-    for _ in range(10):
-        v = RNG.normal(size=2)
-        assert np.array_equal(apply_L(st, Field(st.domain, v)).values, m @ v)
-        w = RNG.uniform(0.1, 1.0, 2)
-        assert np.array_equal(apply_L_dual(st, MeasureVec(st.codomain, w)).weights,
-                              m.T @ w)
+    one = unit_field(st.domain)
+    # the stage and its normalization at h = 1, lambda = 1 hold only the matrix
+    for op in (st, normalize_stage(st, one, one, 1.0)):
+        assert op.branch_index is None and op.branch_frac is None
+        assert op.branch_weight is None
+        for _ in range(10):
+            v = RNG.normal(size=2)
+            assert np.array_equal(apply_L(op, Field(op.domain, v)).values, m @ v)
+            w = RNG.uniform(0.1, 1.0, 2)
+            assert np.array_equal(apply_L_dual(op, MeasureVec(op.codomain, w)).weights,
+                                  m.T @ w)
+
+
+def test_operator_stages_hold_only_their_matrix():
+    seq = build_matrix_chain(MatrixChainSpec.random(d=3, window=(-4, 4), seed=2))
+    for n in seq.stage_indices:
+        st = seq.stage(n)
+        h_dom = Field(st.domain, RNG.uniform(0.5, 2.0, 3))
+        h_cod = Field(st.codomain, RNG.uniform(0.5, 2.0, 3))
+        nst = normalize_stage(st, h_dom, h_cod, 1.7)
+        for op in (st, nst):
+            assert (op.branch_index, op.branch_frac, op.branch_weight) == (None, None, None)
+            assert op.n_branches == 3 and not op.has_map
+        want = st.dense * h_dom.values[None, :] / (1.7 * h_cod.values[:, None])
+        assert np.array_equal(nst.dense, want)
+
+
+def test_stage_holds_exactly_one_representation():
+    space = PointSpace.simplex(2)
+    m = np.array([[2.0, 1.0], [1.0, 1.0]])
+    with pytest.raises(StructuralError, match="exactly one"):
+        Stage(space, space)
+    table = dict(branch_index=np.array([[0, 1]]), branch_frac=np.zeros((1, 2)),
+                 branch_weight=np.ones((1, 2)))
+    Stage(space, space, **table)   # a branch table alone is a stage
+    with pytest.raises(StructuralError, match="exactly one"):
+        Stage(space, space, dense=m, **table)
+    with pytest.raises(StructuralError, match="shape"):
+        Stage(space, space, branch_index=table["branch_index"])   # a partial table
+    for bad in (m[0], m[None]):   # 1-D and 3-D
+        with pytest.raises(StructuralError, match="shape"):
+            Stage.from_matrix(bad, space, space)
+    with pytest.raises(DomainError):
+        Stage.from_matrix(-m, space, space)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("branch_index", np.array([[0, 1], [2, -1]]), "branch indices"),
+    ("branch_index", np.array([[0, 1], [2, 4]]), "branch indices"),
+    ("branch_index", np.array([[0.0, 1.0], [2.0, 3.0]]), "branch indices"),
+    ("branch_frac", np.array([[0.0, 0.0], [0.0, 1.0]]), "branch fractions"),
+    ("branch_frac", np.array([[0.0, -0.25], [0.0, 0.0]]), "branch fractions"),
+    ("branch_frac", np.array([[0.0, np.nan], [0.0, 0.0]]), "branch fractions"),
+    ("forward_index", np.array([0, 0, 1, 2]), "forward indices"),
+    ("forward_index", np.array([0, -1, 1, 1]), "forward indices"),
+    ("forward_index", np.array([0.0, 0.0, 1.0, 1.0]), "forward indices"),
+])
+def test_branch_tables_are_validated(field, value, message):
+    # the 4 -> 2 point halving stage: branches (0, 2) and (1, 3), T(y) = y // 2
+    st = build_halving_chain(levels=1, n_top=4, seed=1).stage(0)
+    with pytest.raises(StructuralError, match=message):
+        dataclasses.replace(st, **{field: value})
 
 
 def test_constant_potential_factors_out():
@@ -196,7 +253,7 @@ def test_normalize_stage_identity_and_errors():
     st = seq.stage(0)
     one = unit_field(st.domain)
     same = normalize_stage(st, one, one, 1.0)
-    assert np.allclose(same.branch_weight, st.branch_weight)
+    assert np.allclose(same.dense, st.dense)
     lam, mw, hv = nr.oracle_stationary_rpf(m)
     h = Field(st.domain, hv)
     nst = normalize_stage(st, h, h, lam)
