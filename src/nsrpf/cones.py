@@ -170,23 +170,22 @@ def in_log_holder_cone(f: Field, p: ConeParams) -> bool:
     return _cone_violation(f.values, ps, E) <= MEMBERSHIP_SLACK
 
 
-def _pointwise_gap(fv: np.ndarray, gv: np.ndarray) -> tuple[float, float]:
-    """(A, B) over the pointwise ratio set { g(x)/f(x) : f(x) > 0 }.
+def _pointwise_gap(F: np.ndarray, G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(A, B) over the pointwise ratio sets { g(x)/f(x) : f(x) > 0 } of the
+    rows of F and G, one pair per row (the last axis holds the points).
 
     A zero of f where g > 0 yields B = +inf (incomparable), reported as a
     value rather than raised.  Points where both vanish impose no constraint,
-    so an f with no positive value gives (inf, 0).
+    so a row of f with no positive value gives (inf, 0).
     """
-    A = math.inf
-    B = 0.0
-    mask = fv > 0.0
-    if mask.any():
-        r = gv[mask] / fv[mask]
-        A = float(r.min())
-        B = float(r.max())
-    if np.any(~mask & (gv > 0.0)):
-        B = math.inf
-    return A, B
+    pos = F > 0.0
+    if pos.all():
+        r = G / F
+        return r.min(axis=-1), r.max(axis=-1)
+    r = np.divide(G, F, out=np.zeros_like(G), where=pos)
+    A = np.where(pos, r, math.inf).min(axis=-1)
+    B = np.where(pos.any(axis=-1), np.where(pos, r, -math.inf).max(axis=-1), 0.0)
+    return A, np.where((~pos & (G > 0.0)).any(axis=-1), math.inf, B)
 
 
 def hilbert_gap_positive(f: Field, g: Field) -> tuple[float, float]:
@@ -194,7 +193,8 @@ def hilbert_gap_positive(f: Field, g: Field) -> tuple[float, float]:
     _check_same_space(f, g)
     if not np.any(f.values > 0.0):
         raise DomainError("f must be a nonzero element of the positive cone")
-    return _pointwise_gap(f.values, g.values)
+    A, B = _pointwise_gap(f.values, g.values)
+    return float(A), float(B)
 
 
 def theta_positive(f: Field, g: Field) -> float:
@@ -211,30 +211,30 @@ def _theta_from_gap(A: float, B: float) -> float:
     return math.log(B / A)
 
 
-def _gap_log_holder_raw(fv: np.ndarray, gv: np.ndarray, ps: PairSet,
-                        E: np.ndarray) -> tuple[float, float]:
-    """(A, B) for the Lambda(Q) order, via the functional ratio set.
+def _gap_log_holder_raw(F: np.ndarray, G: np.ndarray, ps: PairSet,
+                        E: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(A, B) for the Lambda(Q) order, via the functional ratio set, for each
+    row pair of the stacks F and G (one field per row; a single field is a
+    stack without rows).
 
     Assumes f, g lie in the cone up to roundoff.  Constraints with
     l(f) = 0 are skipped when l(g) >= 0 and force an infinite gap
     otherwise, matching the feasibility logic of sup{t : g - t f in cone}.
+    Each row gets the bits a call on that row alone would give.
     """
-    A, B = _pointwise_gap(fv, gv)
+    A, B = _pointwise_gap(F, G)
     if len(ps) > 0:
-        lf = E * fv[ps.i] - fv[ps.j]
-        lg = E * gv[ps.i] - gv[ps.j]
+        lf = E * F[..., ps.i] - F[..., ps.j]
+        lg = E * G[..., ps.i] - G[..., ps.j]
         m = lf > 0.0
-        if m.any():
-            r = lg[m] / lf[m]
-            A = min(A, float(r.min()))
-            B = max(B, float(r.max()))
-        bad = ~m
-        if bad.any():
-            lgb = lg[bad]
-            if np.any(lgb > 0.0):
-                B = math.inf
-            if np.any(lgb < 0.0):
-                A = 0.0
+        if m.all():
+            r = lg / lf
+            return np.minimum(A, r.min(axis=-1)), np.maximum(B, r.max(axis=-1))
+        r = np.divide(lg, lf, out=np.zeros_like(lg), where=m)
+        A = np.minimum(A, np.where(m, r, math.inf).min(axis=-1))
+        B = np.maximum(B, np.where(m, r, -math.inf).max(axis=-1))
+        B = np.where((~m & (lg > 0.0)).any(axis=-1), math.inf, B)
+        A = np.where((~m & (lg < 0.0)).any(axis=-1), 0.0, A)
     return A, B
 
 
@@ -257,8 +257,8 @@ def hilbert_gap_log_holder(f: Field, g: Field, p: ConeParams) -> tuple[float, fl
     """(A, B) in the Lambda(Q) order (unchecked boundary-tolerant form)."""
     _check_same_space(f, g)
     ps = pair_set(f.space, p)
-    E = ps.exp_weights(p.Q, p.beta)
-    return _gap_log_holder_raw(f.values, g.values, ps, E)
+    A, B = _gap_log_holder_raw(f.values, g.values, ps, ps.exp_weights(p.Q, p.beta))
+    return float(A), float(B)
 
 
 def birkhoff_rate(delta: float) -> float:

@@ -39,23 +39,38 @@ tau * (max(ceil(log(1/tol)/log(1/block_factor)), 0) + 2) >= 2 tau steps to
 the window edge on the relevant side, so truncation of the (bi-)infinite
 chain stays below tolerance at every reported index, and every reported
 index n has n + 1 inside the window.
+
+Verifiers.  The verifiers run on row stacks rather than per-index loops:
+every reported index (or sampled cone pair, or re-solve seed) is one row,
+and consecutive rows whose spaces agree form a block of at most 2^15 cells.
+A block goes through its stages in one stacked call, each row through its
+own stage (_apply_rows / _dual_rows: one gathered matmul on dense stages,
+one kernel call per row on branch tables); seed families that share a tail
+are the rows of one frozen re-solve, compared index by index as the sweep
+goes; the rate envelopes and slope fits run on the concatenated histories.
+Every row gets the bits its own per-index call would, so every reported
+number equals that of the per-index loop; the only stacked computation that
+is not bit-equal, the closed-form slope fit, feeds a verdict and no number.
+Logarithms that reach a report keep math.log per element, since np.log
+differs from it in the last bit on some inputs.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
-from .cones import (DEFAULT_CONE, ConeParams, birkhoff_rate, hilbert_gap_log_holder,
-                    sample_log_holder_field, theta_log_holder)
+from .cones import (DEFAULT_CONE, ConeParams, _gap_log_holder_raw, _theta_from_gap,
+                    birkhoff_rate, pair_set, sample_log_holder_field)
 from .dictionaries import cone_dictionary, pairing_vector, weak_dictionary
 from .errors import ConvergenceError, DomainError, StructuralError
 from .hypotheses import RateConstants
 from .spaces import Field, MeasureVec, normalize, pair, unit_field
-from .transfer import (StageSeq, _apply_values, _dual_weights, apply_L, apply_L_dual,
-                       compose_L, normalize_stage)
+from .transfer import (StageSeq, _apply_rows, _apply_values, _dual_rows, _dual_weights,
+                       apply_L, normalize_stage)
 
 _ZERO_FLOOR = 1e-13   # error values below this count as converged noise
 
@@ -142,15 +157,25 @@ class ForwardSolution:
     histories: dict
 
 
+def _pullbacks(seq: StageSeq, tail: int, seeds: np.ndarray):
+    """The frozen dual sweep of every row of ``seeds`` (normalized measures
+    on X_tail): yields (n, mass, nu) for n = tail - 1 down to n_min, where
+    row r of nu is L_n^* nu_{n+1} over its mass, mass[r]."""
+    nu = seeds
+    for n in range(tail - 1, seq.n_min - 1, -1):
+        raw = _dual_weights(seq.stage(n), nu)
+        mass = raw.sum(axis=1)
+        nu = raw / mass[:, None]
+        yield n, mass, nu
+
+
 def _frozen_forward(seq: StageSeq, tail: int, sigma_family) -> tuple[dict, dict]:
     """One coherent dual sweep from the tail: exact eigenchain of the window."""
-    nu = {tail: normalize(sigma_family(tail, seq.space(tail)))}
-    lam = {}
-    for n in range(tail - 1, seq.n_min - 1, -1):
-        raw = _dual_weights(seq.stage(n), nu[n + 1].weights)
-        mass = float(raw.sum())
-        lam[n] = mass
-        nu[n] = MeasureVec(seq.space(n), raw / mass)
+    seed = normalize(sigma_family(tail, seq.space(tail)))
+    lam, nu = {}, {tail: seed}
+    for n, mass, rows in _pullbacks(seq, tail, seed.weights[None]):
+        lam[n] = float(mass[0])
+        nu[n] = MeasureVec(seq.space(n), rows[0])
     return lam, nu
 
 
@@ -248,17 +273,33 @@ class BackwardSolution:
     histories: dict
 
 
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """<a_r, b_r> for every row r of a, against the rows of b or against one
+    vector b: one dot per row, equal to ``a[r] @ b[r]`` bit for bit (a gemv
+    ``a @ b`` is not)."""
+    return np.matmul(a[:, None, :], b[..., None])[:, 0, 0]
+
+
+def _pushforwards(fwd: ForwardSolution, seeds: np.ndarray):
+    """The frozen forward sweep of every row of ``seeds`` (fields on the
+    bottom of the window): yields (n, h) for n = n_min .. n_max, where row r
+    of h is L_{n-1} h_{n-1} / lambda_{n-1}, from the seed over its pairing
+    with m_{n_min}."""
+    seq, bottom = fwd.seq, fwd.seq.n_min
+    g0 = _row_dots(seeds, fwd.m[bottom].weights)
+    if np.any(g0 <= 0.0):
+        raise DomainError("backward seed must have positive mass against m")
+    h = seeds / g0[:, None]
+    yield bottom, h
+    for n in range(bottom, seq.n_max):
+        h = _apply_values(seq.stage(n), h) / fwd.lam[n]
+        yield n + 1, h
+
+
 def _frozen_backward(fwd: ForwardSolution, seed: Field) -> dict:
     """One coherent forward sweep from a seed on the bottom of the window."""
-    seq, bottom = fwd.seq, fwd.seq.n_min
-    g0 = pair(seed, fwd.m[bottom])
-    if g0 <= 0.0:
-        raise DomainError("backward seed must have positive mass against m")
-    h = {bottom: Field(seq.space(bottom), seed.values / g0)}
-    for n in range(bottom, seq.n_max):
-        h[n + 1] = Field(seq.space(n + 1),
-                         _apply_values(seq.stage(n), h[n].values) / fwd.lam[n])
-    return h
+    return {n: Field(fwd.seq.space(n), rows[0])
+            for n, rows in _pushforwards(fwd, seed.values[None])}
 
 
 def _row_sup_gap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -325,6 +366,39 @@ def solve_backward(fwd: ForwardSolution, *, with_diagnostics: bool = True) -> Ba
 # verifiers
 # ---------------------------------------------------------------------------
 
+def _check_chain(fwd: ForwardSolution, bwd: Optional[BackwardSolution]) -> None:
+    """Refuse a backward solution that was solved on another chain."""
+    if bwd is not None and bwd.seq is not fwd.seq:
+        raise StructuralError("the backward solution belongs to another chain "
+                              "than the forward one")
+
+
+_BLOCK_CELLS = 2 ** 15   # cells of one row block of the stacked verifiers
+
+
+def _block_rows(seq: StageSeq, p: Optional[ConeParams] = None) -> int:
+    """Rows per block: _BLOCK_CELLS over the widest space of the chain, or
+    over its Lambda(Q) pair set when ``p`` is given and that is wider."""
+    width = max(max(sp.n_points, len(pair_set(sp, p)) if p is not None else 0)
+                for sp in {seq.space(n) for n in seq.space_indices})
+    return max(1, _BLOCK_CELLS // width)
+
+
+def _runs(items, key, cap: int) -> list:
+    """``items`` cut into runs of consecutive items that share ``key(item)``,
+    each at most ``cap`` long: the row blocks of the stacked verifiers."""
+    runs = []
+    for _, run in itertools.groupby(items, key):
+        run = list(run)
+        runs += [run[i:i + cap] for i in range(0, len(run), cap)]
+    return runs
+
+
+def _index_runs(seq: StageSeq, indices) -> list:
+    """Blocks of reported indices n whose stages map the same spaces."""
+    return _runs(indices, lambda n: (seq.space(n), seq.space(n + 1)), _block_rows(seq))
+
+
 @dataclass
 class EigenReport:
     rows: list           # (n, resid_dual, pair_h, resid_h); nan where not applicable
@@ -338,22 +412,29 @@ def verify_eigen_relations(fwd: ForwardSolution, bwd: Optional[BackwardSolution]
                            tol: float) -> EigenReport:
     """Residuals of L_n^* m_{n+1} = lambda_n m_n, <h_n, m_n> = 1, and
     L_n h_n = lambda_n h_{n+1} at every reported index."""
+    _check_chain(fwd, bwd)
     seq = fwd.seq
-    rows = []
-    md = mp = mh = 0.0
+    resid, pair_h, resid_h = {}, {}, {}
+    for run in _index_runs(seq, fwd.reported_lam):
+        lam = np.array([fwd.lam[n] for n in run])[:, None]
+        back = _dual_rows([seq.stage(n) for n in run],
+                          np.stack([fwd.m[n + 1].weights for n in run]))
+        m = np.stack([fwd.m[n].weights for n in run])
+        resid.update(zip(run, np.abs(back - lam * m).sum(axis=1).tolist()))
     h_idx = set(bwd.reported_h) if bwd is not None else set()
-    for n in fwd.reported_lam:
-        back = apply_L_dual(seq.stage(n), fwd.m[n + 1])
-        resid = float(np.abs(back.weights - fwd.lam[n] * fwd.m[n].weights).sum())
-        md = max(md, resid)
-        ph = rh = math.nan
-        if bwd is not None and n in h_idx:
-            ph = abs(pair(bwd.h[n], fwd.m[n]) - 1.0)
-            mp = max(mp, ph)
-            img = apply_L(seq.stage(n), bwd.h[n])
-            rh = float(np.abs(img.values - fwd.lam[n] * bwd.h[n + 1].values).max())
-            mh = max(mh, rh)
-        rows.append((n, resid, ph, rh))
+    for run in _index_runs(seq, [n for n in fwd.reported_lam if n in h_idx]):
+        lam = np.array([fwd.lam[n] for n in run])[:, None]
+        h = np.stack([bwd.h[n].values for n in run])
+        m = np.stack([fwd.m[n].weights for n in run])
+        pair_h.update(zip(run, np.abs(_row_dots(h, m) - 1.0).tolist()))
+        img = _apply_rows([seq.stage(n) for n in run], h)
+        h1 = np.stack([bwd.h[n + 1].values for n in run])
+        resid_h.update(zip(run, _row_sup_gap(img, lam * h1).tolist()))
+    rows = [(n, resid[n], pair_h.get(n, math.nan), resid_h.get(n, math.nan))
+            for n in fwd.reported_lam]
+    md = max([0.0, *resid.values()])
+    mp = max([0.0, *pair_h.values()])
+    mh = max([0.0, *resid_h.values()])
     passed = md < tol and (bwd is None or (mp < tol and mh < tol))
     return EigenReport(rows=rows, max_resid_dual=md, max_pair_h=mp,
                        max_resid_h=mh, passed=passed)
@@ -372,39 +453,48 @@ def _reseed_gaps(fwd: ForwardSolution, bwd: Optional[BackwardSolution], runs,
                  seed_families) -> tuple[float, float, float]:
     """Largest gaps between the reported data and re-solves from other seeds.
 
-    Forward: each (tail, sigma_family) in ``runs`` is re-solved and compared
-    in log lambda and, against each index's own weak* dictionary, in m, over
-    the reported indices below that tail's headroom.  Backward: each of
-    ``seed_families`` is re-solved from the bottom and compared in h.
-    Returns (max |d log lambda|, max norm-scaled dm, max |dh|).  Raises
-    ConvergenceError when no re-solve reaches a reported index, since gaps
-    over no index would read 0 and pass.
+    Forward: the (tail, sigma_family) pairs of ``runs`` that share a tail are
+    the rows of one frozen re-solve from that tail, compared as the sweep
+    goes in log lambda and, against each index's own weak* dictionary, in m,
+    over the reported indices below that tail's headroom.  Backward: the
+    ``seed_families`` are the rows of one re-solve from the bottom, compared
+    in h.  Returns (max |d log lambda|, max norm-scaled dm, max |dh|).
+    Raises ConvergenceError when no re-solve reaches a reported index, since
+    gaps over no index would read 0 and pass.
     """
+    _check_chain(fwd, bwd)
     seq = fwd.seq
     dlam = dm = dh = 0.0
-    weak = {n: weak_dictionary(seq.space(n)) for n in fwd.reported_m}
+    lam_idx, m_idx = set(fwd.reported_lam), set(fwd.reported_m)
     compared = 0
+    by_tail = {}
     for tail, fam in runs:
-        lam2, nu2 = _frozen_forward(seq, tail, fam)
+        by_tail.setdefault(tail, []).append(fam)
+    for tail, fams in by_tail.items():
         hi = tail - fwd.headroom
-        for n in (m for m in fwd.reported_lam if m < hi):
-            dlam = max(dlam, abs(math.log(lam2[n]) - math.log(fwd.lam[n])))
-        for n in (m for m in fwd.reported_m if m <= hi):
-            d = weak[n]
-            gap = np.abs(pairing_vector(d, fwd.m[n].weights)
-                         - pairing_vector(d, nu2[n].weights)) / d.norms
-            dm = max(dm, float(np.max(gap)))
-            compared += 1
+        seeds = np.stack([normalize(fam(tail, seq.space(tail))).weights for fam in fams])
+        for n, mass, nu in _pullbacks(seq, tail, seeds):
+            if n < hi and n in lam_idx:
+                log_lam = math.log(fwd.lam[n])
+                dlam = max(dlam, *(abs(math.log(x) - log_lam) for x in mass.tolist()))
+            if n <= hi and n in m_idx:
+                d = weak_dictionary(seq.space(n))
+                gap = np.abs(pairing_vector(d, fwd.m[n].weights)
+                             - pairing_vector(d, nu)) / d.norms
+                dm = max(dm, float(gap.max()))
+                compared += 1
     if not compared:
         raise ConvergenceError(
             f"no re-solve reaches a reported index: tails {[t for t, _ in runs]} "
             f"leave none {fwd.headroom} steps below them")
     if bwd is not None:
-        bottom = seq.n_min
-        for fam in seed_families:
-            h2 = _frozen_backward(fwd, fam(bottom, seq.space(bottom)))
-            for n in bwd.reported_h:
-                dh = max(dh, float(np.abs(h2[n].values - bwd.h[n].values).max()))
+        bottom, h_idx, top = seq.n_min, set(bwd.reported_h), max(bwd.reported_h)
+        seeds = np.stack([fam(bottom, seq.space(bottom)).values for fam in seed_families])
+        for n, h in _pushforwards(fwd, seeds):
+            if n in h_idx:
+                dh = max(dh, float(_row_sup_gap(h, bwd.h[n].values).max()))
+            if n == top:
+                break
     return dlam, dm, dh
 
 
@@ -454,13 +544,16 @@ def verify_uniqueness(fwd: ForwardSolution, bwd: Optional[BackwardSolution], *,
         [_random_cone_seed(100 + s, fwd.cone) for s in range(4)])
     xi = 0.0
     if bwd is not None:
-        rng = np.random.default_rng(5)
-        for n in bwd.reported_h:
-            c = rng.uniform(0.5, 2.0)
-            g = bwd.h[n] * c
-            g = g * (1.0 / pair(g, fwd.m[n]))      # normalization pins the scale
-            xi_n = pair(apply_L(seq.stage(n), g), fwd.m[n + 1])
-            xi = max(xi, abs(xi_n - fwd.lam[n]) / fwd.lam[n])
+        # candidate g = c h_n normalized against m_n, one row per index
+        scale = dict(zip(bwd.reported_h,
+                         np.random.default_rng(5).uniform(0.5, 2.0, len(bwd.reported_h))))
+        for run in _index_runs(seq, bwd.reported_h):
+            g = (np.stack([bwd.h[n].values for n in run])
+                 * np.array([scale[n] for n in run])[:, None])
+            g *= (1.0 / _row_dots(g, np.stack([fwd.m[n].weights for n in run])))[:, None]
+            img = _apply_rows([seq.stage(n) for n in run], g)
+            xi_n = _row_dots(img, np.stack([fwd.m[n + 1].weights for n in run])).tolist()
+            xi = max(xi, *(abs(x - fwd.lam[n]) / fwd.lam[n] for n, x in zip(run, xi_n)))
     passed = dlam < thr and dm < thr and xi < thr and dh < thr
     return UniquenessReport(max_dlam_shift=dlam, max_dm_shift=dm, max_xi_gap=xi,
                             max_dh_seed=dh, threshold=thr, passed=passed)
@@ -474,26 +567,40 @@ class RatesReport:
     passed: bool
 
 
-def _fit_slope(ks, errs, k_lo):
-    """Least-squares slope of log error over the decaying prefix.
+def _concat(arrays: list, dtype) -> np.ndarray:
+    return np.concatenate(arrays) if arrays else np.empty(0, dtype)
+
+
+def _fit_slopes(ks: np.ndarray, errs: np.ndarray, lengths: list, k_lo: list) -> np.ndarray:
+    """Least-squares slopes of log error over the decaying prefix of each
+    history, for histories stored one after another in ``ks``/``errs``
+    (``lengths[i]`` entries for history i, fitted from depth ``k_lo[i]``).
 
     Histories bottom out on a noise floor once the iterates agree to
-    roundoff; the fit stops at the running minimum so the floor does not
-    wash out the decay.  Fewer than three usable points means the history
-    was flat at noise level from the start (slope -inf, degenerate pass).
+    roundoff; each fit stops at the first error within 10x of its history's
+    minimum so the floor does not wash out the decay.  Fewer than three
+    usable points means the history was flat at noise level from the start
+    (slope -inf, degenerate pass).  One masked, centred closed-form fit
+    covers every history.
     """
-    if errs.size == 0:
-        return -math.inf
-    floor = max(float(errs.min()) * 10.0, _ZERO_FLOOR)
-    below = np.nonzero(errs <= floor)[0]
-    stop = int(below[0]) if below.size else errs.size - 1
-    ks, errs = ks[:stop + 1], errs[:stop + 1]
-    mask = (ks >= k_lo) & (errs > _ZERO_FLOOR)
-    if mask.sum() < 3:
-        return -math.inf
-    x = ks[mask].astype(np.float64)
-    y = np.log(errs[mask])
-    return float(np.polyfit(x, y, 1)[0])
+    lengths = np.asarray(lengths, dtype=np.int64)
+    seg = np.repeat(np.arange(lengths.size), lengths)
+    pos = np.arange(seg.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    low = np.full(lengths.size, math.inf)
+    np.minimum.at(low, seg, errs)
+    stop = lengths - 1
+    np.minimum.at(stop, seg, np.where(errs <= np.maximum(low * 10.0, _ZERO_FLOOR)[seg],
+                                      pos, stop[seg]))
+    use = (pos <= stop[seg]) & (ks >= np.asarray(k_lo)[seg]) & (errs > _ZERO_FLOOR)
+    w = use.astype(np.float64)
+    x = ks.astype(np.float64)
+    y = np.log(np.where(use, errs, 1.0))
+    count = np.bincount(seg, w, lengths.size)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        dx = (x - (np.bincount(seg, w * x, lengths.size) / count)[seg]) * w
+        dy = y - (np.bincount(seg, w * y, lengths.size) / count)[seg]
+        slope = np.bincount(seg, dx * dy, lengths.size) / np.bincount(seg, dx * dx, lengths.size)
+    return np.where(count >= 3, slope, -math.inf)
 
 
 def verify_exponential_rates(fwd: ForwardSolution, bwd: Optional[BackwardSolution],
@@ -508,27 +615,37 @@ def verify_exponential_rates(fwd: ForwardSolution, bwd: Optional[BackwardSolutio
     negative and within one e-fold per step of log(gamma), a smell test
     that tolerates histories whose fast transient bottoms out onto a tiny
     slow regime.  Indices whose history is flat at roundoff pass as
-    degenerate (slope -inf).
+    degenerate (slope -inf).  The histories of all indices are replayed as
+    one concatenated array per quantity.
     """
-    rows = []
-    viol = 0
-    slopes = {}
+    _check_chain(fwd, bwd)
+    fh = fwd.histories
+    bh = ({n: bwd.histories[n] for n in fh if n in bwd.histories}
+          if bwd is not None else {})
+    f_len = [h.ks.size for h in fh.values()]
+    b_len = [h.ks.size for h in bh.values()]
+    n_f = np.repeat(np.array(list(fh), dtype=np.int64), f_len)
+    k_f = _concat([h.ks for h in fh.values()], np.int64)
+    err_l = _concat([h.err_lambda for h in fh.values()], np.float64)
+    err_m = _concat([h.err_m for h in fh.values()], np.float64)
+    k_b = _concat([h.ks for h in bh.values()], np.int64)
+    err_hb = _concat([h.err_h for h in bh.values()], np.float64)
+    env = rc.C1 * rc.gamma ** k_f
+    envh = rc.C3 * rc.gamma ** k_b
+    viol = (int(np.sum((err_l > env + slack) & (k_f >= rc.tau + 1)))
+            + int(np.sum((err_m > env + slack) & (k_f >= rc.tau)))
+            + int(np.sum((err_hb > envh + slack) & (k_b >= rc.tau))))
+    err_h = []    # the backward error of each forward record's (n, k), else nan
+    for n, h in fh.items():
+        errh = dict(zip(bh[n].ks.tolist(), bh[n].err_h.tolist())) if n in bh else {}
+        err_h += [errh.get(k, math.nan) for k in h.ks.tolist()]
+    rows = list(zip(n_f.tolist(), k_f.tolist(), err_l.tolist(), err_m.tolist(), err_h))
+    fits = _fit_slopes(np.concatenate((k_f, k_b)), np.concatenate((err_l, err_hb)),
+                       f_len + b_len, [rc.tau + 1] * len(f_len) + [rc.tau] * len(b_len))
+    sl = fits[:len(f_len)].tolist()
+    sh = dict(zip(bh, fits[len(f_len):].tolist()))
+    slopes = {n: (s, sh.get(n, -math.inf)) for n, s in zip(fh, sl)}
     bound = math.log(rc.gamma) + 1.0
-    for n, h in fwd.histories.items():
-        env = rc.C1 * rc.gamma ** h.ks
-        viol += int(np.sum((h.err_lambda > env + slack) & (h.ks >= rc.tau + 1)))
-        viol += int(np.sum((h.err_m > env + slack) & (h.ks >= rc.tau)))
-        hb = bwd.histories.get(n) if bwd is not None else None
-        errh = {int(k): e for k, e in zip(hb.ks, hb.err_h)} if hb is not None else {}
-        for k, el, em in zip(h.ks, h.err_lambda, h.err_m):
-            rows.append((n, int(k), el, em, errh.get(int(k), math.nan)))
-        sl = _fit_slope(h.ks, h.err_lambda, rc.tau + 1)
-        sh = -math.inf
-        if hb is not None:
-            envh = rc.C3 * rc.gamma ** hb.ks
-            viol += int(np.sum((hb.err_h > envh + slack) & (hb.ks >= rc.tau)))
-            sh = _fit_slope(hb.ks, hb.err_h, rc.tau)
-        slopes[n] = (sl, sh)
     slope_ok = all(s[0] < 0.0 and s[0] <= bound and s[1] < 0.0 and s[1] <= bound
                    for s in slopes.values())
     return RatesReport(rows=rows, violations=viol, slopes=slopes,
@@ -545,6 +662,25 @@ class ContractionReport:
     passed: bool
 
 
+def _compose_rows(seq: StageSeq, starts: list, k: int, X: np.ndarray) -> np.ndarray:
+    """compose_L of k steps on each row: row r from index starts[r]."""
+    for j in range(k):
+        X = _apply_rows([seq.stage(n + j) for n in starts], X)
+    return X
+
+
+def _gaps(F: np.ndarray, G: np.ndarray, space, p: ConeParams):
+    """(A, B) arrays of the Lambda(Q) gaps of the row pairs of F and G."""
+    ps = pair_set(space, p)
+    return _gap_log_holder_raw(F, G, ps, ps.exp_weights(p.Q, p.beta))
+
+
+def _thetas(F: np.ndarray, G: np.ndarray, space, p: ConeParams) -> list:
+    """theta_log_holder(f, g, p, checked=False) of each row pair."""
+    A, B = _gaps(F, G, space, p)
+    return [_theta_from_gap(a, b) for a, b in zip(A.tolist(), B.tolist())]
+
+
 def verify_cone_contraction(seq: StageSeq, p: ConeParams, *, tau: int,
                             n_samples: int = 100,
                             rng: Optional[np.random.Generator] = None,
@@ -559,50 +695,74 @@ def verify_cone_contraction(seq: StageSeq, p: ConeParams, *, tau: int,
     contraction factor of a pair is governed by the image distance of
     exactly that derived pair, which makes the asserted bound sound on the
     sample rather than merely plausible.
+
+    Consecutive samples whose blocks pass through the same spaces are
+    processed together, at most 2^15 cells of fields or pair constraints
+    per block: their fields are drawn in sample order, and the gaps, the
+    tau-compositions, the derived pairs and the monotone check are row-wise
+    array operations.
     """
-    if tau < 1 or n_samples < 1 or monotone_every < 1:
-        raise DomainError("tau, n_samples and monotone_every must be at least 1")
+    if not all(isinstance(v, (int, np.integer)) and v >= 1
+               for v in (tau, n_samples, monotone_every)):
+        raise DomainError("tau, n_samples and monotone_every must be integers of at least 1")
     rng = rng or np.random.default_rng(20250811)
     slack = 1e-9
     indices = [n for n in seq.stage_indices if n + tau <= seq.n_max]
     if not indices:
         raise StructuralError("window too short for one tau-block")
+
+    def path(n):
+        return tuple(seq.space(j) for j in range(n, min(n + 2 * tau, seq.n_max) + 1))
+
+    cap = _block_rows(seq, p)
     delta_m = extra_delta
-    for n in indices:
-        img1 = compose_L(seq, n, tau, unit_field(seq.space(n)))
-        delta_m = max(delta_m, math.log(img1.sup() / img1.inf()))
+    for run in _runs(indices, path, cap):
+        img1 = _compose_rows(seq, run, tau, np.ones((len(run), seq.space(run[0]).n_points)))
+        delta_m = max(delta_m, *(math.log(r) for r in
+                                 (img1.max(axis=1) / img1.min(axis=1)).tolist()))
+    at = [indices[s % len(indices)] for s in range(n_samples)]
     ratios = []
     mono_viol = 0
-    for s in range(n_samples):
-        n = indices[s % len(indices)]
-        sp = seq.space(n)
-        f = sample_log_holder_field(sp, p, rng)
-        g = sample_log_holder_field(sp, p, rng)
-        A, B = hilbert_gap_log_holder(f, g, p)
-        if not (A > 0.0) or math.isinf(B):
+    for run in _runs(range(n_samples), lambda s: path(at[s]), cap):
+        sp = seq.space(at[run[0]])
+        draws = [sample_log_holder_field(sp, p, rng).values for _ in range(2 * len(run))]
+        A, B = _gaps(np.stack(draws[0::2]), np.stack(draws[1::2]), sp, p)
+        keep, theta_in = [], []
+        for i, (a, b) in enumerate(zip(A.tolist(), B.tolist())):
+            if not (a > 0.0) or math.isinf(b):
+                continue
+            t = math.log(b / a) if b > a else 0.0
+            if t > 1e-12:
+                keep.append(i)
+                theta_in.append(t)
+        if not keep:
             continue
-        theta_in = math.log(B / A) if B > A else 0.0
-        if theta_in <= 1e-12:
-            continue
-        fi = compose_L(seq, n, tau, f)
-        gi = compose_L(seq, n, tau, g)
-        theta_out = theta_log_holder(fi, gi, p, checked=False)
-        delta_m = max(delta_m, theta_out)
-        u = Field(sp, g.values - A * f.values)
-        v = Field(sp, B * f.values - g.values)
-        gn = float(np.abs(g.values).max())
-        if np.abs(u.values).max() > 1e-13 * gn and np.abs(v.values).max() > 1e-13 * gn:
-            ui = compose_L(seq, n, tau, u)
-            vi = compose_L(seq, n, tau, v)
-            delta_m = max(delta_m, theta_log_holder(ui, vi, p, checked=False))
-        ratios.append(theta_out / theta_in)
-        if n + 2 * tau <= seq.n_max and s % monotone_every == 0:
-            fi2 = compose_L(seq, n + tau, tau, fi)
-            gi2 = compose_L(seq, n + tau, tau, gi)
-            theta_out2 = theta_log_holder(fi2, gi2, p, checked=False)
-            delta_m = max(delta_m, theta_out2)
-            if theta_out2 > theta_out + slack:
-                mono_viol += 1
+        k = len(keep)
+        f = np.stack([draws[2 * i] for i in keep])
+        g = np.stack([draws[2 * i + 1] for i in keep])
+        u = g - A[keep, None] * f
+        v = B[keep, None] * f - g
+        gn = 1e-13 * np.abs(g).max(axis=1)
+        der = np.nonzero((np.abs(u).max(axis=1) > gn) & (np.abs(v).max(axis=1) > gn))[0]
+        starts = [at[run[i]] for i in keep]
+        out = _compose_rows(seq, starts * 2 + [starts[i] for i in der] * 2, tau,
+                            np.concatenate((f, g, u[der], v[der])))
+        fi, gi = out[:k], out[k:2 * k]
+        thetas = _thetas(np.concatenate((fi, out[2 * k:2 * k + der.size])),
+                         np.concatenate((gi, out[2 * k + der.size:])),
+                         seq.space(starts[0] + tau), p)
+        theta_out = thetas[:k]
+        delta_m = max(delta_m, *thetas)
+        ratios += [o / t for o, t in zip(theta_out, theta_in)]
+        mono = [i for i in range(k)
+                if starts[i] + 2 * tau <= seq.n_max and run[keep[i]] % monotone_every == 0]
+        if mono:
+            out2 = _compose_rows(seq, [starts[i] + tau for i in mono] * 2, tau,
+                                 np.concatenate((fi[mono], gi[mono])))
+            theta_out2 = _thetas(out2[:len(mono)], out2[len(mono):],
+                                 seq.space(starts[0] + 2 * tau), p)
+            delta_m = max(delta_m, *theta_out2)
+            mono_viol += sum(t2 > theta_out[i] + slack for i, t2 in zip(mono, theta_out2))
     ratios = np.array(ratios)
     bf = birkhoff_rate(delta_m)
     passed = bool(np.all(ratios <= bf + slack)) and mono_viol == 0
@@ -639,7 +799,7 @@ def build_invariant_chain(fwd: ForwardSolution, bwd: BackwardSolution, *,
     test functions evaluated at exact image points.
     """
     seq = fwd.seq
-    eig = verify_eigen_relations(fwd, bwd, tol)
+    eig = verify_eigen_relations(fwd, bwd, tol)   # also refuses a bwd of another chain
     if not eig.passed:
         raise DomainError(
             f"eigenrelation residuals (dual {eig.max_resid_dual}, h {eig.max_resid_h}) "

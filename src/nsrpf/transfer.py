@@ -21,7 +21,9 @@ Compositions are evaluated by sequential application; dense products are
 kept to the oracle code paths.  The raw kernels behind apply_L and
 apply_L_dual also take a stack of rows, one vector per row, and give every
 row the same bits as a call on that row alone; the solvers' sweeps push all
-depths of one index through its stage in one call.
+depths of one index through its stage in one call.  _apply_rows and
+_dual_rows take a different stage per row, with the same per-row bits; the
+verifiers push every reported index through its own stage in one call.
 """
 from __future__ import annotations
 
@@ -139,6 +141,43 @@ def _dual_weights(stage: Stage, s: np.ndarray) -> np.ndarray:
     return out
 
 
+def _dense_stack(stages) -> Optional[np.ndarray]:
+    """The (R, n_cod, n_dom) stack of the stages' matrices when every stage
+    is a C-ordered matrix of one shape, else None."""
+    if stages and all(st.dense is not None and st.dense.flags.c_contiguous for st in stages) \
+            and len({st.dense.shape for st in stages}) == 1:
+        return np.stack([st.dense for st in stages])
+    return None
+
+
+def _stack_rows(rows: list):
+    """One (R, n) array when the rows share a length, else the list."""
+    return np.stack(rows) if len({r.shape for r in rows}) == 1 else rows
+
+
+def _apply_rows(stages, V):
+    """Row r of V through stages[r]: apply_L of a different stage per row.
+
+    One gathered matmul when every stage is a matrix of one shape, otherwise
+    one _apply_values call per row; either way each row equals
+    _apply_values(stages[r], V[r]) bit for bit.  V is an (R, n) array or a
+    list of rows; the result is an (R, m) array when its rows share a
+    length, else a list.
+    """
+    dense = _dense_stack(stages)
+    if dense is not None:
+        return np.matmul(dense, np.asarray(V)[..., None])[..., 0]
+    return _stack_rows([_apply_values(st, v) for st, v in zip(stages, V)])
+
+
+def _dual_rows(stages, S):
+    """Row r of S through the dual of stages[r] (see _apply_rows)."""
+    dense = _dense_stack(stages)
+    if dense is not None:
+        return np.matmul(dense.transpose(0, 2, 1), np.asarray(S)[..., None])[..., 0]
+    return _stack_rows([_dual_weights(st, s) for st, s in zip(stages, S)])
+
+
 def apply_L(stage: Stage, f: Field) -> Field:
     """(L f)(x) = sum_branches w(y_b(x)) f(y_b(x)), linear and positive."""
     if f.space is not stage.domain:
@@ -245,6 +284,15 @@ def birkhoff_sum(seq: StageSeq, n: int, k: int) -> Field:
     return Field(space, acc)
 
 
+def _interpolate(h: np.ndarray, y) -> np.ndarray:
+    """Grid values h of a circle grid, linearly interpolated at raw positions y."""
+    n = h.size
+    p = y * n
+    base = np.floor(p).astype(np.int64) % n
+    frac = p - np.floor(p)
+    return (1.0 - frac) * h[base] + frac * h[(base + 1) % n]
+
+
 def normalize_stage(stage: Stage, h_dom: Field, h_cod: Field, lam: float) -> Stage:
     """The stage with potential  phi + log h_dom - log h_cod(T .) - log lambda.
 
@@ -252,35 +300,38 @@ def normalize_stage(stage: Stage, h_dom: Field, h_cod: Field, lam: float) -> Sta
     h_dom at the preimages exactly like apply_L does, so the normalized
     operator satisfies  L~ 1 = L(h_dom)/(lambda h_cod)  identically.
     Normalizing changes the weights, not the map: the forward images and the
-    exact lift are kept.  An operator stage's matrix becomes
-    M[x, y] h_dom(y) / (lambda h_cod(x)).
+    exact lift are kept.  On a circle stage the exact potential becomes
+    y -> phi(y) + log h_dom(y) - log h_cod(T(y) mod 1) - log lambda, with h
+    linearly interpolated at raw positions.  An operator stage's matrix
+    becomes M[x, y] h_dom(y) / (lambda h_cod(x)).
     """
     if h_dom.space is not stage.domain or h_cod.space is not stage.codomain:
         raise StructuralError("h fields must live on the stage's spaces")
     if lam <= 0.0 or h_dom.inf() <= 0.0 or h_cod.inf() <= 0.0:
         raise DomainError("normalization needs positive h and lambda")
-    hv = h_dom.values
+    hv, hcv = h_dom.values, h_cod.values
     if stage.dense is not None:
         return Stage(stage.domain, stage.codomain,
-                     dense=stage.dense * hv[None, :] / (lam * h_cod.values[:, None]))
+                     dense=stage.dense * hv[None, :] / (lam * hcv[:, None]))
     h_at_pre = ((1.0 - stage.branch_frac) * hv[stage.branch_index]
                 + stage.branch_frac * hv[stage._next_index])
-    new_weight = stage.branch_weight * h_at_pre / (lam * h_cod.values[None, :])
-    new_potential = None
+    new_weight = stage.branch_weight * h_at_pre / (lam * hcv[None, :])
+    new_potential = new_potential_fn = None
     if stage.potential is not None and stage.has_map:
         if stage.forward_pos is not None:
-            # interpolate h_cod at the exact forward positions
-            p = stage.forward_pos * stage.codomain.n_points
-            base = np.floor(p).astype(np.int64) % stage.codomain.n_points
-            frac = p - np.floor(p)
-            hc = ((1.0 - frac) * h_cod.values[base]
-                  + frac * h_cod.values[(base + 1) % stage.codomain.n_points])
+            hc = _interpolate(hcv, stage.forward_pos)
         else:
-            hc = h_cod.values[stage.forward_index]
+            hc = hcv[stage.forward_index]
         new_potential = Field(stage.domain,
                               stage.potential.values + np.log(hv) - np.log(hc) - np.log(lam))
+    if stage.potential_fn is not None and stage.map_fn is not None:
+        phi, lift = stage.potential_fn, stage.map_fn
+
+        def new_potential_fn(y):
+            return (phi(y) + np.log(_interpolate(hv, y))
+                    - np.log(_interpolate(hcv, lift(y) % 1.0)) - np.log(lam))
     return Stage(domain=stage.domain, codomain=stage.codomain,
                  branch_index=stage.branch_index, branch_frac=stage.branch_frac,
                  branch_weight=new_weight, forward_index=stage.forward_index,
                  forward_pos=stage.forward_pos, potential=new_potential,
-                 map_fn=stage.map_fn)
+                 potential_fn=new_potential_fn, map_fn=stage.map_fn)

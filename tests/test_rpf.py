@@ -193,11 +193,34 @@ def test_cone_contraction_needs_one_tau_block():
 
 def test_cone_contraction_rejects_degenerate_sampling():
     # tau = 0 compares each pair with itself: the difference directions sit on
-    # the cone boundary, tanh(inf/4) = 1 and no ratio could fail
+    # the cone boundary, tanh(inf/4) = 1 and no ratio could fail; the counts
+    # must also be integers
     seq = build_matrix_chain(MatrixChainSpec.random(d=2, window=(-20, 20), seed=1))
-    for kw in (dict(tau=0), dict(tau=1, n_samples=0), dict(tau=1, monotone_every=0)):
-        with pytest.raises(DomainError, match="at least 1"):
+    for kw in (dict(tau=0), dict(tau=1, n_samples=0), dict(tau=1, monotone_every=0),
+               dict(tau=1.5), dict(tau=1, n_samples=2.5), dict(tau=1, monotone_every=2.0)):
+        with pytest.raises(DomainError, match="integers of at least 1"):
             verify_cone_contraction(seq, CONE2, **kw)
+
+
+def test_verifiers_refuse_a_backward_solution_of_another_chain():
+    """A d = 2 forward solution with the backward solution of a d = 3 chain:
+    every verifier that takes both refuses the pair."""
+    def solved(d):
+        seq = build_matrix_chain(MatrixChainSpec.random(d=d, window=(-30, 30), seed=d))
+        cert = nr.certify_cone_conditions(seq, CONE2)
+        fwd = solve_forward(seq, tol=1e-10, tau=1, block_factor=cert.block_factor,
+                            cone_params=CONE2)
+        return cert, fwd, solve_backward(fwd)
+
+    cert, fwd, _ = solved(2)
+    _, _, bwd = solved(3)
+    for check in (lambda: verify_eigen_relations(fwd, bwd, 1e-10),
+                  lambda: verify_independence(fwd, bwd, tol=1e-10),
+                  lambda: verify_uniqueness(fwd, bwd, tol=1e-10),
+                  lambda: verify_exponential_rates(fwd, bwd, cert.rate_constants()),
+                  lambda: build_invariant_chain(fwd, bwd, tol=1e-10)):
+        with pytest.raises(StructuralError, match="another chain"):
+            check()
 
 
 def test_second_eigenvector_contamination_decay():

@@ -9,10 +9,11 @@ from nsrpf.cones import ConeParams, in_log_holder_cone, sample_log_holder_field
 from nsrpf.errors import DomainError, StructuralError
 from nsrpf.spaces import Field, MeasureVec, PointSpace, pair, unit_field
 from nsrpf.systems import CircleMapSpec, MatrixChainSpec, build_circle_chain, build_matrix_chain
-from nsrpf.transfer import (Stage, apply_L, apply_L_dual, birkhoff_sum, compose_L,
+from nsrpf.transfer import (Stage, StageSeq, _apply_rows, _apply_values, _dual_rows,
+                            _dual_weights, apply_L, apply_L_dual, birkhoff_sum, compose_L,
                             compose_L_dual, normalize_stage)
 
-from conftest import brute_compose_values, build_halving_chain
+from conftest import PERTURBED, brute_compose_values, build_halving_chain
 
 RNG = np.random.default_rng(7)
 
@@ -269,6 +270,51 @@ def test_normalize_stage_identity_and_errors():
         normalize_stage(st, one, one, -1.0)
     with pytest.raises(DomainError):
         normalize_stage(st, Field(st.domain, [1.0, 0.0]), one, 1.0)
+
+
+def test_normalize_stage_keeps_the_exact_circle_potential():
+    """Birkhoff sums over normalized circle stages use the normalized exact
+    potential: unchanged at h = 1, lambda = 1, and on a solved chain the
+    one-step sum is the sampled normalized potential."""
+    seq = build_circle_chain(CircleMapSpec.make(N=64, window=(0, 2)))
+    one = unit_field(seq.space(0))
+    same = StageSeq(n_min=0, n_max=2, stages=tuple(normalize_stage(st, one, one, 1.0)
+                                                   for st in seq.stages))
+    for n, k in ((0, 1), (0, 2), (1, 1)):
+        assert np.array_equal(birkhoff_sum(same, n, k).values, birkhoff_sum(seq, n, k).values)
+    seq = build_circle_chain(CircleMapSpec.make(N=64, window=(-24, 24), **PERTURBED))
+    fwd = nr.solve_forward(seq, tol=1e-6, tau=2, block_factor=0.2, with_diagnostics=False)
+    bwd = nr.solve_backward(fwd, with_diagnostics=False)
+    for n in (-10, 0, 7):
+        nst = normalize_stage(seq.stage(n), bwd.h[n], bwd.h[n + 1], fwd.lam[n])
+        one_step = birkhoff_sum(StageSeq(n_min=n, n_max=n + 1, stages=(nst,)), n, 1)
+        np.testing.assert_allclose(one_step.values, nst.potential.values, rtol=1e-14, atol=0)
+
+
+def _row_kernel_chains():
+    return {"matrix_d3": build_matrix_chain(MatrixChainSpec.random(d=3, window=(-8, 8), seed=3)),
+            "circle_N64": build_circle_chain(CircleMapSpec.make(N=64, window=(-6, 6),
+                                                                **PERTURBED)),
+            "halving": build_halving_chain(levels=8, n_top=256)}
+
+
+@pytest.mark.parametrize("name", ["matrix_d3", "circle_N64", "halving"])
+def test_row_kernels_equal_the_per_row_kernels(name):
+    """Row r through stages[r], with rows gathered from across the chain:
+    every row equals the single-stage kernel bit for bit, also when the
+    spaces change size from row to row (the halving chain)."""
+    seq = _row_kernel_chains()[name]
+    ns = list(seq.stage_indices) + list(reversed(seq.stage_indices)) * 2
+    stages = [seq.stage(n) for n in ns]
+    V = [RNG.normal(size=st.domain.n_points) for st in stages]
+    S = [RNG.uniform(0.1, 1.0, st.codomain.n_points) for st in stages]
+    ragged = name == "halving"
+    out = _apply_rows(stages, V if ragged else np.stack(V))
+    back = _dual_rows(stages, S if ragged else np.stack(S))
+    assert isinstance(out, list) == ragged and isinstance(back, list) == ragged
+    for r, st in enumerate(stages):
+        assert np.array_equal(out[r], _apply_values(st, V[r]))
+        assert np.array_equal(back[r], _dual_weights(st, S[r]))
 
 
 def test_normalize_stage_iterated_cocycle_matrix():

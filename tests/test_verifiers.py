@@ -1,0 +1,364 @@
+"""The stacked verifiers against per-index reference loops.
+
+Each reference below is the plain loop the verifiers ran before they were
+stacked: one public kernel call, one Field or MeasureVec and one scalar
+comparison per index or sampled pair.  The stacked verifiers must report
+exactly the same numbers (floats compared with ==), on chains with one
+matrix shape, with branch tables, and with spaces that change size.
+"""
+import math
+import random
+
+import numpy as np
+import pytest
+
+import nsrpf as nr
+from nsrpf.cones import (ConeParams, birkhoff_rate, hilbert_gap_log_holder,
+                         sample_log_holder_field, theta_log_holder)
+from nsrpf.dictionaries import pairing_vector, weak_dictionary
+from nsrpf.errors import ConvergenceError
+from nsrpf.hypotheses import RateConstants
+from nsrpf.rpf import (ContractionReport, EigenReport, RatesReport, UniquenessReport,
+                       IndependenceReport, _random_cone_seed, _random_sigma,
+                       _uniform_sigma, solve_backward, solve_forward,
+                       verify_cone_contraction, verify_eigen_relations,
+                       verify_exponential_rates, verify_independence, verify_uniqueness)
+from nsrpf.spaces import Field, MeasureVec, normalize, pair, unit_field
+from nsrpf.systems import (CircleMapSpec, MatrixChainSpec, build_circle_chain,
+                           build_matrix_chain)
+from nsrpf.transfer import apply_L, apply_L_dual, compose_L
+
+from conftest import PERTURBED, build_halving_chain
+
+CONE2 = ConeParams(Q=1.0, delta=0.5, beta=1.0)
+
+
+# ---------------------------------------------------------------------------
+# per-index references
+# ---------------------------------------------------------------------------
+
+def ref_eigen(fwd, bwd, tol):
+    seq = fwd.seq
+    rows = []
+    md = mp = mh = 0.0
+    h_idx = set(bwd.reported_h) if bwd is not None else set()
+    for n in fwd.reported_lam:
+        back = apply_L_dual(seq.stage(n), fwd.m[n + 1])
+        resid = float(np.abs(back.weights - fwd.lam[n] * fwd.m[n].weights).sum())
+        md = max(md, resid)
+        ph = rh = math.nan
+        if bwd is not None and n in h_idx:
+            ph = abs(pair(bwd.h[n], fwd.m[n]) - 1.0)
+            mp = max(mp, ph)
+            img = apply_L(seq.stage(n), bwd.h[n])
+            rh = float(np.abs(img.values - fwd.lam[n] * bwd.h[n + 1].values).max())
+            mh = max(mh, rh)
+        rows.append((n, resid, ph, rh))
+    passed = md < tol and (bwd is None or (mp < tol and mh < tol))
+    return EigenReport(rows=rows, max_resid_dual=md, max_pair_h=mp,
+                       max_resid_h=mh, passed=passed)
+
+
+def _ref_frozen_forward(seq, tail, sigma_family):
+    nu = {tail: normalize(sigma_family(tail, seq.space(tail)))}
+    lam = {}
+    for n in range(tail - 1, seq.n_min - 1, -1):
+        raw = apply_L_dual(seq.stage(n), nu[n + 1]).weights
+        mass = float(raw.sum())
+        lam[n] = mass
+        nu[n] = MeasureVec(seq.space(n), raw / mass)
+    return lam, nu
+
+
+def _ref_frozen_backward(fwd, seed):
+    seq, bottom = fwd.seq, fwd.seq.n_min
+    g0 = pair(seed, fwd.m[bottom])
+    h = {bottom: Field(seq.space(bottom), seed.values / g0)}
+    for n in range(bottom, seq.n_max):
+        h[n + 1] = Field(seq.space(n + 1), apply_L(seq.stage(n), h[n]).values / fwd.lam[n])
+    return h
+
+
+def _ref_reseed_gaps(fwd, bwd, runs, seed_families):
+    seq = fwd.seq
+    dlam = dm = dh = 0.0
+    weak = {n: weak_dictionary(seq.space(n)) for n in fwd.reported_m}
+    compared = 0
+    for tail, fam in runs:
+        lam2, nu2 = _ref_frozen_forward(seq, tail, fam)
+        hi = tail - fwd.headroom
+        for n in (m for m in fwd.reported_lam if m < hi):
+            dlam = max(dlam, abs(math.log(lam2[n]) - math.log(fwd.lam[n])))
+        for n in (m for m in fwd.reported_m if m <= hi):
+            d = weak[n]
+            gap = np.abs(pairing_vector(d, fwd.m[n].weights)
+                         - pairing_vector(d, nu2[n].weights)) / d.norms
+            dm = max(dm, float(np.max(gap)))
+            compared += 1
+    if not compared:
+        raise ConvergenceError("no re-solve reaches a reported index")
+    if bwd is not None:
+        bottom = seq.n_min
+        for fam in seed_families:
+            h2 = _ref_frozen_backward(fwd, fam(bottom, seq.space(bottom)))
+            for n in bwd.reported_h:
+                dh = max(dh, float(np.abs(h2[n].values - bwd.h[n].values).max()))
+    return dlam, dm, dh
+
+
+def ref_independence(fwd, bwd, tol):
+    thr = 10.0 * tol
+    dlam, dm, dh = _ref_reseed_gaps(
+        fwd, bwd, [(fwd.seq.n_max, _random_sigma(s)) for s in (7, 88)],
+        [_random_cone_seed(s, fwd.cone) for s in (11, 23)])
+    return IndependenceReport(max_dlam=dlam, max_dm=dm, max_dh=dh, threshold=thr,
+                              passed=dlam < thr and dm < thr and dh < thr)
+
+
+def ref_uniqueness(fwd, bwd, tol):
+    seq = fwd.seq
+    thr = 10.0 * tol
+    dlam, dm, dh = _ref_reseed_gaps(
+        fwd, bwd, [(seq.n_max - shift, _uniform_sigma) for shift in (3, 5)],
+        [_random_cone_seed(100 + s, fwd.cone) for s in range(4)])
+    xi = 0.0
+    if bwd is not None:
+        rng = np.random.default_rng(5)
+        for n in bwd.reported_h:
+            c = rng.uniform(0.5, 2.0)
+            g = bwd.h[n] * c
+            g = g * (1.0 / pair(g, fwd.m[n]))
+            xi_n = pair(apply_L(seq.stage(n), g), fwd.m[n + 1])
+            xi = max(xi, abs(xi_n - fwd.lam[n]) / fwd.lam[n])
+    return UniquenessReport(max_dlam_shift=dlam, max_dm_shift=dm, max_xi_gap=xi,
+                            max_dh_seed=dh, threshold=thr,
+                            passed=dlam < thr and dm < thr and xi < thr and dh < thr)
+
+
+def _ref_fit_slope(ks, errs, k_lo):
+    if errs.size == 0:
+        return -math.inf
+    floor = max(float(errs.min()) * 10.0, 1e-13)
+    below = np.nonzero(errs <= floor)[0]
+    stop = int(below[0]) if below.size else errs.size - 1
+    ks, errs = ks[:stop + 1], errs[:stop + 1]
+    mask = (ks >= k_lo) & (errs > 1e-13)
+    if mask.sum() < 3:
+        return -math.inf
+    return float(np.polyfit(ks[mask].astype(np.float64), np.log(errs[mask]), 1)[0])
+
+
+def ref_rates(fwd, bwd, rc, slack=1e-9):
+    rows = []
+    viol = 0
+    slopes = {}
+    bound = math.log(rc.gamma) + 1.0
+    for n, h in fwd.histories.items():
+        env = rc.C1 * rc.gamma ** h.ks
+        viol += int(np.sum((h.err_lambda > env + slack) & (h.ks >= rc.tau + 1)))
+        viol += int(np.sum((h.err_m > env + slack) & (h.ks >= rc.tau)))
+        hb = bwd.histories.get(n) if bwd is not None else None
+        errh = {int(k): e for k, e in zip(hb.ks, hb.err_h)} if hb is not None else {}
+        for k, el, em in zip(h.ks, h.err_lambda, h.err_m):
+            rows.append((n, int(k), el, em, errh.get(int(k), math.nan)))
+        sl = _ref_fit_slope(h.ks, h.err_lambda, rc.tau + 1)
+        sh = -math.inf
+        if hb is not None:
+            envh = rc.C3 * rc.gamma ** hb.ks
+            viol += int(np.sum((hb.err_h > envh + slack) & (hb.ks >= rc.tau)))
+            sh = _ref_fit_slope(hb.ks, hb.err_h, rc.tau)
+        slopes[n] = (sl, sh)
+    slope_ok = all(s[0] < 0.0 and s[0] <= bound and s[1] < 0.0 and s[1] <= bound
+                   for s in slopes.values())
+    return RatesReport(rows=rows, violations=viol, slopes=slopes,
+                       passed=(viol == 0 and slope_ok))
+
+
+def ref_cone_contraction(seq, p, *, tau, n_samples=100, rng=None, extra_delta=0.0,
+                         monotone_every=1):
+    rng = rng or np.random.default_rng(20250811)
+    slack = 1e-9
+    indices = [n for n in seq.stage_indices if n + tau <= seq.n_max]
+    delta_m = extra_delta
+    for n in indices:
+        img1 = compose_L(seq, n, tau, unit_field(seq.space(n)))
+        delta_m = max(delta_m, math.log(img1.sup() / img1.inf()))
+    ratios = []
+    mono_viol = 0
+    for s in range(n_samples):
+        n = indices[s % len(indices)]
+        sp = seq.space(n)
+        f = sample_log_holder_field(sp, p, rng)
+        g = sample_log_holder_field(sp, p, rng)
+        A, B = hilbert_gap_log_holder(f, g, p)
+        if not (A > 0.0) or math.isinf(B):
+            continue
+        theta_in = math.log(B / A) if B > A else 0.0
+        if theta_in <= 1e-12:
+            continue
+        fi = compose_L(seq, n, tau, f)
+        gi = compose_L(seq, n, tau, g)
+        theta_out = theta_log_holder(fi, gi, p, checked=False)
+        delta_m = max(delta_m, theta_out)
+        u = Field(sp, g.values - A * f.values)
+        v = Field(sp, B * f.values - g.values)
+        gn = float(np.abs(g.values).max())
+        if np.abs(u.values).max() > 1e-13 * gn and np.abs(v.values).max() > 1e-13 * gn:
+            ui = compose_L(seq, n, tau, u)
+            vi = compose_L(seq, n, tau, v)
+            delta_m = max(delta_m, theta_log_holder(ui, vi, p, checked=False))
+        ratios.append(theta_out / theta_in)
+        if n + 2 * tau <= seq.n_max and s % monotone_every == 0:
+            fi2 = compose_L(seq, n + tau, tau, fi)
+            gi2 = compose_L(seq, n + tau, tau, gi)
+            theta_out2 = theta_log_holder(fi2, gi2, p, checked=False)
+            delta_m = max(delta_m, theta_out2)
+            if theta_out2 > theta_out + slack:
+                mono_viol += 1
+    ratios = np.array(ratios)
+    bf = birkhoff_rate(delta_m)
+    passed = bool(np.all(ratios <= bf + slack)) and mono_viol == 0
+    return ContractionReport(Delta_measured=delta_m, block_factor=bf, ratios=ratios,
+                             monotone_violations=mono_viol, n_pairs=len(ratios),
+                             passed=passed)
+
+
+# ---------------------------------------------------------------------------
+# chains
+# ---------------------------------------------------------------------------
+
+class Case:
+    """A solved chain with everything its verifiers take."""
+
+    def __init__(self, seq, cone, *, tol, tau=None, block_factor=None, two_sided=True):
+        self.seq, self.cone, self.tol = seq, cone, tol
+        if block_factor is None:
+            params = nr.certify_map_hypotheses(seq) if seq.stage(seq.n_min).has_map else None
+            cert = nr.certify_cone_conditions(seq, cone, params=params)
+            tau, block_factor = cert.tau, cert.block_factor
+            self.extra_delta, self.rc = cert.Delta_measured, cert.rate_constants()
+        else:
+            self.extra_delta = 0.0
+            self.rc = RateConstants.from_delta(4.0 * math.atanh(block_factor), tau)
+        self.tau = tau
+        self.fwd = solve_forward(seq, tol=tol, tau=tau, block_factor=block_factor,
+                                 cone_params=cone)
+        self.bwd = solve_backward(self.fwd) if two_sided else None
+
+
+def _matrix(d, seed, window=(-40, 40)):
+    return Case(build_matrix_chain(MatrixChainSpec.random(d=d, window=window, seed=seed)),
+                CONE2, tol=1e-10)
+
+
+def _circle():
+    seq = build_circle_chain(CircleMapSpec.make(N=64, window=(-24, 24), **PERTURBED))
+    params = nr.certify_map_hypotheses(seq)
+    cone = ConeParams(Q=nr.default_Q(params), delta=params.delta, beta=params.beta)
+    return Case(seq, cone, tol=1e-6)
+
+
+def _halving():
+    seq = build_halving_chain(levels=8, n_top=256)
+    return Case(seq, ConeParams(Q=2.0, delta=0.05), tol=1e-2, tau=1, block_factor=0.1,
+                two_sided=False)
+
+
+def _matrix_suite_chain0():
+    """Chain 0 of the matrix_suite benchmark workload at seed 1."""
+    seed = random.Random(1).randrange(2 ** 31)
+    return Case(build_matrix_chain(MatrixChainSpec.random(d=2, window=(-50, 50),
+                                                          seed=seed)),
+                CONE2, tol=1e-10)
+
+
+CASES = {"matrix_d1": lambda: _matrix(1, 5), "matrix_d3": lambda: _matrix(3, 21),
+         "circle_N64": _circle, "halving": _halving, "matrix_suite_0": _matrix_suite_chain0}
+
+
+@pytest.fixture(scope="module", params=list(CASES))
+def case(request):
+    return CASES[request.param]()
+
+
+def _same(got, want):
+    """Equal with == on every float, nan matching nan; arrays element by element."""
+    if isinstance(want, np.ndarray):
+        return isinstance(got, np.ndarray) and np.array_equal(got, want, equal_nan=True)
+    if isinstance(want, (tuple, list)):
+        return len(got) == len(want) and all(_same(g, w) for g, w in zip(got, want))
+    if isinstance(want, dict):
+        return list(got) == list(want) and all(_same(got[k], w) for k, w in want.items())
+    if isinstance(want, float) and math.isnan(want):
+        return isinstance(got, float) and math.isnan(got)
+    return got == want
+
+
+def _assert_same_report(got, want, skip=()):
+    assert type(got) is type(want)
+    for name in vars(want):
+        if name not in skip:
+            assert _same(getattr(got, name), getattr(want, name)), name
+
+
+# ---------------------------------------------------------------------------
+# tests
+# ---------------------------------------------------------------------------
+
+def test_eigen_relations_equal_the_per_index_loop(case):
+    _assert_same_report(verify_eigen_relations(case.fwd, case.bwd, case.tol),
+                        ref_eigen(case.fwd, case.bwd, case.tol))
+
+
+def test_independence_equals_the_per_index_loop(case):
+    _assert_same_report(verify_independence(case.fwd, case.bwd, tol=case.tol),
+                        ref_independence(case.fwd, case.bwd, case.tol))
+
+
+def test_uniqueness_equals_the_per_index_loop(case):
+    try:
+        want = ref_uniqueness(case.fwd, case.bwd, case.tol)
+    except ConvergenceError:
+        with pytest.raises(ConvergenceError, match="no re-solve reaches"):
+            verify_uniqueness(case.fwd, case.bwd, tol=case.tol)
+        return
+    _assert_same_report(verify_uniqueness(case.fwd, case.bwd, tol=case.tol), want)
+
+
+def test_rates_equal_the_per_index_loop(case):
+    """Rows and violations are exact; the closed-form slopes agree with
+    np.polyfit to 1e-12 and give the same verdict."""
+    got = verify_exponential_rates(case.fwd, case.bwd, case.rc)
+    want = ref_rates(case.fwd, case.bwd, case.rc)
+    _assert_same_report(got, want, skip=("slopes",))
+    assert list(got.slopes) == list(want.slopes)
+    for n, pair_want in want.slopes.items():
+        for s, w in zip(got.slopes[n], pair_want):
+            assert s == w if math.isinf(w) else s == pytest.approx(w, rel=0, abs=1e-12)
+    # a sharper envelope fails some records: the counts must still agree
+    tight = RateConstants(tau=case.rc.tau, Delta=case.rc.Delta, gamma=case.rc.gamma ** 3,
+                          C1=case.rc.C1 * 1e-3, C3=case.rc.C3 * 1e-3)
+    got, want = (verify_exponential_rates(case.fwd, case.bwd, tight),
+                 ref_rates(case.fwd, case.bwd, tight))
+    assert (got.violations, got.passed) == (want.violations, want.passed)
+
+
+@pytest.mark.parametrize("n_samples, monotone_every", [(100, 1), (57, 4)])
+def test_cone_contraction_equals_the_per_sample_loop(case, n_samples, monotone_every):
+    kw = dict(tau=case.tau, n_samples=n_samples, extra_delta=case.extra_delta,
+              monotone_every=monotone_every)
+    got = verify_cone_contraction(case.seq, case.cone, rng=np.random.default_rng(123), **kw)
+    want = ref_cone_contraction(case.seq, case.cone, rng=np.random.default_rng(123), **kw)
+    _assert_same_report(got, want)
+    if case.seq.space(case.seq.n_min).n_points > 1:
+        assert want.n_pairs > 0
+
+
+def test_rates_with_no_histories():
+    case = _matrix(2, 3)
+    fwd = solve_forward(case.seq, tol=1e-10, tau=case.tau,
+                        block_factor=case.fwd.block_factor, with_diagnostics=False)
+    rep = verify_exponential_rates(fwd, solve_backward(fwd, with_diagnostics=False),
+                                   case.rc)
+    assert (rep.rows, rep.violations, rep.slopes, rep.passed) == ([], 0, {}, True)
+
