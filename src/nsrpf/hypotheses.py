@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cones import (ConeParams, birkhoff_rate, hilbert_gap_log_holder,
-                    in_log_holder_cone, sample_extremal_log_holder,
+                    in_log_holder_cone, pair_set, sample_extremal_log_holder,
                     sample_log_holder_field, theta_log_holder)
 from .errors import CertificationError, DomainError, StructuralError
 from .spaces import Field, holder_seminorm, unit_field
@@ -358,6 +358,7 @@ class ConeCertificate:
     tau-step images (sampled pairs, exact column diameters for operator
     stages, and the unit function's image ratio).  block_factor is the
     Birkhoff contraction factor tanh(Delta_measured/4) of one tau-block.
+    n_samples counts sampled pairs, none on operator chains whose cone is C+.
     """
 
     Delta_measured: float
@@ -399,6 +400,10 @@ def certify_cone_conditions(seq: StageSeq, p: ConeParams, *,
     20250811.  Delta_measured additionally dominates 4 artanh(rho) for every
     observed tau-block contraction factor rho, so the certified tanh(Delta/4)
     rate is an upper envelope for everything seen.
+
+    An operator chain whose cone is C+ (no space has a Lambda(Q) pair)
+    draws no samples: positive matrices keep C+, and by Birkhoff's bound no
+    image pair or contraction ratio exceeds the column diameter.
     """
     rng = np.random.default_rng(_RNG_SEED)
     has_map = seq.stage(seq.n_min).has_map
@@ -428,6 +433,8 @@ def certify_cone_conditions(seq: StageSeq, p: ConeParams, *,
                      and n + tau <= seq.n_max]
     if not check_indices:
         raise StructuralError("window too short for one tau-block")
+    positive = not has_map and all(len(pair_set(sp, p)) == 0
+                                   for sp in {seq.space(n) for n in seq.space_indices})
     for n in check_indices:
         st = seq.stage(n)
         if not has_map:
@@ -438,8 +445,8 @@ def certify_cone_conditions(seq: StageSeq, p: ConeParams, *,
         # unit-image ratio bound after tau steps
         img1 = compose_L(seq, n, tau, unit_field(seq.space(n)))
         delta_m = max(delta_m, math.log(img1.sup() / img1.inf()))
-        # cone invariance on samples, one-step membership at parameter S(Q)
-        for t in range(12):
+        # cone invariance on samples (none on C+), one-step membership at S(Q)
+        for t in range(0 if positive else 12):
             extremal = t % 2 == 1
             draw = sample_extremal_log_holder if extremal else sample_log_holder_field
             f = draw(seq.space(n), p, rng)

@@ -70,7 +70,7 @@ from .errors import ConvergenceError, DomainError, StructuralError
 from .hypotheses import RateConstants
 from .spaces import Field, MeasureVec, normalize, pair, unit_field
 from .transfer import (StageSeq, _apply_rows, _apply_values, _dual_rows, _dual_weights,
-                       apply_L, normalize_stage)
+                       normalize_stage)
 
 _ZERO_FLOOR = 1e-13   # error values below this count as converged noise
 
@@ -411,9 +411,12 @@ class EigenReport:
 def verify_eigen_relations(fwd: ForwardSolution, bwd: Optional[BackwardSolution],
                            tol: float) -> EigenReport:
     """Residuals of L_n^* m_{n+1} = lambda_n m_n, <h_n, m_n> = 1, and
-    L_n h_n = lambda_n h_{n+1} at every reported index."""
+    L_n h_n = lambda_n h_{n+1} at every reported index (at least one)."""
     _check_chain(fwd, bwd)
     seq = fwd.seq
+    if not fwd.reported_lam:
+        raise ConvergenceError(f"window {seq.n_min}..{seq.n_max} reports no eigenvalue "
+                               f"index below its headroom of {fwd.headroom} steps")
     resid, pair_h, resid_h = {}, {}, {}
     for run in _index_runs(seq, fwd.reported_lam):
         lam = np.array([fwd.lam[n] for n in run])[:, None]
@@ -796,7 +799,8 @@ def build_invariant_chain(fwd: ForwardSolution, bwd: BackwardSolution, *,
     mass transport induced by the normalized weights, whose defect against
     mu_{n+1} reduces exactly to the stochasticity defect of the normalized
     operator; the map-based families get the genuine composition test with
-    test functions evaluated at exact image points.
+    test functions evaluated at exact image points, once per distinct image
+    array.  Each check is one row dot per dictionary entry.
     """
     seq = fwd.seq
     eig = verify_eigen_relations(fwd, bwd, tol)   # also refuses a bwd of another chain
@@ -807,46 +811,32 @@ def build_invariant_chain(fwd: ForwardSolution, bwd: BackwardSolution, *,
     window = bwd.reported_h[:-1]
     if not window:
         raise ConvergenceError("window too short to report any invariant-chain index")
-    mu = {}
+    mu, pairings = {}, {}   # pairings[n]: weak* dictionary of X_n against mu_n
     for n in window + [window[-1] + 1]:
-        w = bwd.h[n].values * fwd.m[n].weights
-        mu[n] = normalize(MeasureVec(seq.space(n), w))
-    stages = {}
-    push_gap = {}
-    one_err = {}
-    dual_gap = {}
+        mu[n] = normalize(MeasureVec(seq.space(n), bwd.h[n].values * fwd.m[n].weights))
+        pairings[n] = _row_dots(weak_dictionary(seq.space(n)).matrix, mu[n].weights)
+    images = {}   # id(forward_pos) -> dictionary rows at those image points
+    stages, push_gap, one_err, dual_gap = {}, {}, {}, {}
     for n in window:
         st = seq.stage(n)
-        nst = normalize_stage(st, bwd.h[n], bwd.h[n + 1], fwd.lam[n])
-        stages[n] = nst
-        sp = seq.space(n + 1)
-        d = weak_dictionary(sp)
-        tilde_one = apply_L(nst, unit_field(seq.space(n)))
-        one_err[n] = float(np.abs(tilde_one.values - 1.0).max())
-        gaps = []
-        for i, (row, norm) in enumerate(zip(d.matrix, d.norms.tolist())):
-            f = Field(sp, row)
-            rhs = pair(f, mu[n + 1])
-            if st.has_map:
-                if st.forward_pos is not None and d.fns is not None:
-                    fT = d.fns[i](st.forward_pos)
-                else:
-                    fT = row[st.forward_index]
-                lhs = float(fT @ mu[n].weights)
-            else:
-                # no map: transport along the normalized weights; the defect
-                # is exactly <f, mu_{n+1} (L~1 - 1)>
-                lhs = float(row @ (mu[n + 1].weights * tilde_one.values))
-            gaps.append(abs(lhs - rhs) / norm)
-        push_gap[n] = max(gaps)
+        nst = stages[n] = normalize_stage(st, bwd.h[n], bwd.h[n + 1], fwd.lam[n])
+        d, d_dom = weak_dictionary(seq.space(n + 1)), weak_dictionary(seq.space(n))
+        tilde_one = _apply_values(nst, np.ones(seq.space(n).n_points))
+        one_err[n] = float(np.abs(tilde_one - 1.0).max())
+        if not st.has_map:
+            # no map: transport along the normalized weights; the defect
+            # is exactly <f, mu_{n+1} (L~1 - 1)>
+            push = _row_dots(d.matrix, mu[n + 1].weights * tilde_one)
+        elif st.forward_pos is not None and d.fns is not None:
+            if id(st.forward_pos) not in images:
+                images[id(st.forward_pos)] = np.stack([fn(st.forward_pos) for fn in d.fns])
+            push = _row_dots(images[id(st.forward_pos)], mu[n].weights)
+        else:   # take keeps the rows C-ordered, so each dot has the bits of a pairing
+            push = _row_dots(d.matrix.take(st.forward_index, axis=1), mu[n].weights)
+        push_gap[n] = float((np.abs(push - pairings[n + 1]) / d.norms).max())
         # the dual transport <L~ f, mu_{n+1}> = <f, mu_n> tests f on X_n
-        dom = seq.space(n)
-        d_dom = weak_dictionary(dom)
-        dgaps = []
-        for row, norm in zip(d_dom.matrix, d_dom.norms.tolist()):
-            f = Field(dom, row)
-            dgaps.append(abs(pair(apply_L(nst, f), mu[n + 1]) - pair(f, mu[n])) / norm)
-        dual_gap[n] = max(dgaps)
+        back = _row_dots(_apply_values(nst, d_dom.matrix), mu[n + 1].weights)
+        dual_gap[n] = float((np.abs(back - pairings[n]) / d_dom.norms).max())
     passed = (max(push_gap.values()) < tol and max(one_err.values()) < tol
               and max(dual_gap.values()) < tol)
     return InvariantChain(window=window, mu=mu, normalized_stages=stages,

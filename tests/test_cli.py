@@ -308,6 +308,18 @@ def test_overflowing_q_is_a_certification_failure(tmp_path, monkeypatch, capsys)
     assert "overflows" in capsys.readouterr().err
 
 
+def test_matrix_chain_with_a_large_q_passes_every_check(tmp_path, monkeypatch):
+    """The cone of a simplex space is C+ for every q, so certification draws
+    no exp(0.98 q) field that could overflow."""
+    body = (SHIPPED / "matrix_random.ini").read_text()
+    assert "\nq = 1.0\n" in body
+    out = tmp_path / "o"
+    monkeypatch.setenv("NSRPF_OUTDIR", str(out))
+    assert main(["run", write_cfg(tmp_path, body.replace("\nq = 1.0\n", "\nq = 1000\n"))]) == 0
+    report = (out / "report.txt").read_text()
+    assert report.count("PASS") == 6 and "FAIL" not in report
+
+
 def test_atomic_write_removes_its_temp_file_when_the_rename_fails(tmp_path, monkeypatch):
     def refuse(src, dst):
         raise OSError("rename refused")

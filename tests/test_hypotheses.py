@@ -4,11 +4,13 @@ import pathlib
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as hst
 
+from nsrpf import hypotheses
 from nsrpf.cli import parse_config
-from nsrpf.cones import ConeParams
+from nsrpf.cones import ConeParams, theta_positive
 from nsrpf.errors import CertificationError, DomainError, StructuralError
-from nsrpf.hypotheses import (HypothesisParams, certify_cone_conditions,
+from nsrpf.hypotheses import (HypothesisParams, _column_diameter, certify_cone_conditions,
                               certify_map_hypotheses, contraction_constants,
                               default_Q, derive_constants,
                               log_shift_seminorm_bound, q_threshold, scan_Q)
@@ -239,6 +241,63 @@ def test_cone_conditions_matrix_column_diameter():
     lam2_over_lam1 = (3 - math.sqrt(5)) / (3 + math.sqrt(5))
     assert cert.block_factor >= lam2_over_lam1
     assert cert.density_basis == "coordinate-span"
+
+
+@hst.composite
+def _images(draw):
+    """A strictly positive d x d matrix M (d = 1..6; half the time a product
+    of two) and two fields of C+, interior or near a coordinate direction."""
+    d = draw(hst.integers(1, 6))
+
+    def matrix():
+        return np.array(draw(hst.lists(hst.floats(0.01, 100.0), min_size=d * d,
+                                       max_size=d * d))).reshape(d, d)
+
+    def field():
+        if draw(hst.booleans()):
+            return np.array(draw(hst.lists(hst.floats(1e-6, 1e6), min_size=d, max_size=d)))
+        f = np.full(d, draw(hst.sampled_from([0.0, 1e-12, 1e-6]) | hst.floats(0.0, 1e-3)))
+        f[draw(hst.integers(0, d - 1))] = 1.0
+        return f
+
+    m = matrix()
+    if draw(hst.booleans()):
+        m = matrix() @ m
+    return m, field(), field()
+
+
+@given(_images())
+def test_column_diameter_dominates_every_image_pair(images):
+    """Birkhoff's bound behind the C+ operator case of certify_cone_conditions:
+    Theta+(M f, M g) never exceeds the projective diameter of M C+."""
+    m, f, g = images
+    sp = PointSpace.simplex(m.shape[0])
+    assert theta_positive(Field(sp, m @ f), Field(sp, m @ g)) <= _column_diameter(m) + 1e-12
+
+
+def test_cone_conditions_on_c_plus_draw_no_samples(monkeypatch):
+    seq = build_matrix_chain(MatrixChainSpec.random(d=3, window=(-20, 20), seed=4))
+
+    def refuse(*args):
+        raise AssertionError("a C+ operator chain drew a sample")
+
+    monkeypatch.setattr(hypotheses, "sample_log_holder_field", refuse)
+    monkeypatch.setattr(hypotheses, "sample_extremal_log_holder", refuse)
+    cert = certify_cone_conditions(seq, ConeParams(Q=1.0, delta=0.5, beta=1.0))
+    assert cert.n_samples == 0
+    diameters = [_column_diameter(seq.stage(n).dense) for n in range(-20, 20, 8)]
+    assert cert.Delta_measured >= max(diameters)
+
+
+def test_cone_conditions_on_a_metric_finite_space_still_sample():
+    """Distances within delta give Lambda(Q) pairs, so the cone is not C+."""
+    dist = np.full((3, 3), 0.1) - 0.1 * np.eye(3)
+    sp = PointSpace.finite(dist)
+    rng = np.random.default_rng(5)
+    stages = tuple(Stage.from_matrix(rng.uniform(1.0, 1.01, (3, 3)), sp, sp) for _ in range(16))
+    seq = StageSeq(n_min=0, n_max=16, stages=stages)
+    cert = certify_cone_conditions(seq, ConeParams(Q=1.0, delta=0.5, beta=1.0))
+    assert cert.n_samples > 0
 
 
 def test_cone_conditions_need_operator_stages_without_a_map():

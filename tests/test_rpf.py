@@ -174,6 +174,16 @@ def test_seed_verifiers_refuse_to_compare_nothing():
         verify_uniqueness(fwd, None, tol=1e-2)
 
 
+def test_eigen_relations_refuse_to_check_nothing():
+    """With headroom 4 on a 4-step window, only m_0 is reported and no
+    lambda index: residuals over no index would read 0.0 and pass."""
+    seq = build_matrix_chain(MatrixChainSpec.random(d=2, window=(0, 4), seed=1))
+    fwd = solve_forward(seq, tol=1e-2, tau=1, block_factor=0.1)
+    assert (fwd.headroom, fwd.reported_lam) == (4, [])
+    with pytest.raises(ConvergenceError, match=r"window 0\.\.4 reports no eigenvalue index"):
+        verify_eigen_relations(fwd, None, 1e-2)
+
+
 def test_invariant_chain_needs_two_backward_indices():
     seq = build_matrix_chain(MatrixChainSpec.random(d=3, window=(0, 10), seed=1))
     cert = nr.certify_cone_conditions(seq, CONE2)

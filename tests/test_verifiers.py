@@ -6,6 +6,7 @@ comparison per index or sampled pair.  The stacked verifiers must report
 exactly the same numbers (floats compared with ==), on chains with one
 matrix shape, with branch tables, and with spaces that change size.
 """
+import dataclasses
 import math
 import random
 
@@ -20,13 +21,13 @@ from nsrpf.errors import ConvergenceError
 from nsrpf.hypotheses import RateConstants
 from nsrpf.rpf import (ContractionReport, EigenReport, RatesReport, UniquenessReport,
                        IndependenceReport, _random_cone_seed, _random_sigma,
-                       _uniform_sigma, solve_backward, solve_forward,
+                       _uniform_sigma, build_invariant_chain, solve_backward, solve_forward,
                        verify_cone_contraction, verify_eigen_relations,
                        verify_exponential_rates, verify_independence, verify_uniqueness)
 from nsrpf.spaces import Field, MeasureVec, normalize, pair, unit_field
 from nsrpf.systems import (CircleMapSpec, MatrixChainSpec, build_circle_chain,
                            build_matrix_chain)
-from nsrpf.transfer import apply_L, apply_L_dual, compose_L
+from nsrpf.transfer import StageSeq, apply_L, apply_L_dual, compose_L, normalize_stage
 
 from conftest import PERTURBED, build_halving_chain
 
@@ -223,6 +224,43 @@ def ref_cone_contraction(seq, p, *, tau, n_samples=100, rng=None, extra_delta=0.
                              passed=passed)
 
 
+def ref_invariant_chain(fwd, bwd):
+    """(mu, push_gap, tilde_one_err, tilde_dual_gap): a Field, a pair and an
+    apply_L per dictionary row."""
+    seq = fwd.seq
+    window = bwd.reported_h[:-1]
+    mu = {n: normalize(MeasureVec(seq.space(n), bwd.h[n].values * fwd.m[n].weights))
+          for n in window + [window[-1] + 1]}
+    push_gap, one_err, dual_gap = {}, {}, {}
+    for n in window:
+        st = seq.stage(n)
+        nst = normalize_stage(st, bwd.h[n], bwd.h[n + 1], fwd.lam[n])
+        sp, dom = seq.space(n + 1), seq.space(n)
+        d, d_dom = weak_dictionary(sp), weak_dictionary(dom)
+        tilde_one = apply_L(nst, unit_field(dom))
+        one_err[n] = float(np.abs(tilde_one.values - 1.0).max())
+        gaps = []
+        for i, (row, norm) in enumerate(zip(d.matrix, d.norms.tolist())):
+            f = Field(sp, row)
+            rhs = pair(f, mu[n + 1])
+            if st.has_map:
+                if st.forward_pos is not None and d.fns is not None:
+                    fT = d.fns[i](st.forward_pos)
+                else:
+                    fT = row[st.forward_index]
+                lhs = float(fT @ mu[n].weights)
+            else:
+                lhs = float(row @ (mu[n + 1].weights * tilde_one.values))
+            gaps.append(abs(lhs - rhs) / norm)
+        push_gap[n] = max(gaps)
+        dgaps = []
+        for row, norm in zip(d_dom.matrix, d_dom.norms.tolist()):
+            f = Field(dom, row)
+            dgaps.append(abs(pair(apply_L(nst, f), mu[n + 1]) - pair(f, mu[n])) / norm)
+        dual_gap[n] = max(dgaps)
+    return mu, push_gap, one_err, dual_gap
+
+
 # ---------------------------------------------------------------------------
 # chains
 # ---------------------------------------------------------------------------
@@ -352,6 +390,34 @@ def test_cone_contraction_equals_the_per_sample_loop(case, n_samples, monotone_e
     _assert_same_report(got, want)
     if case.seq.space(case.seq.n_min).n_points > 1:
         assert want.n_pairs > 0
+
+
+def _assert_same_invariant_chain(fwd, bwd, tol):
+    got = build_invariant_chain(fwd, bwd, tol=tol)
+    mu, push_gap, one_err, dual_gap = ref_invariant_chain(fwd, bwd)
+    assert list(got.mu) == list(mu)
+    assert all(np.array_equal(got.mu[n].weights, w.weights) for n, w in mu.items())
+    assert _same(got.push_gap, push_gap)
+    assert _same(got.tilde_one_err, one_err)
+    assert _same(got.tilde_dual_gap, dual_gap)
+
+
+def test_invariant_chain_equals_the_per_row_loop(case):
+    if case.bwd is None:
+        pytest.skip("the invariant chain needs a two-sided chain")
+    _assert_same_invariant_chain(case.fwd, case.bwd, case.tol)
+
+
+def test_invariant_chain_on_snapped_images_equals_the_per_row_loop():
+    """Circle stages without exact image positions push through the snapped
+    forward indices, the branch that finite map chains would take."""
+    seq = build_circle_chain(CircleMapSpec.make(N=64, window=(-24, 24), **PERTURBED))
+    snapped = StageSeq(n_min=seq.n_min, n_max=seq.n_max, declared=seq.declared,
+                       stages=tuple(dataclasses.replace(st, forward_pos=None)
+                                    for st in seq.stages))
+    assert all(st.has_map and st.forward_pos is None for st in snapped.stages)
+    fwd = solve_forward(snapped, tol=1e-6, tau=2, block_factor=0.2, with_diagnostics=False)
+    _assert_same_invariant_chain(fwd, solve_backward(fwd, with_diagnostics=False), 1e-6)
 
 
 def test_rates_with_no_histories():
