@@ -10,7 +10,7 @@ from .hypotheses import (ConeCertificate, ConstantsLedger, HypothesisParams,
                          RateConstants, certify_cone_conditions,
                          certify_map_hypotheses, contraction_constants,
                          default_Q, derive_constants, log_shift_seminorm_bound,
-                         q_threshold, scan_Q)
+                         q_threshold)
 from .rpf import (BackwardSolution, ForwardSolution, InvariantChain,
                   build_invariant_chain, headroom_steps, solve_backward,
                   solve_forward, verify_cone_contraction, verify_eigen_relations,
@@ -19,8 +19,8 @@ from .rpf import (BackwardSolution, ForwardSolution, InvariantChain,
 from .spaces import (Field, MeasureVec, PointSpace, holder_seminorm, normalize,
                      pair, total_mass, unit_field)
 from .systems import (CircleMapSpec, MatrixChainSpec, build_circle_chain,
-                      build_matrix_chain, oracle_nonstationary_products,
-                      oracle_rpf_chain, oracle_stationary_rpf)
+                      build_matrix_chain, oracle_rpf_chain,
+                      oracle_stationary_rpf)
 from .transfer import (Stage, StageSeq, apply_L, apply_L_dual, birkhoff_sum,
                        compose_L, compose_L_dual, normalize_stage)
 

@@ -244,7 +244,7 @@ def _certify(cfg: RunConfig):
     return seq, params, cone, cert, ledger
 
 
-def _constants_text(cfg, params, cone, cert, ledger) -> str:
+def _constants_text(cfg, cone, cert, ledger) -> str:
     lines = [f"system = {cfg.kind}",
              f"seed = {getattr(cfg.system, 'seed', None)}",
              f"Q = {_fmt(cone.Q)}", f"delta = {_fmt(cone.delta)}",
@@ -270,7 +270,7 @@ def _constants_text(cfg, params, cone, cert, ledger) -> str:
 def cmd_certify(cfg: RunConfig) -> int:
     seq, params, cone, cert, ledger = _certify(cfg)
     os.makedirs(cfg.out_dir, exist_ok=True)
-    text = _constants_text(cfg, params, cone, cert, ledger)
+    text = _constants_text(cfg, cone, cert, ledger)
     _atomic_write(os.path.join(cfg.out_dir, "constants.txt"), text)
     sys.stdout.write(text)
     return 0
@@ -280,7 +280,7 @@ def cmd_run(cfg: RunConfig) -> int:
     seq, params, cone, cert, ledger = _certify(cfg)
     os.makedirs(cfg.out_dir, exist_ok=True)
     _atomic_write(os.path.join(cfg.out_dir, "constants.txt"),
-                  _constants_text(cfg, params, cone, cert, ledger))
+                  _constants_text(cfg, cone, cert, ledger))
     fwd = solve_forward(seq, tol=cfg.tol, tau=cert.tau,
                         block_factor=cert.block_factor, cone_params=cone)
     bwd = solve_backward(fwd) if seq.two_sided else None

@@ -31,9 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cones import (ConeParams, birkhoff_rate, hilbert_gap_log_holder,
-                    in_log_holder_cone, pair_set, sample_extremal_log_holder,
-                    sample_log_holder_field, theta_log_holder)
+from .cones import (ConeParams, birkhoff_rate, in_log_holder_cone, pair_set,
+                    sample_extremal_log_holder, sample_log_holder_field,
+                    theta_log_holder)
 from .errors import CertificationError, DomainError, StructuralError
 from .spaces import Field, holder_seminorm, unit_field
 from .transfer import StageSeq, apply_L, compose_L
@@ -146,11 +146,6 @@ def derive_constants(p: HypothesisParams, Q: float) -> ConstantsLedger:
                            Delta=Delta, gamma=gamma, C1=C1, C3=C3)
 
 
-def scan_Q(p: HypothesisParams, qs) -> list[ConstantsLedger]:
-    """Ledger at each Q of a grid (no optimizer; the grid is the tool)."""
-    return [derive_constants(p, float(q)) for q in qs]
-
-
 def log_shift_seminorm_bound(f: Field, c: float, beta: float) -> tuple[float, float]:
     """Both sides of  |log(f + c)|_beta <= |f|_beta / (c + inf f),  c > -inf f."""
     if c <= -f.inf():
@@ -164,7 +159,7 @@ def log_shift_seminorm_bound(f: Field, c: float, beta: float) -> tuple[float, fl
 # sample-based certification of the map hypotheses
 # ---------------------------------------------------------------------------
 
-def _circle_offsets(n: int, omax: int) -> list[int]:
+def _circle_offsets(omax: int) -> list[int]:
     """Small offsets plus a Fibonacci-spaced tail, capped at omax."""
     offs = list(range(1, min(9, omax + 1)))
     a, b = 8, 13
@@ -275,8 +270,7 @@ def certify_map_hypotheses(seq: StageSeq) -> HypothesisParams:
             if st.map_fn is None:
                 raise CertificationError(
                     "uniform-expansion", f"circle stage {n} has no exact lift of its map")
-            offsets = _circle_offsets(st.domain.n_points,
-                                      int(delta * st.domain.n_points))
+            offsets = _circle_offsets(int(delta * st.domain.n_points))
             key = (st.map_fn, st.domain)
             if key not in maps:
                 maps[key] = _measure_circle_map(st, delta, offsets)
@@ -302,6 +296,11 @@ def certify_map_hypotheses(seq: StageSeq) -> HypothesisParams:
                 h_m = max(h_m, float((np.abs(st.potential.values[iu]
                                              - st.potential.values[ju]) / di ** beta).max()))
         v_m = max(v_m, st.potential.sup() - st.potential.inf())
+    if rho_m == 0.0:   # every measured pair gives a ratio in (0, 1)
+        raise CertificationError(
+            "uniform-expansion",
+            f"no pair of sample points lies within delta = {delta}; "
+            "refine the grid or raise delta")
     tau_m = 0
     measured_any = False
     for n in seq.space_indices:
@@ -460,11 +459,9 @@ def certify_cone_conditions(seq: StageSeq, p: ConeParams, *,
             gi = compose_L(seq, n, tau, g)
             theta_out = theta_log_holder(fi, gi, p, checked=False)
             delta_m = max(delta_m, theta_out)
-            a, b = hilbert_gap_log_holder(f, g, p)
-            if a > 0.0 and math.isfinite(b) and b > a * (1.0 + 1e-12):
-                theta_in = math.log(b / a)
-                if theta_out > 0.0:
-                    max_ratio = max(max_ratio, theta_out / theta_in)
+            theta_in = theta_log_holder(f, g, p, checked=False)
+            if 0.0 < theta_in < math.inf and theta_out > 0.0:
+                max_ratio = max(max_ratio, theta_out / theta_in)
             n_sampled += 1
     if max_ratio > 0.0:
         delta_m = max(delta_m, 4.0 * math.atanh(min(max_ratio, 1.0 - 1e-12)))

@@ -732,10 +732,8 @@ def verify_cone_contraction(seq: StageSeq, p: ConeParams, *, tau: int,
         A, B = _gaps(np.stack(draws[0::2]), np.stack(draws[1::2]), sp, p)
         keep, theta_in = [], []
         for i, (a, b) in enumerate(zip(A.tolist(), B.tolist())):
-            if not (a > 0.0) or math.isinf(b):
-                continue
-            t = math.log(b / a) if b > a else 0.0
-            if t > 1e-12:
+            t = _theta_from_gap(a, b)
+            if 0.0 < t < math.inf:
                 keep.append(i)
                 theta_in.append(t)
         if not keep:

@@ -168,12 +168,6 @@ class MeasureVec:
     def uniform(cls, space: PointSpace) -> "MeasureVec":
         return cls(space, np.full(space.n_points, 1.0 / space.n_points))
 
-    @classmethod
-    def point_mass(cls, space: PointSpace, i: int) -> "MeasureVec":
-        w = np.zeros(space.n_points)
-        w[i] = 1.0
-        return cls(space, w)
-
 
 def pair(f: Field, sigma: MeasureVec) -> float:
     """Duality pairing <f, sigma> = sum_i f(x_i) w_i."""

@@ -30,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError, StructuralError
+from .errors import ConvergenceError, DomainError, StructuralError
 from .hypotheses import HypothesisParams
 from .spaces import Field, PointSpace
 from .transfer import Stage, StageSeq
@@ -263,16 +263,13 @@ def build_circle_chain(spec: CircleMapSpec) -> StageSeq:
 # oracles
 # ---------------------------------------------------------------------------
 
-class OracleConvergenceError(RuntimeError):
-    """Power iteration failed its Rayleigh consistency check."""
-
-
 def oracle_stationary_rpf(m: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
     """Classical single-matrix eigendata by 2000 steps of power iteration.
 
     Returns (lam, m_left, h_right) with m_left a probability vector and
     <h, m> = 1.  Left and right iterations run independently; a Rayleigh
-    check at relative 1e-13 guards against non-convergence.
+    check at relative 1e-13 guards against non-convergence and raises
+    ConvergenceError when it fails.
     """
     m = np.asarray(m, dtype=np.float64)
     if np.any(m <= 0.0):
@@ -289,22 +286,10 @@ def oracle_stationary_rpf(m: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]
         w = w_new / w_new.sum()
     rayleigh = float(w @ (m @ v)) / float(w @ v)
     if abs(rayleigh - lam) > 1e-13 * max(1.0, abs(lam)):
-        raise OracleConvergenceError(f"power iteration drift {abs(rayleigh - lam)}")
+        raise ConvergenceError(f"power iteration drift {abs(rayleigh - lam)}")
     w = w / w.sum()
     v = v / float(v @ w)
     return lam, w, v
-
-
-@dataclass(frozen=True)
-class OracleEstimate:
-    """Finite-depth chain data at one index, from dense products."""
-
-    n: int
-    k: int
-    r: float                 # log of the mass-growth ratio at depth k
-    lam: float
-    m_weights: np.ndarray    # normalized pullback of the tail seed
-    h_values: Optional[np.ndarray]
 
 
 def _pullback_chain(spec: MatrixChainSpec, tail: int, bottom: int):
@@ -339,26 +324,3 @@ def oracle_rpf_chain(spec: MatrixChainSpec):
     for n in range(bottom, tail):
         h[n + 1] = (spec.matrix(n) @ h[n]) / lams[n]
     return lams, weights, h
-
-
-def oracle_nonstationary_products(spec: MatrixChainSpec, n: int, k: int) -> OracleEstimate:
-    """Depth-k estimates at index n by explicit dense products.
-
-    r is log( <L_n^k 1, sigma> / <L_{n+1}^{k-1} 1, sigma> ) computed from the
-    rescaled dual chain, m the normalized pullback of the tail seed, and h
-    the depth-k forward iterate normalized against the oracle's own data.
-    """
-    n_min, n_max = spec.window
-    if n + k > n_max or n - k < n_min:
-        raise StructuralError("window does not cover depth k on both sides of n")
-    if k == 0:
-        return OracleEstimate(n=n, k=0, r=math.nan, lam=math.nan,
-                              m_weights=np.full(spec.d, 1.0 / spec.d), h_values=None)
-    weights, lams = _pullback_chain(spec, n + k, n)
-    # backward estimate of h at n from depth k below, using oracle data only
-    sub_weights, sub_lams = _pullback_chain(spec, n_max, n - k)
-    g = np.ones(spec.d) / float(np.ones(spec.d) @ sub_weights[n - k])
-    for j in range(n - k, n):
-        g = (spec.matrix(j) @ g) / sub_lams[j]
-    return OracleEstimate(n=n, k=k, r=math.log(lams[n]), lam=lams[n],
-                          m_weights=weights[n], h_values=g)

@@ -22,8 +22,9 @@ kept to the oracle code paths.  The raw kernels behind apply_L and
 apply_L_dual also take a stack of rows, one vector per row, and give every
 row the same bits as a call on that row alone; the solvers' sweeps push all
 depths of one index through its stage in one call.  _apply_rows and
-_dual_rows take a different stage per row, with the same per-row bits; the
-verifiers push every reported index through its own stage in one call.
+_dual_rows take a different stage per row of one (R, n) array, with the
+same per-row bits; the verifiers push every reported index of a block of
+equal spaces through its own stage in one call.
 """
 from __future__ import annotations
 
@@ -150,32 +151,27 @@ def _dense_stack(stages) -> Optional[np.ndarray]:
     return None
 
 
-def _stack_rows(rows: list):
-    """One (R, n) array when the rows share a length, else the list."""
-    return np.stack(rows) if len({r.shape for r in rows}) == 1 else rows
-
-
-def _apply_rows(stages, V):
-    """Row r of V through stages[r]: apply_L of a different stage per row.
+def _apply_rows(stages, V: np.ndarray) -> np.ndarray:
+    """Row r of the (R, n) array V through stages[r]: apply_L of a different
+    stage per row, for stages that all map one pair of spaces.
 
     One gathered matmul when every stage is a matrix of one shape, otherwise
-    one _apply_values call per row; either way each row equals
-    _apply_values(stages[r], V[r]) bit for bit.  V is an (R, n) array or a
-    list of rows; the result is an (R, m) array when its rows share a
-    length, else a list.
+    one _apply_values call per row; either way row r of the (R, m) result
+    equals _apply_values(stages[r], V[r]) bit for bit.
     """
     dense = _dense_stack(stages)
     if dense is not None:
-        return np.matmul(dense, np.asarray(V)[..., None])[..., 0]
-    return _stack_rows([_apply_values(st, v) for st, v in zip(stages, V)])
+        return np.matmul(dense, V[..., None])[..., 0]
+    return np.stack([_apply_values(st, v) for st, v in zip(stages, V)])
 
 
-def _dual_rows(stages, S):
-    """Row r of S through the dual of stages[r] (see _apply_rows)."""
+def _dual_rows(stages, S: np.ndarray) -> np.ndarray:
+    """Row r of the (R, n) array S through the dual of stages[r] (see
+    _apply_rows)."""
     dense = _dense_stack(stages)
     if dense is not None:
-        return np.matmul(dense.transpose(0, 2, 1), np.asarray(S)[..., None])[..., 0]
-    return _stack_rows([_dual_weights(st, s) for st, s in zip(stages, S)])
+        return np.matmul(dense.transpose(0, 2, 1), S[..., None])[..., 0]
+    return np.stack([_dual_weights(st, s) for st, s in zip(stages, S)])
 
 
 def apply_L(stage: Stage, f: Field) -> Field:

@@ -153,6 +153,23 @@ dir = {out}
     assert "certification failure: [cone-threshold]" in capsys.readouterr().err
 
 
+def test_a_grid_coarser_than_delta_is_a_typed_certification_failure(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, """
+[system]
+kind = circle
+n_grid = 16
+window = -8 8
+
+[cone]
+delta = 0.05
+
+[outputs]
+dir = {out}
+""".format(out=tmp_path / "o"))
+    assert main(["run", cfg]) == 3
+    assert "certification failure: [uniform-expansion]" in capsys.readouterr().err
+
+
 def test_matrix_chain_honors_cone_section(tmp_path):
     out = tmp_path / "out"
     body = MATRIX_CFG.format(out=out).replace(

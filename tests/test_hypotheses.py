@@ -13,7 +13,7 @@ from nsrpf.errors import CertificationError, DomainError, StructuralError
 from nsrpf.hypotheses import (HypothesisParams, _column_diameter, certify_cone_conditions,
                               certify_map_hypotheses, contraction_constants,
                               default_Q, derive_constants,
-                              log_shift_seminorm_bound, q_threshold, scan_Q)
+                              log_shift_seminorm_bound, q_threshold)
 from nsrpf.spaces import Field, PointSpace, holder_seminorm
 from nsrpf.systems import CircleMapSpec, MatrixChainSpec, build_circle_chain, build_matrix_chain
 from nsrpf.transfer import Stage, StageSeq
@@ -88,7 +88,7 @@ def test_ledger_monotonicity_in_Q():
     # (Q + S)(Q - S) outgrows 2 rho H / delta^beta (it dips first: the
     # (Q+S)/(Q-S) factor falls faster than R rises near the threshold)
     qs = [1.5, 2.0, 3.0, 5.0, 9.0, 17.0, 33.0]
-    ledgers = scan_Q(WORKED, qs)
+    ledgers = [derive_constants(WORKED, q) for q in qs]
     s = [l.S for l in ledgers]
     r = [l.R for l in ledgers]
     assert all(b > a for a, b in zip(s, s[1:]))
@@ -139,6 +139,15 @@ def test_certify_perturbed_doubling():
     assert meas.H <= 2.0 * math.pi * 0.1 + 1e-12
     assert meas.V <= 0.2 + 1e-12
     assert meas.D == 2
+
+
+def test_certify_a_grid_coarser_than_delta_names_expansion():
+    # 1/16 > delta = 0.05: no grid pair lies within delta, so no expansion
+    # ratio is measured and rho has no sampled value
+    seq = build_circle_chain(CircleMapSpec.make(N=16, window=(-8, 8), delta=0.05))
+    with pytest.raises(CertificationError, match="within delta") as e:
+        certify_map_hypotheses(seq)
+    assert e.value.axiom == "uniform-expansion"
 
 
 def test_certify_rejects_contracting_map():

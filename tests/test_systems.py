@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from nsrpf.cli import parse_config
-from nsrpf.errors import DomainError, StructuralError
+from nsrpf.errors import ConvergenceError, DomainError, StructuralError
 from nsrpf.spaces import Field, MeasureVec
 from nsrpf.systems import (CircleMapSpec, MatrixChainSpec, build_circle_chain,
-                           build_matrix_chain, oracle_nonstationary_products,
-                           oracle_rpf_chain, oracle_stationary_rpf)
+                           build_matrix_chain, oracle_rpf_chain,
+                           oracle_stationary_rpf)
 from nsrpf.transfer import apply_L, apply_L_dual
 
 RNG = np.random.default_rng(3)
@@ -215,23 +215,19 @@ def test_oracle_stationary_hand_values():
     assert float(h @ m) == pytest.approx(1.0)
 
 
+def test_stationary_oracle_drift_is_a_convergence_error():
+    # eigenvalue gap ~1e-4.5: 2000 power steps leave a Rayleigh drift ~1e-4
+    with pytest.raises(ConvergenceError, match="power iteration drift"):
+        oracle_stationary_rpf(np.array([[1.0, 1e-6], [1e-3, 1.0]]))
+
+
 def test_oracle_products_stationary_limit():
     m = np.array([[2.0, 1.0], [1.0, 1.0]])
-    spec = MatrixChainSpec.stationary(m, (-220, 220))
-    est = oracle_nonstationary_products(spec, 0, 200)
+    lams, ms, hs = oracle_rpf_chain(MatrixChainSpec.stationary(m, (-220, 220)))
     lam, mw, hv = oracle_stationary_rpf(m)
-    assert est.lam == pytest.approx(lam, abs=1e-10)
-    assert np.allclose(est.m_weights, mw, atol=1e-10)
-    assert np.allclose(est.h_values, hv, atol=1e-10)
-
-
-def test_oracle_products_depth_zero():
-    spec = MatrixChainSpec.random(d=3, window=(-5, 5), seed=2)
-    est = oracle_nonstationary_products(spec, 0, 0)
-    assert np.allclose(est.m_weights, np.full(3, 1 / 3))
-    assert est.h_values is None
-    with pytest.raises(StructuralError):
-        oracle_nonstationary_products(spec, 0, 9)
+    assert lams[0] == pytest.approx(lam, abs=1e-10)
+    assert np.allclose(ms[0], mw, atol=1e-10)
+    assert np.allclose(hs[0], hv, atol=1e-10)
 
 
 def test_oracle_chain_telescopes():

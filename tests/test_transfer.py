@@ -111,10 +111,10 @@ def test_constant_potential_factors_out():
     assert np.allclose(b.values, math.exp(0.7) * a.values, rtol=1e-14)
 
 
-def test_dual_point_mass_unfolds_preimages():
+def test_dual_of_a_unit_mass_unfolds_preimages():
     seq = build_halving_chain(levels=1, n_top=8, seed=3)
     st = seq.stage(0)
-    sigma = MeasureVec.point_mass(st.codomain, 2)
+    sigma = MeasureVec(st.codomain, np.eye(st.codomain.n_points)[2])
     back = apply_L_dual(st, sigma)
     expect = np.zeros(8)
     expect[4] = st.branch_weight[0, 2]
@@ -300,21 +300,25 @@ def _row_kernel_chains():
 
 @pytest.mark.parametrize("name", ["matrix_d3", "circle_N64", "halving"])
 def test_row_kernels_equal_the_per_row_kernels(name):
-    """Row r through stages[r], with rows gathered from across the chain:
-    every row equals the single-stage kernel bit for bit, also when the
-    spaces change size from row to row (the halving chain)."""
+    """Row r through stages[r], with rows gathered from across the chain
+    into one block per (domain, codomain) pair: every row equals the
+    single-stage kernel bit for bit."""
     seq = _row_kernel_chains()[name]
     ns = list(seq.stage_indices) + list(reversed(seq.stage_indices)) * 2
-    stages = [seq.stage(n) for n in ns]
-    V = [RNG.normal(size=st.domain.n_points) for st in stages]
-    S = [RNG.uniform(0.1, 1.0, st.codomain.n_points) for st in stages]
-    ragged = name == "halving"
-    out = _apply_rows(stages, V if ragged else np.stack(V))
-    back = _dual_rows(stages, S if ragged else np.stack(S))
-    assert isinstance(out, list) == ragged and isinstance(back, list) == ragged
-    for r, st in enumerate(stages):
-        assert np.array_equal(out[r], _apply_values(st, V[r]))
-        assert np.array_equal(back[r], _dual_weights(st, S[r]))
+    blocks = {}
+    for n in ns:
+        st = seq.stage(n)
+        blocks.setdefault((st.domain, st.codomain), []).append(st)
+    for stages in blocks.values():
+        V = RNG.normal(size=(len(stages), stages[0].domain.n_points))
+        S = RNG.uniform(0.1, 1.0, (len(stages), stages[0].codomain.n_points))
+        out = _apply_rows(stages, V)
+        back = _dual_rows(stages, S)
+        assert out.shape == (len(stages), stages[0].codomain.n_points)
+        assert back.shape == V.shape
+        for r, st in enumerate(stages):
+            assert np.array_equal(out[r], _apply_values(st, V[r]))
+            assert np.array_equal(back[r], _dual_weights(st, S[r]))
 
 
 def test_normalize_stage_iterated_cocycle_matrix():
