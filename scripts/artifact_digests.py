@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
-"""SHA-256 digests of the CLI artifacts of the shipped configs.
+"""SHA-256 digests of the CLI artifacts of the shipped and test configs.
 
     python3 scripts/artifact_digests.py OUTDIR
 
-Runs ``nsrpf run`` on every config in configs/ and
+Runs ``nsrpf run`` on every config in configs/ and tests/data/ and
 ``nsrpf oracle configs/matrix_random.ini`` with the package imported from
 this checkout's src/.  Each command writes into its own directory under
 OUTDIR (which must be empty or absent), named after the config, or
@@ -40,7 +40,8 @@ def main(argv) -> int:
     if outdir.exists() and any(outdir.iterdir()):
         print(f"{outdir} is not empty", file=sys.stderr)
         return 2
-    configs = sorted((ROOT / "configs").glob("*.ini"))
+    configs = (sorted((ROOT / "configs").glob("*.ini"))
+               + sorted((ROOT / "tests" / "data").glob("*.ini")))
     failed = 0
     for config in configs:
         failed |= _nsrpf("run", config, outdir / config.stem)

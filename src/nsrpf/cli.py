@@ -103,8 +103,9 @@ def _window(raw: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _system_spec(cp, kind: str):
-    """The [system] spec; the spec constructors raise the package's typed errors."""
+def _system_spec(cp, kind: str, delta: float):
+    """The [system] spec; the spec constructors raise the package's typed errors.
+    A circle spec checks the [cone] delta against its maps."""
     window = _get(cp, "system", "window", _window)
     if kind == "matrix":
         d = _get(cp, "system", "d", int, 2)
@@ -129,7 +130,7 @@ def _system_spec(cp, kind: str):
             a_mode=_get(cp, "system", "a_mode", str, "sin"),
             b=_get(cp, "system", "b", float, 0.0),
             b_mode=_get(cp, "system", "b_mode", str, "constant"),
-            delta=_get(cp, "cone", "delta", float, 0.2),
+            delta=delta,
             seed=_get(cp, "system", "seed", int, 0))
     raise ConfigError(f"[system].kind: unknown kind {kind!r}")
 
@@ -140,8 +141,9 @@ def parse_config(path: str) -> RunConfig:
     if not read:
         raise ConfigError(f"cannot read config file {path!r}")
     kind = _get(cp, "system", "kind", str)
+    delta = _get(cp, "cone", "delta", float, 0.2 if kind == "circle" else 0.5)
     try:
-        system = _system_spec(cp, kind)
+        system = _system_spec(cp, kind, delta)
     except (DomainError, StructuralError) as e:
         raise ConfigError(f"[system]: {e}") from e
     q_mode = _get(cp, "cone", "q", str, "auto")
@@ -152,7 +154,6 @@ def parse_config(path: str) -> RunConfig:
             q_ok = False
         if not q_ok:
             raise ConfigError("[cone].q: must be 'auto' or a positive finite number")
-    delta = _get(cp, "cone", "delta", float, 0.2 if kind == "circle" else 0.5)
     beta = _get(cp, "cone", "beta", float, 1.0)
     if not (0.0 < delta < math.inf and 0.0 < beta <= 1.0):
         raise ConfigError("[cone]: delta must be positive and finite and beta in (0, 1]")
@@ -225,10 +226,9 @@ def _write_csv(path: str, columns: tuple, values):
 
 def _certify(cfg: RunConfig):
     """Build the chain and certify; returns everything the solvers need."""
-    ledger = None
+    params = ledger = None
     if cfg.kind == "matrix":
         seq = build_matrix_chain(cfg.system)
-        params = None
         # q = auto: default_Q's value at a zero threshold
         q = 1.0 if cfg.q_mode == "auto" else float(cfg.q_mode)
     else:
@@ -241,7 +241,7 @@ def _certify(cfg: RunConfig):
             raise CertificationError("cone-threshold", str(e)) from e
     cone = ConeParams(Q=q, delta=cfg.delta, beta=cfg.beta)
     cert = certify_cone_conditions(seq, cone, params=params)
-    return seq, params, cone, cert, ledger
+    return seq, cone, cert, ledger
 
 
 def _constants_text(cfg, cone, cert, ledger) -> str:
@@ -268,7 +268,7 @@ def _constants_text(cfg, cone, cert, ledger) -> str:
 
 
 def cmd_certify(cfg: RunConfig) -> int:
-    seq, params, cone, cert, ledger = _certify(cfg)
+    _, cone, cert, ledger = _certify(cfg)
     os.makedirs(cfg.out_dir, exist_ok=True)
     text = _constants_text(cfg, cone, cert, ledger)
     _atomic_write(os.path.join(cfg.out_dir, "constants.txt"), text)
@@ -277,7 +277,7 @@ def cmd_certify(cfg: RunConfig) -> int:
 
 
 def cmd_run(cfg: RunConfig) -> int:
-    seq, params, cone, cert, ledger = _certify(cfg)
+    seq, cone, cert, ledger = _certify(cfg)
     os.makedirs(cfg.out_dir, exist_ok=True)
     _atomic_write(os.path.join(cfg.out_dir, "constants.txt"),
                   _constants_text(cfg, cone, cert, ledger))
@@ -366,7 +366,7 @@ def cmd_run(cfg: RunConfig) -> int:
 def cmd_oracle(cfg: RunConfig) -> int:
     if cfg.kind != "matrix":
         raise ConfigError("oracle mode needs a matrix system (dense products)")
-    seq, params, cone, cert, ledger = _certify(cfg)
+    seq, cone, cert, ledger = _certify(cfg)
     fwd = solve_forward(seq, tol=cfg.tol, tau=cert.tau,
                         block_factor=cert.block_factor, cone_params=cone,
                         with_diagnostics=False)

@@ -64,8 +64,8 @@ class ConeParams:
     beta: float = 1.0
 
     def __post_init__(self):
-        if self.Q <= 0.0 or self.delta <= 0.0:
-            raise DomainError("Q and delta must be positive")
+        if not (0.0 < self.Q < math.inf and 0.0 < self.delta < math.inf):
+            raise DomainError("Q and delta must be positive and finite")
         if not (0.0 < self.beta <= 1.0):
             raise DomainError("beta must lie in (0, 1]")
 

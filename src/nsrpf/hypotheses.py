@@ -191,10 +191,10 @@ def _measure_circle_map(st, delta, offsets):
     return rho_m, True, onto_ok
 
 
-def _circle_holder(st, delta, beta, offsets) -> float:
-    """Largest sampled Holder quotient of the potential of one circle stage."""
-    n = st.domain.n_points
-    phi = st.potential.values
+def _circle_holder(phi, delta, beta, offsets) -> float:
+    """Largest sampled Holder quotient of the grid values phi of a circle
+    stage's potential."""
+    n = phi.size
     h_m = 0.0
     for o in offsets:
         d = o / n
@@ -282,10 +282,12 @@ def certify_map_hypotheses(seq: StageSeq) -> HypothesisParams:
                 raise CertificationError(
                     "uniform-expansion", f"delta-ball image fails to cover a delta-ball at stage {n}")
             rho_m = max(rho_m, rho_s)
-            h_m = max(h_m, _circle_holder(st, delta, beta, offsets))
+            phi = st.potential_fn(st.domain.positions)
+            h_m = max(h_m, _circle_holder(phi, delta, beta, offsets))
         else:
             dt = st.domain.dist_table
             iu, ju = np.nonzero((dt <= delta) & (dt > 0.0))
+            phi = st.potential.values
             if iu.size:
                 di = dt[iu, ju]
                 dimg = seq.space(n + 1).dist_table[st.forward_index[iu], st.forward_index[ju]]
@@ -293,9 +295,8 @@ def certify_map_hypotheses(seq: StageSeq) -> HypothesisParams:
                     raise CertificationError(
                         "uniform-expansion", f"non-expanding pair at stage {n}")
                 rho_m = max(rho_m, float((di / dimg).max()))
-                h_m = max(h_m, float((np.abs(st.potential.values[iu]
-                                             - st.potential.values[ju]) / di ** beta).max()))
-        v_m = max(v_m, st.potential.sup() - st.potential.inf())
+                h_m = max(h_m, float((np.abs(phi[iu] - phi[ju]) / di ** beta).max()))
+        v_m = max(v_m, float(phi.max()) - float(phi.min()))
     if rho_m == 0.0:   # every measured pair gives a ratio in (0, 1)
         raise CertificationError(
             "uniform-expansion",

@@ -101,8 +101,9 @@ def headroom_steps(tol: float, block_factor: float, tau: int) -> int:
     """Window steps needed before an index may be reported."""
     if not (0.0 < block_factor < 1.0):
         raise DomainError("block contraction factor must lie in (0, 1)")
-    if not tol > 0.0 or tau < 1:
-        raise DomainError("need a positive tolerance and tau >= 1")
+    if not (0.0 < tol < math.inf and isinstance(tau, (int, np.integer)) and tau >= 1):
+        raise DomainError("need a positive tolerance and tau >= 1, a finite tol and an "
+                          f"integer tau; got tol = {tol!r}, tau = {tau!r}")
     # at least two blocks, also when tol >= 1 makes the logarithm negative
     blocks = max(math.ceil(math.log(1.0 / tol) / math.log(1.0 / block_factor)), 0) + 2
     return tau * blocks
@@ -797,8 +798,9 @@ def build_invariant_chain(fwd: ForwardSolution, bwd: BackwardSolution, *,
     mass transport induced by the normalized weights, whose defect against
     mu_{n+1} reduces exactly to the stochasticity defect of the normalized
     operator; the map-based families get the genuine composition test with
-    test functions evaluated at exact image points, once per distinct image
-    array.  Each check is one row dot per dictionary entry.
+    test functions evaluated at the image points: exact images of a lift,
+    once per distinct lift, or the image indices of a finite map.  Each
+    check is one row dot per dictionary entry.
     """
     seq = fwd.seq
     eig = verify_eigen_relations(fwd, bwd, tol)   # also refuses a bwd of another chain
@@ -813,7 +815,7 @@ def build_invariant_chain(fwd: ForwardSolution, bwd: BackwardSolution, *,
     for n in window + [window[-1] + 1]:
         mu[n] = normalize(MeasureVec(seq.space(n), bwd.h[n].values * fwd.m[n].weights))
         pairings[n] = _row_dots(weak_dictionary(seq.space(n)).matrix, mu[n].weights)
-    images = {}   # id(forward_pos) -> dictionary rows at those image points
+    images = {}   # (lift, grid, grid) -> dictionary rows at the exact image points
     stages, push_gap, one_err, dual_gap = {}, {}, {}, {}
     for n in window:
         st = seq.stage(n)
@@ -825,10 +827,12 @@ def build_invariant_chain(fwd: ForwardSolution, bwd: BackwardSolution, *,
             # no map: transport along the normalized weights; the defect
             # is exactly <f, mu_{n+1} (L~1 - 1)>
             push = _row_dots(d.matrix, mu[n + 1].weights * tilde_one)
-        elif st.forward_pos is not None and d.fns is not None:
-            if id(st.forward_pos) not in images:
-                images[id(st.forward_pos)] = np.stack([fn(st.forward_pos) for fn in d.fns])
-            push = _row_dots(images[id(st.forward_pos)], mu[n].weights)
+        elif st.map_fn is not None:
+            key = (st.map_fn, st.domain, st.codomain)
+            if key not in images:
+                y = st.map_fn(st.domain.positions) % 1.0
+                images[key] = np.stack([fn(y) for fn in d.fns])
+            push = _row_dots(images[key], mu[n].weights)
         else:   # take keeps the rows C-ordered, so each dot has the bits of a pairing
             push = _row_dots(d.matrix.take(st.forward_index, axis=1), mu[n].weights)
         push_gap[n] = float((np.abs(push - pairings[n + 1]) / d.norms).max())

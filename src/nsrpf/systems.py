@@ -15,9 +15,10 @@ Two families:
   so the map hypotheses hold with analytic parameter values recorded on the
   sequence.  Branch inverses are solved by bisection on the monotone lift to
   1e-13; off-grid function values are linearly interpolated.  The branch
-  inverses, forward images and lift depend on eps_n alone, so they are
-  solved once per distinct eps_n and shared, read-only, by the stages that
-  use that map; only the branch weights and the potential are per stage.
+  inverses and the lift depend on eps_n alone, so they are solved once per
+  distinct eps_n and shared, read-only, by the stages that use that map;
+  only the branch weights and the potential are per stage.  A circle stage
+  holds its map and potential as exact callables, never sampled.
 
 Oracles recompute the chain data by explicit (log-rescaled) dense matrix
 products, independently of the incremental solver code path.
@@ -32,7 +33,7 @@ import numpy as np
 
 from .errors import ConvergenceError, DomainError, StructuralError
 from .hypotheses import HypothesisParams
-from .spaces import Field, PointSpace
+from .spaces import PointSpace
 from .transfer import Stage, StageSeq
 
 _BISECT_TOL = 1e-13
@@ -189,8 +190,8 @@ _GRID_SNAP_UNITS = 1e-9   # in grid units; exact-grid preimages stay exact
 
 def _circle_map(space: PointSpace, eps: float):
     """Geometry of x -> 2x + eps sin(2 pi x) on the grid, shared by every
-    stage with this eps: (lift, branch_index, branch_frac, branch positions,
-    forward_index, forward_pos).  The arrays are read-only."""
+    stage with this eps: (lift, branch_index, branch_frac, branch positions).
+    The arrays are read-only."""
     n = space.n_points
     x = space.positions
 
@@ -221,30 +222,26 @@ def _circle_map(space: PointSpace, eps: float):
         branch_idx[br] = base % n
         branch_frac[br] = scaled - base
         branch_pos[br] = scaled / n
-    fwd_pos = lift(x) % 1.0
-    fwd_idx = np.round(fwd_pos * n).astype(np.int64) % n
-    geometry = (branch_idx, branch_frac, branch_pos, fwd_idx, fwd_pos)
+    geometry = (branch_idx, branch_frac, branch_pos)
     for arr in geometry:
         arr.flags.writeable = False
     return (lift,) + geometry
 
 
 def _make_circle_stage(space: PointSpace, geometry, a: float, b: float) -> Stage:
-    lift, branch_idx, branch_frac, branch_pos, fwd_idx, fwd_pos = geometry
+    lift, branch_idx, branch_frac, branch_pos = geometry
 
     def potential_fn(y):
         return a * np.cos(2.0 * math.pi * y) + b
 
     return Stage(domain=space, codomain=space, branch_index=branch_idx,
                  branch_frac=branch_frac, branch_weight=np.exp(potential_fn(branch_pos)),
-                 forward_index=fwd_idx, forward_pos=fwd_pos,
-                 potential=Field(space, potential_fn(space.positions)),
                  potential_fn=potential_fn, map_fn=lift)
 
 
 def build_circle_chain(spec: CircleMapSpec) -> StageSeq:
-    """One stage per window step; the branch inverses and forward images are
-    solved once per distinct eps_n and shared by the stages with that map."""
+    """One stage per window step; the branch inverses are solved once per
+    distinct eps_n and shared, with the lift, by the stages with that map."""
     space = PointSpace.circle_grid(spec.N)
     steps_of = {}   # eps -> the window steps that use that map
     for k in range(spec.window[1] - spec.window[0]):

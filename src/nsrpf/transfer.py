@@ -28,13 +28,14 @@ equal spaces through its own stage in one call.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import DomainError, StructuralError
-from .spaces import Field, MeasureVec, PointSpace
+from .spaces import KIND_CIRCLE, Field, MeasureVec, PointSpace
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,10 +45,12 @@ class Stage:
     Map stages hold a branch table: ``branch_index[b, x]`` is the base grid
     index of the b-th preimage of codomain point x, ``branch_frac[b, x]`` its
     interpolation fraction toward the next grid point, ``branch_weight[b, x]``
-    the positive weight exp(potential) of that branch; plus the forward
-    images of the domain points (snapped index and, on a circle, the exact
-    position) and the sampled potential.  Operator stages hold only
-    ``dense``, the strictly positive (n_codomain, n_domain) matrix of L.
+    the positive weight exp(potential) of that branch; plus at most one form
+    of the forward map and its potential: on finite point sets the image
+    index of each domain point and the sampled potential, on circle grids
+    the exact lift and the exact potential at raw positions.  Operator
+    stages hold only ``dense``, the strictly positive (n_codomain, n_domain)
+    matrix of L.
     """
 
     domain: PointSpace
@@ -55,9 +58,8 @@ class Stage:
     branch_index: Optional[np.ndarray] = None    # (B, n_cod) int64
     branch_frac: Optional[np.ndarray] = None     # (B, n_cod) float64 in [0, 1)
     branch_weight: Optional[np.ndarray] = None   # (B, n_cod) float64 > 0
-    forward_index: Optional[np.ndarray] = None   # (n_dom,) snapped image index
-    forward_pos: Optional[np.ndarray] = None     # (n_dom,) exact image position
-    potential: Optional[Field] = None
+    forward_index: Optional[np.ndarray] = None   # (n_dom,) image index, finite form
+    potential: Optional[Field] = None            # sampled potential, finite form
     potential_fn: Optional[Callable] = None      # exact potential at raw positions
     map_fn: Optional[Callable] = None            # exact lift of the forward map
     dense: Optional[np.ndarray] = None           # operator stages: the matrix of L
@@ -67,7 +69,20 @@ class Stage:
         table = (self.branch_index, self.branch_frac, self.branch_weight)
         if (self.dense is None) == all(a is None for a in table):
             raise StructuralError("a stage needs exactly one of a branch table and a matrix")
+        finite = (self.forward_index is not None, self.potential is not None)
+        exact = (self.map_fn is not None, self.potential_fn is not None)
+        if any(finite) and any(exact):
+            raise StructuralError("a map stage holds one form of its map and potential")
+        if len(set(finite)) > 1 or len(set(exact)) > 1:
+            raise StructuralError("a map form needs both its map and its potential")
+        if self.map_fn is not None and not (
+                self.domain.kind == self.codomain.kind == KIND_CIRCLE):
+            raise StructuralError("an exact lift needs circle-grid spaces")
+        if self.potential is not None and self.potential.space is not self.domain:
+            raise StructuralError("the sampled potential must live on the domain")
         if self.dense is not None:
+            if any(finite + exact):
+                raise StructuralError("operator stages hold only their matrix")
             if np.shape(self.dense) != (n_cod, n_dom):
                 raise StructuralError("matrix shape must be (n_codomain, n_domain)")
             if np.any(self.dense <= 0.0) or not np.all(np.isfinite(self.dense)):
@@ -95,7 +110,7 @@ class Stage:
 
     @property
     def has_map(self) -> bool:
-        return self.forward_index is not None
+        return self.forward_index is not None or self.map_fn is not None
 
     @classmethod
     def from_matrix(cls, m: np.ndarray, domain: PointSpace, codomain: PointSpace) -> "Stage":
@@ -225,6 +240,8 @@ class StageSeq:
         return range(self.n_min, self.n_max + 1)
 
     def check_window(self, n: int, k: int):
+        if not all(isinstance(i, (int, np.integer)) for i in (n, k)):
+            raise StructuralError(f"window start and length must be integers, got {n!r}, {k!r}")
         if k < 0 or n < self.n_min or n + k > self.n_max:
             raise StructuralError(
                 f"window [{n}, {n + k}] not contained in [{self.n_min}, {self.n_max}]")
@@ -254,29 +271,27 @@ def compose_L_dual(seq: StageSeq, n: int, k: int, sigma: MeasureVec) -> MeasureV
 
 def birkhoff_sum(seq: StageSeq, n: int, k: int) -> Field:
     """Accumulated potential along forward orbits: sum_{j<k} phi_{n+j} at the
-    j-step image of each point of X_n.  Requires map stages."""
+    j-step image of each point of X_n.  Requires map stages, all of the form
+    of stage n: exact lifts follow raw positions, image indices grid points."""
     seq.check_window(n, k)
     space = seq.space(n)
     acc = np.zeros(space.n_points)
     if k == 0:
         return Field(space, acc)
-    circle = space.kind == "circle-grid"
-    if circle:
-        pos = space.positions.copy()
-    else:
-        idx = np.arange(space.n_points)
+    exact = seq.stage(n).map_fn is not None
+    pos = space.positions.copy() if exact else np.arange(space.n_points)
     for j in range(n, n + k):
         st = seq.stage(j)
         if not st.has_map:
             raise StructuralError("Birkhoff sums need stages with a forward map")
-        if circle:
-            if st.potential_fn is None or st.map_fn is None:
-                raise StructuralError("circle stages need exact map and potential callables")
+        if (st.map_fn is not None) != exact:
+            raise StructuralError("Birkhoff sums need one form of the map along the orbit")
+        if exact:
             acc += st.potential_fn(pos)
             pos = st.map_fn(pos) % 1.0
         else:
-            acc += st.potential.values[idx]
-            idx = st.forward_index[idx]
+            acc += st.potential.values[pos]
+            pos = st.forward_index[pos]
     return Field(space, acc)
 
 
@@ -295,16 +310,18 @@ def normalize_stage(stage: Stage, h_dom: Field, h_cod: Field, lam: float) -> Sta
     Branch weights become w * h_dom(y) / (lambda * h_cod(x)), evaluating
     h_dom at the preimages exactly like apply_L does, so the normalized
     operator satisfies  L~ 1 = L(h_dom)/(lambda h_cod)  identically.
-    Normalizing changes the weights, not the map: the forward images and the
-    exact lift are kept.  On a circle stage the exact potential becomes
-    y -> phi(y) + log h_dom(y) - log h_cod(T(y) mod 1) - log lambda, with h
-    linearly interpolated at raw positions.  An operator stage's matrix
-    becomes M[x, y] h_dom(y) / (lambda h_cod(x)).
+    Normalizing changes the weights, not the map: the stage keeps its form
+    of the map.  A sampled potential is shifted pointwise; an exact one
+    becomes y -> phi(y) + log h_dom(y) - log h_cod(T(y) mod 1) - log lambda,
+    with h linearly interpolated at raw positions.  An operator stage's
+    matrix becomes M[x, y] h_dom(y) / (lambda h_cod(x)).
     """
     if h_dom.space is not stage.domain or h_cod.space is not stage.codomain:
         raise StructuralError("h fields must live on the stage's spaces")
-    if lam <= 0.0 or h_dom.inf() <= 0.0 or h_cod.inf() <= 0.0:
-        raise DomainError("normalization needs positive h and lambda")
+    if not 0.0 < lam < math.inf:
+        raise DomainError("normalization needs a positive finite lambda")
+    if h_dom.inf() <= 0.0 or h_cod.inf() <= 0.0:
+        raise DomainError("normalization needs positive h")
     hv, hcv = h_dom.values, h_cod.values
     if stage.dense is not None:
         return Stage(stage.domain, stage.codomain,
@@ -313,14 +330,10 @@ def normalize_stage(stage: Stage, h_dom: Field, h_cod: Field, lam: float) -> Sta
                 + stage.branch_frac * hv[stage._next_index])
     new_weight = stage.branch_weight * h_at_pre / (lam * hcv[None, :])
     new_potential = new_potential_fn = None
-    if stage.potential is not None and stage.has_map:
-        if stage.forward_pos is not None:
-            hc = _interpolate(hcv, stage.forward_pos)
-        else:
-            hc = hcv[stage.forward_index]
-        new_potential = Field(stage.domain,
-                              stage.potential.values + np.log(hv) - np.log(hc) - np.log(lam))
-    if stage.potential_fn is not None and stage.map_fn is not None:
+    if stage.forward_index is not None:
+        new_potential = Field(stage.domain, stage.potential.values + np.log(hv)
+                              - np.log(hcv[stage.forward_index]) - np.log(lam))
+    elif stage.map_fn is not None:
         phi, lift = stage.potential_fn, stage.map_fn
 
         def new_potential_fn(y):
@@ -329,5 +342,5 @@ def normalize_stage(stage: Stage, h_dom: Field, h_cod: Field, lam: float) -> Sta
     return Stage(domain=stage.domain, codomain=stage.codomain,
                  branch_index=stage.branch_index, branch_frac=stage.branch_frac,
                  branch_weight=new_weight, forward_index=stage.forward_index,
-                 forward_pos=stage.forward_pos, potential=new_potential,
-                 potential_fn=new_potential_fn, map_fn=stage.map_fn)
+                 potential=new_potential, potential_fn=new_potential_fn,
+                 map_fn=stage.map_fn)

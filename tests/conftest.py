@@ -1,5 +1,7 @@
 """Shared fixtures: exact toy chains and the solved pipelines reused by the
 acceptance suite."""
+import dataclasses
+
 import hypothesis
 import numpy as np
 import pytest
@@ -42,6 +44,17 @@ def build_halving_chain(levels=3, n_top=16, seed=0, potentials=None):
             forward_index=np.arange(dom.n_points) // 2,
             potential=Field(dom, phi)))
     return StageSeq(n_min=0, n_max=levels, stages=tuple(stages), two_sided=False)
+
+
+def snapped_stage(st):
+    """A circle stage in the forward-index form of a finite map: its exact
+    images snapped to the nearest grid point and its potential sampled on
+    the grid, in place of the exact lift and potential."""
+    x, n = st.domain.positions, st.codomain.n_points
+    return dataclasses.replace(
+        st, map_fn=None, potential_fn=None,
+        forward_index=np.round((st.map_fn(x) % 1.0) * n).astype(np.int64) % n,
+        potential=Field(st.domain, st.potential_fn(x)))
 
 
 def brute_compose_values(seq, n, k, fvals):

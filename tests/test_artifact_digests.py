@@ -1,4 +1,4 @@
-"""The CLI artifacts of the shipped configs, byte for byte.
+"""The CLI artifacts of the shipped configs and of data/*.ini, byte for byte.
 
 ``data/artifact_digests.txt`` is the output of ``scripts/artifact_digests.py``
 under a header line naming the numpy version it was recorded with.  This
@@ -37,7 +37,8 @@ def test_shipped_artifacts_match_the_recorded_digests(tmp_path, monkeypatch):
     if recorded_numpy != np.__version__:
         pytest.skip(f"digests recorded with numpy {recorded_numpy}, "
                     f"running numpy {np.__version__}")
-    for config in sorted((ROOT / "configs").glob("*.ini")):
+    for config in (sorted((ROOT / "configs").glob("*.ini"))
+                   + sorted((ROOT / "tests" / "data").glob("*.ini"))):
         _run("run", config, tmp_path / config.stem, monkeypatch)
     matrix = ROOT / "configs" / "matrix_random.ini"
     _run("oracle", matrix, tmp_path / f"oracle-{matrix.stem}", monkeypatch)

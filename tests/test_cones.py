@@ -214,6 +214,13 @@ def test_norm_theta_bound_sweep(circle16):
         assert lhs <= rhs + 1e-9
 
 
+@pytest.mark.parametrize("Q, delta", [(math.nan, 0.5), (math.inf, 0.5), (1.0, math.nan),
+                                      (1.0, math.inf)])
+def test_cone_params_need_finite_q_and_delta(Q, delta):
+    with pytest.raises(DomainError, match="positive and finite"):
+        ConeParams(Q=Q, delta=delta)
+
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -88,7 +88,7 @@ def _csvs(out) -> dict:
 
 
 def _solved(cfg):
-    seq, params, cone, cert, ledger = cli._certify(cfg)
+    seq, cone, cert, ledger = cli._certify(cfg)
     fwd = solve_forward(seq, tol=cfg.tol, tau=cert.tau,
                         block_factor=cert.block_factor, cone_params=cone)
     bwd = solve_backward(fwd) if seq.two_sided else None

@@ -230,8 +230,9 @@ def test_certify_normalized_circle_stages():
 
 
 def test_certify_circle_stage_without_lift_is_typed():
+    from conftest import snapped_stage
     seq = build_circle_chain(CircleMapSpec.make(N=64, window=(0, 4)))
-    bare = dataclasses.replace(seq.stage(0), map_fn=None)
+    bare = snapped_stage(seq.stage(0))   # a map, but no exact lift
     broken = StageSeq(n_min=0, n_max=4, stages=(bare,) + seq.stages[1:], declared=seq.declared)
     with pytest.raises(CertificationError) as e:
         certify_map_hypotheses(broken)

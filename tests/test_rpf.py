@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -193,6 +194,14 @@ def test_invariant_chain_needs_two_backward_indices():
     assert len(bwd.reported_h) == 1
     with pytest.raises(ConvergenceError, match="too short"):
         build_invariant_chain(fwd, bwd, tol=1e-2)
+
+
+def test_invariant_chain_refuses_solutions_that_fail_the_eigenrelations():
+    seq, cert, fwd, bwd = small_matrix_pipeline([[2.0, 1.0], [1.0, 1.0]])
+    n = bwd.reported_h[1]
+    h = {**bwd.h, n: Field(bwd.h[n].space, 1.01 * bwd.h[n].values)}
+    with pytest.raises(DomainError, match="refusing to build the invariant chain"):
+        build_invariant_chain(fwd, dataclasses.replace(bwd, h=h), tol=1e-9)
 
 
 def test_cone_contraction_needs_one_tau_block():
@@ -518,10 +527,12 @@ def test_headroom_steps():
         headroom_steps(1e-6, 1.0, 1)
 
 
-@pytest.mark.parametrize("tol, tau", [(1e-6, 0), (0.0, 1), (-1.0, 1), (1e-6, -1)])
+@pytest.mark.parametrize("tol, tau", [(1e-6, 0), (0.0, 1), (-1.0, 1), (1e-6, -1),
+                                      (1e-6, 1.5), (math.inf, 1), (1e-6, 2.0)])
 def test_solver_rejects_a_nonpositive_tolerance_or_tau(tol, tau):
     with pytest.raises(DomainError, match="positive tolerance and tau >= 1"):
         headroom_steps(tol, 0.5, tau)
     seq = build_matrix_chain(MatrixChainSpec.random(d=2, window=(-20, 20), seed=1))
     with pytest.raises(DomainError, match="positive tolerance and tau >= 1"):
         solve_forward(seq, tol=tol, tau=tau, block_factor=0.5)
+

@@ -144,13 +144,12 @@ def _reference_stage_arrays(N, eps, a, b):
         rows["branch_frac"].append(s - base)
         rows["branch_weight"].append(np.exp(phi(s / N)))
     out = {k: np.array(v) for k, v in rows.items()}
-    out["forward_pos"] = T(x) % 1.0
-    out["forward_index"] = np.round(out["forward_pos"] * N).astype(np.int64) % N
+    out["image"] = T(x) % 1.0
     out["potential"] = phi(x)
     return out
 
 
-GEOMETRY = ("branch_index", "branch_frac", "forward_index", "forward_pos")
+GEOMETRY = ("branch_index", "branch_frac")
 
 SHIPPED_CIRCLE = pathlib.Path(__file__).resolve().parent.parent / "configs" / "circle_perturbed.ini"
 
@@ -172,7 +171,11 @@ def test_circle_stages_match_a_per_stage_reference(spec, n_maps):
         want = _reference_stage_arrays(spec.N, eps, float(spec.a[k]), float(spec.b[k]))
         for name in GEOMETRY + ("branch_weight",):
             assert np.array_equal(getattr(st, name), want[name]), (n, name)
-        assert np.array_equal(st.potential.values, want["potential"]), n
+        # a circle stage holds its map and potential only as exact callables
+        assert st.forward_index is None and st.potential is None, n
+        x = st.domain.positions
+        assert np.array_equal(st.map_fn(x) % 1.0, want["image"]), n
+        assert np.array_equal(st.potential_fn(x), want["potential"]), n
         # one geometry per distinct eps, shared by identity
         first.setdefault(eps, st)
         for other_eps, other in first.items():

@@ -13,7 +13,7 @@ from nsrpf.transfer import (Stage, StageSeq, _apply_rows, _apply_values, _dual_r
                             _dual_weights, apply_L, apply_L_dual, birkhoff_sum, compose_L,
                             compose_L_dual, normalize_stage)
 
-from conftest import PERTURBED, brute_compose_values, build_halving_chain
+from conftest import PERTURBED, brute_compose_values, build_halving_chain, snapped_stage
 
 RNG = np.random.default_rng(7)
 
@@ -275,7 +275,9 @@ def test_normalize_stage_identity_and_errors():
 def test_normalize_stage_keeps_the_exact_circle_potential():
     """Birkhoff sums over normalized circle stages use the normalized exact
     potential: unchanged at h = 1, lambda = 1, and on a solved chain the
-    one-step sum is the sampled normalized potential."""
+    one-step sum is the normalized potential sampled on the grid,
+    phi + log h_n - log h_{n+1}(T .) - log lambda_n with h_{n+1}
+    interpolated at the exact images."""
     seq = build_circle_chain(CircleMapSpec.make(N=64, window=(0, 2)))
     one = unit_field(seq.space(0))
     same = StageSeq(n_min=0, n_max=2, stages=tuple(normalize_stage(st, one, one, 1.0)
@@ -285,10 +287,19 @@ def test_normalize_stage_keeps_the_exact_circle_potential():
     seq = build_circle_chain(CircleMapSpec.make(N=64, window=(-24, 24), **PERTURBED))
     fwd = nr.solve_forward(seq, tol=1e-6, tau=2, block_factor=0.2, with_diagnostics=False)
     bwd = nr.solve_backward(fwd, with_diagnostics=False)
+    x = seq.space(0).positions
     for n in (-10, 0, 7):
-        nst = normalize_stage(seq.stage(n), bwd.h[n], bwd.h[n + 1], fwd.lam[n])
+        st = seq.stage(n)
+        nst = normalize_stage(st, bwd.h[n], bwd.h[n + 1], fwd.lam[n])
         one_step = birkhoff_sum(StageSeq(n_min=n, n_max=n + 1, stages=(nst,)), n, 1)
-        np.testing.assert_allclose(one_step.values, nst.potential.values, rtol=1e-14, atol=0)
+        p = (st.map_fn(x) % 1.0) * x.size
+        base = np.floor(p).astype(np.int64) % x.size
+        frac = p - np.floor(p)
+        h_img = (1.0 - frac) * bwd.h[n + 1].values[base] \
+            + frac * bwd.h[n + 1].values[(base + 1) % x.size]
+        sampled = (st.potential_fn(x) + np.log(bwd.h[n].values) - np.log(h_img)
+                   - np.log(fwd.lam[n]))
+        np.testing.assert_allclose(one_step.values, sampled, rtol=1e-14, atol=0)
 
 
 def _row_kernel_chains():
@@ -382,3 +393,62 @@ def test_pure_doubling_branch_structure():
     for x_idx in even:
         want = f[x_idx // 2] + f[(x_idx + n) // 2]
         assert img.values[x_idx] == pytest.approx(want, rel=1e-15)
+
+
+def _circle_stage():
+    return build_circle_chain(CircleMapSpec.make(N=64, window=(0, 1))).stage(0)
+
+
+def test_stage_rejects_both_map_forms():
+    st = _circle_stage()
+    finite = snapped_stage(st)
+    with pytest.raises(StructuralError, match="one form of its map"):
+        dataclasses.replace(st, forward_index=finite.forward_index, potential=finite.potential)
+    with pytest.raises(StructuralError, match="one form of its map"):
+        dataclasses.replace(finite, map_fn=st.map_fn)
+
+
+@pytest.mark.parametrize("drop", ["map_fn", "potential_fn", "forward_index", "potential"])
+def test_stage_rejects_a_map_without_its_potential(drop):
+    st = _circle_stage()
+    if drop in ("forward_index", "potential"):
+        st = snapped_stage(st)
+    with pytest.raises(StructuralError, match="both its map and its potential"):
+        dataclasses.replace(st, **{drop: None})
+
+
+def test_stage_rejects_an_exact_lift_off_a_circle_grid():
+    st = build_halving_chain(levels=1, n_top=4, seed=1).stage(0)
+    with pytest.raises(StructuralError, match="circle-grid"):
+        dataclasses.replace(st, forward_index=None, potential=None,
+                            map_fn=lambda y: 2.0 * y, potential_fn=np.cos)
+
+
+def test_operator_stages_reject_a_map_form():
+    st = build_matrix_chain(MatrixChainSpec.random(d=2, window=(0, 1), seed=1)).stage(0)
+    with pytest.raises(StructuralError, match="only their matrix"):
+        dataclasses.replace(st, forward_index=np.array([0, 1]),
+                            potential=Field(st.domain, np.zeros(2)))
+
+
+def test_compose_rejects_a_non_integer_depth():
+    seq = build_matrix_chain(MatrixChainSpec.random(d=2, window=(-30, 30), seed=1))
+    f = unit_field(seq.space(0))
+    with pytest.raises(StructuralError, match="integers"):
+        compose_L(seq, 0, 1.5, f)
+
+
+@pytest.mark.parametrize("lam", [math.nan, math.inf])
+def test_normalize_stage_rejects_a_non_finite_lambda(lam):
+    st = build_matrix_chain(MatrixChainSpec.random(d=2, window=(-30, 30), seed=1)).stage(0)
+    one = unit_field(st.domain)
+    with pytest.raises(DomainError, match="positive finite lambda"):
+        normalize_stage(st, one, one, lam)
+
+
+def test_birkhoff_sum_refuses_an_orbit_that_mixes_map_forms():
+    seq = build_circle_chain(CircleMapSpec.make(N=64, window=(0, 2)))
+    mixed = StageSeq(n_min=0, n_max=2, stages=(seq.stage(0), snapped_stage(seq.stage(1))))
+    assert np.array_equal(birkhoff_sum(mixed, 0, 1).values, birkhoff_sum(seq, 0, 1).values)
+    with pytest.raises(StructuralError, match="one form of the map"):
+        birkhoff_sum(mixed, 0, 2)

@@ -6,7 +6,6 @@ comparison per index or sampled pair.  The stacked verifiers must report
 exactly the same numbers (floats compared with ==), on chains with one
 matrix shape, with branch tables, and with spaces that change size.
 """
-import dataclasses
 import math
 import random
 
@@ -29,7 +28,7 @@ from nsrpf.systems import (CircleMapSpec, MatrixChainSpec, build_circle_chain,
                            build_matrix_chain)
 from nsrpf.transfer import StageSeq, apply_L, apply_L_dual, compose_L, normalize_stage
 
-from conftest import PERTURBED, build_halving_chain
+from conftest import PERTURBED, build_halving_chain, snapped_stage
 
 CONE2 = ConeParams(Q=1.0, delta=0.5, beta=1.0)
 
@@ -244,8 +243,8 @@ def ref_invariant_chain(fwd, bwd):
             f = Field(sp, row)
             rhs = pair(f, mu[n + 1])
             if st.has_map:
-                if st.forward_pos is not None and d.fns is not None:
-                    fT = d.fns[i](st.forward_pos)
+                if st.map_fn is not None:
+                    fT = d.fns[i](st.map_fn(dom.positions) % 1.0)
                 else:
                     fT = row[st.forward_index]
                 lhs = float(fT @ mu[n].weights)
@@ -409,13 +408,12 @@ def test_invariant_chain_equals_the_per_row_loop(case):
 
 
 def test_invariant_chain_on_snapped_images_equals_the_per_row_loop():
-    """Circle stages without exact image positions push through the snapped
-    forward indices, the branch that finite map chains would take."""
+    """Forward-index-form stages on a circle grid push through the snapped
+    image indices, the branch that finite map chains take."""
     seq = build_circle_chain(CircleMapSpec.make(N=64, window=(-24, 24), **PERTURBED))
     snapped = StageSeq(n_min=seq.n_min, n_max=seq.n_max, declared=seq.declared,
-                       stages=tuple(dataclasses.replace(st, forward_pos=None)
-                                    for st in seq.stages))
-    assert all(st.has_map and st.forward_pos is None for st in snapped.stages)
+                       stages=tuple(snapped_stage(st) for st in seq.stages))
+    assert all(st.has_map and st.map_fn is None for st in snapped.stages)
     fwd = solve_forward(snapped, tol=1e-6, tau=2, block_factor=0.2, with_diagnostics=False)
     _assert_same_invariant_chain(fwd, solve_backward(fwd, with_diagnostics=False), 1e-6)
 
