@@ -101,7 +101,6 @@ class Stage:
             raise StructuralError("branch weights must be strictly positive and finite")
         if self.forward_index is not None and not _indices_in(self.forward_index, n_cod):
             raise StructuralError("forward indices must be integers in [0, n_codomain)")
-        object.__setattr__(self, "_next_index", (self.branch_index + 1) % n_dom)
 
     @property
     def n_branches(self) -> int:
@@ -125,6 +124,13 @@ def _indices_in(idx, n: int) -> bool:
         idx.size == 0 or 0 <= int(idx.min()) <= int(idx.max()) < n)
 
 
+def _blend(v: np.ndarray, idx: np.ndarray, frac) -> np.ndarray:
+    """(1 - frac) v[idx] + frac v[(idx + 1) mod N] for a vector v of N grid
+    values: v linearly interpolated toward the next grid point, whose value
+    is read from v shifted back by one point."""
+    return (1.0 - frac) * v[idx] + frac * np.concatenate((v[1:], v[:1]))[idx]
+
+
 def _apply_values(stage: Stage, v: np.ndarray) -> np.ndarray:
     """apply_L on a raw value vector, or on each row of an (R, n) stack (no
     wrapping; solver-internal hot path)."""
@@ -133,9 +139,7 @@ def _apply_values(stage: Stage, v: np.ndarray) -> np.ndarray:
         return np.matmul(stage.dense, v[..., None])[..., 0]
     if v.ndim == 2:
         return np.stack([_apply_values(stage, row) for row in v])
-    lo = v[stage.branch_index]
-    hi = v[stage._next_index]
-    vals = stage.branch_weight * ((1.0 - stage.branch_frac) * lo + stage.branch_frac * hi)
+    vals = stage.branch_weight * _blend(v, stage.branch_index, stage.branch_frac)
     return vals.sum(axis=0)
 
 
@@ -144,16 +148,15 @@ def _dual_weights(stage: Stage, s: np.ndarray) -> np.ndarray:
     stack (exact transpose of _apply_values)."""
     if stage.dense is not None:
         return np.matmul(stage.dense.T, s[..., None])[..., 0]
-    if s.ndim == 2:
-        return np.stack([_dual_weights(stage, row) for row in s])
     n_dom = stage.domain.n_points
-    out = np.zeros(n_dom)
-    for b in range(stage.n_branches):
-        contrib = stage.branch_weight[b] * s
-        out += np.bincount(stage.branch_index[b],
-                           weights=contrib * (1.0 - stage.branch_frac[b]), minlength=n_dom)
-        out += np.bincount(stage._next_index[b],
-                           weights=contrib * stage.branch_frac[b], minlength=n_dom)
+    out = np.zeros(s.shape[:-1] + (n_dom,))
+    for o, row in zip(np.atleast_2d(out), np.atleast_2d(s)):
+        for b in range(stage.n_branches):
+            contrib = stage.branch_weight[b] * row
+            idx, frac = stage.branch_index[b], stage.branch_frac[b]
+            o += np.bincount(idx, weights=contrib * (1.0 - frac), minlength=n_dom)
+            hi = np.bincount(idx, weights=contrib * frac, minlength=n_dom)
+            o += np.concatenate((hi[-1:], hi[:-1]))   # hi[i] belongs to point i + 1
     return out
 
 
@@ -299,9 +302,7 @@ def _interpolate(h: np.ndarray, y) -> np.ndarray:
     """Grid values h of a circle grid, linearly interpolated at raw positions y."""
     n = h.size
     p = y * n
-    base = np.floor(p).astype(np.int64) % n
-    frac = p - np.floor(p)
-    return (1.0 - frac) * h[base] + frac * h[(base + 1) % n]
+    return _blend(h, np.floor(p).astype(np.int64) % n, p - np.floor(p))
 
 
 def normalize_stage(stage: Stage, h_dom: Field, h_cod: Field, lam: float) -> Stage:
@@ -326,8 +327,7 @@ def normalize_stage(stage: Stage, h_dom: Field, h_cod: Field, lam: float) -> Sta
     if stage.dense is not None:
         return Stage(stage.domain, stage.codomain,
                      dense=stage.dense * hv[None, :] / (lam * hcv[:, None]))
-    h_at_pre = ((1.0 - stage.branch_frac) * hv[stage.branch_index]
-                + stage.branch_frac * hv[stage._next_index])
+    h_at_pre = _blend(hv, stage.branch_index, stage.branch_frac)
     new_weight = stage.branch_weight * h_at_pre / (lam * hcv[None, :])
     new_potential = new_potential_fn = None
     if stage.forward_index is not None:
