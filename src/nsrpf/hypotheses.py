@@ -355,8 +355,8 @@ class ConeCertificate:
     """Outcome of the cone-condition check.
 
     Delta_measured is the largest projective diameter observed among
-    tau-step images (sampled pairs, exact column diameters for operator
-    stages, and the unit function's image ratio).  block_factor is the
+    tau-step images (sampled pairs, the exact column diameter of every
+    operator stage, and the unit function's image ratio).  block_factor is the
     Birkhoff contraction factor tanh(Delta_measured/4) of one tau-block.
     n_samples counts sampled pairs, none on operator chains whose cone is C+.
     """
@@ -391,9 +391,10 @@ def certify_cone_conditions(seq: StageSeq, p: ConeParams, *,
     Verifies that the unit function lies in every cone, that operators map
     the cone into the next one (for map chains, into the strictly smaller
     parameter S(Q), which is the mechanism behind invariance), and bounds
-    the projective diameter of tau-step images.  Operator chains use tau = 1
-    and exact column-pair diameters (coordinate directions are the extreme
-    rays of the positive cone on a finite set).  The sampling is fixed: at
+    the projective diameter of tau-step images.  Operator chains take no
+    ``params``, use tau = 1 and start Delta at the exact column diameter of
+    M_n C+ at every index n (coordinate directions are the extreme rays of
+    the positive cone on a finite set).  The sampling is fixed: at
     every 8th index from the window bottom that starts a full tau-block, 12
     pairs alternating between random interior fields and near-extremal
     exponential-of-distance fields, drawn from a generator seeded with
@@ -409,9 +410,10 @@ def certify_cone_conditions(seq: StageSeq, p: ConeParams, *,
     has_map = seq.stage(seq.n_min).has_map
     if not has_map and any(st.dense is None for st in seq.stages):
         raise StructuralError("a chain without forward maps needs operator stages")
-    tau = params.tau if params is not None else (1 if not has_map else None)
-    if tau is None:
-        raise StructuralError("map chains need measured hypothesis params for tau")
+    if has_map == (params is None):
+        raise StructuralError("map chains need measured hypothesis params for tau, "
+                              "and chains without maps take none (tau = 1)")
+    tau = params.tau if has_map else 1
 
     one = unit_field(seq.space(seq.n_min))
     if not in_log_holder_cone(one, p):
@@ -426,7 +428,8 @@ def certify_cone_conditions(seq: StageSeq, p: ConeParams, *,
                 f"S(Q) = {s_param} is not below Q = {p.Q}; raise Q above the threshold")
 
     target = ConeParams(Q=s_param, delta=p.delta, beta=p.beta) if s_param else p
-    delta_m = 0.0
+    # exact diameter of M_n C+ at every index; tau = 1 without maps
+    delta_m = 0.0 if has_map else max(_column_diameter(st.dense) for st in seq.stages)
     max_ratio = 0.0
     n_sampled = 0
     check_indices = [n for n in seq.stage_indices if (n - seq.n_min) % 8 == 0
@@ -437,11 +440,6 @@ def certify_cone_conditions(seq: StageSeq, p: ConeParams, *,
                                    for sp in {seq.space(n) for n in seq.space_indices})
     for n in check_indices:
         st = seq.stage(n)
-        if not has_map:
-            block = st.dense
-            for j in range(n + 1, n + tau):
-                block = seq.stage(j).dense @ block
-            delta_m = max(delta_m, _column_diameter(block))
         # unit-image ratio bound after tau steps
         img1 = compose_L(seq, n, tau, unit_field(seq.space(n)))
         delta_m = max(delta_m, math.log(img1.sup() / img1.inf()))

@@ -243,7 +243,7 @@ def test_invariant_chain_on_a_too_short_window_is_a_typed_error(tmp_path, capsys
 [system]
 kind = matrix
 d = 3
-window = 0 10
+window = 0 12
 seed = 1
 
 [cone]

@@ -321,6 +321,29 @@ def test_cone_conditions_need_operator_stages_without_a_map():
         certify_cone_conditions(mixed, ConeParams(Q=1.0, delta=0.5, beta=1.0))
 
 
+def test_cone_conditions_refuse_params_without_maps():
+    m = np.array([[2.0, 1.0], [1.0, 1.0]])
+    seq = build_matrix_chain(MatrixChainSpec.stationary(m, (0, 4)))
+    with pytest.raises(StructuralError, match="without maps take none"):
+        certify_cone_conditions(seq, ConeParams(Q=1.0, delta=0.5, beta=1.0), params=WORKED)
+
+
+def _all_index_column_diameter(matrices) -> float:
+    """max over n and column pairs (a, b) of the spread of log(M_n[:, a] / M_n[:, b])."""
+    return max(float(np.ptp(np.log(m[:, a] / m[:, b])))
+               for m in matrices for a in range(m.shape[1]) for b in range(a))
+
+
+@pytest.mark.parametrize("config", ["configs/matrix_random.ini",
+                                    "tests/data/matrix_seed72_chain6.ini"])
+def test_operator_chain_delta_is_the_all_index_column_diameter(config):
+    spec = parse_config(str(pathlib.Path(__file__).resolve().parent.parent / config)).system
+    cert = certify_cone_conditions(build_matrix_chain(spec),
+                                   ConeParams(Q=1.0, delta=0.5, beta=1.0))
+    assert cert.Delta_measured == pytest.approx(_all_index_column_diameter(spec.matrices),
+                                                rel=1e-14)
+
+
 def test_cone_conditions_circle():
     spec = CircleMapSpec.make(N=256, window=(0, 8), eps=0.05,
                               eps_mode="alternating", a=0.1, a_mode="sin")

@@ -186,7 +186,7 @@ def test_eigen_relations_refuse_to_check_nothing():
 
 
 def test_invariant_chain_needs_two_backward_indices():
-    seq = build_matrix_chain(MatrixChainSpec.random(d=3, window=(0, 10), seed=1))
+    seq = build_matrix_chain(MatrixChainSpec.random(d=3, window=(0, 12), seed=1))
     cert = nr.certify_cone_conditions(seq, CONE2)
     fwd = solve_forward(seq, tol=1e-2, tau=cert.tau, block_factor=cert.block_factor,
                         cone_params=CONE2)

@@ -333,7 +333,7 @@ def test_row_kernels_equal_the_per_row_kernels(name):
 
 
 def test_normalize_stage_iterated_cocycle_matrix():
-    spec = MatrixChainSpec.random(d=3, window=(-20, 20), seed=21)
+    spec = MatrixChainSpec.random(d=3, window=(-21, 21), seed=21)
     seq = build_matrix_chain(spec)
     cone = ConeParams(Q=1.0, delta=0.5, beta=1.0)
     cert = nr.certify_cone_conditions(seq, cone)
