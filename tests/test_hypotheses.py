@@ -239,6 +239,40 @@ def test_certify_circle_stage_without_lift_is_typed():
     assert e.value.axiom == "uniform-expansion"
 
 
+def test_certify_needs_declared_params():
+    seq = build_circle_chain(CircleMapSpec.make(N=64, window=(0, 4)))
+    bare = StageSeq(n_min=seq.n_min, n_max=seq.n_max, stages=seq.stages)
+    with pytest.raises(CertificationError, match="declared delta and beta") as e:
+        certify_map_hypotheses(bare)
+    assert e.value.axiom == "bounded-degree"
+
+
+def test_certify_needs_stages_with_dynamics():
+    m = np.array([[2.0, 1.0], [1.0, 1.0]])
+    seq = build_matrix_chain(MatrixChainSpec.stationary(m, (0, 4)))
+    declared = StageSeq(n_min=0, n_max=4, stages=seq.stages, declared=WORKED)
+    with pytest.raises(CertificationError, match="actual dynamics") as e:
+        certify_map_hypotheses(declared)
+    assert e.value.axiom == "bounded-degree"
+
+
+@pytest.mark.parametrize("field, named, axiom", [
+    ("D", "degree", "bounded-degree"), ("rho", "rho", "uniform-expansion"),
+    ("H", "H", "holder-potential"), ("V", "V", "holder-potential"),
+    ("tau", "tau", "topological-exactness")])
+def test_certify_a_measured_value_above_the_declared_one_names_its_axiom(field, named, axiom):
+    # the same stages, declared with one value just below the measured one
+    seq = build_circle_chain(CircleMapSpec.make(N=64, window=(0, 16)))
+    measured = certify_map_hypotheses(seq)
+    value = getattr(measured, field)
+    below = value - 1 if isinstance(value, int) else value * (1.0 - 1e-6)
+    redeclared = StageSeq(n_min=seq.n_min, n_max=seq.n_max, stages=seq.stages,
+                          declared=dataclasses.replace(measured, **{field: below}))
+    with pytest.raises(CertificationError, match=f"measured {named} ") as e:
+        certify_map_hypotheses(redeclared)
+    assert e.value.axiom == axiom
+
+
 def test_cone_conditions_matrix_column_diameter():
     m = np.array([[2.0, 1.0], [1.0, 1.0]])
     seq = build_matrix_chain(MatrixChainSpec.stationary(m, (0, 4)))
