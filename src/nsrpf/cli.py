@@ -300,10 +300,15 @@ def cmd_run(cfg: RunConfig) -> int:
              f"max |<h,m>-1| {_fmt(eig.max_pair_h)}, "
              f"max h residual {_fmt(eig.max_resid_h)} (tol {_fmt(cfg.tol)})")
     rates = None
+    rc = cert.rate_constants()
     if "rates" in cfg.checks:
-        rates = verify_exponential_rates(fwd, bwd, cert.rate_constants())
-        note("rates", rates.passed,
-             f"{rates.violations} envelope violations over {len(rates.rows)} records")
+        rates = verify_exponential_rates(fwd, bwd, rc)
+        detail = f"{rates.violations} envelope violations over {len(rates.rows)} records"
+        if not rates.passed:
+            worst, n = max((s, n) for n, pair in rates.slopes.items() for s in pair)
+            detail += (f", worst slope {_fmt(worst)} at n = {n} (must be < 0 and "
+                       f"<= log(gamma) + 1 = {_fmt(math.log(rc.gamma) + 1.0)})")
+        note("rates", rates.passed, detail)
     if "independence" in cfg.checks:
         ind = verify_independence(fwd, bwd, tol=cfg.tol)
         note("independence", ind.passed,
@@ -354,7 +359,7 @@ def cmd_run(cfg: RunConfig) -> int:
             _write_csv(os.path.join(cfg.out_dir, f"h_{n}.csv"), _H_COLUMNS,
                        _interleave(range(len(v)), v.tolist()))
     rate_rows = (rates.rows if rates is not None
-                 else verify_exponential_rates(fwd, bwd, cert.rate_constants()).rows)
+                 else verify_exponential_rates(fwd, bwd, rc).rows)
     _write_csv(os.path.join(cfg.out_dir, "rates.csv"), _RATES_COLUMNS,
                itertools.chain.from_iterable(rate_rows))
     _atomic_write(os.path.join(cfg.out_dir, "report.txt"),

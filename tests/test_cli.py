@@ -1,3 +1,5 @@
+import dataclasses
+import math
 import os
 import pathlib
 import subprocess
@@ -72,6 +74,28 @@ def test_run_matrix_ok(tmp_path):
     assert (out / "rates.csv").exists() and (out / "constants.txt").exists()
     assert any(f.name.startswith("m_") for f in out.iterdir())
     assert any(f.name.startswith("h_") for f in out.iterdir())
+
+
+def test_failing_rates_line_names_the_worst_slope(tmp_path, monkeypatch):
+    # the fake report fails on one slope of -0.25, shallower than every real
+    # one; the FAIL line names it, its index and the bound it broke
+    real = cli.verify_exponential_rates
+    seen = []
+
+    def one_shallow_slope(fwd, bwd, rc):
+        seen.append(real(fwd, bwd, rc))
+        slopes = {**seen[0].slopes, min(seen[0].slopes): (-0.25, -math.inf)}
+        return dataclasses.replace(seen[0], slopes=slopes, passed=False)
+
+    monkeypatch.setattr(cli, "verify_exponential_rates", one_shallow_slope)
+    out = tmp_path / "out"
+    assert main(["run", write_cfg(tmp_path, MATRIX_CFG.format(out=out))]) == 1
+    constants = dict(ln.split(" = ") for ln in (out / "constants.txt").read_text().splitlines())
+    bound = math.log(float(constants["gamma_measured"])) + 1.0
+    fails = [ln for ln in (out / "report.txt").read_text().splitlines() if ln.startswith("FAIL")]
+    assert fails == [f"FAIL rates: 0 envelope violations over {len(seen[0].rows)} records, "
+                     f"worst slope -0.25 at n = {min(seen[0].slopes)} "
+                     f"(must be < 0 and <= log(gamma) + 1 = {bound:.17g})"]
 
 
 def test_run_doubling_lambda_two(tmp_path):
