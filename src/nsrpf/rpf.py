@@ -42,7 +42,8 @@ index n has n + 1 inside the window.
 
 Verifiers.  The verifiers run on row stacks rather than per-index loops:
 every reported index (or sampled cone pair, or re-solve seed) is one row,
-and consecutive rows whose spaces agree form a block of at most 2^15 cells.
+and consecutive rows whose spaces agree form a block; a block of sampled
+cone pairs, whose gap temporaries are (rows, pairs), has at most 2^15 cells.
 A block goes through its stages in one stacked call, each row through its
 own stage (_apply_rows / _dual_rows: one gathered matmul on dense stages,
 one kernel call per row on branch tables); seed families that share a tail
@@ -374,20 +375,20 @@ def _check_chain(fwd: ForwardSolution, bwd: Optional[BackwardSolution]) -> None:
                               "than the forward one")
 
 
-_BLOCK_CELLS = 2 ** 15   # cells of one row block of the stacked verifiers
+_BLOCK_CELLS = 2 ** 15   # cells of one row block of the sampled cone pairs
 
 
-def _block_rows(seq: StageSeq, p: Optional[ConeParams] = None) -> int:
-    """Rows per block: _BLOCK_CELLS over the widest space of the chain, or
-    over its Lambda(Q) pair set when ``p`` is given and that is wider."""
-    width = max(max(sp.n_points, len(pair_set(sp, p)) if p is not None else 0)
+def _block_rows(seq: StageSeq, p: ConeParams) -> int:
+    """Rows per cone-pair block: _BLOCK_CELLS over the widest space of the
+    chain or over its Lambda(Q) pair set, whichever is wider."""
+    width = max(max(sp.n_points, len(pair_set(sp, p)))
                 for sp in {seq.space(n) for n in seq.space_indices})
     return max(1, _BLOCK_CELLS // width)
 
 
 def _runs(items, key, cap: int) -> list:
     """``items`` cut into runs of consecutive items that share ``key(item)``,
-    each at most ``cap`` long: the row blocks of the stacked verifiers."""
+    each at most ``cap`` long: the row blocks of the sampled cone pairs."""
     runs = []
     for _, run in itertools.groupby(items, key):
         run = list(run)
@@ -396,8 +397,10 @@ def _runs(items, key, cap: int) -> list:
 
 
 def _index_runs(seq: StageSeq, indices) -> list:
-    """Blocks of reported indices n whose stages map the same spaces."""
-    return _runs(indices, lambda n: (seq.space(n), seq.space(n + 1)), _block_rows(seq))
+    """Blocks of reported indices n whose stages map the same spaces; a
+    block's (rows, n) stacks are small, so its length is not capped."""
+    return [list(run) for _, run in
+            itertools.groupby(indices, lambda n: (seq.space(n), seq.space(n + 1)))]
 
 
 @dataclass
