@@ -356,8 +356,8 @@ class ConeCertificate:
 
     Delta_measured is the largest projective diameter observed among
     tau-step images (sampled pairs, the exact column diameter of every
-    operator stage, and the unit function's image ratio).  block_factor is the
-    Birkhoff contraction factor tanh(Delta_measured/4) of one tau-block.
+    operator stage, and the unit function's image ratio).  block_factor is
+    the Birkhoff contraction factor tanh(Delta_measured/4) of one tau-block.
     n_samples counts sampled pairs, none on operator chains whose cone is C+.
     """
 
