@@ -335,7 +335,7 @@ def cmd_run(cfg: RunConfig) -> int:
             # which scales like 1/N^2; 1e-4 is the measured scale at N = 1024
             n = seq.space(seq.n_min).n_points
             chain_tol = max(cfg.tol, 1e-4 * (1024.0 / n) ** 2)
-        chain = build_invariant_chain(fwd, bwd, tol=chain_tol)
+        chain = build_invariant_chain(fwd, bwd, tol=chain_tol, eigen=eig)
         note("invariant_chain", chain.passed,
              f"max push gap {_fmt(max(chain.push_gap.values()))}, "
              f"max ||L~1 - 1|| {_fmt(max(chain.tilde_one_err.values()))}, "

@@ -40,6 +40,7 @@ Theta by tanh(Delta/4), and tanh(inf) = 1 is a meaningful rate.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -150,24 +151,55 @@ def in_positive_cone(f: Field) -> bool:
     return bool(v.min() >= 0.0 and v.max() > 0.0)
 
 
-def _cone_violation(values: np.ndarray, ps: PairSet, E: np.ndarray) -> float:
-    """Largest relative violation of the functional inequalities (0 = inside)."""
+def _cone_violation(values: np.ndarray, ps: PairSet, E: np.ndarray):
+    """Largest relative violation of the functional inequalities (0 = inside)
+    of each row of a stack of fields (a single field is a stack without
+    rows)."""
     if len(ps) == 0:
-        return 0.0
-    lhs = values[ps.j]
-    rhs = E * values[ps.i]
+        return np.zeros(values.shape[:-1])
+    lhs = np.take(values, ps.j, axis=-1)   # np.take gathers rows faster than [..., j]
+    rhs = E * np.take(values, ps.i, axis=-1)
     scale = np.maximum(np.abs(lhs), np.abs(rhs))
     scale[scale == 0.0] = 1.0
-    return float(((lhs - rhs) / scale).max())
+    return ((lhs - rhs) / scale).max(axis=-1)
+
+
+_BLOCK_CELLS = 2 ** 15   # cells of one row block of fields or pair constraints
+
+
+def _block_rows(spaces, p: ConeParams) -> int:
+    """Rows per block: _BLOCK_CELLS over the widest of the spaces or of their
+    Lambda(Q) pair sets, at least one."""
+    width = max(max(sp.n_points, len(pair_set(sp, p))) for sp in spaces)
+    return max(1, _BLOCK_CELLS // width)
+
+
+def _runs(items, key, seq, p: ConeParams) -> list:
+    """``items`` cut into runs of consecutive items that share ``key(item)``,
+    each at most one block of the chain ``seq`` long: the row blocks of its
+    sampled cone pairs."""
+    cap = _block_rows({seq.space(n) for n in seq.space_indices}, p)
+    runs = []
+    for _, run in itertools.groupby(items, key):
+        run = list(run)
+        runs += [run[i:i + cap] for i in range(0, len(run), cap)]
+    return runs
+
+
+def _inside(values: np.ndarray, space, p: ConeParams) -> np.ndarray:
+    """in_log_holder_cone of each row of an (R, n) stack of fields, one
+    block of rows at a time."""
+    ps = pair_set(space, p)
+    E = ps.exp_weights(p.Q, p.beta)
+    step = _block_rows([space], p)
+    viol = np.concatenate([_cone_violation(values[r:r + step], ps, E)
+                           for r in range(0, len(values), step)])
+    return (values.min(axis=1) >= 0.0) & (values.max(axis=1) > 0.0) & (viol <= MEMBERSHIP_SLACK)
 
 
 def in_log_holder_cone(f: Field, p: ConeParams) -> bool:
     """Membership in Lambda(Q), with a relative slack of 1e-12 for roundoff."""
-    if not in_positive_cone(f):
-        return False
-    ps = pair_set(f.space, p)
-    E = ps.exp_weights(p.Q, p.beta)
-    return _cone_violation(f.values, ps, E) <= MEMBERSHIP_SLACK
+    return bool(_inside(f.values[None], f.space, p)[0])
 
 
 def _pointwise_gap(F: np.ndarray, G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -224,8 +256,8 @@ def _gap_log_holder_raw(F: np.ndarray, G: np.ndarray, ps: PairSet,
     """
     A, B = _pointwise_gap(F, G)
     if len(ps) > 0:
-        lf = E * F[..., ps.i] - F[..., ps.j]
-        lg = E * G[..., ps.i] - G[..., ps.j]
+        lf = E * np.take(F, ps.i, axis=-1) - np.take(F, ps.j, axis=-1)
+        lg = E * np.take(G, ps.i, axis=-1) - np.take(G, ps.j, axis=-1)
         m = lf > 0.0
         if m.all():
             r = lg / lf
@@ -236,6 +268,19 @@ def _gap_log_holder_raw(F: np.ndarray, G: np.ndarray, ps: PairSet,
         B = np.where((~m & (lg > 0.0)).any(axis=-1), math.inf, B)
         A = np.where((~m & (lg < 0.0)).any(axis=-1), 0.0, A)
     return A, B
+
+
+def _gaps(F: np.ndarray, G: np.ndarray, space, p: ConeParams):
+    """(A, B) arrays of the Lambda(Q) gaps of the row pairs of the (R, n)
+    stacks F and G, and the list of theta_log_holder(f, g, p, checked=False)
+    of each pair, one block of rows at a time."""
+    ps = pair_set(space, p)
+    E = ps.exp_weights(p.Q, p.beta)
+    step = _block_rows([space], p)
+    A, B = (np.concatenate(x) for x in zip(*[
+        _gap_log_holder_raw(F[r:r + step], G[r:r + step], ps, E)
+        for r in range(0, len(F), step)]))
+    return A, B, [_theta_from_gap(a, b) for a, b in zip(A.tolist(), B.tolist())]
 
 
 def theta_log_holder(f: Field, g: Field, p: ConeParams, *, checked: bool = True) -> float:
@@ -305,6 +350,33 @@ def sample_extremal_log_holder(space, p: ConeParams, rng: np.random.Generator) -
     return Field(space, np.exp(q * d ** p.beta))
 
 
+def _log_holder_rows(space, p: ConeParams, rng: np.random.Generator, k: int) -> np.ndarray:
+    """k draws of sample_log_holder_field as the rows of one (k, N) array.
+
+    The generator is consumed as by k single calls, so each row has the bits
+    of its single draw and the generator ends in the same state.  On a circle
+    grid the rows are summed over the modes at once, on the grid's cos and
+    sin rows, which are built once and cached on the space.
+    """
+    if space.kind != KIND_CIRCLE:
+        return np.stack([sample_log_holder_field(space, p, rng).values for _ in range(k)])
+    ms = np.arange(1, 7)
+    basis = space._caches.get("log_holder_basis")
+    if basis is None:   # the (6, N) rows cos(2 pi m x) and sin(2 pi m x)
+        basis = space._caches["log_holder_basis"] = tuple(
+            np.stack([fn(2 * np.pi * m * space.positions) for m in ms]) for fn in (np.cos, np.sin))
+    a, b, scale = np.empty((k, 6)), np.empty((k, 6)), np.empty((k, 1))
+    for r in range(k):
+        a[r], b[r] = rng.normal(size=6), rng.normal(size=6)
+        lip = float(np.sum(2.0 * np.pi * ms * (np.abs(a[r]) + np.abs(b[r]))))
+        target = 0.9 * p.Q * rng.uniform(0.2, 1.0)
+        scale[r] = 0.0 if lip == 0.0 else target / lip
+    logf = np.zeros((k, space.n_points))
+    for m in range(6):
+        logf += scale * (a[:, m, None] * basis[0][m] + b[:, m, None] * basis[1][m])
+    return np.exp(logf)
+
+
 def sample_log_holder_field(space, p: ConeParams, rng: np.random.Generator) -> Field:
     """A random field strictly inside Lambda(Q).
 
@@ -314,20 +386,8 @@ def sample_log_holder_field(space, p: ConeParams, rng: np.random.Generator) -> F
     space whose pair set is empty, the cone is all of C+ and any positive
     vector works.
     """
-    strength = 0.9
     if space.kind == KIND_CIRCLE:
-        modes = 6
-        x = space.positions
-        a = rng.normal(size=modes)
-        b = rng.normal(size=modes)
-        ms = np.arange(1, modes + 1)
-        lip = float(np.sum(2.0 * np.pi * ms * (np.abs(a) + np.abs(b))))
-        target = strength * p.Q * rng.uniform(0.2, 1.0)
-        scale = 0.0 if lip == 0.0 else target / lip
-        logf = np.zeros_like(x)
-        for k, m in enumerate(ms):
-            logf += scale * (a[k] * np.cos(2 * np.pi * m * x) + b[k] * np.sin(2 * np.pi * m * x))
-        return Field(space, np.exp(logf))
+        return Field(space, _log_holder_rows(space, p, rng, 1)[0])
     if len(pair_set(space, p)) == 0:
         return Field(space, rng.uniform(0.5, 2.0, size=space.n_points))
     # generic finite metric space: rescale a random field's log-oscillation
@@ -336,5 +396,5 @@ def sample_log_holder_field(space, p: ConeParams, rng: np.random.Generator) -> F
     from .spaces import holder_seminorm
     s = holder_seminorm(f, p.beta)
     if s > 0.0:
-        v = v * (strength * p.Q * rng.uniform(0.2, 1.0) / s)
+        v = v * (0.9 * p.Q * rng.uniform(0.2, 1.0) / s)
     return Field(space, np.exp(v))

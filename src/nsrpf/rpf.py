@@ -42,13 +42,17 @@ index n has n + 1 inside the window.
 
 Verifiers.  The verifiers run on row stacks rather than per-index loops:
 every reported index (or sampled cone pair, or re-solve seed) is one row,
-and consecutive rows whose spaces agree form a block; a block of sampled
-cone pairs, whose gap temporaries are (rows, pairs), has at most 2^15 cells.
-A block goes through its stages in one stacked call, each row through its
-own stage (_apply_rows / _dual_rows: one gathered matmul on dense stages,
-one kernel call per row on branch tables); seed families that share a tail
-are the rows of one frozen re-solve, compared index by index as the sweep
-goes; the rate envelopes and slope fits run on the concatenated histories.
+and consecutive rows whose spaces agree form a block.  The cap on a block
+of sampled cone pairs, whose gap temporaries are (rows, pairs), lives in
+cones next to the gap kernel (at most 2^15 cells; cones._runs cuts the
+blocks, and cones._gaps splits any larger stack), and the cone certificate
+shares it.  A block goes through its stages in one stacked call, each row
+through its own stage (transfer._compose_rows / _dual_rows: one gathered
+matmul on dense stages, one kernel call per row on branch tables), and its
+sampled fields are drawn in one call (cones._log_holder_rows); seed
+families that share a tail are the rows of one frozen re-solve, compared
+index by index as the sweep goes; the rate envelopes and slope fits run on
+the concatenated histories.
 Every row gets the bits its own per-index call would, so every reported
 number equals that of the per-index loop; the only stacked computation that
 is not bit-equal, the closed-form slope fit, feeds a verdict and no number.
@@ -64,13 +68,13 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .cones import (DEFAULT_CONE, ConeParams, _gap_log_holder_raw, _theta_from_gap,
-                    birkhoff_rate, pair_set, sample_log_holder_field)
+from .cones import (DEFAULT_CONE, ConeParams, _gaps, _log_holder_rows, _runs,
+                    birkhoff_rate, sample_log_holder_field)
 from .dictionaries import cone_dictionary, pairing_vector, weak_dictionary
 from .errors import ConvergenceError, DomainError, StructuralError
 from .hypotheses import RateConstants
 from .spaces import Field, MeasureVec, normalize, pair, unit_field
-from .transfer import (StageSeq, _apply_rows, _apply_values, _dual_rows, _dual_weights,
+from .transfer import (StageSeq, _apply_values, _compose_rows, _dual_rows, _dual_weights,
                        normalize_stage)
 
 _ZERO_FLOOR = 1e-13   # error values below this count as converged noise
@@ -375,27 +379,6 @@ def _check_chain(fwd: ForwardSolution, bwd: Optional[BackwardSolution]) -> None:
                               "than the forward one")
 
 
-_BLOCK_CELLS = 2 ** 15   # cells of one row block of the sampled cone pairs
-
-
-def _block_rows(seq: StageSeq, p: ConeParams) -> int:
-    """Rows per cone-pair block: _BLOCK_CELLS over the widest space of the
-    chain or over its Lambda(Q) pair set, whichever is wider."""
-    width = max(max(sp.n_points, len(pair_set(sp, p)))
-                for sp in {seq.space(n) for n in seq.space_indices})
-    return max(1, _BLOCK_CELLS // width)
-
-
-def _runs(items, key, cap: int) -> list:
-    """``items`` cut into runs of consecutive items that share ``key(item)``,
-    each at most ``cap`` long: the row blocks of the sampled cone pairs."""
-    runs = []
-    for _, run in itertools.groupby(items, key):
-        run = list(run)
-        runs += [run[i:i + cap] for i in range(0, len(run), cap)]
-    return runs
-
-
 def _index_runs(seq: StageSeq, indices) -> list:
     """Blocks of reported indices n whose stages map the same spaces; a
     block's (rows, n) stacks are small, so its length is not capped."""
@@ -434,7 +417,7 @@ def verify_eigen_relations(fwd: ForwardSolution, bwd: Optional[BackwardSolution]
         h = np.stack([bwd.h[n].values for n in run])
         m = np.stack([fwd.m[n].weights for n in run])
         pair_h.update(zip(run, np.abs(_row_dots(h, m) - 1.0).tolist()))
-        img = _apply_rows([seq.stage(n) for n in run], h)
+        img = _compose_rows(seq, run, 1, h)
         h1 = np.stack([bwd.h[n + 1].values for n in run])
         resid_h.update(zip(run, _row_sup_gap(img, lam * h1).tolist()))
     rows = [(n, resid[n], pair_h.get(n, math.nan), resid_h.get(n, math.nan))
@@ -558,7 +541,7 @@ def verify_uniqueness(fwd: ForwardSolution, bwd: Optional[BackwardSolution], *,
             g = (np.stack([bwd.h[n].values for n in run])
                  * np.array([scale[n] for n in run])[:, None])
             g *= (1.0 / _row_dots(g, np.stack([fwd.m[n].weights for n in run])))[:, None]
-            img = _apply_rows([seq.stage(n) for n in run], g)
+            img = _compose_rows(seq, run, 1, g)
             xi_n = _row_dots(img, np.stack([fwd.m[n + 1].weights for n in run])).tolist()
             xi = max(xi, *(abs(x - fwd.lam[n]) / fwd.lam[n] for n, x in zip(run, xi_n)))
     passed = dlam < thr and dm < thr and xi < thr and dh < thr
@@ -669,25 +652,6 @@ class ContractionReport:
     passed: bool
 
 
-def _compose_rows(seq: StageSeq, starts: list, k: int, X: np.ndarray) -> np.ndarray:
-    """compose_L of k steps on each row: row r from index starts[r]."""
-    for j in range(k):
-        X = _apply_rows([seq.stage(n + j) for n in starts], X)
-    return X
-
-
-def _gaps(F: np.ndarray, G: np.ndarray, space, p: ConeParams):
-    """(A, B) arrays of the Lambda(Q) gaps of the row pairs of F and G."""
-    ps = pair_set(space, p)
-    return _gap_log_holder_raw(F, G, ps, ps.exp_weights(p.Q, p.beta))
-
-
-def _thetas(F: np.ndarray, G: np.ndarray, space, p: ConeParams) -> list:
-    """theta_log_holder(f, g, p, checked=False) of each row pair."""
-    A, B = _gaps(F, G, space, p)
-    return [_theta_from_gap(a, b) for a, b in zip(A.tolist(), B.tolist())]
-
-
 def verify_cone_contraction(seq: StageSeq, p: ConeParams, *, tau: int,
                             n_samples: int = 100,
                             rng: Optional[np.random.Generator] = None,
@@ -721,30 +685,25 @@ def verify_cone_contraction(seq: StageSeq, p: ConeParams, *, tau: int,
     def path(n):
         return tuple(seq.space(j) for j in range(n, min(n + 2 * tau, seq.n_max) + 1))
 
-    cap = _block_rows(seq, p)
     delta_m = extra_delta
-    for run in _runs(indices, path, cap):
+    for run in _runs(indices, path, seq, p):
         img1 = _compose_rows(seq, run, tau, np.ones((len(run), seq.space(run[0]).n_points)))
         delta_m = max(delta_m, *(math.log(r) for r in
                                  (img1.max(axis=1) / img1.min(axis=1)).tolist()))
     at = [indices[s % len(indices)] for s in range(n_samples)]
     ratios = []
     mono_viol = 0
-    for run in _runs(range(n_samples), lambda s: path(at[s]), cap):
+    for run in _runs(range(n_samples), lambda s: path(at[s]), seq, p):
         sp = seq.space(at[run[0]])
-        draws = [sample_log_holder_field(sp, p, rng).values for _ in range(2 * len(run))]
-        A, B = _gaps(np.stack(draws[0::2]), np.stack(draws[1::2]), sp, p)
-        keep, theta_in = [], []
-        for i, (a, b) in enumerate(zip(A.tolist(), B.tolist())):
-            t = _theta_from_gap(a, b)
-            if 0.0 < t < math.inf:
-                keep.append(i)
-                theta_in.append(t)
+        draws = _log_holder_rows(sp, p, rng, 2 * len(run))
+        A, B, thetas = _gaps(draws[0::2], draws[1::2], sp, p)
+        keep = [i for i, t in enumerate(thetas) if 0.0 < t < math.inf]
         if not keep:
             continue
         k = len(keep)
-        f = np.stack([draws[2 * i] for i in keep])
-        g = np.stack([draws[2 * i + 1] for i in keep])
+        theta_in = [thetas[i] for i in keep]
+        f = draws[0::2][keep]
+        g = draws[1::2][keep]
         u = g - A[keep, None] * f
         v = B[keep, None] * f - g
         gn = 1e-13 * np.abs(g).max(axis=1)
@@ -753,9 +712,9 @@ def verify_cone_contraction(seq: StageSeq, p: ConeParams, *, tau: int,
         out = _compose_rows(seq, starts * 2 + [starts[i] for i in der] * 2, tau,
                             np.concatenate((f, g, u[der], v[der])))
         fi, gi = out[:k], out[k:2 * k]
-        thetas = _thetas(np.concatenate((fi, out[2 * k:2 * k + der.size])),
-                         np.concatenate((gi, out[2 * k + der.size:])),
-                         seq.space(starts[0] + tau), p)
+        thetas = _gaps(np.concatenate((fi, out[2 * k:2 * k + der.size])),
+                       np.concatenate((gi, out[2 * k + der.size:])),
+                       seq.space(starts[0] + tau), p)[2]
         theta_out = thetas[:k]
         delta_m = max(delta_m, *thetas)
         ratios += [o / t for o, t in zip(theta_out, theta_in)]
@@ -764,8 +723,8 @@ def verify_cone_contraction(seq: StageSeq, p: ConeParams, *, tau: int,
         if mono:
             out2 = _compose_rows(seq, [starts[i] + tau for i in mono] * 2, tau,
                                  np.concatenate((fi[mono], gi[mono])))
-            theta_out2 = _thetas(out2[:len(mono)], out2[len(mono):],
-                                 seq.space(starts[0] + 2 * tau), p)
+            theta_out2 = _gaps(out2[:len(mono)], out2[len(mono):],
+                               seq.space(starts[0] + 2 * tau), p)[2]
             delta_m = max(delta_m, *theta_out2)
             mono_viol += sum(t2 > theta_out[i] + slack for i, t2 in zip(mono, theta_out2))
     ratios = np.array(ratios)
@@ -792,7 +751,7 @@ class InvariantChain:
 
 
 def build_invariant_chain(fwd: ForwardSolution, bwd: BackwardSolution, *,
-                          tol: float) -> InvariantChain:
+                          tol: float, eigen: Optional[EigenReport] = None) -> InvariantChain:
     """Measures mu_n with d mu_n = h_n d m_n, plus the normalized stages.
 
     Verifies the pushforward identity through dictionary pairings, the
@@ -804,10 +763,15 @@ def build_invariant_chain(fwd: ForwardSolution, bwd: BackwardSolution, *,
     test functions evaluated at the image points: exact images of a lift,
     once per distinct lift, or the image indices of a finite map.  Each
     check is one row dot per dictionary entry.
+
+    Refused unless every eigenrelation residual is below ``tol``, read from
+    ``eigen`` when the caller has verify_eigen_relations(fwd, bwd, .) already
+    (its verdict, graded at another tolerance, is not read).
     """
+    _check_chain(fwd, bwd)
     seq = fwd.seq
-    eig = verify_eigen_relations(fwd, bwd, tol)   # also refuses a bwd of another chain
-    if not eig.passed:
+    eig = verify_eigen_relations(fwd, bwd, tol) if eigen is None else eigen
+    if not max(eig.max_resid_dual, eig.max_pair_h, eig.max_resid_h) < tol:
         raise DomainError(
             f"eigenrelation residuals (dual {eig.max_resid_dual}, h {eig.max_resid_h}) "
             f"exceed {tol}; refusing to build the invariant chain")

@@ -24,7 +24,8 @@ row the same bits as a call on that row alone; the solvers' sweeps push all
 depths of one index through its stage in one call.  _apply_rows and
 _dual_rows take a different stage per row of one (R, n) array, with the
 same per-row bits; the verifiers push every reported index of a block of
-equal spaces through its own stage in one call.
+equal spaces through its own stage in one call, and _compose_rows chains
+them into k-step compositions for the cone certificate and verifier.
 """
 from __future__ import annotations
 
@@ -259,6 +260,14 @@ def compose_L(seq: StageSeq, n: int, k: int, f: Field) -> Field:
     for j in range(n, n + k):
         out = apply_L(seq.stage(j), out)
     return out
+
+
+def _compose_rows(seq: StageSeq, starts: list, k: int, X: np.ndarray) -> np.ndarray:
+    """compose_L of k steps on each row of the (R, n) array X: row r from
+    index starts[r], with the bits of compose_L on that row alone."""
+    for j in range(k):
+        X = _apply_rows([seq.stage(n + j) for n in starts], X)
+    return X
 
 
 def compose_L_dual(seq: StageSeq, n: int, k: int, sigma: MeasureVec) -> MeasureVec:
