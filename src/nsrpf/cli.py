@@ -22,8 +22,9 @@ so reruns with the same seeds reproduce files byte for byte.
 Every CSV has a per-column row template, "%d" for the integer columns (n,
 index, k, k_star, which is -1 where no k* was found) and "%.17g" for every
 float, and its body is one ``%`` of that template repeated once per row over
-the row-major cell values; m_<n>.csv and h_<n>.csv interleave the point
-indices with the vector's ``tolist()``.  The scalar rule ``_fmt`` of
+the row-major cell values.  m_<n>.csv and h_<n>.csv format the vector's
+``tolist()`` through one body template per vector length with the point
+indices baked in, which gives the same bytes.  The scalar rule ``_fmt`` of
 constants.txt and report.txt uses the same "%.17g".  A value the config
 admits but the chain does not (an odd grid, a negative matrix entry, zero
 states) is a config error naming [system].
@@ -224,6 +225,20 @@ def _write_csv(path: str, columns: tuple, values):
     _atomic_write(path, ",".join(names) + "\n" + body)
 
 
+def _vector_template(n: int) -> str:
+    """Body template of an (index, value) CSV over a vector of n points: the
+    indices baked in, one "%.17g" per value."""
+    return "".join(f"{i},{_FLOAT}\n" for i in range(n))
+
+
+def _write_vector_csv(path: str, columns: tuple, template: str, v: np.ndarray):
+    """Write the vector ``v`` under ``columns`` through its length's
+    ``_vector_template``: the bytes of ``_write_csv`` over the interleaved
+    indices and values."""
+    _atomic_write(path, ",".join(name for name, _ in columns) + "\n"
+                  + template % tuple(v.tolist()))
+
+
 def _certify(cfg: RunConfig):
     """Build the chain and certify; returns everything the solvers need."""
     params = ledger = None
@@ -349,15 +364,18 @@ def cmd_run(cfg: RunConfig) -> int:
                _interleave(ns, [fwd.lam[n] for n in ns],
                            [fwd.k_star.get(n, -1) for n in ns],
                            [resid.get(n, math.nan) for n in ns]))
+    templates = {}   # one body template per vector length
+
+    def write_vector(name, columns, v):
+        if len(v) not in templates:
+            templates[len(v)] = _vector_template(len(v))
+        _write_vector_csv(os.path.join(cfg.out_dir, name), columns, templates[len(v)], v)
+
     for n in fwd.reported_m:
-        w = fwd.m[n].weights
-        _write_csv(os.path.join(cfg.out_dir, f"m_{n}.csv"), _M_COLUMNS,
-                   _interleave(range(len(w)), w.tolist()))
+        write_vector(f"m_{n}.csv", _M_COLUMNS, fwd.m[n].weights)
     if bwd is not None:
         for n in bwd.reported_h:
-            v = bwd.h[n].values
-            _write_csv(os.path.join(cfg.out_dir, f"h_{n}.csv"), _H_COLUMNS,
-                       _interleave(range(len(v)), v.tolist()))
+            write_vector(f"h_{n}.csv", _H_COLUMNS, bwd.h[n].values)
     rate_rows = (rates.rows if rates is not None
                  else verify_exponential_rates(fwd, bwd, rc).rows)
     _write_csv(os.path.join(cfg.out_dir, "rates.csv"), _RATES_COLUMNS,

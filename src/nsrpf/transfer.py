@@ -21,7 +21,13 @@ Compositions are evaluated by sequential application; dense products are
 kept to the oracle code paths.  The raw kernels behind apply_L and
 apply_L_dual also take a stack of rows, one vector per row, and give every
 row the same bits as a call on that row alone; the solvers' sweeps push all
-depths of one index through its stage in one call.  _apply_rows and
+depths of one index through its stage in one call.  On a branch table a
+call computes the stage's invariants (1 - frac, the next-point indices and
+the output) once and loops over the rows, each gathered with
+ndarray.take and blended, weighted and summed in place; the dual weights
+each row once for all branches and adds the branches' bincounts in a
+fixed order.  Per-row work on rows of a few thousand points stays in
+cache, which a batched (R, B, n) gather does not.  _apply_rows and
 _dual_rows take a different stage per row of one (R, n) array, with the
 same per-row bits; the verifiers push every reported index of a block of
 equal spaces through its own stage in one call, and _compose_rows chains
@@ -125,11 +131,20 @@ def _indices_in(idx, n: int) -> bool:
         idx.size == 0 or 0 <= int(idx.min()) <= int(idx.max()) < n)
 
 
-def _blend(v: np.ndarray, idx: np.ndarray, frac) -> np.ndarray:
+def _blend(v: np.ndarray, idx: np.ndarray, frac, keep=None, nxt=None) -> np.ndarray:
     """(1 - frac) v[idx] + frac v[(idx + 1) mod N] for a vector v of N grid
-    values: v linearly interpolated toward the next grid point, whose value
-    is read from v shifted back by one point."""
-    return (1.0 - frac) * v[idx] + frac * np.concatenate((v[1:], v[:1]))[idx]
+    values: v linearly interpolated toward the next grid point.  A caller
+    that blends many vectors over one (idx, frac) computes the invariants
+    keep = 1 - frac and nxt = idx + 1 once and passes both; the result is a
+    new array."""
+    if keep is None:
+        keep, nxt = 1.0 - frac, idx + 1
+    lo = v.take(idx)
+    hi = v.take(nxt, mode="wrap")   # v[(idx + 1) mod N]
+    lo *= keep
+    hi *= frac
+    lo += hi
+    return lo
 
 
 def _apply_values(stage: Stage, v: np.ndarray) -> np.ndarray:
@@ -138,10 +153,15 @@ def _apply_values(stage: Stage, v: np.ndarray) -> np.ndarray:
     if stage.dense is not None:
         # one gemv per row: every row equals dense @ row bit for bit
         return np.matmul(stage.dense, v[..., None])[..., 0]
-    if v.ndim == 2:
-        return np.stack([_apply_values(stage, row) for row in v])
-    vals = stage.branch_weight * _blend(v, stage.branch_index, stage.branch_frac)
-    return vals.sum(axis=0)
+    idx, frac, w = stage.branch_index, stage.branch_frac, stage.branch_weight
+    keep, nxt = 1.0 - frac, idx + 1
+    m = stage.codomain.n_points
+    out = np.empty(v.shape[:-1] + (m,))
+    for o, row in zip(out.reshape(-1, m), v.reshape(-1, v.shape[-1])):
+        vals = _blend(row, idx, frac, keep, nxt)
+        vals *= w
+        np.add.reduce(vals, axis=0, out=o)
+    return out
 
 
 def _dual_weights(stage: Stage, s: np.ndarray) -> np.ndarray:
@@ -149,15 +169,20 @@ def _dual_weights(stage: Stage, s: np.ndarray) -> np.ndarray:
     stack (exact transpose of _apply_values)."""
     if stage.dense is not None:
         return np.matmul(stage.dense.T, s[..., None])[..., 0]
-    n_dom = stage.domain.n_points
+    idx, frac, w = stage.branch_index, stage.branch_frac, stage.branch_weight
+    keep, n_dom = 1.0 - frac, stage.domain.n_points
     out = np.zeros(s.shape[:-1] + (n_dom,))
-    for o, row in zip(np.atleast_2d(out), np.atleast_2d(s)):
-        for b in range(stage.n_branches):
-            contrib = stage.branch_weight[b] * row
-            idx, frac = stage.branch_index[b], stage.branch_frac[b]
-            o += np.bincount(idx, weights=contrib * (1.0 - frac), minlength=n_dom)
-            hi = np.bincount(idx, weights=contrib * frac, minlength=n_dom)
-            o += np.concatenate((hi[-1:], hi[:-1]))   # hi[i] belongs to point i + 1
+    for o, row in zip(out.reshape(-1, n_dom), s.reshape(-1, s.shape[-1])):
+        hi_w = w * row
+        lo_w = hi_w * keep
+        hi_w *= frac
+        # additions in a fixed order, branch 0 low, branch 0 high, branch 1
+        # low, ...: bin i of a high share belongs to point i + 1
+        for b in range(len(idx)):
+            o += np.bincount(idx[b], lo_w[b], n_dom)
+            hi = np.bincount(idx[b], hi_w[b], n_dom)
+            o[1:] += hi[:-1]
+            o[0] += hi[-1]
     return out
 
 
@@ -176,12 +201,14 @@ def _apply_rows(stages, V: np.ndarray) -> np.ndarray:
 
     One gathered matmul when every stage is a matrix of one shape, otherwise
     one _apply_values call per row; either way row r of the (R, m) result
-    equals _apply_values(stages[r], V[r]) bit for bit.
+    equals _apply_values(stages[r], V[r]) bit for bit.  With no stages
+    there is no m, and the empty V comes back as an empty (0, n) array.
     """
     dense = _dense_stack(stages)
     if dense is not None:
         return np.matmul(dense, V[..., None])[..., 0]
-    return np.stack([_apply_values(st, v) for st, v in zip(stages, V)])
+    rows = [_apply_values(st, v) for st, v in zip(stages, V)]
+    return np.stack(rows) if rows else np.empty(V.shape)
 
 
 def _dual_rows(stages, S: np.ndarray) -> np.ndarray:
@@ -190,7 +217,8 @@ def _dual_rows(stages, S: np.ndarray) -> np.ndarray:
     dense = _dense_stack(stages)
     if dense is not None:
         return np.matmul(dense.transpose(0, 2, 1), S[..., None])[..., 0]
-    return np.stack([_dual_weights(st, s) for st, s in zip(stages, S)])
+    rows = [_dual_weights(st, s) for st, s in zip(stages, S)]
+    return np.stack(rows) if rows else np.empty(S.shape)
 
 
 def apply_L(stage: Stage, f: Field) -> Field:

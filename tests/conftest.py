@@ -46,6 +46,30 @@ def build_halving_chain(levels=3, n_top=16, seed=0, potentials=None):
     return StageSeq(n_min=0, n_max=levels, stages=tuple(stages), two_sided=False)
 
 
+def sampled_doubling_chain(n_top, n_bottom, declared):
+    """The doubling map sampled exactly on shrinking circle-distance spaces:
+    point i of the n-point space maps to i mod n/2 of the next, n/2-point
+    space, with potential 0.1 cos(2 pi x)."""
+    spaces = []
+    n = n_top
+    while n >= n_bottom:
+        o = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :]) / n
+        spaces.append(PointSpace.finite(np.minimum(o, 1.0 - o)))
+        n //= 2
+    stages = []
+    for dom, cod in zip(spaces, spaces[1:]):
+        phi = 0.1 * np.cos(2.0 * np.pi * np.arange(dom.n_points) / dom.n_points)
+        half = np.arange(cod.n_points)
+        bidx = np.stack([half, half + cod.n_points])
+        stages.append(Stage(
+            domain=dom, codomain=cod, branch_index=bidx,
+            branch_frac=np.zeros(bidx.shape), branch_weight=np.exp(phi[bidx]),
+            forward_index=np.arange(dom.n_points) % cod.n_points,
+            potential=Field(dom, phi)))
+    return StageSeq(n_min=0, n_max=len(stages), stages=tuple(stages),
+                    two_sided=False, declared=declared)
+
+
 def snapped_stage(st):
     """A circle stage in the forward-index form of a finite map: its exact
     images snapped to the nearest grid point and its potential sampled on

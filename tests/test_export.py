@@ -68,6 +68,28 @@ def test_interleaved_vector_matches_the_reference(tmp_path):
     assert got.splitlines()[1:4] == [b"0,0", b"1,-0", b"2,4.9406564584124654e-324"]
 
 
+VECTOR_SPECIALS = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300, 3.0]
+
+
+@pytest.mark.parametrize("n", [2, 1024])
+def test_vector_template_matches_the_per_value_writer(tmp_path, n):
+    """m_<n>.csv / h_<n>.csv through the per-length template against a
+    per-value writer: every special value at length 1024, each adjacent
+    pair of them at length 2."""
+    if n == 2:
+        vectors = [np.array(VECTOR_SPECIALS[i:i + 2]) for i in range(len(VECTOR_SPECIALS) - 1)]
+    else:
+        v = np.random.default_rng(5).normal(size=n) * 10.0 ** np.linspace(-200.0, 200.0, n)
+        v[::150] = VECTOR_SPECIALS
+        vectors = [v]
+    template = cli._vector_template(n)
+    path = tmp_path / "v.csv"
+    for v in vectors:
+        cli._write_vector_csv(str(path), cli._H_COLUMNS, template, v)
+        expected = "index,value\n" + "".join(f"{i},{x:.17g}\n" for i, x in enumerate(v))
+        assert path.read_bytes() == expected.encode()
+
+
 def test_rate_rows_with_nan_padding_match_the_reference(tmp_path):
     rows = [(n, k, float(n * k), math.nan if k % 2 else 1e-300, math.nan)
             for n in (-2, 0, 5) for k in (1, 2, 3)]

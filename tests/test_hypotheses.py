@@ -18,6 +18,8 @@ from nsrpf.spaces import Field, PointSpace, holder_seminorm
 from nsrpf.systems import CircleMapSpec, MatrixChainSpec, build_circle_chain, build_matrix_chain
 from nsrpf.transfer import Stage, StageSeq
 
+from conftest import sampled_doubling_chain
+
 RNG = np.random.default_rng(31)
 
 WORKED = HypothesisParams(D=2, delta=0.1, rho=0.5, tau=3, H=1.0, beta=1.0, V=0.4)
@@ -161,30 +163,6 @@ def test_certify_rejects_contracting_map():
     with pytest.raises(CertificationError) as e:
         certify_map_hypotheses(seq)
     assert e.value.axiom in ("uniform-expansion", "topological-exactness")
-
-
-def sampled_doubling_chain(n_top, n_bottom, declared):
-    """The doubling map sampled exactly on shrinking circle-distance spaces:
-    point i of the n-point space maps to i mod n/2 of the next, n/2-point
-    space, with potential 0.1 cos(2 pi x)."""
-    spaces = []
-    n = n_top
-    while n >= n_bottom:
-        o = np.abs(np.arange(n)[:, None] - np.arange(n)[None, :]) / n
-        spaces.append(PointSpace.finite(np.minimum(o, 1.0 - o)))
-        n //= 2
-    stages = []
-    for dom, cod in zip(spaces, spaces[1:]):
-        phi = 0.1 * np.cos(2.0 * np.pi * np.arange(dom.n_points) / dom.n_points)
-        half = np.arange(cod.n_points)
-        bidx = np.stack([half, half + cod.n_points])
-        stages.append(Stage(
-            domain=dom, codomain=cod, branch_index=bidx,
-            branch_frac=np.zeros(bidx.shape), branch_weight=np.exp(phi[bidx]),
-            forward_index=np.arange(dom.n_points) % cod.n_points,
-            potential=Field(dom, phi)))
-    return StageSeq(n_min=0, n_max=len(stages), stages=tuple(stages),
-                    two_sided=False, declared=declared)
 
 
 SAMPLED_DOUBLING = HypothesisParams(D=2, delta=0.1, rho=0.5, tau=3,

@@ -13,7 +13,8 @@ from nsrpf.transfer import (Stage, StageSeq, _apply_rows, _apply_values, _dual_r
                             _dual_weights, apply_L, apply_L_dual, birkhoff_sum, compose_L,
                             compose_L_dual, normalize_stage)
 
-from conftest import PERTURBED, brute_compose_values, build_halving_chain, snapped_stage
+from conftest import (PERTURBED, brute_compose_values, build_halving_chain,
+                      sampled_doubling_chain, snapped_stage)
 
 RNG = np.random.default_rng(7)
 
@@ -330,6 +331,49 @@ def test_row_kernels_equal_the_per_row_kernels(name):
         for r, st in enumerate(stages):
             assert np.array_equal(out[r], _apply_values(st, V[r]))
             assert np.array_equal(back[r], _dual_weights(st, S[r]))
+
+
+def _assembled_matrix(st):
+    """The (n_codomain, n_domain) matrix of a branch-table stage, summed
+    entry by entry from its table: weight times (1 - frac) on the base
+    point of each branch, weight times frac on the next point."""
+    n_cod, n_dom = st.codomain.n_points, st.domain.n_points
+    rows = np.broadcast_to(np.arange(n_cod), st.branch_index.shape)
+    m = np.zeros((n_cod, n_dom))
+    np.add.at(m, (rows, st.branch_index), st.branch_weight * (1.0 - st.branch_frac))
+    np.add.at(m, (rows, (st.branch_index + 1) % n_dom), st.branch_weight * st.branch_frac)
+    return m
+
+
+@pytest.mark.parametrize("name", ["circle_N64", "halving", "finite_doubling"])
+@pytest.mark.parametrize("rows", [None, 1, 2, 26])
+def test_branch_table_kernels_match_the_assembled_matrix(name, rows):
+    """apply is M v and its dual M^T s for the matrix M assembled from the
+    table, on a vector (rows None) and on stacks; every row of a stack has
+    the bits of the one-row call."""
+    seq = (sampled_doubling_chain(256, 8, None) if name == "finite_doubling"
+           else _row_kernel_chains()[name])
+    for st in seq.stages:
+        m = _assembled_matrix(st)
+        shape = () if rows is None else (rows,)
+        V = RNG.uniform(0.1, 1.0, shape + (st.domain.n_points,))
+        S = RNG.uniform(0.1, 1.0, shape + (st.codomain.n_points,))
+        out, back = _apply_values(st, V), _dual_weights(st, S)
+        np.testing.assert_allclose(out, V @ m.T, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(back, S @ m, rtol=1e-13, atol=0)
+        for r in range(0 if rows is None else rows):
+            assert np.array_equal(out[r], _apply_values(st, V[r]))
+            assert np.array_equal(back[r], _dual_weights(st, S[r]))
+
+
+@pytest.mark.parametrize("name", ["matrix_d3", "circle_N64", "halving"])
+def test_empty_stacks_give_empty_results(name):
+    st = _row_kernel_chains()[name].stages[0]
+    n_dom, n_cod = st.domain.n_points, st.codomain.n_points
+    assert _apply_values(st, np.empty((0, n_dom))).shape == (0, n_cod)
+    assert _dual_weights(st, np.empty((0, n_cod))).shape == (0, n_dom)
+    assert _apply_rows([], np.empty((0, n_dom))).shape == (0, n_dom)
+    assert _dual_rows([], np.empty((0, n_cod))).shape == (0, n_cod)
 
 
 def test_normalize_stage_iterated_cocycle_matrix():
