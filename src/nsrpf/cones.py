@@ -120,15 +120,12 @@ def pair_set(space, p: ConeParams) -> PairSet:
         return cached
     n = space.n_points
     if space.kind == KIND_CIRCLE:
-        omax = int(math.floor(delta * n + 1e-9))
+        offsets, dists = space.circle_offsets(delta)
         if nearest:
-            omax = min(omax, 1)
+            offsets, dists = offsets[:1], dists[:1]
         iis, jjs, dds = [], [], []
         base = np.arange(n)
-        for o in range(1, omax + 1):
-            d = min(o / n, 1.0 - o / n)
-            if d > delta + 1e-15:
-                continue
+        for o, d in zip(offsets.tolist(), dists.tolist()):
             nxt = (base + o) % n
             iis.append(base); jjs.append(nxt); dds.append(np.full(n, d))
             iis.append(nxt); jjs.append(base); dds.append(np.full(n, d))

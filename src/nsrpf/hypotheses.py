@@ -34,7 +34,7 @@ import numpy as np
 from .cones import (ConeParams, _gaps, _inside, birkhoff_rate, in_log_holder_cone,
                     pair_set, sample_extremal_log_holder, sample_log_holder_field)
 from .errors import CertificationError, DomainError, StructuralError
-from .spaces import Field, holder_seminorm, unit_field
+from .spaces import KIND_CIRCLE, Field, holder_seminorm, unit_field
 from .transfer import StageSeq, _compose_rows
 
 _RNG_SEED = 20250811
@@ -114,10 +114,6 @@ class ConstantsLedger:
     C1: float
     C3: float
 
-    def rate_constants(self) -> RateConstants:
-        return RateConstants(tau=self.params.tau, Delta=self.Delta,
-                             gamma=self.gamma, C1=self.C1, C3=self.C3)
-
 
 def derive_constants(p: HypothesisParams, Q: float) -> ConstantsLedger:
     """Evaluate the closed-form ledger at cone parameter Q.
@@ -158,28 +154,26 @@ def log_shift_seminorm_bound(f: Field, c: float, beta: float) -> tuple[float, fl
 # sample-based certification of the map hypotheses
 # ---------------------------------------------------------------------------
 
-def _circle_offsets(omax: int) -> list[int]:
-    """Small offsets plus a Fibonacci-spaced tail, capped at omax."""
-    offs = list(range(1, min(9, omax + 1)))
+def _circle_offsets(space, delta: float) -> list[tuple[int, float]]:
+    """The (offset, arc distance) pairs of the delta-close grid offsets of a
+    circle grid that the map certification samples: offsets 1..8, a
+    Fibonacci-spaced tail and the largest."""
+    offsets, dists = space.circle_offsets(delta)
+    omax = int(offsets[-1]) if offsets.size else 0
+    picked = set(range(1, 9)) | {omax}
     a, b = 8, 13
     while b <= omax:
-        offs.append(b)
+        picked.add(b)
         a, b = b, a + b
-    if omax not in offs and omax >= 1:
-        offs.append(omax)
-    return sorted(set(offs))
+    return [(o, d) for o, d in zip(offsets.tolist(), dists.tolist()) if o in picked]
 
 
 def _measure_circle_map(st, delta, offsets):
     """(rho_max, expanding_ok, onto_ok) of the lift of one circle stage."""
     x = st.domain.positions
-    n = st.domain.n_points
     fx = st.map_fn(x)
     rho_m = 0.0
-    for o in offsets:
-        d = o / n
-        if d > delta + 1e-15:
-            continue
+    for o, d in offsets:
         img_gap = st.map_fn(x + d) - fx   # lift difference, positive
         if np.any(img_gap <= d):
             return None, False, True
@@ -190,15 +184,11 @@ def _measure_circle_map(st, delta, offsets):
     return rho_m, True, onto_ok
 
 
-def _circle_holder(phi, delta, beta, offsets) -> float:
+def _circle_holder(phi, beta, offsets) -> float:
     """Largest sampled Holder quotient of the grid values phi of a circle
-    stage's potential."""
-    n = phi.size
+    stage's potential over the (offset, arc distance) pairs ``offsets``."""
     h_m = 0.0
-    for o in offsets:
-        d = o / n
-        if d > delta + 1e-15:
-            continue
+    for o, d in offsets:
         dphi = np.abs(np.concatenate((phi[o:], phi[:o])) - phi)   # phi at x + d, minus phi
         h_m = max(h_m, float(dphi.max()) / d ** beta)
     return h_m
@@ -258,22 +248,22 @@ def certify_map_hypotheses(seq: StageSeq) -> HypothesisParams:
     d_m = 0
     rho_m, h_m, v_m = 0.0, 0.0, 0.0
     k_max = 8 * max(1, math.ceil(math.log2(1.0 / delta)))
-    maps = {}   # (lift, grid) -> its expansion measurement, shared by the stages
+    maps = {}   # (lift, grid) -> its expansion measurement and sampled offsets
     for n in seq.stage_indices:
         st = seq.stage(n)
         if not st.has_map:
             raise CertificationError(
                 "bounded-degree", "map hypotheses need stages with actual dynamics")
         d_m = max(d_m, st.n_branches)
-        if st.domain.kind == "circle-grid":
+        if st.domain.kind == KIND_CIRCLE:
             if st.map_fn is None:
                 raise CertificationError(
                     "uniform-expansion", f"circle stage {n} has no exact lift of its map")
-            offsets = _circle_offsets(int(delta * st.domain.n_points))
             key = (st.map_fn, st.domain)
             if key not in maps:
-                maps[key] = _measure_circle_map(st, delta, offsets)
-            rho_s, expanding, onto = maps[key]
+                offsets = _circle_offsets(st.domain, delta)
+                maps[key] = _measure_circle_map(st, delta, offsets), offsets
+            (rho_s, expanding, onto), offsets = maps[key]
             if not expanding:
                 raise CertificationError(
                     "uniform-expansion", f"non-expanding pair at stage {n}")
@@ -282,7 +272,7 @@ def certify_map_hypotheses(seq: StageSeq) -> HypothesisParams:
                     "uniform-expansion", f"delta-ball image fails to cover a delta-ball at stage {n}")
             rho_m = max(rho_m, rho_s)
             phi = st.potential_fn(st.domain.positions)
-            h_m = max(h_m, _circle_holder(phi, delta, beta, offsets))
+            h_m = max(h_m, _circle_holder(phi, beta, offsets))
         else:
             dt = st.domain.dist_table
             iu, ju = np.nonzero((dt <= delta) & (dt > 0.0))
@@ -306,7 +296,7 @@ def certify_map_hypotheses(seq: StageSeq) -> HypothesisParams:
     for n in seq.space_indices:
         if n + 1 > seq.n_max:
             break
-        probe = (_circle_exactness if seq.space(n).kind == "circle-grid"
+        probe = (_circle_exactness if seq.space(n).kind == KIND_CIRCLE
                  else _finite_exactness)
         t = probe(seq, n, delta, k_max)
         if t is None:

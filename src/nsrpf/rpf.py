@@ -10,7 +10,9 @@ roundoff) by construction, while the distance to the bi-infinite limit is
 controlled by cone contraction: it decays like C1 gamma^k in the available
 tail depth k = t - n.  Each measure is renormalized to unit mass at every
 step and the growth factor is kept separately, so nothing overflows no
-matter how deep the window is.
+matter how deep the window is.  The frozen solves iterate the sweep
+generators _pullbacks (dual, from a tail) and _pushforwards (forward, from
+the bottom) on one row; the re-solve verifiers iterate them on several.
 
 Diagnostics.  An incremental sweep advances every index by one dual
 application per iteration, which realizes the quotient at depth k for each
@@ -46,13 +48,14 @@ and consecutive rows whose spaces agree form a block.  The cap on a block
 of sampled cone pairs, whose gap temporaries are (rows, pairs), lives in
 cones next to the gap kernel (at most 2^15 cells; cones._runs cuts the
 blocks, and cones._gaps splits any larger stack), and the cone certificate
-shares it.  A block goes through its stages in one stacked call, each row
-through its own stage (transfer._compose_rows / _dual_rows: one gathered
-matmul on dense stages, one kernel call per row on branch tables), and its
-sampled fields are drawn in one call (cones._log_holder_rows); seed
-families that share a tail are the rows of one frozen re-solve, compared
-index by index as the sweep goes; the rate envelopes and slope fits run on
-the concatenated histories.
+shares it.  A block goes forward through its stages in one stacked call,
+each row through its own stage (transfer._compose_rows: one gathered matmul
+on dense stages, one kernel call per row on branch tables); the dual
+residuals stack one _dual_weights call per row.  A block's sampled fields
+are drawn in one call (cones._log_holder_rows); seed families that share a
+tail are the rows of one frozen re-solve, compared index by index as the
+sweep goes; the rate envelopes and slope fits run on the concatenated
+histories.
 Every row gets the bits its own per-index call would, so every reported
 number equals that of the per-index loop; the only stacked computation that
 is not bit-equal, the closed-form slope fit, feeds a verdict and no number.
@@ -74,8 +77,7 @@ from .dictionaries import cone_dictionary, pairing_vector, weak_dictionary
 from .errors import ConvergenceError, DomainError, StructuralError
 from .hypotheses import RateConstants
 from .spaces import Field, MeasureVec, normalize, pair, unit_field
-from .transfer import (StageSeq, _apply_values, _compose_rows, _dual_rows, _dual_weights,
-                       normalize_stage)
+from .transfer import StageSeq, _apply_values, _compose_rows, _dual_weights, normalize_stage
 
 _ZERO_FLOOR = 1e-13   # error values below this count as converged noise
 
@@ -175,16 +177,6 @@ def _pullbacks(seq: StageSeq, tail: int, seeds: np.ndarray):
         yield n, mass, nu
 
 
-def _frozen_forward(seq: StageSeq, tail: int, sigma_family) -> tuple[dict, dict]:
-    """One coherent dual sweep from the tail: exact eigenchain of the window."""
-    seed = normalize(sigma_family(tail, seq.space(tail)))
-    lam, nu = {}, {tail: seed}
-    for n, mass, rows in _pullbacks(seq, tail, seed.weights[None]):
-        lam[n] = float(mass[0])
-        nu[n] = MeasureVec(seq.space(n), rows[0])
-    return lam, nu
-
-
 def _forward_sweep(sol: ForwardSolution, k_cap: int) -> dict:
     """Histories of the incremental dual sweep, one per reported index.
 
@@ -238,7 +230,12 @@ def solve_forward(seq: StageSeq, *, tol: float, tau: int, block_factor: float,
     """
     hr = headroom_steps(tol, block_factor, tau)
     tail = seq.n_max
-    lam, nu = _frozen_forward(seq, tail, _uniform_sigma)
+    # one coherent dual sweep from the tail: the exact eigenchain of the window
+    seed = normalize(_uniform_sigma(tail, seq.space(tail)))
+    lam, nu = {}, {tail: seed}
+    for n, mass, rows in _pullbacks(seq, tail, seed.weights[None]):
+        lam[n] = float(mass[0])
+        nu[n] = MeasureVec(seq.space(n), rows[0])
     hi_m = tail - hr
     if hi_m < seq.n_min:
         raise ConvergenceError(
@@ -302,12 +299,6 @@ def _pushforwards(fwd: ForwardSolution, seeds: np.ndarray):
         yield n + 1, h
 
 
-def _frozen_backward(fwd: ForwardSolution, seed: Field) -> dict:
-    """One coherent forward sweep from a seed on the bottom of the window."""
-    return {n: Field(fwd.seq.space(n), rows[0])
-            for n, rows in _pushforwards(fwd, seed.values[None])}
-
-
 def _row_sup_gap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """max |a - b| over each row, with one temporary of a's size."""
     d = a - b
@@ -354,7 +345,9 @@ def solve_backward(fwd: ForwardSolution, *, with_diagnostics: bool = True) -> Ba
     seq = fwd.seq
     if not seq.two_sided:
         raise StructuralError("backward limits need a two-sided sequence")
-    h = _frozen_backward(fwd, unit_field(seq.space(seq.n_min)))
+    # one coherent forward sweep from the unit field on the bottom of the window
+    h = {n: Field(seq.space(n), rows[0])
+         for n, rows in _pushforwards(fwd, unit_field(seq.space(seq.n_min)).values[None])}
     hr = fwd.headroom
     lo_h = seq.n_min + hr
     hi_h = max(fwd.reported_m)
@@ -407,8 +400,7 @@ def verify_eigen_relations(fwd: ForwardSolution, bwd: Optional[BackwardSolution]
     resid, pair_h, resid_h = {}, {}, {}
     for run in _index_runs(seq, fwd.reported_lam):
         lam = np.array([fwd.lam[n] for n in run])[:, None]
-        back = _dual_rows([seq.stage(n) for n in run],
-                          np.stack([fwd.m[n + 1].weights for n in run]))
+        back = np.stack([_dual_weights(seq.stage(n), fwd.m[n + 1].weights) for n in run])
         m = np.stack([fwd.m[n].weights for n in run])
         resid.update(zip(run, np.abs(back - lam * m).sum(axis=1).tolist()))
     h_idx = set(bwd.reported_h) if bwd is not None else set()
@@ -606,9 +598,14 @@ def verify_exponential_rates(fwd: ForwardSolution, bwd: Optional[BackwardSolutio
     that tolerates histories whose fast transient bottoms out onto a tiny
     slow regime.  Indices whose history is flat at roundoff pass as
     degenerate (slope -inf).  The histories of all indices are replayed as
-    one concatenated array per quantity.
+    one concatenated array per quantity.  Raises StructuralError when a
+    given solution has no histories to replay (solved with
+    with_diagnostics=False), since no records would read as a pass.
     """
     _check_chain(fwd, bwd)
+    if not fwd.histories or (bwd is not None and not bwd.histories):
+        raise StructuralError("rates need error histories: solve with "
+                              "with_diagnostics=True")
     fh = fwd.histories
     bh = ({n: bwd.histories[n] for n in fh if n in bwd.histories}
           if bwd is not None else {})

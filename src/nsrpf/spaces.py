@@ -14,6 +14,7 @@ keeps mixups between stages of a chain loud instead of silent.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,6 +80,19 @@ class PointSpace:
             o = np.abs(i - j) / self.n_points
             return np.minimum(o, 1.0 - o)
         return self.dist_table[i, j]
+
+    def circle_offsets(self, delta: float) -> tuple[np.ndarray, np.ndarray]:
+        """The grid offsets o >= 1 of a circle grid whose arc distance
+        min(o/N, 1 - o/N) is at most delta, and those distances: every o up
+        to floor(delta N), with 1e-9 of slack for a delta N that is whole
+        up to roundoff.  The one rule for delta-close grid points."""
+        if self.kind != KIND_CIRCLE:
+            raise StructuralError("grid offsets only make sense on a circle grid")
+        n = self.n_points
+        o = np.arange(1, math.floor(delta * n + 1e-9) + 1)
+        d = np.minimum(o / n, 1.0 - o / n)
+        close = d <= delta + 1e-15
+        return o[close], d[close]
 
     def circle_distance_points(self, x, y) -> np.ndarray:
         """Arc distance between raw positions (circle spaces only)."""

@@ -18,20 +18,24 @@ one of two representations, and the kernels dispatch once on which:
 The dual is the exact transpose of the linear map apply_L, so the adjoint
 identity <f, L* sigma> = <L f, sigma> holds to roundoff by construction.
 Compositions are evaluated by sequential application; dense products are
-kept to the oracle code paths.  The raw kernels behind apply_L and
-apply_L_dual also take a stack of rows, one vector per row, and give every
-row the same bits as a call on that row alone; the solvers' sweeps push all
-depths of one index through its stage in one call.  On a branch table a
-call computes the stage's invariants (1 - frac, the next-point indices and
-the output) once and loops over the rows, each gathered with
-ndarray.take and blended, weighted and summed in place; the dual weights
-each row once for all branches and adds the branches' bincounts in a
-fixed order.  Per-row work on rows of a few thousand points stays in
-cache, which a batched (R, B, n) gather does not.  _apply_rows and
-_dual_rows take a different stage per row of one (R, n) array, with the
-same per-row bits; the verifiers push every reported index of a block of
-equal spaces through its own stage in one call, and _compose_rows chains
-them into k-step compositions for the cone certificate and verifier.
+kept to the oracle code paths.
+
+The two raw kernels behind apply_L and apply_L_dual, _apply_values and
+_dual_weights, are the only per-stage entry: every solver sweep and
+verifier calls them, or _compose_rows, directly.  Both also take a stack of
+rows, one vector per row, and give every row the same bits as a call on
+that row alone; the solvers' sweeps push all depths of one index through
+its stage in one call.  On a branch table a call computes the stage's
+invariants (1 - frac, the next-point indices and the output) once and
+loops over the rows, each gathered with ndarray.take and blended, weighted
+and summed in place; the dual weights each row once for all branches and
+adds the branches' bincounts in a fixed order.  Per-row work on rows of a
+few thousand points stays in cache, which a batched (R, B, n) gather does
+not.  _compose_rows is the one forward composition loop: row r of one
+(R, n) array goes from index starts[r] through k stages, with the bits of
+compose_L on that row alone.  Each step is one gathered matmul when every
+row's stage is a matrix of one shape, else one _apply_values call per row.
+compose_L is _compose_rows on one row.
 """
 from __future__ import annotations
 
@@ -131,14 +135,12 @@ def _indices_in(idx, n: int) -> bool:
         idx.size == 0 or 0 <= int(idx.min()) <= int(idx.max()) < n)
 
 
-def _blend(v: np.ndarray, idx: np.ndarray, frac, keep=None, nxt=None) -> np.ndarray:
+def _blend(v: np.ndarray, idx: np.ndarray, frac, keep, nxt) -> np.ndarray:
     """(1 - frac) v[idx] + frac v[(idx + 1) mod N] for a vector v of N grid
-    values: v linearly interpolated toward the next grid point.  A caller
-    that blends many vectors over one (idx, frac) computes the invariants
-    keep = 1 - frac and nxt = idx + 1 once and passes both; the result is a
-    new array."""
-    if keep is None:
-        keep, nxt = 1.0 - frac, idx + 1
+    values: v linearly interpolated toward the next grid point, given the
+    invariants keep = 1 - frac and nxt = idx + 1, which a caller that
+    blends many vectors over one (idx, frac) computes once.  The result is
+    a new array."""
     lo = v.take(idx)
     hi = v.take(nxt, mode="wrap")   # v[(idx + 1) mod N]
     lo *= keep
@@ -184,41 +186,6 @@ def _dual_weights(stage: Stage, s: np.ndarray) -> np.ndarray:
             o[1:] += hi[:-1]
             o[0] += hi[-1]
     return out
-
-
-def _dense_stack(stages) -> Optional[np.ndarray]:
-    """The (R, n_cod, n_dom) stack of the stages' matrices when every stage
-    is a C-ordered matrix of one shape, else None."""
-    if stages and all(st.dense is not None and st.dense.flags.c_contiguous for st in stages) \
-            and len({st.dense.shape for st in stages}) == 1:
-        return np.stack([st.dense for st in stages])
-    return None
-
-
-def _apply_rows(stages, V: np.ndarray) -> np.ndarray:
-    """Row r of the (R, n) array V through stages[r]: apply_L of a different
-    stage per row, for stages that all map one pair of spaces.
-
-    One gathered matmul when every stage is a matrix of one shape, otherwise
-    one _apply_values call per row; either way row r of the (R, m) result
-    equals _apply_values(stages[r], V[r]) bit for bit.  With no stages
-    there is no m, and the empty V comes back as an empty (0, n) array.
-    """
-    dense = _dense_stack(stages)
-    if dense is not None:
-        return np.matmul(dense, V[..., None])[..., 0]
-    rows = [_apply_values(st, v) for st, v in zip(stages, V)]
-    return np.stack(rows) if rows else np.empty(V.shape)
-
-
-def _dual_rows(stages, S: np.ndarray) -> np.ndarray:
-    """Row r of the (R, n) array S through the dual of stages[r] (see
-    _apply_rows)."""
-    dense = _dense_stack(stages)
-    if dense is not None:
-        return np.matmul(dense.transpose(0, 2, 1), S[..., None])[..., 0]
-    rows = [_dual_weights(st, s) for st, s in zip(stages, S)]
-    return np.stack(rows) if rows else np.empty(S.shape)
 
 
 def apply_L(stage: Stage, f: Field) -> Field:
@@ -284,17 +251,27 @@ def compose_L(seq: StageSeq, n: int, k: int, f: Field) -> Field:
     seq.check_window(n, k)
     if f.space is not seq.space(n):
         raise StructuralError("field must live on the start space of the window")
-    out = f
-    for j in range(n, n + k):
-        out = apply_L(seq.stage(j), out)
-    return out
+    return Field(seq.space(n + k), _compose_rows(seq, [n], k, f.values[None])[0])
 
 
 def _compose_rows(seq: StageSeq, starts: list, k: int, X: np.ndarray) -> np.ndarray:
     """compose_L of k steps on each row of the (R, n) array X: row r from
-    index starts[r], with the bits of compose_L on that row alone."""
+    index starts[r] through stages starts[r] .. starts[r] + k - 1.
+
+    A step is one gathered matmul when every row's stage is a C-ordered
+    matrix of one shape, otherwise one _apply_values call per row; either
+    way row r gets the bits of _apply_values on that row alone.  With no
+    starts the empty X comes back unchanged.
+    """
+    if not starts:
+        return X
     for j in range(k):
-        X = _apply_rows([seq.stage(n + j) for n in starts], X)
+        stages = [seq.stage(n + j) for n in starts]
+        if all(st.dense is not None and st.dense.flags.c_contiguous for st in stages) \
+                and len({st.dense.shape for st in stages}) == 1:
+            X = np.matmul(np.stack([st.dense for st in stages]), X[..., None])[..., 0]
+        else:
+            X = np.stack([_apply_values(st, x) for st, x in zip(stages, X)])
     return X
 
 
@@ -339,7 +316,8 @@ def _interpolate(h: np.ndarray, y) -> np.ndarray:
     """Grid values h of a circle grid, linearly interpolated at raw positions y."""
     n = h.size
     p = y * n
-    return _blend(h, np.floor(p).astype(np.int64) % n, p - np.floor(p))
+    idx, frac = np.floor(p).astype(np.int64) % n, p - np.floor(p)
+    return _blend(h, idx, frac, 1.0 - frac, idx + 1)
 
 
 def normalize_stage(stage: Stage, h_dom: Field, h_cod: Field, lam: float) -> Stage:
@@ -364,7 +342,8 @@ def normalize_stage(stage: Stage, h_dom: Field, h_cod: Field, lam: float) -> Sta
     if stage.dense is not None:
         return Stage(stage.domain, stage.codomain,
                      dense=stage.dense * hv[None, :] / (lam * hcv[:, None]))
-    h_at_pre = _blend(hv, stage.branch_index, stage.branch_frac)
+    idx, frac = stage.branch_index, stage.branch_frac
+    h_at_pre = _blend(hv, idx, frac, 1.0 - frac, idx + 1)
     new_weight = stage.branch_weight * h_at_pre / (lam * hcv[None, :])
     new_potential = new_potential_fn = None
     if stage.forward_index is not None:

@@ -225,7 +225,7 @@ def test_circle_holder_equals_the_rolled_differences():
     phi = np.random.default_rng(2).normal(size=256)
     offsets = [1, 2, 3, 5, 8, 13, 21, 51]
     ref = max(float(np.abs(np.roll(phi, -o) - phi).max()) / (o / 256) ** 0.5 for o in offsets)
-    assert _circle_holder(phi, 0.2, 0.5, offsets) == ref
+    assert _circle_holder(phi, 0.5, [(o, o / 256) for o in offsets]) == ref
 
 
 # ---------------------------------------------------------------------------

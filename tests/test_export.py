@@ -44,7 +44,9 @@ def reference_csv(header, rows) -> bytes:
 
 def written(tmp_path, columns, values) -> bytes:
     path = tmp_path / "t.csv"
-    cli._write_csv(str(path), columns, values)
+    cells = list(values)
+    template = cli._row_template(columns) * (len(cells) // len(columns))
+    cli._write_csv(str(path), columns, template, cells)
     return path.read_bytes()
 
 
@@ -85,7 +87,7 @@ def test_vector_template_matches_the_per_value_writer(tmp_path, n):
     template = cli._vector_template(n)
     path = tmp_path / "v.csv"
     for v in vectors:
-        cli._write_vector_csv(str(path), cli._H_COLUMNS, template, v)
+        cli._write_csv(str(path), cli._H_COLUMNS, template, v.tolist())
         expected = "index,value\n" + "".join(f"{i},{x:.17g}\n" for i, x in enumerate(v))
         assert path.read_bytes() == expected.encode()
 

@@ -8,9 +8,10 @@ from hypothesis import given, strategies as hst
 
 from nsrpf import hypotheses
 from nsrpf.cli import parse_config
-from nsrpf.cones import ConeParams, theta_positive
+from nsrpf.cones import ConeParams, pair_set, theta_positive
 from nsrpf.errors import CertificationError, DomainError, StructuralError
-from nsrpf.hypotheses import (HypothesisParams, _column_diameter, certify_cone_conditions,
+from nsrpf.hypotheses import (HypothesisParams, _circle_offsets, _column_diameter,
+                              certify_cone_conditions,
                               certify_map_hypotheses, contraction_constants,
                               default_Q, derive_constants,
                               log_shift_seminorm_bound, q_threshold)
@@ -167,6 +168,19 @@ def test_certify_rejects_contracting_map():
 
 SAMPLED_DOUBLING = HypothesisParams(D=2, delta=0.1, rho=0.5, tau=3,
                                     H=0.2 * math.pi, beta=1.0, V=0.2)
+
+
+def test_sampled_offsets_reach_the_largest_pair_set_offset():
+    """The map certification and the pair set share one rule for the largest
+    delta-close grid offset: at delta = 0.145, N = 200 it is 29 (arc distance
+    0.145), which int(delta N) = 28 would miss."""
+    sp = PointSpace.circle_grid(200)
+    offsets = _circle_offsets(sp, 0.145)
+    assert offsets[-1] == (29, 0.145)
+    assert [o for o, _ in offsets] == [1, 2, 3, 4, 5, 6, 7, 8, 13, 21, 29]
+    ps = pair_set(sp, ConeParams(Q=1.0, delta=0.145, beta=0.5))
+    assert int(np.minimum((ps.j - ps.i) % 200, (ps.i - ps.j) % 200).max()) == 29
+    assert float(ps.d.max()) == 0.145
 
 
 def test_certify_finite_doubling_sample():

@@ -8,13 +8,14 @@ import pytest
 import nsrpf as nr
 from nsrpf.cones import DEFAULT_CONE, ConeParams
 from nsrpf.errors import ConvergenceError, DomainError, StructuralError
-from nsrpf.rpf import (BackwardHistory, ForwardHistory, _frozen_forward,
+from nsrpf.rpf import (BackwardHistory, ForwardHistory, _pullbacks,
                        build_invariant_chain, headroom_steps, solve_backward,
                        solve_forward, verify_cone_contraction,
                        verify_eigen_relations, verify_exponential_rates,
                        verify_independence, verify_uniqueness)
 from nsrpf.dictionaries import cone_dictionary, weak_dictionary
-from nsrpf.spaces import Field, MeasureVec, pair, unit_field
+from nsrpf.hypotheses import RateConstants
+from nsrpf.spaces import Field, MeasureVec, normalize, pair, unit_field
 from nsrpf.systems import (CircleMapSpec, MatrixChainSpec, build_circle_chain,
                            build_matrix_chain, oracle_rpf_chain,
                            oracle_stationary_rpf)
@@ -258,11 +259,12 @@ def test_second_eigenvector_contamination_decay():
     def family(level, space):
         return MeasureVec(space, np.maximum(seed, 1e-9))
 
-    lam, nu = _frozen_forward(seq, 40, family)
+    tail_seed = normalize(family(40, seq.space(40))).weights[None]
+    nu = {n: rows[0] for n, _, rows in _pullbacks(seq, 40, tail_seed)}
     gaps = []
     for k in range(1, 25):
         n = 40 - k
-        gaps.append(abs(nu[n].weights[0] - v1[0] / v1.sum()))
+        gaps.append(abs(nu[n][0] - v1[0] / v1.sum()))
     gaps = np.array(gaps)
     mask = gaps > 1e-13
     slope = np.polyfit(np.arange(1, 25)[mask], np.log(gaps[mask]), 1)[0]
@@ -288,7 +290,8 @@ def test_rates_with_ledger_constants(circle_pipeline):
     # ones (gamma near 1), so their envelopes must also hold, uninformatively
     cp = circle_pipeline
     rep_meas = verify_exponential_rates(cp.fwd, cp.bwd, cp.cert.rate_constants())
-    rep_led = verify_exponential_rates(cp.fwd, cp.bwd, cp.ledger.rate_constants())
+    rep_led = verify_exponential_rates(
+        cp.fwd, cp.bwd, RateConstants.from_delta(cp.ledger.Delta, cp.ledger.params.tau))
     assert rep_meas.passed and rep_meas.violations == 0
     assert rep_led.passed and rep_led.violations == 0
     assert cp.ledger.gamma > cp.cert.rate_constants().gamma

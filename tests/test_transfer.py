@@ -9,9 +9,9 @@ from nsrpf.cones import ConeParams, in_log_holder_cone, sample_log_holder_field
 from nsrpf.errors import DomainError, StructuralError
 from nsrpf.spaces import Field, MeasureVec, PointSpace, pair, unit_field
 from nsrpf.systems import CircleMapSpec, MatrixChainSpec, build_circle_chain, build_matrix_chain
-from nsrpf.transfer import (Stage, StageSeq, _apply_rows, _apply_values, _dual_rows,
-                            _dual_weights, apply_L, apply_L_dual, birkhoff_sum, compose_L,
-                            compose_L_dual, normalize_stage)
+from nsrpf.transfer import (Stage, StageSeq, _apply_values, _compose_rows, _dual_weights,
+                            apply_L, apply_L_dual, birkhoff_sum, compose_L, compose_L_dual,
+                            normalize_stage)
 
 from conftest import (PERTURBED, brute_compose_values, build_halving_chain,
                       sampled_doubling_chain, snapped_stage)
@@ -312,25 +312,41 @@ def _row_kernel_chains():
 
 @pytest.mark.parametrize("name", ["matrix_d3", "circle_N64", "halving"])
 def test_row_kernels_equal_the_per_row_kernels(name):
-    """Row r through stages[r], with rows gathered from across the chain
-    into one block per (domain, codomain) pair: every row equals the
-    single-stage kernel bit for bit."""
+    """Row r of a block from index run[r], with rows gathered from across the
+    chain into one block per (domain, codomain) pair: one _compose_rows step
+    (a gathered matmul on the matrix chain, one kernel call per row on
+    branch tables) and the eigen verifier's per-row dual stack give every
+    row the bits of the one-row kernels."""
     seq = _row_kernel_chains()[name]
     ns = list(seq.stage_indices) + list(reversed(seq.stage_indices)) * 2
     blocks = {}
     for n in ns:
         st = seq.stage(n)
-        blocks.setdefault((st.domain, st.codomain), []).append(st)
-    for stages in blocks.values():
-        V = RNG.normal(size=(len(stages), stages[0].domain.n_points))
-        S = RNG.uniform(0.1, 1.0, (len(stages), stages[0].codomain.n_points))
-        out = _apply_rows(stages, V)
-        back = _dual_rows(stages, S)
-        assert out.shape == (len(stages), stages[0].codomain.n_points)
+        blocks.setdefault((st.domain, st.codomain), []).append(n)
+    for (dom, cod), run in blocks.items():
+        V = RNG.normal(size=(len(run), dom.n_points))
+        S = RNG.uniform(0.1, 1.0, (len(run), cod.n_points))
+        out = _compose_rows(seq, run, 1, V)
+        back = np.stack([_dual_weights(seq.stage(n), s) for n, s in zip(run, S)])
+        assert out.shape == (len(run), cod.n_points)
         assert back.shape == V.shape
-        for r, st in enumerate(stages):
-            assert np.array_equal(out[r], _apply_values(st, V[r]))
-            assert np.array_equal(back[r], _dual_weights(st, S[r]))
+        for r, n in enumerate(run):
+            assert np.array_equal(out[r], _apply_values(seq.stage(n), V[r]))
+            assert np.array_equal(back[r], _dual_weights(seq.stage(n), S[r]))
+
+
+@pytest.mark.parametrize("name", ["matrix_d3", "circle_N64", "halving"])
+@pytest.mark.parametrize("k", [0, 1, 3])
+def test_compose_L_equals_a_per_step_apply_L_loop(name, k):
+    seq = _row_kernel_chains()[name]
+    for n in (seq.n_min, seq.n_max - 3):
+        f = Field(seq.space(n), RNG.uniform(0.1, 1.0, seq.space(n).n_points))
+        want = f
+        for j in range(n, n + k):
+            want = apply_L(seq.stage(j), want)
+        got = compose_L(seq, n, k, f)
+        assert got.space is want.space
+        assert np.array_equal(got.values, want.values)
 
 
 def _assembled_matrix(st):
@@ -372,8 +388,8 @@ def test_empty_stacks_give_empty_results(name):
     n_dom, n_cod = st.domain.n_points, st.codomain.n_points
     assert _apply_values(st, np.empty((0, n_dom))).shape == (0, n_cod)
     assert _dual_weights(st, np.empty((0, n_cod))).shape == (0, n_dom)
-    assert _apply_rows([], np.empty((0, n_dom))).shape == (0, n_dom)
-    assert _dual_rows([], np.empty((0, n_cod))).shape == (0, n_cod)
+    seq = _row_kernel_chains()[name]
+    assert _compose_rows(seq, [], 1, np.empty((0, n_dom))).shape == (0, n_dom)
 
 
 def test_normalize_stage_iterated_cocycle_matrix():

@@ -16,7 +16,7 @@ import nsrpf as nr
 from nsrpf.cones import (ConeParams, birkhoff_rate, hilbert_gap_log_holder,
                          sample_log_holder_field, theta_log_holder)
 from nsrpf.dictionaries import pairing_vector, weak_dictionary
-from nsrpf.errors import ConvergenceError
+from nsrpf.errors import ConvergenceError, StructuralError
 from nsrpf.hypotheses import RateConstants
 from nsrpf.rpf import (ContractionReport, EigenReport, RatesReport, UniquenessReport,
                        IndependenceReport, _random_cone_seed, _random_sigma,
@@ -419,10 +419,14 @@ def test_invariant_chain_on_snapped_images_equals_the_per_row_loop():
 
 
 def test_rates_with_no_histories():
+    """Solutions solved without diagnostics have nothing to replay: the rates
+    verifier refuses them rather than pass over zero records."""
     case = _matrix(2, 3)
     fwd = solve_forward(case.seq, tol=1e-10, tau=case.tau,
                         block_factor=case.fwd.block_factor, with_diagnostics=False)
-    rep = verify_exponential_rates(fwd, solve_backward(fwd, with_diagnostics=False),
-                                   case.rc)
-    assert (rep.rows, rep.violations, rep.slopes, rep.passed) == ([], 0, {}, True)
+    cases = [(fwd, None), (fwd, solve_backward(fwd, with_diagnostics=False)),
+             (case.fwd, solve_backward(case.fwd, with_diagnostics=False))]
+    for f, b in cases:
+        with pytest.raises(StructuralError, match="with_diagnostics"):
+            verify_exponential_rates(f, b, case.rc)
 
