@@ -21,12 +21,10 @@ so reruns with the same seeds reproduce files byte for byte.
 
 Every CSV has a per-column row template, "%d" for the integer columns (n,
 index, k, k_star, which is -1 where no k* was found) and "%.17g" for every
-float, and one writer, ``_write_csv``, formats its body as one ``%`` of a
-body template over the row-major cell values.  The body template of
-lambda.csv, rates.csv and oracle_diff.csv is the row template repeated
-once per row; m_<n>.csv and h_<n>.csv format the vector's ``tolist()``
-through one body template per vector length with the point indices baked
-in, which gives the same bytes.  The scalar rule ``_fmt`` of
+float, and its body is one ``%`` of that template repeated once per row over
+the row-major cell values (``_write_csv``).  m_<n>.csv and h_<n>.csv format
+the vector's ``tolist()`` through one body template per vector length with
+the point indices baked in, which gives the same bytes.  The scalar rule ``_fmt`` of
 constants.txt and report.txt uses the same "%.17g".  A value the config
 admits but the chain does not (an odd grid, a negative matrix entry, zero
 states) is a config error naming [system].
@@ -217,23 +215,20 @@ def _interleave(*columns) -> list:
     return flat
 
 
-def _row_template(columns: tuple) -> str:
-    """One CSV row of ``columns`` ((name, template) pairs)."""
-    return ",".join(template for _, template in columns) + "\n"
+def _write_csv(path: str, columns: tuple, values):
+    """Write ``columns`` ((name, template) pairs) over the row-major cell
+    ``values``: the body is one ``%`` of the repeated row template."""
+    names, templates = zip(*columns)
+    cells = tuple(values)
+    row = ",".join(templates) + "\n"
+    body = (row * (len(cells) // len(columns))) % cells
+    _atomic_write(path, ",".join(names) + "\n" + body)
 
 
 def _vector_template(n: int) -> str:
     """Body template of an (index, value) CSV over a vector of n points: the
     indices baked in, one "%.17g" per value."""
     return "".join(f"{i},{_FLOAT}\n" for i in range(n))
-
-
-def _write_csv(path: str, columns: tuple, template: str, cells):
-    """Write the header of ``columns`` and the body ``template % cells``:
-    the body template is the row template repeated once per row, or a
-    vector's ``_vector_template``."""
-    _atomic_write(path, ",".join(name for name, _ in columns) + "\n"
-                  + template % tuple(cells))
 
 
 def _certify(cfg: RunConfig):
@@ -358,7 +353,6 @@ def cmd_run(cfg: RunConfig) -> int:
     resid = {n: r for (n, r, _, _) in eig.rows}
     ns = fwd.reported_lam
     _write_csv(os.path.join(cfg.out_dir, "lambda.csv"), _LAMBDA_COLUMNS,
-               _row_template(_LAMBDA_COLUMNS) * len(ns),
                _interleave(ns, [fwd.lam[n] for n in ns],
                            [fwd.k_star.get(n, -1) for n in ns],
                            [resid.get(n, math.nan) for n in ns]))
@@ -367,7 +361,8 @@ def cmd_run(cfg: RunConfig) -> int:
     def write_vector(name, columns, v):
         if len(v) not in templates:
             templates[len(v)] = _vector_template(len(v))
-        _write_csv(os.path.join(cfg.out_dir, name), columns, templates[len(v)], v.tolist())
+        _atomic_write(os.path.join(cfg.out_dir, name), ",".join(c for c, _ in columns) + "\n"
+                      + templates[len(v)] % tuple(v.tolist()))
 
     for n in fwd.reported_m:
         write_vector(f"m_{n}.csv", _M_COLUMNS, fwd.m[n].weights)
@@ -377,7 +372,6 @@ def cmd_run(cfg: RunConfig) -> int:
     rate_rows = (rates.rows if rates is not None
                  else verify_exponential_rates(fwd, bwd, rc).rows)
     _write_csv(os.path.join(cfg.out_dir, "rates.csv"), _RATES_COLUMNS,
-               _row_template(_RATES_COLUMNS) * len(rate_rows),
                itertools.chain.from_iterable(rate_rows))
     _atomic_write(os.path.join(cfg.out_dir, "report.txt"),
                   "\n".join(report_lines) + "\n")
@@ -405,7 +399,7 @@ def cmd_oracle(cfg: RunConfig) -> int:
         rows.append((n, dl, dm, dh))
     os.makedirs(cfg.out_dir, exist_ok=True)
     _write_csv(os.path.join(cfg.out_dir, "oracle_diff.csv"), _ORACLE_COLUMNS,
-               _row_template(_ORACLE_COLUMNS) * len(rows), itertools.chain.from_iterable(rows))
+               itertools.chain.from_iterable(rows))
     ok = worst < 1e-9
     line = f"{'PASS' if ok else 'FAIL'} oracle: max solver-oracle gap {_fmt(worst)}\n"
     _atomic_write(os.path.join(cfg.out_dir, "report.txt"), line)

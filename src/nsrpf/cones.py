@@ -128,7 +128,8 @@ def pair_set(space, p: ConeParams) -> PairSet:
         for o, d in zip(offsets.tolist(), dists.tolist()):
             nxt = (base + o) % n
             iis.append(base); jjs.append(nxt); dds.append(np.full(n, d))
-            iis.append(nxt); jjs.append(base); dds.append(np.full(n, d))
+            if 2 * o != n:   # offset N/2 already holds both orders
+                iis.append(nxt); jjs.append(base); dds.append(np.full(n, d))
         if iis:
             i = np.concatenate(iis); j = np.concatenate(jjs); d = np.concatenate(dds)
         else:

@@ -49,9 +49,9 @@ of sampled cone pairs, whose gap temporaries are (rows, pairs), lives in
 cones next to the gap kernel (at most 2^15 cells; cones._runs cuts the
 blocks, and cones._gaps splits any larger stack), and the cone certificate
 shares it.  A block goes forward through its stages in one stacked call,
-each row through its own stage (transfer._compose_rows: one gathered matmul
-on dense stages, one kernel call per row on branch tables); the dual
-residuals stack one _dual_weights call per row.  A block's sampled fields
+each row through its own stage (transfer._compose_rows: one _apply_values
+call per row and step); the dual residuals stack one _dual_weights call per
+row.  A block's sampled fields
 are drawn in one call (cones._log_holder_rows); seed families that share a
 tail are the rows of one frozen re-solve, compared index by index as the
 sweep goes; the rate envelopes and slope fits run on the concatenated

@@ -82,15 +82,16 @@ class PointSpace:
         return self.dist_table[i, j]
 
     def circle_offsets(self, delta: float) -> tuple[np.ndarray, np.ndarray]:
-        """The grid offsets o >= 1 of a circle grid whose arc distance
-        min(o/N, 1 - o/N) is at most delta, and those distances: every o up
-        to floor(delta N), with 1e-9 of slack for a delta N that is whole
-        up to roundoff.  The one rule for delta-close grid points."""
+        """The grid offsets 1 <= o <= N/2 of a circle grid whose arc
+        distance o/N is at most delta, and those distances: every o up to
+        floor(delta N), with 1e-9 of slack for a delta N that is whole up to
+        roundoff, and at most N // 2, since offset N - o joins the same
+        point pairs as o.  The one rule for delta-close grid points."""
         if self.kind != KIND_CIRCLE:
             raise StructuralError("grid offsets only make sense on a circle grid")
         n = self.n_points
-        o = np.arange(1, math.floor(delta * n + 1e-9) + 1)
-        d = np.minimum(o / n, 1.0 - o / n)
+        o = np.arange(1, min(math.floor(delta * n + 1e-9), n // 2) + 1)
+        d = o / n
         close = d <= delta + 1e-15
         return o[close], d[close]
 

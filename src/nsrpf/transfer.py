@@ -32,10 +32,9 @@ and summed in place; the dual weights each row once for all branches and
 adds the branches' bincounts in a fixed order.  Per-row work on rows of a
 few thousand points stays in cache, which a batched (R, B, n) gather does
 not.  _compose_rows is the one forward composition loop: row r of one
-(R, n) array goes from index starts[r] through k stages, with the bits of
-compose_L on that row alone.  Each step is one gathered matmul when every
-row's stage is a matrix of one shape, else one _apply_values call per row.
-compose_L is _compose_rows on one row.
+(R, n) array goes from index starts[r] through k stages, one
+_apply_values call per row and step, and compose_L is _compose_rows on one
+row.
 """
 from __future__ import annotations
 
@@ -256,22 +255,13 @@ def compose_L(seq: StageSeq, n: int, k: int, f: Field) -> Field:
 
 def _compose_rows(seq: StageSeq, starts: list, k: int, X: np.ndarray) -> np.ndarray:
     """compose_L of k steps on each row of the (R, n) array X: row r from
-    index starts[r] through stages starts[r] .. starts[r] + k - 1.
-
-    A step is one gathered matmul when every row's stage is a C-ordered
-    matrix of one shape, otherwise one _apply_values call per row; either
-    way row r gets the bits of _apply_values on that row alone.  With no
-    starts the empty X comes back unchanged.
-    """
+    index starts[r] through stages starts[r] .. starts[r] + k - 1, one
+    _apply_values call per row and step.  With no starts the empty X comes
+    back unchanged."""
     if not starts:
         return X
     for j in range(k):
-        stages = [seq.stage(n + j) for n in starts]
-        if all(st.dense is not None and st.dense.flags.c_contiguous for st in stages) \
-                and len({st.dense.shape for st in stages}) == 1:
-            X = np.matmul(np.stack([st.dense for st in stages]), X[..., None])[..., 0]
-        else:
-            X = np.stack([_apply_values(st, x) for st, x in zip(stages, X)])
+        X = np.stack([_apply_values(seq.stage(n + j), x) for n, x in zip(starts, X)])
     return X
 
 

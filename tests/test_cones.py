@@ -280,6 +280,20 @@ def test_pair_set_complete_where_nothing_is_implied(space, beta):
     assert np.array_equal(ps.exp_weights(p.Q, p.beta)[order], E)
 
 
+@pytest.mark.parametrize("n", [15, 16])
+@pytest.mark.parametrize("delta", [0.5, 0.6, 1.0])
+def test_pair_set_past_half_the_circle_holds_each_pair_once(n, delta):
+    """Offsets stop at N // 2: past delta = 1/2 every ordered pair i != j is
+    in the set exactly once, at its arc distance."""
+    sp = PointSpace.circle_grid(n)
+    p = ConeParams(Q=1.5, delta=delta, beta=0.5)
+    ps = pair_set(sp, p)
+    i, j, d, _ = _all_pairs(sp, p)
+    assert len(ps) == len(i) == n * (n - 1)
+    assert set(zip(ps.i.tolist(), ps.j.tolist())) == set(zip(i.tolist(), j.tolist()))
+    assert np.allclose(ps.d, sp.distance(ps.i, ps.j), rtol=1e-14, atol=0.0)
+
+
 def test_pair_set_lives_on_its_space():
     p = ConeParams(Q=2.0, delta=0.2)
     a, b = PointSpace.circle_grid(32), PointSpace.circle_grid(32)

@@ -183,6 +183,17 @@ def test_sampled_offsets_reach_the_largest_pair_set_offset():
     assert float(ps.d.max()) == 0.145
 
 
+def test_map_certification_past_half_the_circle():
+    """The sampled offsets stop at N // 2 (arc distance 1/2), so at delta = 1
+    no offset N with arc distance 0 reads as a non-expanding pair."""
+    assert _circle_offsets(PointSpace.circle_grid(16), 1.0) == [
+        (o, o / 16) for o in range(1, 9)]
+    seq = build_circle_chain(CircleMapSpec.make(N=64, window=(0, 4)))
+    wide = dataclasses.replace(seq, declared=dataclasses.replace(seq.declared, delta=1.0))
+    meas = certify_map_hypotheses(wide)
+    assert meas.delta == 1.0 and meas.tau == 1 and 0.0 < meas.rho < 1.0
+
+
 def test_certify_finite_doubling_sample():
     # 256 -> 128 -> ... -> 8 points: delta-balls of 2 delta = 0.2 cover the
     # circle after three doublings

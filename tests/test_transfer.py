@@ -314,9 +314,8 @@ def _row_kernel_chains():
 def test_row_kernels_equal_the_per_row_kernels(name):
     """Row r of a block from index run[r], with rows gathered from across the
     chain into one block per (domain, codomain) pair: one _compose_rows step
-    (a gathered matmul on the matrix chain, one kernel call per row on
-    branch tables) and the eigen verifier's per-row dual stack give every
-    row the bits of the one-row kernels."""
+    and the eigen verifier's per-row dual stack give every row the bits of
+    the one-row kernels."""
     seq = _row_kernel_chains()[name]
     ns = list(seq.stage_indices) + list(reversed(seq.stage_indices)) * 2
     blocks = {}
