@@ -323,17 +323,21 @@ def cmd_run(cfg: RunConfig) -> int:
              f"max dh {_fmt(ind.max_dh)} (threshold {_fmt(ind.threshold)})")
     if "uniqueness" in cfg.checks:
         uq = verify_uniqueness(fwd, bwd, tol=cfg.tol)
-        note("uniqueness", uq.passed,
-             f"tail-shift dlam {_fmt(uq.max_dlam_shift)}, dm {_fmt(uq.max_dm_shift)}, "
-             f"xi gap {_fmt(uq.max_xi_gap)}, seed dh {_fmt(uq.max_dh_seed)}")
+        detail = (f"tail-shift dlam {_fmt(uq.max_dlam_shift)}, dm {_fmt(uq.max_dm_shift)}, "
+                  f"xi gap {_fmt(uq.max_xi_gap)}, seed dh {_fmt(uq.max_dh_seed)}")
+        if not uq.passed:
+            detail += f" (threshold {_fmt(uq.threshold)})"
+        note("uniqueness", uq.passed, detail)
     if "cone_contraction" in cfg.checks:
         cc = verify_cone_contraction(seq, cone, tau=cert.tau,
                                      extra_delta=cert.Delta_measured,
                                      rng=np.random.default_rng(cfg.solver_seed))
-        note("cone_contraction", cc.passed,
-             f"{cc.n_pairs} pairs, Delta {_fmt(cc.Delta_measured)}, "
-             f"max ratio {_fmt(float(cc.ratios.max()) if cc.n_pairs else 0.0)} "
-             f"vs tanh(Delta/4) {_fmt(cc.block_factor)}")
+        detail = (f"{cc.n_pairs} pairs, Delta {_fmt(cc.Delta_measured)}, "
+                  f"max ratio {_fmt(float(cc.ratios.max()) if cc.n_pairs else 0.0)} "
+                  f"vs tanh(Delta/4) {_fmt(cc.block_factor)}")
+        if not cc.passed:
+            detail += f", {cc.monotone_violations} monotone violations"
+        note("cone_contraction", cc.passed, detail)
     if "invariant_chain" in cfg.checks and bwd is not None:
         if cfg.kind == "matrix":
             chain_tol = cfg.tol

@@ -165,21 +165,23 @@ def _cone_violation(values: np.ndarray, ps: PairSet, E: np.ndarray):
 _BLOCK_CELLS = 2 ** 15   # cells of one row block of fields or pair constraints
 
 
-def _block_rows(spaces, p: ConeParams) -> int:
-    """Rows per block: _BLOCK_CELLS over the widest of the spaces or of their
-    Lambda(Q) pair sets, at least one."""
-    width = max(max(sp.n_points, len(pair_set(sp, p))) for sp in spaces)
-    return max(1, _BLOCK_CELLS // width)
+def _block_rows(spaces, p: ConeParams | None = None, rows: int = 1) -> int:
+    """Items per block: _BLOCK_CELLS over ``rows`` rows per item of the
+    widest of the spaces or, given a cone ``p``, of their Lambda(Q) pair
+    sets; at least one."""
+    width = max(max(sp.n_points, len(pair_set(sp, p)) if p is not None else 0)
+                for sp in spaces)
+    return max(1, _BLOCK_CELLS // (rows * width))
 
 
-def _runs(items, key, seq, p: ConeParams) -> list:
-    """``items`` cut into runs of consecutive items that share ``key(item)``,
-    each at most one block of the chain ``seq`` long: the row blocks of its
-    sampled cone pairs."""
-    cap = _block_rows({seq.space(n) for n in seq.space_indices}, p)
+def _runs(items, spaces, p: ConeParams | None = None, rows: int = 1) -> list:
+    """``items`` cut into runs of consecutive items that share the tuple of
+    spaces ``spaces(item)``, each run at most one block (_block_rows) of
+    those spaces long: the row blocks of the verifiers."""
     runs = []
-    for _, run in itertools.groupby(items, key):
+    for sps, run in itertools.groupby(items, spaces):
         run = list(run)
+        cap = _block_rows(sps, p, rows)
         runs += [run[i:i + cap] for i in range(0, len(run), cap)]
     return runs
 

@@ -44,18 +44,20 @@ index n has n + 1 inside the window.
 
 Verifiers.  The verifiers run on row stacks rather than per-index loops:
 every reported index (or sampled cone pair, or re-solve seed) is one row,
-and consecutive rows whose spaces agree form a block.  The cap on a block
-of sampled cone pairs, whose gap temporaries are (rows, pairs), lives in
-cones next to the gap kernel (at most 2^15 cells; cones._runs cuts the
-blocks, and cones._gaps splits any larger stack), and the cone certificate
-shares it.  A block goes forward through its stages in one stacked call,
+and consecutive rows whose spaces agree form a block.  One budget of 2^15
+cells, cones._BLOCK_CELLS, caps every block, so peak memory is set by the
+block size and not by the window: cones._runs cuts the blocks of reported
+indices at one field row per index on the widest space of the block, and
+those of sampled cone pairs at four rows per sample (f, g and the derived
+pair) over the widest of the block's spaces and pair sets; cones._gaps
+cuts each stack of pair constraints by its pair width, as for the cone
+certificate.  A block goes forward through its stages in one stacked call,
 each row through its own stage (transfer._compose_rows: one _apply_values
 call per row and step); the dual residuals stack one _dual_weights call per
-row.  A block's sampled fields
-are drawn in one call (cones._log_holder_rows); seed families that share a
-tail are the rows of one frozen re-solve, compared index by index as the
-sweep goes; the rate envelopes and slope fits run on the concatenated
-histories.
+row.  A block's sampled fields are drawn in one call
+(cones._log_holder_rows); seed families that share a tail are the rows of
+one frozen re-solve, compared index by index as the sweep goes; the rate
+envelopes and slope fits run on the concatenated histories.
 Every row gets the bits its own per-index call would, so every reported
 number equals that of the per-index loop; the only stacked computation that
 is not bit-equal, the closed-form slope fit, feeds a verdict and no number.
@@ -64,7 +66,6 @@ differs from it in the last bit on some inputs.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -373,10 +374,10 @@ def _check_chain(fwd: ForwardSolution, bwd: Optional[BackwardSolution]) -> None:
 
 
 def _index_runs(seq: StageSeq, indices) -> list:
-    """Blocks of reported indices n whose stages map the same spaces; a
-    block's (rows, n) stacks are small, so its length is not capped."""
-    return [list(run) for _, run in
-            itertools.groupby(indices, lambda n: (seq.space(n), seq.space(n + 1)))]
+    """Blocks of reported indices n whose stages map the same spaces, each
+    cut at the row budget of cones._runs: one field row per index on the
+    wider of X_n and X_{n+1}."""
+    return _runs(indices, lambda n: (seq.space(n), seq.space(n + 1)))
 
 
 @dataclass
@@ -665,10 +666,11 @@ def verify_cone_contraction(seq: StageSeq, p: ConeParams, *, tau: int,
     sample rather than merely plausible.
 
     Consecutive samples whose blocks pass through the same spaces are
-    processed together, at most 2^15 cells of fields or pair constraints
-    per block: their fields are drawn in sample order, and the gaps, the
-    tau-compositions, the derived pairs and the monotone check are row-wise
-    array operations.
+    processed together, at most 2^15 cells per block counted as four rows
+    per sample (f, g and the derived pair) over the widest of those spaces
+    and their pair sets: the fields are drawn in sample order, and the
+    gaps, the tau-compositions, the derived pairs and the monotone check
+    are row-wise array operations.
     """
     if not all(isinstance(v, (int, np.integer)) and v >= 1
                for v in (tau, n_samples, monotone_every)):
@@ -683,14 +685,14 @@ def verify_cone_contraction(seq: StageSeq, p: ConeParams, *, tau: int,
         return tuple(seq.space(j) for j in range(n, min(n + 2 * tau, seq.n_max) + 1))
 
     delta_m = extra_delta
-    for run in _runs(indices, path, seq, p):
+    for run in _runs(indices, path):
         img1 = _compose_rows(seq, run, tau, np.ones((len(run), seq.space(run[0]).n_points)))
         delta_m = max(delta_m, *(math.log(r) for r in
                                  (img1.max(axis=1) / img1.min(axis=1)).tolist()))
     at = [indices[s % len(indices)] for s in range(n_samples)]
     ratios = []
     mono_viol = 0
-    for run in _runs(range(n_samples), lambda s: path(at[s]), seq, p):
+    for run in _runs(range(n_samples), lambda s: path(at[s]), p, rows=4):
         sp = seq.space(at[run[0]])
         draws = _log_holder_rows(sp, p, rng, 2 * len(run))
         A, B, thetas = _gaps(draws[0::2], draws[1::2], sp, p)

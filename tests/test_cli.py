@@ -98,6 +98,57 @@ def test_failing_rates_line_names_the_worst_slope(tmp_path, monkeypatch):
                      f"(must be < 0 and <= log(gamma) + 1 = {bound:.17g})"]
 
 
+def _report_lines(tmp_path, name, checks):
+    out = tmp_path / name
+    body = MATRIX_CFG.format(out=out).replace(
+        "run = eigen rates uniqueness invariant_chain", f"run = {checks}")
+    code = main(["run", write_cfg(tmp_path, body, name=f"{name}.ini")])
+    return code, (out / "report.txt").read_text().splitlines()
+
+
+def test_failing_uniqueness_line_names_the_threshold(tmp_path, monkeypatch):
+    # the real report with its verdict flipped: only the FAIL line gains the
+    # threshold, so passing reports keep their bytes
+    code, passing = _report_lines(tmp_path, "pass", "uniqueness")
+    real = cli.verify_uniqueness
+    seen = []
+
+    def failing(fwd, bwd, *, tol):
+        seen.append(real(fwd, bwd, tol=tol))
+        return dataclasses.replace(seen[0], passed=False)
+
+    monkeypatch.setattr(cli, "verify_uniqueness", failing)
+    failed, lines = _report_lines(tmp_path, "fail", "uniqueness")
+    uq = seen[0]
+    detail = (f"uniqueness: tail-shift dlam {uq.max_dlam_shift:.17g}, "
+              f"dm {uq.max_dm_shift:.17g}, xi gap {uq.max_xi_gap:.17g}, "
+              f"seed dh {uq.max_dh_seed:.17g}")
+    assert (code, passing) == (0, ["PASS " + detail])
+    assert (failed, lines) == (1, [f"FAIL {detail} (threshold {10.0 * 1e-10:.17g})"])
+
+
+def test_failing_cone_contraction_line_counts_the_monotone_violations(tmp_path, monkeypatch):
+    # every ratio stays below tanh(Delta/4); the FAIL comes from two monotone
+    # violations, which the line must name
+    code, passing = _report_lines(tmp_path, "pass", "cone_contraction")
+    real = cli.verify_cone_contraction
+    seen = []
+
+    def two_violations(*args, **kwargs):
+        seen.append(real(*args, **kwargs))
+        return dataclasses.replace(seen[0], monotone_violations=2, passed=False)
+
+    monkeypatch.setattr(cli, "verify_cone_contraction", two_violations)
+    failed, lines = _report_lines(tmp_path, "fail", "cone_contraction")
+    cc = seen[0]
+    assert cc.n_pairs > 0 and float(cc.ratios.max()) <= cc.block_factor
+    detail = (f"cone_contraction: {cc.n_pairs} pairs, Delta {cc.Delta_measured:.17g}, "
+              f"max ratio {float(cc.ratios.max()):.17g} "
+              f"vs tanh(Delta/4) {cc.block_factor:.17g}")
+    assert (code, passing) == (0, ["PASS " + detail])
+    assert (failed, lines) == (1, [f"FAIL {detail}, 2 monotone violations"])
+
+
 def test_run_doubling_lambda_two(tmp_path):
     out = tmp_path / "out"
     cfg = write_cfg(tmp_path, DOUBLING_CFG.format(out=out))

@@ -8,11 +8,13 @@ matrix shape, with branch tables, and with spaces that change size.
 """
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import nsrpf as nr
+from nsrpf import cones
 from nsrpf.cones import (ConeParams, birkhoff_rate, hilbert_gap_log_holder,
                          sample_log_holder_field, theta_log_holder)
 from nsrpf.dictionaries import pairing_vector, weak_dictionary
@@ -342,7 +344,18 @@ def _assert_same_report(got, want, skip=()):
 # tests
 # ---------------------------------------------------------------------------
 
-def test_eigen_relations_equal_the_per_index_loop(case):
+# row-block budgets: the shipped one, one cell (every block one row) and a ragged cut
+CELLS = [None, 1, 300]
+
+
+@pytest.fixture(params=CELLS)
+def cells(request, monkeypatch):
+    if request.param is not None:
+        monkeypatch.setattr(cones, "_BLOCK_CELLS", request.param)
+    return request.param
+
+
+def test_eigen_relations_equal_the_per_index_loop(case, cells):
     _assert_same_report(verify_eigen_relations(case.fwd, case.bwd, case.tol),
                         ref_eigen(case.fwd, case.bwd, case.tol))
 
@@ -352,7 +365,7 @@ def test_independence_equals_the_per_index_loop(case):
                         ref_independence(case.fwd, case.bwd, case.tol))
 
 
-def test_uniqueness_equals_the_per_index_loop(case):
+def test_uniqueness_equals_the_per_index_loop(case, cells):
     try:
         want = ref_uniqueness(case.fwd, case.bwd, case.tol)
     except ConvergenceError:
@@ -381,7 +394,7 @@ def test_rates_equal_the_per_index_loop(case):
 
 
 @pytest.mark.parametrize("n_samples, monotone_every", [(100, 1), (57, 4)])
-def test_cone_contraction_equals_the_per_sample_loop(case, n_samples, monotone_every):
+def test_cone_contraction_equals_the_per_sample_loop(case, n_samples, monotone_every, cells):
     kw = dict(tau=case.tau, n_samples=n_samples, extra_delta=case.extra_delta,
               monotone_every=monotone_every)
     got = verify_cone_contraction(case.seq, case.cone, rng=np.random.default_rng(123), **kw)
@@ -401,10 +414,14 @@ def _assert_same_invariant_chain(fwd, bwd, tol):
     assert _same(got.tilde_dual_gap, dual_gap)
 
 
-def test_invariant_chain_equals_the_per_row_loop(case):
+def test_invariant_chain_equals_the_per_row_loop(case, monkeypatch):
+    """At every budget of CELLS: the chain's own eigen check runs on blocks."""
     if case.bwd is None:
         pytest.skip("the invariant chain needs a two-sided chain")
-    _assert_same_invariant_chain(case.fwd, case.bwd, case.tol)
+    shipped = cones._BLOCK_CELLS
+    for cells in CELLS:
+        monkeypatch.setattr(cones, "_BLOCK_CELLS", cells or shipped)
+        _assert_same_invariant_chain(case.fwd, case.bwd, case.tol)
 
 
 def test_invariant_chain_on_snapped_images_equals_the_per_row_loop():
@@ -430,3 +447,31 @@ def test_rates_with_no_histories():
         with pytest.raises(StructuralError, match="with_diagnostics"):
             verify_exponential_rates(f, b, case.rc)
 
+
+def _traced_peak(fn) -> int:
+    fn()   # warm the per-space caches
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_verifier_memory_is_set_by_the_block_not_the_window():
+    """On N = 1024 circle chains whose reported indices fill several blocks,
+    the traced peaks of the eigen and uniqueness verifiers stay within a few
+    blocks of cells and do not grow with the window.  With one block per
+    window, the eigen verifier peaked at 4.6 and 16 MB on these windows."""
+    block = cones._BLOCK_CELLS * 8
+    peaks = []
+    for half in (60, 160):
+        seq = build_circle_chain(CircleMapSpec.make(N=1024, window=(-half, half), **PERTURBED))
+        fwd = solve_forward(seq, tol=1e-6, tau=2, block_factor=0.2, with_diagnostics=False)
+        bwd = solve_backward(fwd, with_diagnostics=False)
+        assert len(bwd.reported_h) * 1024 > 2 * cones._BLOCK_CELLS
+        peaks.append((_traced_peak(lambda: verify_eigen_relations(fwd, bwd, 1e-6)),
+                      _traced_peak(lambda: verify_uniqueness(fwd, bwd, tol=1e-6))))
+    (eig_short, uq_short), (eig_long, uq_long) = peaks
+    assert max(eig_short, uq_short, eig_long, uq_long) < 12 * block
+    assert eig_long < eig_short + block and uq_long < uq_short + block
