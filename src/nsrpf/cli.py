@@ -231,6 +231,14 @@ def _vector_template(n: int) -> str:
     return "".join(f"{i},{_FLOAT}\n" for i in range(n))
 
 
+def _failing(tol: float, criteria: dict) -> str:
+    """The suffix of a FAIL line: each criterion (name -> {n: value}) whose
+    largest value is not below tol, with the index where it is largest."""
+    worst = [(name, max(values, key=values.get)) for name, values in criteria.items()
+             if values and not max(values.values()) < tol]
+    return "; failing: " + ", ".join(f"{name} at n = {n}" for name, n in worst) if worst else ""
+
+
 def _certify(cfg: RunConfig):
     """Build the chain and certify; returns everything the solvers need."""
     params = ledger = None
@@ -302,10 +310,14 @@ def cmd_run(cfg: RunConfig) -> int:
         report_lines.append(f"{'PASS' if passed else 'FAIL'} {name}: {detail}")
 
     if "eigen" in cfg.checks:
-        note("eigen", eig.passed,
-             f"max dual residual {_fmt(eig.max_resid_dual)}, "
-             f"max |<h,m>-1| {_fmt(eig.max_pair_h)}, "
-             f"max h residual {_fmt(eig.max_resid_h)} (tol {_fmt(cfg.tol)})")
+        detail = (f"max dual residual {_fmt(eig.max_resid_dual)}, "
+                  f"max |<h,m>-1| {_fmt(eig.max_pair_h)}, "
+                  f"max h residual {_fmt(eig.max_resid_h)} (tol {_fmt(cfg.tol)})")
+        if not eig.passed:   # rows are (n, dual residual, |<h,m>-1|, h residual)
+            detail += _failing(cfg.tol, {
+                name: {row[0]: row[j] for row in eig.rows if not math.isnan(row[j])}
+                for j, name in enumerate(("dual residual", "|<h,m>-1|", "h residual"), 1)})
+        note("eigen", eig.passed, detail)
     rates = None
     rc = cert.rate_constants()
     if "rates" in cfg.checks:
@@ -347,11 +359,15 @@ def cmd_run(cfg: RunConfig) -> int:
             n = seq.space(seq.n_min).n_points
             chain_tol = max(cfg.tol, 1e-4 * (1024.0 / n) ** 2)
         chain = build_invariant_chain(fwd, bwd, tol=chain_tol, eigen=eig)
-        note("invariant_chain", chain.passed,
-             f"max push gap {_fmt(max(chain.push_gap.values()))}, "
-             f"max ||L~1 - 1|| {_fmt(max(chain.tilde_one_err.values()))}, "
-             f"max dual gap {_fmt(max(chain.tilde_dual_gap.values()))} "
-             f"(tol {_fmt(chain_tol)})")
+        detail = (f"max push gap {_fmt(max(chain.push_gap.values()))}, "
+                  f"max ||L~1 - 1|| {_fmt(max(chain.tilde_one_err.values()))}, "
+                  f"max dual gap {_fmt(max(chain.tilde_dual_gap.values()))} "
+                  f"(tol {_fmt(chain_tol)})")
+        if not chain.passed:
+            detail += _failing(chain_tol, {"push gap": chain.push_gap,
+                                           "||L~1 - 1||": chain.tilde_one_err,
+                                           "dual gap": chain.tilde_dual_gap})
+        note("invariant_chain", chain.passed, detail)
 
     # artifacts
     resid = {n: r for (n, r, _, _) in eig.rows}

@@ -360,17 +360,26 @@ class ConeCertificate:
         return RateConstants.from_delta(self.Delta_measured, self.tau)
 
 
-def _column_diameter(mat: np.ndarray) -> float:
-    """Exact projective diameter of M C+ for a strictly positive matrix:
-    the extreme rays of C+ on a finite set are the coordinate directions."""
-    logm = np.log(mat)
+def _column_diameter(mats: np.ndarray) -> float:
+    """Exact projective diameter of M C+ for a strictly positive matrix M,
+    the largest over a (..., rows, columns) stack of them: the extreme rays
+    of C+ on a finite set are the coordinate directions."""
+    logm = np.log(mats)
     best = 0.0
-    d = mat.shape[1]
-    for a in range(d):
-        diff = logm[:, a][:, None] - logm[:, a + 1:]   # log(M[:,a]/M[:,b])
-        if diff.size:
-            best = max(best, float((diff.max(axis=0) - diff.min(axis=0)).max()))
+    d = mats.shape[-1]
+    for a in range(d - 1):
+        diff = logm[..., a, None] - logm[..., a + 1:]   # log(M[:,a]/M[:,b])
+        best = max(best, float((diff.max(axis=-2) - diff.min(axis=-2)).max()))
     return best
+
+
+def _chain_column_diameter(stages) -> float:
+    """The largest _column_diameter over the operator stages, one stacked
+    pass per matrix shape: spaces may change size along the chain."""
+    by_shape = {}
+    for st in stages:
+        by_shape.setdefault(st.dense.shape, []).append(st.dense)
+    return max(_column_diameter(np.stack(ms)) for ms in by_shape.values())
 
 
 def certify_cone_conditions(seq: StageSeq, p: ConeParams, *,
@@ -424,7 +433,7 @@ def certify_cone_conditions(seq: StageSeq, p: ConeParams, *,
 
     target = ConeParams(Q=s_param, delta=p.delta, beta=p.beta) if s_param else p
     # exact diameter of M_n C+ at every index; tau = 1 without maps
-    delta_m = 0.0 if has_map else max(_column_diameter(st.dense) for st in seq.stages)
+    delta_m = 0.0 if has_map else _chain_column_diameter(seq.stages)
     max_ratio = 0.0
     n_sampled = 0
     check_indices = [n for n in seq.stage_indices if (n - seq.n_min) % 8 == 0

@@ -34,7 +34,7 @@ import numpy as np
 from .errors import ConvergenceError, DomainError, StructuralError
 from .hypotheses import HypothesisParams
 from .spaces import PointSpace
-from .transfer import Stage, StageSeq
+from .transfer import Stage, StageSeq, _positive_finite, _real_array
 
 _BISECT_TOL = 1e-13
 
@@ -54,11 +54,13 @@ class MatrixChainSpec:
 
     Entry (x, y) of M_n is the weight carried from domain point y to
     codomain point x, i.e. the exponential of a two-symbol potential.
+    ``matrices`` is given as any sequence of d x d matrices and held as one
+    float64 (W, d, d) stack over the W window steps, validated once.
     """
 
     d: int
     window: tuple[int, int]
-    matrices: tuple
+    matrices: np.ndarray
     seed: Optional[int] = None
 
     def __post_init__(self):
@@ -66,44 +68,47 @@ class MatrixChainSpec:
         n_min, n_max = self.window
         if n_max <= n_min:
             raise StructuralError("window must be nonempty")
-        if len(self.matrices) != n_max - n_min:
+        stack = _real_array(self.matrices)
+        if stack.shape[:1] != (n_max - n_min,):
             raise StructuralError("need one matrix per window step")
-        for m in self.matrices:
-            m = np.asarray(m)
-            if m.shape != (self.d, self.d):
-                raise StructuralError(f"every matrix must be {self.d} x {self.d}")
-            if np.any(m <= 0.0) or not np.all(np.isfinite(m)):
-                raise DomainError("matrix entries must be strictly positive and finite")
+        if stack.shape[1:] != (self.d, self.d):
+            raise StructuralError(f"every matrix must be {self.d} x {self.d}")
+        if not _positive_finite(stack):
+            raise DomainError("matrix entries must be strictly positive and finite")
+        object.__setattr__(self, "matrices", stack)
 
     @classmethod
     def stationary(cls, m, window: tuple[int, int]) -> "MatrixChainSpec":
-        m = np.asarray(m, dtype=np.float64)
-        k = window[1] - window[0]
-        return cls(d=m.shape[0], window=window, matrices=tuple([m.copy() for _ in range(k)]))
+        m = _real_array(m)
+        k = max(window[1] - window[0], 0)
+        return cls(d=m.shape[0] if m.ndim else 0, window=window,
+                   matrices=np.repeat(m[None], k, axis=0))
 
     @classmethod
     def random(cls, d: int, window: tuple[int, int], low: float = 1.0,
                high: float = 2.0, seed: int = 0) -> "MatrixChainSpec":
+        """W matrices drawn in one call, with the bits and the final
+        generator state of W draws of one (d, d) matrix each."""
         _require_states(d)
         if not (0.0 < low <= high < math.inf and seed >= 0):
             raise DomainError("random entries need 0 < low <= high < inf and a seed >= 0")
         rng = np.random.default_rng(seed)
-        k = window[1] - window[0]
-        mats = tuple(rng.uniform(low, high, size=(d, d)) for _ in range(k))
-        return cls(d=d, window=window, matrices=mats, seed=seed)
+        k = max(window[1] - window[0], 0)
+        return cls(d=d, window=window, matrices=rng.uniform(low, high, size=(k, d, d)),
+                   seed=seed)
 
     def matrix(self, n: int) -> np.ndarray:
         n_min, n_max = self.window
         if not (n_min <= n < n_max):
             raise StructuralError(f"index {n} outside window [{n_min}, {n_max})")
-        return np.asarray(self.matrices[n - n_min], dtype=np.float64)
+        return self.matrices[n - n_min]
 
 
 def build_matrix_chain(spec: MatrixChainSpec) -> StageSeq:
-    """Stages whose apply_L is exactly f -> M_n f and dual is sigma -> M_n^T sigma."""
+    """Stages whose apply_L is exactly f -> M_n f and dual is sigma -> M_n^T sigma.
+    The stages' matrices are the rows of one copy of the spec's stack."""
     space = PointSpace.simplex(spec.d)
-    stages = tuple(Stage.from_matrix(spec.matrix(n), space, space)
-                   for n in range(*spec.window))
+    stages = tuple(Stage(space, space, dense=m) for m in spec.matrices.copy())
     return StageSeq(n_min=spec.window[0], n_max=spec.window[1], stages=stages,
                     two_sided=True, declared=None)
 

@@ -93,9 +93,10 @@ class Stage:
         if self.dense is not None:
             if any(finite + exact):
                 raise StructuralError("operator stages hold only their matrix")
-            if np.shape(self.dense) != (n_cod, n_dom):
+            dense = _real_array(self.dense)
+            if dense.shape != (n_cod, n_dom):
                 raise StructuralError("matrix shape must be (n_codomain, n_domain)")
-            if np.any(self.dense <= 0.0) or not np.all(np.isfinite(self.dense)):
+            if not _positive_finite(dense):
                 raise DomainError("operator stages need strictly positive finite entries")
             return
         shape = np.shape(self.branch_index)   # a partial table fails the shape check
@@ -105,9 +106,10 @@ class Stage:
             raise StructuralError("branch arrays must be indexed by codomain points")
         if not _indices_in(self.branch_index, n_dom):
             raise StructuralError("branch indices must be integers in [0, n_domain)")
-        if not np.all((self.branch_frac >= 0.0) & (self.branch_frac < 1.0)):
+        frac = np.asarray(self.branch_frac)
+        if frac.size and not (frac.min() >= 0.0 and frac.max() < 1.0):   # NaN fails
             raise StructuralError("branch fractions must be finite and in [0, 1)")
-        if np.any(self.branch_weight <= 0.0) or not np.all(np.isfinite(self.branch_weight)):
+        if not _positive_finite(np.asarray(self.branch_weight)):
             raise StructuralError("branch weights must be strictly positive and finite")
         if self.forward_index is not None and not _indices_in(self.forward_index, n_cod):
             raise StructuralError("forward indices must be integers in [0, n_codomain)")
@@ -123,8 +125,31 @@ class Stage:
 
     @classmethod
     def from_matrix(cls, m: np.ndarray, domain: PointSpace, codomain: PointSpace) -> "Stage":
-        """Operator stage: apply_L is exactly f -> M f, the dual f -> M^T sigma."""
-        return cls(domain, codomain, dense=np.array(m, dtype=np.float64))
+        """Operator stage: apply_L is exactly f -> M f, the dual f -> M^T sigma.
+        The stage holds a float64 copy of m."""
+        return cls(domain, codomain, dense=np.array(_real_array(m)))
+
+
+def _real_array(a) -> np.ndarray:
+    """The matrix or stack of matrices ``a`` as one float64 array (``a``
+    itself when it is one).  Ragged nesting and entries that are not numbers
+    raise StructuralError, complex entries DomainError: casting would drop
+    their imaginary parts."""
+    try:
+        arr = np.asarray(a)
+    except ValueError as e:   # ragged nesting
+        raise StructuralError(f"matrices must be rectangular arrays: {e}") from e
+    if arr.dtype.kind == "c":
+        raise DomainError("matrix entries must be real, not complex")
+    if arr.dtype.kind not in "biuf":
+        raise StructuralError(f"matrix entries must be real numbers, not {arr.dtype}")
+    return arr.astype(np.float64, copy=False)
+
+
+def _positive_finite(a: np.ndarray) -> bool:
+    """Whether every entry of the array ``a`` lies in (0, inf): min and max
+    propagate NaN, which fails both comparisons."""
+    return a.size == 0 or bool(a.min() > 0.0 and a.max() < math.inf)
 
 
 def _indices_in(idx, n: int) -> bool:

@@ -100,6 +100,31 @@ def brute_compose_values(seq, n, k, fvals):
     return out
 
 
+def ref_column_diameter(mat):
+    """Projective diameter of M C+ for one strictly positive matrix, column
+    pair by column pair: the per-matrix loop behind the stacked
+    hypotheses._column_diameter."""
+    logm = np.log(mat)
+    best = 0.0
+    d = mat.shape[1]
+    for a in range(d):
+        diff = logm[:, a][:, None] - logm[:, a + 1:]   # log(M[:,a]/M[:,b])
+        if diff.size:
+            best = max(best, float((diff.max(axis=0) - diff.min(axis=0)).max()))
+    return best
+
+
+def rectangular_operator_chain(n_steps=18, seed=9):
+    """An operator chain whose spaces alternate between 3 and 2 points,
+    3 -> 2 -> 3 -> ..., with 2 x 3 and 3 x 2 matrices of entries in [1, 2]."""
+    rng = np.random.default_rng(seed)
+    big, small = PointSpace.simplex(3), PointSpace.simplex(2)
+    stages = tuple(Stage.from_matrix(rng.uniform(1.0, 2.0, (2, 3)), big, small) if k % 2 == 0
+                   else Stage.from_matrix(rng.uniform(1.0, 2.0, (3, 2)), small, big)
+                   for k in range(n_steps))
+    return StageSeq(n_min=0, n_max=n_steps, stages=stages)
+
+
 class CirclePipeline:
     def __init__(self, N, window, tol, **family):
         self.spec = nr.CircleMapSpec.make(N=N, window=window, **family)

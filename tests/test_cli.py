@@ -149,6 +149,57 @@ def test_failing_cone_contraction_line_counts_the_monotone_violations(tmp_path, 
     assert (failed, lines) == (1, [f"FAIL {detail}, 2 monotone violations"])
 
 
+def test_failing_eigen_line_names_each_failing_residual_and_its_worst_index(tmp_path,
+                                                                           monkeypatch):
+    # the real report with the dual residual raised at its first index and
+    # the h residual at its last: the FAIL line names both, in column order
+    code, passing = _report_lines(tmp_path, "pass", "eigen")
+    real = cli.verify_eigen_relations
+    seen = []
+
+    def two_bad_rows(fwd, bwd, tol):
+        seen.append(real(fwd, bwd, tol))
+        rows = list(seen[0].rows)
+        (first, d0, p0, h0), (last, d1, p1, _) = rows[0], rows[-1]
+        rows[0], rows[-1] = (first, 0.25, p0, h0), (last, d1, p1, 0.5)
+        return dataclasses.replace(seen[0], rows=rows, max_resid_dual=0.25,
+                                   max_resid_h=0.5, passed=False)
+
+    monkeypatch.setattr(cli, "verify_eigen_relations", two_bad_rows)
+    failed, lines = _report_lines(tmp_path, "fail", "eigen")
+    eig = seen[0]
+    tail = f"max |<h,m>-1| {eig.max_pair_h:.17g}, "
+    assert (code, passing) == (0, [f"PASS eigen: max dual residual {eig.max_resid_dual:.17g}, "
+                                   f"{tail}max h residual {eig.max_resid_h:.17g} (tol 1e-10)"])
+    assert (failed, lines) == (1, [
+        f"FAIL eigen: max dual residual 0.25, {tail}max h residual 0.5 (tol 1e-10); "
+        f"failing: dual residual at n = {eig.rows[0][0]}, h residual at n = {eig.rows[-1][0]}"])
+
+
+def test_failing_invariant_chain_line_names_the_failing_gap_and_its_worst_index(
+        tmp_path, monkeypatch):
+    code, passing = _report_lines(tmp_path, "pass", "invariant_chain")
+    real = cli.build_invariant_chain
+    seen = []
+
+    def one_bad_gap(fwd, bwd, **kwargs):
+        seen.append(real(fwd, bwd, **kwargs))
+        n = seen[0].window[len(seen[0].window) // 2]
+        return dataclasses.replace(seen[0], push_gap={**seen[0].push_gap, n: 0.125},
+                                   passed=False)
+
+    monkeypatch.setattr(cli, "build_invariant_chain", one_bad_gap)
+    failed, lines = _report_lines(tmp_path, "fail", "invariant_chain")
+    chain = seen[0]
+    tail = (f"max ||L~1 - 1|| {max(chain.tilde_one_err.values()):.17g}, "
+            f"max dual gap {max(chain.tilde_dual_gap.values()):.17g} (tol 1e-10)")
+    assert (code, passing) == (0, [f"PASS invariant_chain: max push gap "
+                                   f"{max(chain.push_gap.values()):.17g}, {tail}"])
+    n = chain.window[len(chain.window) // 2]
+    assert (failed, lines) == (1, [f"FAIL invariant_chain: max push gap 0.125, {tail}; "
+                                   f"failing: push gap at n = {n}"])
+
+
 def test_run_doubling_lambda_two(tmp_path):
     out = tmp_path / "out"
     cfg = write_cfg(tmp_path, DOUBLING_CFG.format(out=out))

@@ -20,12 +20,14 @@ from nsrpf.cones import (ConeParams, _log_holder_rows, in_log_holder_cone,
                          pair_set, sample_extremal_log_holder, sample_log_holder_field,
                          theta_log_holder)
 from nsrpf.errors import CertificationError, DomainError
-from nsrpf.hypotheses import (_RNG_SEED, ConeCertificate, _circle_holder, _column_diameter,
+from nsrpf.hypotheses import (_RNG_SEED, ConeCertificate, _circle_holder,
                               certify_cone_conditions, certify_map_hypotheses, default_Q)
 from nsrpf.rpf import build_invariant_chain, solve_backward, solve_forward, verify_eigen_relations
 from nsrpf.spaces import Field, PointSpace, unit_field
 from nsrpf.systems import CircleMapSpec, MatrixChainSpec, build_circle_chain, build_matrix_chain
 from nsrpf.transfer import Stage, StageSeq, apply_L, compose_L
+
+from conftest import rectangular_operator_chain, ref_column_diameter
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -43,7 +45,7 @@ def ref_certify_cone_conditions(seq, p, params=None):
     assert in_log_holder_cone(unit_field(seq.space(seq.n_min)), p)
     s_param = params.rho ** params.beta * (params.H + p.Q) if params is not None else None
     target = ConeParams(Q=s_param, delta=p.delta, beta=p.beta) if s_param else p
-    delta_m = 0.0 if has_map else max(_column_diameter(st.dense) for st in seq.stages)
+    delta_m = 0.0 if has_map else max(ref_column_diameter(st.dense) for st in seq.stages)
     max_ratio = 0.0
     n_sampled = 0
     check_indices = [n for n in seq.stage_indices if (n - seq.n_min) % 8 == 0
@@ -121,7 +123,9 @@ def _c_plus_operators():
 
 
 CHAINS = {"circle-beta-1": lambda: _circle(1.0), "circle-beta-0.5": lambda: _circle(0.5),
-          "metric-operators": _metric_operators, "c-plus-operators": _c_plus_operators}
+          "metric-operators": _metric_operators, "c-plus-operators": _c_plus_operators,
+          "rectangular-operators": lambda: (rectangular_operator_chain(),
+                                            ConeParams(Q=1.0, delta=0.5, beta=1.0), None)}
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +145,8 @@ def test_stacked_certificate_equals_the_per_field_loop(chain, cells, monkeypatch
     assert (cert.Delta_measured, cert.block_factor, cert.tau, cert.n_samples) == (
         ref.Delta_measured, ref.block_factor, ref.tau, ref.n_samples)
     assert cert.density_basis == ref.density_basis
-    assert cert.n_samples == (0 if chain == "c-plus-operators" else 12 * len(
+    positive = chain in ("c-plus-operators", "rectangular-operators")
+    assert cert.n_samples == (0 if positive else 12 * len(
         [n for n in seq.stage_indices if n % 8 == seq.n_min % 8 and n + ref.tau <= seq.n_max]))
 
 

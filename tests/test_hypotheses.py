@@ -10,8 +10,8 @@ from nsrpf import hypotheses
 from nsrpf.cli import parse_config
 from nsrpf.cones import ConeParams, pair_set, theta_positive
 from nsrpf.errors import CertificationError, DomainError, StructuralError
-from nsrpf.hypotheses import (HypothesisParams, _circle_offsets, _column_diameter,
-                              certify_cone_conditions,
+from nsrpf.hypotheses import (HypothesisParams, _chain_column_diameter, _circle_offsets,
+                              _column_diameter, certify_cone_conditions,
                               certify_map_hypotheses, contraction_constants,
                               default_Q, derive_constants,
                               log_shift_seminorm_bound, q_threshold)
@@ -19,7 +19,7 @@ from nsrpf.spaces import Field, PointSpace, holder_seminorm
 from nsrpf.systems import CircleMapSpec, MatrixChainSpec, build_circle_chain, build_matrix_chain
 from nsrpf.transfer import Stage, StageSeq
 
-from conftest import sampled_doubling_chain
+from conftest import rectangular_operator_chain, ref_column_diameter, sampled_doubling_chain
 
 RNG = np.random.default_rng(31)
 
@@ -379,6 +379,27 @@ def test_operator_chain_delta_is_the_all_index_column_diameter(config):
                                    ConeParams(Q=1.0, delta=0.5, beta=1.0))
     assert cert.Delta_measured == pytest.approx(_all_index_column_diameter(spec.matrices),
                                                 rel=1e-14)
+
+
+def _operator_chain(name):
+    if name == "rectangular":
+        return rectangular_operator_chain()
+    root = pathlib.Path(__file__).resolve().parent.parent
+    return build_matrix_chain(parse_config(str(root / name)).system)
+
+
+@pytest.mark.parametrize("chain", ["configs/matrix_random.ini",
+                                   "tests/data/matrix_seed72_chain6.ini", "rectangular"])
+def test_stacked_column_diameter_equals_the_per_matrix_loop(chain):
+    stages = _operator_chain(chain).stages
+    loop = max(ref_column_diameter(st.dense) for st in stages)
+    assert _chain_column_diameter(stages) == loop
+    shapes = {st.dense.shape for st in stages}
+    for shape in shapes:   # each shape's stack on its own, and a single matrix
+        same = [st.dense for st in stages if st.dense.shape == shape]
+        assert _column_diameter(np.stack(same)) == max(map(ref_column_diameter, same))
+        assert _column_diameter(same[0]) == ref_column_diameter(same[0])
+    assert len(shapes) == (2 if chain == "rectangular" else 1)
 
 
 def test_cone_conditions_circle():

@@ -7,11 +7,11 @@ import pytest
 
 from nsrpf.cli import parse_config
 from nsrpf.errors import ConvergenceError, DomainError, StructuralError
-from nsrpf.spaces import Field, MeasureVec
+from nsrpf.spaces import Field, MeasureVec, PointSpace
 from nsrpf.systems import (CircleMapSpec, MatrixChainSpec, build_circle_chain,
                            build_matrix_chain, oracle_rpf_chain,
                            oracle_stationary_rpf)
-from nsrpf.transfer import apply_L, apply_L_dual
+from nsrpf.transfer import Stage, apply_L, apply_L_dual
 
 RNG = np.random.default_rng(3)
 
@@ -27,6 +27,68 @@ def test_matrix_spec_validation():
     # seeded generation is reproducible
     again = MatrixChainSpec.random(d=4, window=(-3, 3), seed=5)
     assert np.array_equal(spec.matrix(0), again.matrix(0))
+
+
+MALFORMED = {
+    "ragged": ([[1.0, 2.0], [3.0]], StructuralError),
+    "string": (np.array([["1", "2"], ["3", "4"]]), StructuralError),
+    "object-none": (np.array([[1.0, None], [1.0, 1.0]], dtype=object), StructuralError),
+    "complex": (np.ones((2, 2)) * (1 + 1j), DomainError),
+}
+
+
+@pytest.mark.parametrize("entry", ["spec", "stationary", "stage", "from_matrix"])
+@pytest.mark.parametrize("kind", list(MALFORMED))
+def test_malformed_matrices_raise_typed_errors(kind, entry):
+    """Ragged and non-numeric matrices are structural errors and complex ones
+    domain errors, at every entry point, with no numpy error or warning."""
+    m, error = MALFORMED[kind]
+    sp = PointSpace.simplex(2)
+    make = {"spec": lambda: MatrixChainSpec(d=2, window=(0, 2), matrices=(np.ones((2, 2)), m)),
+            "stationary": lambda: MatrixChainSpec.stationary(m, (0, 2)),
+            "stage": lambda: Stage(sp, sp, dense=m),
+            "from_matrix": lambda: Stage.from_matrix(m, sp, sp)}[entry]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error) as e:
+            make()
+    assert type(e.value) is error
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+def test_matrix_spec_and_stage_reject_entries_outside_the_positive_reals(bad):
+    m = np.ones((2, 2))
+    m[1, 0] = bad
+    sp = PointSpace.simplex(2)
+    with pytest.raises(DomainError):
+        MatrixChainSpec(d=2, window=(0, 2), matrices=(np.ones((2, 2)), m))
+    with pytest.raises(DomainError):
+        Stage(sp, sp, dense=m)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_one_stacked_draw_equals_one_draw_per_matrix(d):
+    """MatrixChainSpec.random draws its (W, d, d) stack in one call: the bits
+    and the generator's final state are those of W draws of (d, d)."""
+    low, high, seed, window = 1.0, 2.0, 1472442089 + d, (-50, 50)
+    rng = np.random.default_rng(seed)
+    loop = [rng.uniform(low, high, size=(d, d)) for _ in range(window[1] - window[0])]
+    stacked = np.random.default_rng(seed)
+    draw = stacked.uniform(low, high, size=(len(loop), d, d))
+    assert stacked.bit_generator.state == rng.bit_generator.state
+    spec = MatrixChainSpec.random(d=d, window=window, low=low, high=high, seed=seed)
+    assert spec.matrices.shape == (len(loop), d, d) and spec.matrices.dtype == np.float64
+    for k, m in enumerate(loop):
+        assert np.array_equal(draw[k], m) and np.array_equal(spec.matrix(window[0] + k), m)
+
+
+def test_stationary_spec_is_one_stack_of_copies():
+    m = np.array([[2.0, 1.0], [1.0, 1.0]])
+    spec = MatrixChainSpec.stationary(m, (-2, 3))
+    assert spec.matrices.shape == (5, 2, 2)
+    assert all(np.array_equal(spec.matrix(n), m) for n in range(-2, 3))
+    m[0, 0] = 7.0   # the spec holds its own copy
+    assert spec.matrix(0)[0, 0] == 2.0
 
 
 def test_matrix_spec_rejects_no_states():

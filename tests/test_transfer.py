@@ -91,6 +91,10 @@ def test_stage_holds_exactly_one_representation():
     ("branch_frac", np.array([[0.0, 0.0], [0.0, 1.0]]), "branch fractions"),
     ("branch_frac", np.array([[0.0, -0.25], [0.0, 0.0]]), "branch fractions"),
     ("branch_frac", np.array([[0.0, np.nan], [0.0, 0.0]]), "branch fractions"),
+    ("branch_weight", np.array([[1.0, 0.0], [1.0, 1.0]]), "branch weights"),
+    ("branch_weight", np.array([[1.0, 1.0], [-1.0, 1.0]]), "branch weights"),
+    ("branch_weight", np.array([[1.0, np.nan], [1.0, 1.0]]), "branch weights"),
+    ("branch_weight", np.array([[1.0, 1.0], [1.0, np.inf]]), "branch weights"),
     ("forward_index", np.array([0, 0, 1, 2]), "forward indices"),
     ("forward_index", np.array([0, -1, 1, 1]), "forward indices"),
     ("forward_index", np.array([0.0, 0.0, 1.0, 1.0]), "forward indices"),
