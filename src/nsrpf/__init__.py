@@ -21,7 +21,7 @@ from .spaces import (Field, MeasureVec, PointSpace, holder_seminorm, normalize,
 from .systems import (CircleMapSpec, MatrixChainSpec, build_circle_chain,
                       build_matrix_chain, oracle_rpf_chain,
                       oracle_stationary_rpf)
-from .transfer import (Stage, StageSeq, apply_L, apply_L_dual, birkhoff_sum,
-                       compose_L, compose_L_dual, normalize_stage)
+from .transfer import (Stage, StageSeq, apply_L, apply_L_dual, compose_L,
+                       normalize_stage)
 
 __version__ = "0.1.0"

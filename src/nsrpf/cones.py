@@ -165,19 +165,17 @@ def _cone_violation(values: np.ndarray, ps: PairSet, E: np.ndarray):
 _BLOCK_CELLS = 2 ** 15   # cells of one row block of fields or pair constraints
 
 
-def _block_rows(spaces, p: ConeParams | None = None, rows: int = 1) -> int:
+def _block_rows(spaces, p: ConeParams, rows: int = 1) -> int:
     """Items per block: _BLOCK_CELLS over ``rows`` rows per item of the
-    widest of the spaces or, given a cone ``p``, of their Lambda(Q) pair
-    sets; at least one."""
-    width = max(max(sp.n_points, len(pair_set(sp, p)) if p is not None else 0)
-                for sp in spaces)
+    widest of the spaces and of their Lambda(Q) pair sets; at least one."""
+    width = max(max(sp.n_points, len(pair_set(sp, p))) for sp in spaces)
     return max(1, _BLOCK_CELLS // (rows * width))
 
 
-def _runs(items, spaces, p: ConeParams | None = None, rows: int = 1) -> list:
+def _runs(items, spaces, p: ConeParams, rows: int) -> list:
     """``items`` cut into runs of consecutive items that share the tuple of
     spaces ``spaces(item)``, each run at most one block (_block_rows) of
-    those spaces long: the row blocks of the verifiers."""
+    those spaces long: the row blocks of the sampled cone pairs."""
     runs = []
     for sps, run in itertools.groupby(items, spaces):
         run = list(run)

@@ -35,7 +35,7 @@ from .cones import (ConeParams, _gaps, _inside, birkhoff_rate, in_log_holder_con
                     pair_set, sample_extremal_log_holder, sample_log_holder_field)
 from .errors import CertificationError, DomainError, StructuralError
 from .spaces import KIND_CIRCLE, Field, holder_seminorm, unit_field
-from .transfer import StageSeq, _compose_rows
+from .transfer import StageSeq, _apply_values
 
 _RNG_SEED = 20250811
 
@@ -401,10 +401,11 @@ def certify_cone_conditions(seq: StageSeq, p: ConeParams, *,
     observed tau-block contraction factor rho, so the certified tanh(Delta/4)
     rate is an upper envelope for everything seen.
 
-    The 24 fields of an index are the rows of one array, pushed through the
-    stages in stacked calls; membership of the f_t images at S(Q) and both
-    gap sets are row-wise, in blocks of at most 2^15 cells.  Each row has
-    the bits of per-field apply_L, compose_L and theta_log_holder calls.
+    The 24 fields of an index all pass through the stages n .. n + tau - 1,
+    so they are the rows of one array, pushed through each stage in one
+    call; membership of the f_t images at S(Q) and both gap sets are
+    row-wise, in blocks of at most 2^15 cells.  Each row has the bits of
+    per-field apply_L, compose_L and theta_log_holder calls.
 
     An operator chain whose cone is C+ (no space has a Lambda(Q) pair)
     draws no samples: positive matrices keep C+, and by Birkhoff's bound no
@@ -445,7 +446,9 @@ def certify_cone_conditions(seq: StageSeq, p: ConeParams, *,
     for n in check_indices:
         sp = seq.space(n)
         # unit-image ratio bound after tau steps
-        img1 = _compose_rows(seq, [n], tau, np.ones((1, sp.n_points)))[0]
+        img1 = np.ones(sp.n_points)
+        for j in range(n, n + tau):
+            img1 = _apply_values(seq.stage(j), img1)
         delta_m = max(delta_m, math.log(float(img1.max()) / float(img1.min())))
         if positive:
             continue
@@ -453,11 +456,13 @@ def certify_cone_conditions(seq: StageSeq, p: ConeParams, *,
         # 2t and 2t + 1 are the pair (f_t, g_t), extremal for odd t
         draws = (sample_log_holder_field, sample_extremal_log_holder)
         fg = np.stack([draws[j // 2 % 2](sp, p, rng).values for j in range(24)])
-        img = _compose_rows(seq, [n] * 24, 1, fg)
+        img = _apply_values(seq.stage(n), fg)
         if not _inside(img[0::2], seq.space(n + 1), target).all():
             raise CertificationError(
                 "cone-invariance", f"image of a sampled cone field left the cone at stage {n}")
-        out = _compose_rows(seq, [n + 1] * 24, tau - 1, img)
+        out = img
+        for j in range(n + 1, n + tau):
+            out = _apply_values(seq.stage(j), out)
         theta_out = _gaps(out[0::2], out[1::2], seq.space(n + tau), p)[2]
         theta_in = _gaps(fg[0::2], fg[1::2], sp, p)[2]
         for t_out, t_in in zip(theta_out, theta_in):

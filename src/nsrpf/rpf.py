@@ -42,22 +42,23 @@ the window edge on the relevant side, so truncation of the (bi-)infinite
 chain stays below tolerance at every reported index, and every reported
 index n has n + 1 inside the window.
 
-Verifiers.  The verifiers run on row stacks rather than per-index loops:
-every reported index (or sampled cone pair, or re-solve seed) is one row,
-and consecutive rows whose spaces agree form a block.  One budget of 2^15
-cells, cones._BLOCK_CELLS, caps every block, so peak memory is set by the
-block size and not by the window: cones._runs cuts the blocks of reported
-indices at one field row per index on the widest space of the block, and
-those of sampled cone pairs at four rows per sample (f, g and the derived
-pair) over the widest of the block's spaces and pair sets; cones._gaps
-cuts each stack of pair constraints by its pair width, as for the cone
-certificate.  A block goes forward through its stages in one stacked call,
-each row through its own stage (transfer._compose_rows: one _apply_values
-call per row and step); the dual residuals stack one _dual_weights call per
-row.  A block's sampled fields are drawn in one call
-(cones._log_holder_rows); seed families that share a tail are the rows of
-one frozen re-solve, compared index by index as the sweep goes; the rate
-envelopes and slope fits run on the concatenated histories.
+Verifiers.  One rule decides where rows are stacked: only where a single
+call serves every row of the stack.  The eigenrelations, the xi check of
+the uniqueness verifier and the unit-image diameters of the contraction
+verifier are per-index loops over the kernels _apply_values and
+_dual_weights, since every index has a stage of its own.  Rows stay stacked
+where they share work: the re-solve seed families that share a tail are
+the rows of one frozen sweep, compared index by index as it goes; the
+sampled cone pairs of a block are drawn in one call
+(cones._log_holder_rows), pushed through their own stages row by row and
+stacked once for the cone gaps (cones._gaps); the rate envelopes and slope
+fits run on the concatenated histories.  One budget of 2^15 cells,
+cones._BLOCK_CELLS, caps the blocks of sampled pairs and of pair
+constraints, so peak memory is set by the block size and not by the
+window: cones._runs cuts the sampled pairs at four rows per sample (f, g
+and the derived pair) over the widest of the block's spaces and pair sets,
+and cones._gaps cuts each stack of pair constraints by its pair width, as
+for the cone certificate.
 Every row gets the bits its own per-index call would, so every reported
 number equals that of the per-index loop; the only stacked computation that
 is not bit-equal, the closed-form slope fit, feeds a verdict and no number.
@@ -78,7 +79,7 @@ from .dictionaries import cone_dictionary, pairing_vector, weak_dictionary
 from .errors import ConvergenceError, DomainError, StructuralError
 from .hypotheses import RateConstants
 from .spaces import Field, MeasureVec, normalize, pair, unit_field
-from .transfer import StageSeq, _apply_values, _compose_rows, _dual_weights, normalize_stage
+from .transfer import StageSeq, _apply_values, _dual_weights, normalize_stage
 
 _ZERO_FLOOR = 1e-13   # error values below this count as converged noise
 
@@ -278,10 +279,9 @@ class BackwardSolution:
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """<a_r, b_r> for every row r of a, against the rows of b or against one
-    vector b: one dot per row, equal to ``a[r] @ b[r]`` bit for bit (a gemv
-    ``a @ b`` is not)."""
-    return np.matmul(a[:, None, :], b[..., None])[:, 0, 0]
+    """<a_r, b> for every row r of a and one vector b: one dot per row,
+    equal to ``a[r] @ b`` bit for bit (a gemv ``a @ b`` is not)."""
+    return np.matmul(a[:, None, :], b[:, None])[:, 0, 0]
 
 
 def _pushforwards(fwd: ForwardSolution, seeds: np.ndarray):
@@ -373,13 +373,6 @@ def _check_chain(fwd: ForwardSolution, bwd: Optional[BackwardSolution]) -> None:
                               "than the forward one")
 
 
-def _index_runs(seq: StageSeq, indices) -> list:
-    """Blocks of reported indices n whose stages map the same spaces, each
-    cut at the row budget of cones._runs: one field row per index on the
-    wider of X_n and X_{n+1}."""
-    return _runs(indices, lambda n: (seq.space(n), seq.space(n + 1)))
-
-
 @dataclass
 class EigenReport:
     rows: list           # (n, resid_dual, pair_h, resid_h); nan where not applicable
@@ -398,26 +391,22 @@ def verify_eigen_relations(fwd: ForwardSolution, bwd: Optional[BackwardSolution]
     if not fwd.reported_lam:
         raise ConvergenceError(f"window {seq.n_min}..{seq.n_max} reports no eigenvalue "
                                f"index below its headroom of {fwd.headroom} steps")
-    resid, pair_h, resid_h = {}, {}, {}
-    for run in _index_runs(seq, fwd.reported_lam):
-        lam = np.array([fwd.lam[n] for n in run])[:, None]
-        back = np.stack([_dual_weights(seq.stage(n), fwd.m[n + 1].weights) for n in run])
-        m = np.stack([fwd.m[n].weights for n in run])
-        resid.update(zip(run, np.abs(back - lam * m).sum(axis=1).tolist()))
     h_idx = set(bwd.reported_h) if bwd is not None else set()
-    for run in _index_runs(seq, [n for n in fwd.reported_lam if n in h_idx]):
-        lam = np.array([fwd.lam[n] for n in run])[:, None]
-        h = np.stack([bwd.h[n].values for n in run])
-        m = np.stack([fwd.m[n].weights for n in run])
-        pair_h.update(zip(run, np.abs(_row_dots(h, m) - 1.0).tolist()))
-        img = _compose_rows(seq, run, 1, h)
-        h1 = np.stack([bwd.h[n + 1].values for n in run])
-        resid_h.update(zip(run, _row_sup_gap(img, lam * h1).tolist()))
-    rows = [(n, resid[n], pair_h.get(n, math.nan), resid_h.get(n, math.nan))
-            for n in fwd.reported_lam]
-    md = max([0.0, *resid.values()])
-    mp = max([0.0, *pair_h.values()])
-    mh = max([0.0, *resid_h.values()])
+    rows = []
+    md = mp = mh = 0.0
+    for n in fwd.reported_lam:
+        lam, m = fwd.lam[n], fwd.m[n].weights
+        back = _dual_weights(seq.stage(n), fwd.m[n + 1].weights)
+        resid = float(np.abs(back - lam * m).sum())
+        md = max(md, resid)
+        pair_h = resid_h = math.nan
+        if n in h_idx:
+            h = bwd.h[n].values
+            pair_h = abs(float(h @ m) - 1.0)
+            img = _apply_values(seq.stage(n), h)
+            resid_h = float(np.abs(img - lam * bwd.h[n + 1].values).max())
+            mp, mh = max(mp, pair_h), max(mh, resid_h)
+        rows.append((n, resid, pair_h, resid_h))
     passed = md < tol and (bwd is None or (mp < tol and mh < tol))
     return EigenReport(rows=rows, max_resid_dual=md, max_pair_h=mp,
                        max_resid_h=mh, passed=passed)
@@ -527,16 +516,13 @@ def verify_uniqueness(fwd: ForwardSolution, bwd: Optional[BackwardSolution], *,
         [_random_cone_seed(100 + s, fwd.cone) for s in range(4)])
     xi = 0.0
     if bwd is not None:
-        # candidate g = c h_n normalized against m_n, one row per index
-        scale = dict(zip(bwd.reported_h,
-                         np.random.default_rng(5).uniform(0.5, 2.0, len(bwd.reported_h))))
-        for run in _index_runs(seq, bwd.reported_h):
-            g = (np.stack([bwd.h[n].values for n in run])
-                 * np.array([scale[n] for n in run])[:, None])
-            g *= (1.0 / _row_dots(g, np.stack([fwd.m[n].weights for n in run])))[:, None]
-            img = _compose_rows(seq, run, 1, g)
-            xi_n = _row_dots(img, np.stack([fwd.m[n + 1].weights for n in run])).tolist()
-            xi = max(xi, *(abs(x - fwd.lam[n]) / fwd.lam[n] for n, x in zip(run, xi_n)))
+        # candidate g = c h_n normalized against m_n, one index at a time
+        scale = np.random.default_rng(5).uniform(0.5, 2.0, len(bwd.reported_h))
+        for n, c in zip(bwd.reported_h, scale.tolist()):
+            g = bwd.h[n].values * c
+            g *= 1.0 / float(g @ fwd.m[n].weights)
+            xi_n = float(_apply_values(seq.stage(n), g) @ fwd.m[n + 1].weights)
+            xi = max(xi, abs(xi_n - fwd.lam[n]) / fwd.lam[n])
     passed = dlam < thr and dm < thr and xi < thr and dh < thr
     return UniquenessReport(max_dlam_shift=dlam, max_dm_shift=dm, max_xi_gap=xi,
                             max_dh_seed=dh, threshold=thr, passed=passed)
@@ -640,6 +626,18 @@ def verify_exponential_rates(fwd: ForwardSolution, bwd: Optional[BackwardSolutio
                        passed=(viol == 0 and slope_ok))
 
 
+def _compose_rows(seq: StageSeq, starts: list, k: int, X: np.ndarray) -> np.ndarray:
+    """Row r of the (R, n) array X through the k stages from index
+    starts[r], one _apply_values call per row and step: the rows share no
+    stage, so they are stacked once, for the cone gaps that read them."""
+    rows = []
+    for n, x in zip(starts, X):
+        for j in range(n, n + k):
+            x = _apply_values(seq.stage(j), x)
+        rows.append(x)
+    return np.stack(rows)
+
+
 @dataclass
 class ContractionReport:
     Delta_measured: float
@@ -668,9 +666,10 @@ def verify_cone_contraction(seq: StageSeq, p: ConeParams, *, tau: int,
     Consecutive samples whose blocks pass through the same spaces are
     processed together, at most 2^15 cells per block counted as four rows
     per sample (f, g and the derived pair) over the widest of those spaces
-    and their pair sets: the fields are drawn in sample order, and the
-    gaps, the tau-compositions, the derived pairs and the monotone check
-    are row-wise array operations.
+    and their pair sets: the fields are drawn in sample order and pushed
+    through their own stages row by row, and the gaps, the derived pairs
+    and the monotone check are row-wise array operations.  The unit-image
+    diameters are taken index by index.
     """
     if not all(isinstance(v, (int, np.integer)) and v >= 1
                for v in (tau, n_samples, monotone_every)):
@@ -685,10 +684,11 @@ def verify_cone_contraction(seq: StageSeq, p: ConeParams, *, tau: int,
         return tuple(seq.space(j) for j in range(n, min(n + 2 * tau, seq.n_max) + 1))
 
     delta_m = extra_delta
-    for run in _runs(indices, path):
-        img1 = _compose_rows(seq, run, tau, np.ones((len(run), seq.space(run[0]).n_points)))
-        delta_m = max(delta_m, *(math.log(r) for r in
-                                 (img1.max(axis=1) / img1.min(axis=1)).tolist()))
+    for n in indices:
+        img1 = np.ones(seq.space(n).n_points)
+        for j in range(n, n + tau):
+            img1 = _apply_values(seq.stage(j), img1)
+        delta_m = max(delta_m, math.log(float(img1.max()) / float(img1.min())))
     at = [indices[s % len(indices)] for s in range(n_samples)]
     ratios = []
     mono_viol = 0

@@ -142,12 +142,6 @@ class Field(object):
 
     __radd__ = __add__
 
-    def __sub__(self, other):
-        if isinstance(other, Field):
-            _check_same_space(self, other)
-            return Field(self.space, self.values - other.values)
-        return Field(self.space, self.values - float(other))
-
     def __mul__(self, c):
         if isinstance(c, Field):
             _check_same_space(self, c)

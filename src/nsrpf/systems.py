@@ -149,6 +149,8 @@ class CircleMapSpec:
 
     def __post_init__(self):
         n_min, n_max = self.window
+        if n_max <= n_min:
+            raise StructuralError("window must be nonempty")
         k = n_max - n_min
         if self.N < 8 or self.N % 2:
             raise DomainError("use an even grid with at least 8 points")

@@ -21,20 +21,17 @@ Compositions are evaluated by sequential application; dense products are
 kept to the oracle code paths.
 
 The two raw kernels behind apply_L and apply_L_dual, _apply_values and
-_dual_weights, are the only per-stage entry: every solver sweep and
-verifier calls them, or _compose_rows, directly.  Both also take a stack of
+_dual_weights, are the only per-stage entry: every solver sweep, verifier
+and the cone certificate calls them directly.  Both also take a stack of
 rows, one vector per row, and give every row the same bits as a call on
-that row alone; the solvers' sweeps push all depths of one index through
-its stage in one call.  On a branch table a call computes the stage's
-invariants (1 - frac, the next-point indices and the output) once and
-loops over the rows, each gathered with ndarray.take and blended, weighted
-and summed in place; the dual weights each row once for all branches and
-adds the branches' bincounts in a fixed order.  Per-row work on rows of a
-few thousand points stays in cache, which a batched (R, B, n) gather does
-not.  _compose_rows is the one forward composition loop: row r of one
-(R, n) array goes from index starts[r] through k stages, one
-_apply_values call per row and step, and compose_L is _compose_rows on one
-row.
+that row alone, so a stack pays off where one call serves all its rows:
+the solvers' sweeps push all depths of one index through its stage in one
+call.  On a branch table a call computes the stage's invariants
+(1 - frac, the next-point indices and the output) once and loops over the
+rows, each gathered with ndarray.take and blended, weighted and summed in
+place; the dual weights each row once for all branches and adds the
+branches' bincounts in a fixed order.  Per-row work on rows of a few
+thousand points stays in cache, which a batched (R, B, n) gather does not.
 """
 from __future__ import annotations
 
@@ -90,6 +87,8 @@ class Stage:
             raise StructuralError("an exact lift needs circle-grid spaces")
         if self.potential is not None and self.potential.space is not self.domain:
             raise StructuralError("the sampled potential must live on the domain")
+        # the stage stores the arrays it validated: float64 values and int64
+        # indices, the given arrays themselves when they already are
         if self.dense is not None:
             if any(finite + exact):
                 raise StructuralError("operator stages hold only their matrix")
@@ -98,21 +97,27 @@ class Stage:
                 raise StructuralError("matrix shape must be (n_codomain, n_domain)")
             if not _positive_finite(dense):
                 raise DomainError("operator stages need strictly positive finite entries")
+            object.__setattr__(self, "dense", dense)
             return
         shape = np.shape(self.branch_index)   # a partial table fails the shape check
         if len(shape) != 2 or any(np.shape(a) != shape for a in table):
             raise StructuralError("branch arrays must share one (B, n_codomain) shape")
         if shape[1] != n_cod:
             raise StructuralError("branch arrays must be indexed by codomain points")
-        if not _indices_in(self.branch_index, n_dom):
-            raise StructuralError("branch indices must be integers in [0, n_domain)")
-        frac = np.asarray(self.branch_frac)
+        index = _index_array(self.branch_index, n_dom,
+                             "branch indices must be integers in [0, n_domain)")
+        frac = _real_array(self.branch_frac)
         if frac.size and not (frac.min() >= 0.0 and frac.max() < 1.0):   # NaN fails
             raise StructuralError("branch fractions must be finite and in [0, 1)")
-        if not _positive_finite(np.asarray(self.branch_weight)):
+        weight = _real_array(self.branch_weight)
+        if not _positive_finite(weight):
             raise StructuralError("branch weights must be strictly positive and finite")
-        if self.forward_index is not None and not _indices_in(self.forward_index, n_cod):
-            raise StructuralError("forward indices must be integers in [0, n_codomain)")
+        if self.forward_index is not None:
+            object.__setattr__(self, "forward_index", _index_array(
+                self.forward_index, n_cod, "forward indices must be integers in [0, n_codomain)"))
+        for name, arr in (("branch_index", index), ("branch_frac", frac),
+                          ("branch_weight", weight)):
+            object.__setattr__(self, name, arr)
 
     @property
     def n_branches(self) -> int:
@@ -123,18 +128,12 @@ class Stage:
     def has_map(self) -> bool:
         return self.forward_index is not None or self.map_fn is not None
 
-    @classmethod
-    def from_matrix(cls, m: np.ndarray, domain: PointSpace, codomain: PointSpace) -> "Stage":
-        """Operator stage: apply_L is exactly f -> M f, the dual f -> M^T sigma.
-        The stage holds a float64 copy of m."""
-        return cls(domain, codomain, dense=np.array(_real_array(m)))
-
 
 def _real_array(a) -> np.ndarray:
-    """The matrix or stack of matrices ``a`` as one float64 array (``a``
-    itself when it is one).  Ragged nesting and entries that are not numbers
-    raise StructuralError, complex entries DomainError: casting would drop
-    their imaginary parts."""
+    """The matrix, stack of matrices or branch-table array ``a`` as one
+    float64 array (``a`` itself when it is one).  Ragged nesting and entries
+    that are not numbers raise StructuralError, complex entries DomainError:
+    casting would drop their imaginary parts."""
     try:
         arr = np.asarray(a)
     except ValueError as e:   # ragged nesting
@@ -152,11 +151,14 @@ def _positive_finite(a: np.ndarray) -> bool:
     return a.size == 0 or bool(a.min() > 0.0 and a.max() < math.inf)
 
 
-def _indices_in(idx, n: int) -> bool:
-    """Whether ``idx`` is an integer array with every entry in [0, n)."""
+def _index_array(idx, n: int, message: str) -> np.ndarray:
+    """``idx`` as an int64 array; StructuralError(message) unless it is an
+    integer array with every entry in [0, n)."""
     idx = np.asarray(idx)
-    return np.issubdtype(idx.dtype, np.integer) and (
-        idx.size == 0 or 0 <= int(idx.min()) <= int(idx.max()) < n)
+    if not (np.issubdtype(idx.dtype, np.integer) and (
+            idx.size == 0 or 0 <= int(idx.min()) <= int(idx.max()) < n)):
+        raise StructuralError(message)
+    return idx.astype(np.int64, copy=False)
 
 
 def _blend(v: np.ndarray, idx: np.ndarray, frac, keep, nxt) -> np.ndarray:
@@ -238,6 +240,8 @@ class StageSeq:
     declared: object = None   # analytic HypothesisParams, when the family has them
 
     def __post_init__(self):
+        if self.n_max <= self.n_min:
+            raise StructuralError("window must be nonempty")
         if len(self.stages) != self.n_max - self.n_min:
             raise StructuralError("need exactly one stage per window step")
         for k in range(len(self.stages) - 1):
@@ -275,56 +279,10 @@ def compose_L(seq: StageSeq, n: int, k: int, f: Field) -> Field:
     seq.check_window(n, k)
     if f.space is not seq.space(n):
         raise StructuralError("field must live on the start space of the window")
-    return Field(seq.space(n + k), _compose_rows(seq, [n], k, f.values[None])[0])
-
-
-def _compose_rows(seq: StageSeq, starts: list, k: int, X: np.ndarray) -> np.ndarray:
-    """compose_L of k steps on each row of the (R, n) array X: row r from
-    index starts[r] through stages starts[r] .. starts[r] + k - 1, one
-    _apply_values call per row and step.  With no starts the empty X comes
-    back unchanged."""
-    if not starts:
-        return X
-    for j in range(k):
-        X = np.stack([_apply_values(seq.stage(n + j), x) for n, x in zip(starts, X)])
-    return X
-
-
-def compose_L_dual(seq: StageSeq, n: int, k: int, sigma: MeasureVec) -> MeasureVec:
-    """Dual of the k-fold composition: duals applied from index n+k-1 down to n."""
-    seq.check_window(n, k)
-    if sigma.space is not seq.space(n + k):
-        raise StructuralError("measure must live on the end space of the window")
-    out = sigma
-    for j in range(n + k - 1, n - 1, -1):
-        out = apply_L_dual(seq.stage(j), out)
-    return out
-
-
-def birkhoff_sum(seq: StageSeq, n: int, k: int) -> Field:
-    """Accumulated potential along forward orbits: sum_{j<k} phi_{n+j} at the
-    j-step image of each point of X_n.  Requires map stages, all of the form
-    of stage n: exact lifts follow raw positions, image indices grid points."""
-    seq.check_window(n, k)
-    space = seq.space(n)
-    acc = np.zeros(space.n_points)
-    if k == 0:
-        return Field(space, acc)
-    exact = seq.stage(n).map_fn is not None
-    pos = space.positions.copy() if exact else np.arange(space.n_points)
+    v = f.values
     for j in range(n, n + k):
-        st = seq.stage(j)
-        if not st.has_map:
-            raise StructuralError("Birkhoff sums need stages with a forward map")
-        if (st.map_fn is not None) != exact:
-            raise StructuralError("Birkhoff sums need one form of the map along the orbit")
-        if exact:
-            acc += st.potential_fn(pos)
-            pos = st.map_fn(pos) % 1.0
-        else:
-            acc += st.potential.values[pos]
-            pos = st.forward_index[pos]
-    return Field(space, acc)
+        v = _apply_values(seq.stage(j), v)
+    return Field(seq.space(n + k), v)
 
 
 def _interpolate(h: np.ndarray, y) -> np.ndarray:

@@ -119,8 +119,8 @@ def rectangular_operator_chain(n_steps=18, seed=9):
     3 -> 2 -> 3 -> ..., with 2 x 3 and 3 x 2 matrices of entries in [1, 2]."""
     rng = np.random.default_rng(seed)
     big, small = PointSpace.simplex(3), PointSpace.simplex(2)
-    stages = tuple(Stage.from_matrix(rng.uniform(1.0, 2.0, (2, 3)), big, small) if k % 2 == 0
-                   else Stage.from_matrix(rng.uniform(1.0, 2.0, (3, 2)), small, big)
+    stages = tuple(Stage(big, small, dense=rng.uniform(1.0, 2.0, (2, 3))) if k % 2 == 0
+                   else Stage(small, big, dense=rng.uniform(1.0, 2.0, (3, 2)))
                    for k in range(n_steps))
     return StageSeq(n_min=0, n_max=n_steps, stages=stages)
 

@@ -113,7 +113,7 @@ def _metric_operators():
     operator chain is sampled."""
     sp = PointSpace.finite(np.full((3, 3), 0.1) - 0.1 * np.eye(3))
     rng = np.random.default_rng(5)
-    stages = tuple(Stage.from_matrix(rng.uniform(1.0, 1.01, (3, 3)), sp, sp) for _ in range(16))
+    stages = tuple(Stage(sp, sp, dense=rng.uniform(1.0, 1.01, (3, 3))) for _ in range(16))
     return StageSeq(n_min=0, n_max=16, stages=stages), ConeParams(Q=1.0, delta=0.5), None
 
 

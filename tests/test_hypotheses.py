@@ -341,7 +341,7 @@ def test_cone_conditions_on_a_metric_finite_space_still_sample():
     dist = np.full((3, 3), 0.1) - 0.1 * np.eye(3)
     sp = PointSpace.finite(dist)
     rng = np.random.default_rng(5)
-    stages = tuple(Stage.from_matrix(rng.uniform(1.0, 1.01, (3, 3)), sp, sp) for _ in range(16))
+    stages = tuple(Stage(sp, sp, dense=rng.uniform(1.0, 1.01, (3, 3))) for _ in range(16))
     seq = StageSeq(n_min=0, n_max=16, stages=stages)
     cert = certify_cone_conditions(seq, ConeParams(Q=1.0, delta=0.5, beta=1.0))
     assert cert.n_samples > 0

@@ -11,7 +11,7 @@ from nsrpf.spaces import Field, MeasureVec, PointSpace
 from nsrpf.systems import (CircleMapSpec, MatrixChainSpec, build_circle_chain,
                            build_matrix_chain, oracle_rpf_chain,
                            oracle_stationary_rpf)
-from nsrpf.transfer import Stage, apply_L, apply_L_dual
+from nsrpf.transfer import Stage, StageSeq, apply_L, apply_L_dual
 
 RNG = np.random.default_rng(3)
 
@@ -37,7 +37,7 @@ MALFORMED = {
 }
 
 
-@pytest.mark.parametrize("entry", ["spec", "stationary", "stage", "from_matrix"])
+@pytest.mark.parametrize("entry", ["spec", "stationary", "stage"])
 @pytest.mark.parametrize("kind", list(MALFORMED))
 def test_malformed_matrices_raise_typed_errors(kind, entry):
     """Ragged and non-numeric matrices are structural errors and complex ones
@@ -46,8 +46,7 @@ def test_malformed_matrices_raise_typed_errors(kind, entry):
     sp = PointSpace.simplex(2)
     make = {"spec": lambda: MatrixChainSpec(d=2, window=(0, 2), matrices=(np.ones((2, 2)), m)),
             "stationary": lambda: MatrixChainSpec.stationary(m, (0, 2)),
-            "stage": lambda: Stage(sp, sp, dense=m),
-            "from_matrix": lambda: Stage.from_matrix(m, sp, sp)}[entry]
+            "stage": lambda: Stage(sp, sp, dense=m)}[entry]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(error) as e:
@@ -112,6 +111,17 @@ def test_random_specs_reject_bad_ranges_and_seeds(low, high, seed):
 def test_circle_spec_rejects_a_negative_seed(mode):
     with pytest.raises(DomainError, match="seed"):
         CircleMapSpec.make(N=64, window=(0, 4), eps_mode=mode, seed=-1)
+
+
+@pytest.mark.parametrize("window", [(0, 0), (3, -3)], ids=["empty", "reversed"])
+@pytest.mark.parametrize("make", [
+    lambda w: CircleMapSpec.make(N=16, window=w),
+    lambda w: StageSeq(n_min=w[0], n_max=w[1], stages=()),
+    lambda w: MatrixChainSpec.random(d=2, window=w, seed=1),
+], ids=["circle", "stage_seq", "matrix"])
+def test_constructors_reject_an_empty_window(make, window):
+    with pytest.raises(StructuralError, match="window must be nonempty"):
+        make(window)
 
 
 def test_build_matrix_chain_exact():

@@ -9,9 +9,9 @@ from nsrpf.cones import ConeParams, in_log_holder_cone, sample_log_holder_field
 from nsrpf.errors import DomainError, StructuralError
 from nsrpf.spaces import Field, MeasureVec, PointSpace, pair, unit_field
 from nsrpf.systems import CircleMapSpec, MatrixChainSpec, build_circle_chain, build_matrix_chain
-from nsrpf.transfer import (Stage, StageSeq, _apply_values, _compose_rows, _dual_weights,
-                            apply_L, apply_L_dual, birkhoff_sum, compose_L, compose_L_dual,
-                            normalize_stage)
+from nsrpf.rpf import _compose_rows
+from nsrpf.transfer import (Stage, StageSeq, _apply_values, _dual_weights, apply_L,
+                            apply_L_dual, compose_L, normalize_stage)
 
 from conftest import (PERTURBED, brute_compose_values, build_halving_chain,
                       sampled_doubling_chain, snapped_stage)
@@ -79,9 +79,35 @@ def test_stage_holds_exactly_one_representation():
         Stage(space, space, branch_index=table["branch_index"])   # a partial table
     for bad in (m[0], m[None]):   # 1-D and 3-D
         with pytest.raises(StructuralError, match="shape"):
-            Stage.from_matrix(bad, space, space)
+            Stage(space, space, dense=bad)
     with pytest.raises(DomainError):
-        Stage.from_matrix(-m, space, space)
+        Stage(space, space, dense=-m)
+
+
+def test_stages_store_the_arrays_they_validate():
+    """A matrix or a branch table given as nested lists is stored as the
+    arrays it was validated as, float64 values and int64 indices, and acts
+    like the stage built from arrays, which are stored as given."""
+    sp = PointSpace.simplex(2)
+    m = np.array([[1.0, 2.0], [3.0, 4.0]])
+    listed, arrayed = Stage(sp, sp, dense=m.tolist()), Stage(sp, sp, dense=m)
+    assert arrayed.dense is m and listed.dense.dtype == np.float64
+    halving = build_halving_chain(levels=1, n_top=8, seed=3).stage(0)
+    names = ("branch_index", "branch_frac", "branch_weight", "forward_index")
+    table = dataclasses.replace(halving, **{k: getattr(halving, k).tolist() for k in names})
+    assert [getattr(table, k).dtype for k in names] == [np.int64, np.float64, np.float64,
+                                                         np.int64]
+    for got, want in ((listed, arrayed), (table, halving)):
+        v = RNG.normal(size=want.domain.n_points)
+        s = RNG.uniform(0.1, 1.0, want.codomain.n_points)
+        assert np.array_equal(apply_L(got, Field(got.domain, v)).values,
+                              apply_L(want, Field(want.domain, v)).values)
+        assert np.array_equal(apply_L_dual(got, MeasureVec(got.codomain, s)).weights,
+                              apply_L_dual(want, MeasureVec(want.codomain, s)).weights)
+    cone = ConeParams(Q=1.0, delta=0.5)
+    got, want = (nr.certify_cone_conditions(StageSeq(n_min=0, n_max=4, stages=(st,) * 4), cone)
+                 for st in (listed, arrayed))
+    assert got == want
 
 
 @pytest.mark.parametrize("field, value, message", [
@@ -169,7 +195,9 @@ def test_compose_matches_matrix_products():
     got = compose_L(seq, 0, 4, Field(seq.space(0), f))
     assert np.allclose(got.values, prod @ f, rtol=1e-13)
     sig = RNG.uniform(0.1, 1.0, 3)
-    gotd = compose_L_dual(seq, 0, 4, MeasureVec(seq.space(4), sig))
+    gotd = MeasureVec(seq.space(4), sig)
+    for j in range(3, -1, -1):
+        gotd = apply_L_dual(seq.stage(j), gotd)
     assert np.allclose(gotd.weights, prod.T @ sig, rtol=1e-13)
 
 
@@ -178,7 +206,10 @@ def test_compose_duality(doubling):
         f = Field(doubling.space(0), RNG.uniform(0.1, 2.0, 64))
         sig = MeasureVec(doubling.space(k), RNG.uniform(0.1, 2.0, 64))
         lhs = pair(compose_L(doubling, 0, k, f), sig)
-        rhs = pair(f, compose_L_dual(doubling, 0, k, sig))
+        back = sig
+        for j in range(k - 1, -1, -1):
+            back = apply_L_dual(doubling.stage(j), back)
+        rhs = pair(f, back)
         assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
@@ -188,40 +219,6 @@ def test_window_errors(doubling):
         compose_L(doubling, 0, 10, f)
     with pytest.raises(StructuralError):
         apply_L(doubling.stage(1), Field(PointSpace.circle_grid(64), np.ones(64)))
-
-
-def test_birkhoff_sum_cocycle_and_weights():
-    seq = build_halving_chain(levels=3, n_top=16, seed=13)
-    assert np.allclose(birkhoff_sum(seq, 0, 0).values, 0.0)
-    assert np.allclose(birkhoff_sum(seq, 0, 1).values,
-                       seq.stage(0).potential.values)
-    for k in range(3):
-        lhs = birkhoff_sum(seq, 0, k + 1).values
-        phi_next = seq.stage(k).potential.values
-        orbit = np.arange(16)
-        for j in range(k):
-            orbit = seq.stage(j).forward_index[orbit]
-        rhs = birkhoff_sum(seq, 0, k).values + phi_next[orbit]
-        assert np.allclose(lhs, rhs, rtol=1e-14)
-    # branch weights of the composition match exp of the accumulated potential
-    bs = birkhoff_sum(seq, 0, 3).values
-    st = seq.stage(2)
-    for x in range(seq.space(3).n_points):
-        frontier = [(x, 1.0)]
-        for j in (2, 1, 0):
-            stj = seq.stage(j)
-            frontier = [(int(stj.branch_index[b, pt]), w * float(stj.branch_weight[b, pt]))
-                        for pt, w in frontier for b in range(stj.n_branches)]
-        for y, w in frontier:
-            assert w == pytest.approx(math.exp(bs[y]), rel=1e-12)
-
-
-def test_birkhoff_constant_potentials():
-    cs = [0.3, -0.2, 0.5]
-    seq = build_halving_chain(levels=3, n_top=8,
-                              potentials=[np.full(8, cs[0]), np.full(4, cs[1]),
-                                          np.full(2, cs[2])])
-    assert np.allclose(birkhoff_sum(seq, 0, 3).values, sum(cs))
 
 
 def test_positivity_and_monotonicity(doubling):
@@ -278,17 +275,18 @@ def test_normalize_stage_identity_and_errors():
 
 
 def test_normalize_stage_keeps_the_exact_circle_potential():
-    """Birkhoff sums over normalized circle stages use the normalized exact
-    potential: unchanged at h = 1, lambda = 1, and on a solved chain the
-    one-step sum is the normalized potential sampled on the grid,
+    """Normalized circle stages hold the normalized exact potential:
+    unchanged at h = 1, lambda = 1, on the grid and at the exact images,
+    and on a solved chain it is, on the grid,
     phi + log h_n - log h_{n+1}(T .) - log lambda_n with h_{n+1}
     interpolated at the exact images."""
     seq = build_circle_chain(CircleMapSpec.make(N=64, window=(0, 2)))
     one = unit_field(seq.space(0))
-    same = StageSeq(n_min=0, n_max=2, stages=tuple(normalize_stage(st, one, one, 1.0)
-                                                   for st in seq.stages))
-    for n, k in ((0, 1), (0, 2), (1, 1)):
-        assert np.array_equal(birkhoff_sum(same, n, k).values, birkhoff_sum(seq, n, k).values)
+    x = seq.space(0).positions
+    for st in seq.stages:
+        same = normalize_stage(st, one, one, 1.0)
+        for y in (x, seq.stage(0).map_fn(x) % 1.0):
+            assert np.array_equal(same.potential_fn(y), st.potential_fn(y))
     seq = build_circle_chain(CircleMapSpec.make(N=64, window=(-24, 24), **PERTURBED))
     fwd = nr.solve_forward(seq, tol=1e-6, tau=2, block_factor=0.2, with_diagnostics=False)
     bwd = nr.solve_backward(fwd, with_diagnostics=False)
@@ -296,7 +294,7 @@ def test_normalize_stage_keeps_the_exact_circle_potential():
     for n in (-10, 0, 7):
         st = seq.stage(n)
         nst = normalize_stage(st, bwd.h[n], bwd.h[n + 1], fwd.lam[n])
-        one_step = birkhoff_sum(StageSeq(n_min=n, n_max=n + 1, stages=(nst,)), n, 1)
+        one_step = nst.potential_fn(x)
         p = (st.map_fn(x) % 1.0) * x.size
         base = np.floor(p).astype(np.int64) % x.size
         frac = p - np.floor(p)
@@ -304,7 +302,7 @@ def test_normalize_stage_keeps_the_exact_circle_potential():
             + frac * bwd.h[n + 1].values[(base + 1) % x.size]
         sampled = (st.potential_fn(x) + np.log(bwd.h[n].values) - np.log(h_img)
                    - np.log(fwd.lam[n]))
-        np.testing.assert_allclose(one_step.values, sampled, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(one_step, sampled, rtol=1e-14, atol=0)
 
 
 def _row_kernel_chains():
@@ -318,8 +316,8 @@ def _row_kernel_chains():
 def test_row_kernels_equal_the_per_row_kernels(name):
     """Row r of a block from index run[r], with rows gathered from across the
     chain into one block per (domain, codomain) pair: one _compose_rows step
-    and the eigen verifier's per-row dual stack give every row the bits of
-    the one-row kernels."""
+    of the contraction verifier and a stack of per-row dual calls give
+    every row the bits of the one-row kernels."""
     seq = _row_kernel_chains()[name]
     ns = list(seq.stage_indices) + list(reversed(seq.stage_indices)) * 2
     blocks = {}
@@ -391,8 +389,6 @@ def test_empty_stacks_give_empty_results(name):
     n_dom, n_cod = st.domain.n_points, st.codomain.n_points
     assert _apply_values(st, np.empty((0, n_dom))).shape == (0, n_cod)
     assert _dual_weights(st, np.empty((0, n_cod))).shape == (0, n_dom)
-    seq = _row_kernel_chains()[name]
-    assert _compose_rows(seq, [], 1, np.empty((0, n_dom))).shape == (0, n_dom)
 
 
 def test_normalize_stage_iterated_cocycle_matrix():
@@ -507,11 +503,3 @@ def test_normalize_stage_rejects_a_non_finite_lambda(lam):
     one = unit_field(st.domain)
     with pytest.raises(DomainError, match="positive finite lambda"):
         normalize_stage(st, one, one, lam)
-
-
-def test_birkhoff_sum_refuses_an_orbit_that_mixes_map_forms():
-    seq = build_circle_chain(CircleMapSpec.make(N=64, window=(0, 2)))
-    mixed = StageSeq(n_min=0, n_max=2, stages=(seq.stage(0), snapped_stage(seq.stage(1))))
-    assert np.array_equal(birkhoff_sum(mixed, 0, 1).values, birkhoff_sum(seq, 0, 1).values)
-    with pytest.raises(StructuralError, match="one form of the map"):
-        birkhoff_sum(mixed, 0, 2)
