@@ -318,10 +318,9 @@ def cmd_run(cfg: RunConfig) -> int:
                 name: {row[0]: row[j] for row in eig.rows if not math.isnan(row[j])}
                 for j, name in enumerate(("dual residual", "|<h,m>-1|", "h residual"), 1)})
         note("eigen", eig.passed, detail)
-    rates = None
     rc = cert.rate_constants()
+    rates = verify_exponential_rates(fwd, bwd, rc)   # rates.csv is written either way
     if "rates" in cfg.checks:
-        rates = verify_exponential_rates(fwd, bwd, rc)
         detail = f"{rates.violations} envelope violations over {len(rates.rows)} records"
         if not rates.passed:
             worst, n = max((s, n) for n, pair in rates.slopes.items() for s in pair)
@@ -389,10 +388,8 @@ def cmd_run(cfg: RunConfig) -> int:
     if bwd is not None:
         for n in bwd.reported_h:
             write_vector(f"h_{n}.csv", _H_COLUMNS, bwd.h[n].values)
-    rate_rows = (rates.rows if rates is not None
-                 else verify_exponential_rates(fwd, bwd, rc).rows)
     _write_csv(os.path.join(cfg.out_dir, "rates.csv"), _RATES_COLUMNS,
-               itertools.chain.from_iterable(rate_rows))
+               itertools.chain.from_iterable(rates.rows))
     _atomic_write(os.path.join(cfg.out_dir, "report.txt"),
                   "\n".join(report_lines) + "\n")
     sys.stdout.write("\n".join(report_lines) + "\n")

@@ -21,6 +21,9 @@ by the linear functionals
     l_{x,y}(f) = exp(Q d(x,y)^beta) f(x) - f(y),   d(x,y) <= delta,
 
 so the ratio set gains { l_{x,y}(g) / l_{x,y}(f) } over the stored pair set.
+One reduction, _ratio_gap, takes both sets to (A, B), with one boundary
+rule: a denominator <= 0 under a positive numerator makes B infinite and
+under a negative one makes A zero.
 
 The stored pairs need only generate the constraint cone: a functional that
 is a nonnegative combination of stored ones cuts out nothing new, and its
@@ -200,30 +203,33 @@ def in_log_holder_cone(f: Field, p: ConeParams) -> bool:
     return bool(_inside(f.values[None], f.space, p)[0])
 
 
-def _pointwise_gap(F: np.ndarray, G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(A, B) over the pointwise ratio sets { g(x)/f(x) : f(x) > 0 } of the
-    rows of F and G, one pair per row (the last axis holds the points).
+def _ratio_gap(num: np.ndarray, den: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(A, B) = (min, max) of the ratio set { num/den : den > 0 } of each row
+    pair of num and den (the last axis holds the ratios).
 
-    A zero of f where g > 0 yields B = +inf (incomparable), reported as a
-    value rather than raised.  Points where both vanish impose no constraint,
-    so a row of f with no positive value gives (inf, 0).
+    Where den <= 0 no ratio is taken: num > 0 there gives B = +inf and
+    num < 0 gives A = 0 (incomparable, reported as a value rather than
+    raised), and num = 0 imposes no constraint.  A row with no constraint
+    gives (inf, -inf), the identities of min and max.
     """
-    pos = F > 0.0
+    pos = den > 0.0
     if pos.all():
-        r = G / F
+        r = num / den
         return r.min(axis=-1), r.max(axis=-1)
-    r = np.divide(G, F, out=np.zeros_like(G), where=pos)
-    A = np.where(pos, r, math.inf).min(axis=-1)
-    B = np.where(pos.any(axis=-1), np.where(pos, r, -math.inf).max(axis=-1), 0.0)
-    return A, np.where((~pos & (G > 0.0)).any(axis=-1), math.inf, B)
+    r = np.divide(num, den, out=np.zeros_like(num), where=pos)
+    A = np.where((~pos & (num < 0.0)).any(axis=-1), 0.0,
+                 np.where(pos, r, math.inf).min(axis=-1))
+    B = np.where((~pos & (num > 0.0)).any(axis=-1), math.inf,
+                 np.where(pos, r, -math.inf).max(axis=-1))
+    return A, B
 
 
 def hilbert_gap_positive(f: Field, g: Field) -> tuple[float, float]:
-    """(A, B) for the pointwise order on C+ (see _pointwise_gap)."""
+    """(A, B) for the pointwise order on C+: _ratio_gap over { g(x)/f(x) }."""
     _check_same_space(f, g)
     if not np.any(f.values > 0.0):
         raise DomainError("f must be a nonzero element of the positive cone")
-    A, B = _pointwise_gap(f.values, g.values)
+    A, B = _ratio_gap(g.values, f.values)
     return float(A), float(B)
 
 
@@ -245,26 +251,19 @@ def _gap_log_holder_raw(F: np.ndarray, G: np.ndarray, ps: PairSet,
                         E: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(A, B) for the Lambda(Q) order, via the functional ratio set, for each
     row pair of the stacks F and G (one field per row; a single field is a
-    stack without rows).
+    stack without rows): _ratio_gap over the point values and over the
+    functionals l(g) / l(f), combined.
 
-    Assumes f, g lie in the cone up to roundoff.  Constraints with
-    l(f) = 0 are skipped when l(g) >= 0 and force an infinite gap
-    otherwise, matching the feasibility logic of sup{t : g - t f in cone}.
+    Assumes f, g lie in the cone up to roundoff; the boundary rules of
+    _ratio_gap match the feasibility logic of sup{t : g - t f in cone}.
     Each row gets the bits a call on that row alone would give.
     """
-    A, B = _pointwise_gap(F, G)
+    A, B = _ratio_gap(G, F)
     if len(ps) > 0:
         lf = E * np.take(F, ps.i, axis=-1) - np.take(F, ps.j, axis=-1)
         lg = E * np.take(G, ps.i, axis=-1) - np.take(G, ps.j, axis=-1)
-        m = lf > 0.0
-        if m.all():
-            r = lg / lf
-            return np.minimum(A, r.min(axis=-1)), np.maximum(B, r.max(axis=-1))
-        r = np.divide(lg, lf, out=np.zeros_like(lg), where=m)
-        A = np.minimum(A, np.where(m, r, math.inf).min(axis=-1))
-        B = np.maximum(B, np.where(m, r, -math.inf).max(axis=-1))
-        B = np.where((~m & (lg > 0.0)).any(axis=-1), math.inf, B)
-        A = np.where((~m & (lg < 0.0)).any(axis=-1), 0.0, A)
+        A_l, B_l = _ratio_gap(lg, lf)
+        A, B = np.minimum(A, A_l), np.maximum(B, B_l)
     return A, B
 
 

@@ -53,14 +53,14 @@ class HypothesisParams:
     V: float
 
     def __post_init__(self):
-        if self.D < 1 or self.tau < 1:
-            raise DomainError("D and tau must be positive integers")
+        if not all(isinstance(v, (int, np.integer)) and v >= 1 for v in (self.D, self.tau)):
+            raise DomainError(f"D and tau must be positive integers, got {self.D!r}, {self.tau!r}")
         if not (0.0 < self.rho < 1.0):
             raise DomainError("rho must lie in (0, 1)")
-        if self.delta <= 0.0:
-            raise DomainError("delta must be positive")
-        if self.H < 0.0 or self.V < 0.0:
-            raise DomainError("H and V must be nonnegative")
+        if not (0.0 < self.delta < math.inf):   # NaN fails
+            raise DomainError("delta must be positive and finite")
+        if not (0.0 <= self.H < math.inf and 0.0 <= self.V < math.inf):
+            raise DomainError("H and V must be nonnegative and finite")
         if not (0.0 < self.beta <= 1.0):
             raise DomainError("beta must lie in (0, 1]")
 

@@ -26,12 +26,14 @@ from the previous index's rows.  Gaps and errors are row-wise array
 operations, and every history equals the one a per-index loop of
 apply_L_dual / apply_L would record, bit for bit.
 
-Stopping rule (both solvers).  With gamma = block_factor^(1/tau) the
-per-step contraction rate and s_tol = tol (1 - gamma) / 2, the stopping
-depth k* of a reported index is the first recorded depth k >= tau at which
-its successive gap falls below s_tol.  The sweep runs to depth
-headroom + 2 tau + 2; an index that never meets the rule raises
-ConvergenceError with its history.
+Schedule.  The forward solution is the one holder of the solve schedule,
+(tol, tau, block_factor, headroom); the backward solver and every verifier
+read it from there.  Stopping rule (both solvers): with
+gamma = block_factor^(1/tau) the per-step contraction rate and
+s_tol = tol (1 - gamma) / 2, the stopping depth k* of a reported index is
+the first recorded depth k >= tau at which its successive gap falls below
+s_tol.  Both sweeps run to depth headroom + 2 tau + 2 (_sweep_depth); an
+index that never meets the rule raises ConvergenceError with its history.
 
 Backward data.  With lambda fixed, one forward sweep of the normalized
 operators from the bottom of the window yields h_n with
@@ -47,8 +49,8 @@ call serves every row of the stack.  The eigenrelations, the xi check of
 the uniqueness verifier and the unit-image diameters of the contraction
 verifier are per-index loops over the kernels _apply_values and
 _dual_weights, since every index has a stage of its own.  Rows stay stacked
-where they share work: the re-solve seed families that share a tail are
-the rows of one frozen sweep, compared index by index as it goes; the
+where they share work: the re-solve seeds of one tail are the rows of one
+frozen sweep, compared index by index as it goes; the
 sampled cone pairs of a block are drawn in one call
 (cones._log_holder_rows), pushed through their own stages row by row and
 stacked once for the cone gaps (cones._gaps); the rate envelopes and slope
@@ -69,7 +71,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -85,26 +87,8 @@ _ZERO_FLOOR = 1e-13   # error values below this count as converged noise
 
 
 # ---------------------------------------------------------------------------
-# seed families
+# the solve schedule
 # ---------------------------------------------------------------------------
-
-def _uniform_sigma(level: int, space) -> MeasureVec:
-    return MeasureVec.uniform(space)
-
-
-def _random_sigma(seed: int) -> Callable:
-    def fam(level: int, space) -> MeasureVec:
-        rng = np.random.default_rng((seed, level + 2 ** 20))
-        return MeasureVec(space, rng.uniform(0.5, 1.5, size=space.n_points))
-    return fam
-
-
-def _random_cone_seed(seed: int, p: ConeParams) -> Callable:
-    def fam(level: int, space) -> Field:
-        rng = np.random.default_rng((seed, level + 2 ** 20))
-        return sample_log_holder_field(space, p, rng)
-    return fam
-
 
 def headroom_steps(tol: float, block_factor: float, tau: int) -> int:
     """Window steps needed before an index may be reported."""
@@ -118,25 +102,27 @@ def headroom_steps(tol: float, block_factor: float, tau: int) -> int:
     return tau * blocks
 
 
-def _stopping_rule(side: str, sol: ForwardSolution | BackwardSolution, sweep: Callable) -> None:
-    """The stopping rule of both solvers (see the module docstring).
+def _sweep_depth(fwd: ForwardSolution) -> int:
+    """Depth headroom + 2 tau + 2 of both diagnostic sweeps."""
+    return fwd.headroom + 2 * fwd.tau + 2
 
-    Fills ``sol.histories`` with ``sweep(k_cap)``, the histories of the
-    reported indices over depths 1..k_cap, and ``sol.k_star`` from them.
-    Raises ConvergenceError carrying the history of the first reported index
-    that never meets the rule.
+
+def _stopping_rule(side: str, fwd: ForwardSolution, histories: dict) -> dict:
+    """The stopping depths k* of both solvers (see the module docstring),
+    read from the histories of the reported indices on the schedule of the
+    forward solution.  Raises ConvergenceError carrying the history of the
+    first reported index that never meets the rule.
     """
-    gamma_step = sol.block_factor ** (1.0 / sol.tau)
-    s_tol = sol.tol * (1.0 - gamma_step) / 2.0
-    k_cap = sol.headroom + 2 * sol.tau + 2
-    sol.histories = sweep(k_cap)
-    for n, h in sol.histories.items():
-        hits = np.nonzero((h.ks >= sol.tau) & (h.succ < s_tol))[0]
+    s_tol = fwd.tol * (1.0 - fwd.block_factor ** (1.0 / fwd.tau)) / 2.0
+    k_star = {}
+    for n, h in histories.items():
+        hits = np.nonzero((h.ks >= fwd.tau) & (h.succ < s_tol))[0]
         if hits.size == 0:
             raise ConvergenceError(
                 f"{side} index {n}: successive gaps never fell below {s_tol} "
-                f"within {k_cap} iterations", history=h)
-        sol.k_star[n] = int(h.ks[hits[0]])
+                f"within {_sweep_depth(fwd)} iterations", history=h)
+        k_star[n] = int(h.ks[hits[0]])
+    return k_star
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +165,7 @@ def _pullbacks(seq: StageSeq, tail: int, seeds: np.ndarray):
         yield n, mass, nu
 
 
-def _forward_sweep(sol: ForwardSolution, k_cap: int) -> dict:
+def _forward_sweep(sol: ForwardSolution) -> dict:
     """Histories of the incremental dual sweep, one per reported index.
 
     Walks the window down from its top.  Index n is live at depths
@@ -187,7 +173,7 @@ def _forward_sweep(sol: ForwardSolution, k_cap: int) -> dict:
     on the stack [depth-0 seed on X_{n+1}; depths 1.. of index n + 1], so
     only the previous index's iterates are kept.
     """
-    seq, top = sol.seq, sol.seq.n_max
+    seq, top, k_cap = sol.seq, sol.seq.n_max, _sweep_depth(sol)
     # per space: depth-0 seed, dictionaries and the seed's weak pairings
     seed, weak, coned, seed_weak = {}, {}, {}, {}
     for sp in {seq.space(n) for n in seq.space_indices}:
@@ -233,7 +219,7 @@ def solve_forward(seq: StageSeq, *, tol: float, tau: int, block_factor: float,
     hr = headroom_steps(tol, block_factor, tau)
     tail = seq.n_max
     # one coherent dual sweep from the tail: the exact eigenchain of the window
-    seed = normalize(_uniform_sigma(tail, seq.space(tail)))
+    seed = normalize(MeasureVec.uniform(seq.space(tail)))
     lam, nu = {}, {tail: seed}
     for n, mass, rows in _pullbacks(seq, tail, seed.weights[None]):
         lam[n] = float(mass[0])
@@ -250,7 +236,8 @@ def solve_forward(seq: StageSeq, *, tol: float, tau: int, block_factor: float,
                           m=nu, reported_m=reported_m, reported_lam=reported_lam,
                           k_star={}, histories={})
     if with_diagnostics:
-        _stopping_rule("forward", sol, lambda k_cap: _forward_sweep(sol, k_cap))
+        sol.histories = _forward_sweep(sol)
+        sol.k_star = _stopping_rule("forward", sol, sol.histories)
     return sol
 
 
@@ -268,10 +255,6 @@ class BackwardHistory:
 @dataclass
 class BackwardSolution:
     seq: StageSeq
-    tol: float
-    tau: int
-    block_factor: float
-    headroom: int
     h: dict
     reported_h: list
     k_star: dict
@@ -306,7 +289,7 @@ def _row_sup_gap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.abs(d, out=d).max(axis=1)
 
 
-def _backward_sweep(sol: BackwardSolution, fwd: ForwardSolution, k_cap: int) -> dict:
+def _backward_sweep(sol: BackwardSolution, fwd: ForwardSolution) -> dict:
     """Histories of the incremental forward sweep, one per reported index.
 
     Walks the window up from its bottom.  Index n is live at depths
@@ -314,7 +297,7 @@ def _backward_sweep(sol: BackwardSolution, fwd: ForwardSolution, k_cap: int) -> 
     the stack [depth-0 seed on X_{n-1}; depths 1.. of index n - 1], so only
     the previous index's iterates are kept.
     """
-    seq, bottom = sol.seq, sol.seq.n_min
+    seq, bottom, k_cap = sol.seq, sol.seq.n_min, _sweep_depth(fwd)
 
     def seed(n):
         """Depth 0 on X_n: the unit field over its pairing with m_n."""
@@ -349,16 +332,15 @@ def solve_backward(fwd: ForwardSolution, *, with_diagnostics: bool = True) -> Ba
     # one coherent forward sweep from the unit field on the bottom of the window
     h = {n: Field(seq.space(n), rows[0])
          for n, rows in _pushforwards(fwd, unit_field(seq.space(seq.n_min)).values[None])}
-    hr = fwd.headroom
-    lo_h = seq.n_min + hr
+    lo_h = seq.n_min + fwd.headroom
     hi_h = max(fwd.reported_m)
     if lo_h > hi_h:
         raise ConvergenceError("window too short to report any backward index")
     reported_h = list(range(lo_h, hi_h + 1))
-    sol = BackwardSolution(seq=seq, tol=fwd.tol, tau=fwd.tau, block_factor=fwd.block_factor,
-                           headroom=hr, h=h, reported_h=reported_h, k_star={}, histories={})
+    sol = BackwardSolution(seq=seq, h=h, reported_h=reported_h, k_star={}, histories={})
     if with_diagnostics:
-        _stopping_rule("backward", sol, lambda k_cap: _backward_sweep(sol, fwd, k_cap))
+        sol.histories = _backward_sweep(sol, fwd)
+        sol.k_star = _stopping_rule("backward", fwd, sol.histories)
     return sol
 
 
@@ -421,30 +403,37 @@ class IndependenceReport:
     passed: bool
 
 
-def _reseed_gaps(fwd: ForwardSolution, bwd: Optional[BackwardSolution], runs,
-                 seed_families) -> tuple[float, float, float]:
+def _cone_seeds(fwd: ForwardSolution, seeds) -> np.ndarray:
+    """One field of the forward solution's cone on the window bottom per
+    integer seed s, drawn from the generator (s, n_min + 2^20): the rows of
+    a backward re-solve."""
+    sp, level = fwd.seq.space(fwd.seq.n_min), fwd.seq.n_min + 2 ** 20
+    return np.stack([sample_log_holder_field(sp, fwd.cone, np.random.default_rng((s, level)))
+                     .values for s in seeds])
+
+
+def _reseed_gaps(fwd: ForwardSolution, bwd: Optional[BackwardSolution], tails: dict,
+                 h_seeds: np.ndarray) -> tuple[float, float, float]:
     """Largest gaps between the reported data and re-solves from other seeds.
 
-    Forward: the (tail, sigma_family) pairs of ``runs`` that share a tail are
-    the rows of one frozen re-solve from that tail, compared as the sweep
-    goes in log lambda and, against each index's own weak* dictionary, in m,
-    over the reported indices below that tail's headroom.  Backward: the
-    ``seed_families`` are the rows of one re-solve from the bottom, compared
-    in h.  Returns (max |d log lambda|, max norm-scaled dm, max |dh|).
-    Raises ConvergenceError when no re-solve reaches a reported index, since
-    gaps over no index would read 0 and pass.
+    Forward: the rows of ``tails[tail]``, positive weights on X_tail, are
+    normalized and re-solved by one frozen sweep from that tail, compared as
+    the sweep goes in log lambda and, against each index's own weak*
+    dictionary, in m, over the reported indices below that tail's headroom.
+    Backward: the rows of ``h_seeds``, fields on the bottom of the window,
+    are re-solved by one sweep from there, compared in h.  Returns
+    (max |d log lambda|, max norm-scaled dm, max |dh|).  Raises
+    ConvergenceError when no re-solve reaches a reported index, since gaps
+    over no index would read 0 and pass.
     """
     _check_chain(fwd, bwd)
     seq = fwd.seq
     dlam = dm = dh = 0.0
     lam_idx, m_idx = set(fwd.reported_lam), set(fwd.reported_m)
     compared = 0
-    by_tail = {}
-    for tail, fam in runs:
-        by_tail.setdefault(tail, []).append(fam)
-    for tail, fams in by_tail.items():
+    for tail, seeds in tails.items():
         hi = tail - fwd.headroom
-        seeds = np.stack([normalize(fam(tail, seq.space(tail))).weights for fam in fams])
+        seeds = seeds / seeds.sum(axis=1)[:, None]
         for n, mass, nu in _pullbacks(seq, tail, seeds):
             if n < hi and n in lam_idx:
                 log_lam = math.log(fwd.lam[n])
@@ -457,12 +446,11 @@ def _reseed_gaps(fwd: ForwardSolution, bwd: Optional[BackwardSolution], runs,
                 compared += 1
     if not compared:
         raise ConvergenceError(
-            f"no re-solve reaches a reported index: tails {[t for t, _ in runs]} "
+            f"no re-solve reaches a reported index: tails {list(tails)} "
             f"leave none {fwd.headroom} steps below them")
     if bwd is not None:
-        bottom, h_idx, top = seq.n_min, set(bwd.reported_h), max(bwd.reported_h)
-        seeds = np.stack([fam(bottom, seq.space(bottom)).values for fam in seed_families])
-        for n, h in _pushforwards(fwd, seeds):
+        h_idx, top = set(bwd.reported_h), max(bwd.reported_h)
+        for n, h in _pushforwards(fwd, h_seeds):
             if n in h_idx:
                 dh = max(dh, float(_row_sup_gap(h, bwd.h[n].values).max()))
             if n == top:
@@ -479,10 +467,10 @@ def verify_independence(fwd: ForwardSolution, bwd: Optional[BackwardSolution], *
     convergence error, so reported indices must agree to within 10 tol.
     Backward seeds are drawn from the forward solution's cone.
     """
-    thr = 10.0 * tol
-    dlam, dm, dh = _reseed_gaps(
-        fwd, bwd, [(fwd.seq.n_max, _random_sigma(s)) for s in (7, 88)],
-        [_random_cone_seed(s, fwd.cone) for s in (11, 23)])
+    thr, top = 10.0 * tol, fwd.seq.n_max
+    sigma = [np.random.default_rng((s, top + 2 ** 20)).uniform(
+        0.5, 1.5, size=fwd.seq.space(top).n_points) for s in (7, 88)]
+    dlam, dm, dh = _reseed_gaps(fwd, bwd, {top: np.stack(sigma)}, _cone_seeds(fwd, (11, 23)))
     passed = dlam < thr and dm < thr and dh < thr
     return IndependenceReport(max_dlam=dlam, max_dm=dm, max_dh=dh,
                               threshold=thr, passed=passed)
@@ -511,9 +499,9 @@ def verify_uniqueness(fwd: ForwardSolution, bwd: Optional[BackwardSolution], *,
     """
     seq = fwd.seq
     thr = 10.0 * tol
-    dlam, dm, dh = _reseed_gaps(
-        fwd, bwd, [(seq.n_max - shift, _uniform_sigma) for shift in (3, 5)],
-        [_random_cone_seed(100 + s, fwd.cone) for s in range(4)])
+    tails = {t: MeasureVec.uniform(seq.space(t)).weights[None]
+             for t in (seq.n_max - 3, seq.n_max - 5)}
+    dlam, dm, dh = _reseed_gaps(fwd, bwd, tails, _cone_seeds(fwd, range(100, 104)))
     xi = 0.0
     if bwd is not None:
         # candidate g = c h_n normalized against m_n, one index at a time
@@ -609,10 +597,10 @@ def verify_exponential_rates(fwd: ForwardSolution, bwd: Optional[BackwardSolutio
     viol = (int(np.sum((err_l > env + slack) & (k_f >= rc.tau + 1)))
             + int(np.sum((err_m > env + slack) & (k_f >= rc.tau)))
             + int(np.sum((err_hb > envh + slack) & (k_b >= rc.tau))))
-    err_h = []    # the backward error of each forward record's (n, k), else nan
+    err_h = []    # both histories hold depths 1, 2, ..: pair records by position
     for n, h in fh.items():
-        errh = dict(zip(bh[n].ks.tolist(), bh[n].err_h.tolist())) if n in bh else {}
-        err_h += [errh.get(k, math.nan) for k in h.ks.tolist()]
+        e = bh[n].err_h.tolist()[:h.ks.size] if n in bh else []
+        err_h += e + [math.nan] * (h.ks.size - len(e))
     rows = list(zip(n_f.tolist(), k_f.tolist(), err_l.tolist(), err_m.tolist(), err_h))
     fits = _fit_slopes(np.concatenate((k_f, k_b)), np.concatenate((err_l, err_hb)),
                        f_len + b_len, [rc.tau + 1] * len(f_len) + [rc.tau] * len(b_len))

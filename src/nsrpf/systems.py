@@ -34,7 +34,7 @@ import numpy as np
 from .errors import ConvergenceError, DomainError, StructuralError
 from .hypotheses import HypothesisParams
 from .spaces import PointSpace
-from .transfer import Stage, StageSeq, _positive_finite, _real_array
+from .transfer import Stage, StageSeq, _positive_finite, _real_array, _window_steps
 
 _BISECT_TOL = 1e-13
 
@@ -44,8 +44,8 @@ _BISECT_TOL = 1e-13
 # ---------------------------------------------------------------------------
 
 def _require_states(d: int):
-    if d < 1:
-        raise StructuralError(f"a matrix chain needs d >= 1 states, got {d}")
+    if not (isinstance(d, (int, np.integer)) and d >= 1):
+        raise StructuralError(f"a matrix chain needs an integer d >= 1 of states, got {d!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -65,11 +65,8 @@ class MatrixChainSpec:
 
     def __post_init__(self):
         _require_states(self.d)
-        n_min, n_max = self.window
-        if n_max <= n_min:
-            raise StructuralError("window must be nonempty")
         stack = _real_array(self.matrices)
-        if stack.shape[:1] != (n_max - n_min,):
+        if stack.shape[:1] != (_window_steps(*self.window),):
             raise StructuralError("need one matrix per window step")
         if stack.shape[1:] != (self.d, self.d):
             raise StructuralError(f"every matrix must be {self.d} x {self.d}")
@@ -80,9 +77,8 @@ class MatrixChainSpec:
     @classmethod
     def stationary(cls, m, window: tuple[int, int]) -> "MatrixChainSpec":
         m = _real_array(m)
-        k = max(window[1] - window[0], 0)
         return cls(d=m.shape[0] if m.ndim else 0, window=window,
-                   matrices=np.repeat(m[None], k, axis=0))
+                   matrices=np.repeat(m[None], _window_steps(*window), axis=0))
 
     @classmethod
     def random(cls, d: int, window: tuple[int, int], low: float = 1.0,
@@ -92,10 +88,9 @@ class MatrixChainSpec:
         _require_states(d)
         if not (0.0 < low <= high < math.inf and seed >= 0):
             raise DomainError("random entries need 0 < low <= high < inf and a seed >= 0")
-        rng = np.random.default_rng(seed)
-        k = max(window[1] - window[0], 0)
-        return cls(d=d, window=window, matrices=rng.uniform(low, high, size=(k, d, d)),
-                   seed=seed)
+        k = _window_steps(*window)
+        return cls(d=d, window=window, seed=seed,
+                   matrices=np.random.default_rng(seed).uniform(low, high, size=(k, d, d)))
 
     def matrix(self, n: int) -> np.ndarray:
         n_min, n_max = self.window
@@ -148,12 +143,9 @@ class CircleMapSpec:
     seed: Optional[int] = None
 
     def __post_init__(self):
-        n_min, n_max = self.window
-        if n_max <= n_min:
-            raise StructuralError("window must be nonempty")
-        k = n_max - n_min
-        if self.N < 8 or self.N % 2:
-            raise DomainError("use an even grid with at least 8 points")
+        k = _window_steps(*self.window)
+        if not (isinstance(self.N, (int, np.integer)) and self.N >= 8 and self.N % 2 == 0):
+            raise DomainError(f"use an even integer grid with at least 8 points, got {self.N!r}")
         for arr, name in ((self.eps, "eps"), (self.a, "a"), (self.b, "b")):
             if np.asarray(arr).shape != (k,):
                 raise StructuralError(f"{name} needs one value per window step")
@@ -275,9 +267,11 @@ def oracle_stationary_rpf(m: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]
     check at relative 1e-13 guards against non-convergence and raises
     ConvergenceError when it fails.
     """
-    m = np.asarray(m, dtype=np.float64)
-    if np.any(m <= 0.0):
-        raise DomainError("the stationary oracle needs a strictly positive matrix")
+    m = _real_array(m)
+    if m.ndim != 2 or not 0 < m.shape[0] == m.shape[1]:
+        raise StructuralError(f"the stationary oracle needs a square matrix, got shape {m.shape}")
+    if not _positive_finite(m):   # NaN fails
+        raise DomainError("the stationary oracle needs a strictly positive finite matrix")
     d = m.shape[0]
     v = np.full(d, 1.0 / d)            # right vector, h direction
     w = np.full(d, 1.0 / d)            # left vector, eigenmeasure direction

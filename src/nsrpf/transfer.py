@@ -99,17 +99,18 @@ class Stage:
                 raise DomainError("operator stages need strictly positive finite entries")
             object.__setattr__(self, "dense", dense)
             return
-        shape = np.shape(self.branch_index)   # a partial table fails the shape check
-        if len(shape) != 2 or any(np.shape(a) != shape for a in table):
-            raise StructuralError("branch arrays must share one (B, n_codomain) shape")
-        if shape[1] != n_cod:
-            raise StructuralError("branch arrays must be indexed by codomain points")
+        shape_error = "branch arrays must share one (B, n_codomain) shape"
+        if any(a is None for a in table):   # a partial table
+            raise StructuralError(shape_error)
         index = _index_array(self.branch_index, n_dom,
                              "branch indices must be integers in [0, n_domain)")
-        frac = _real_array(self.branch_frac)
+        frac, weight = _real_array(self.branch_frac), _real_array(self.branch_weight)
+        if index.ndim != 2 or not index.shape == frac.shape == weight.shape:
+            raise StructuralError(shape_error)
+        if index.shape[1] != n_cod:
+            raise StructuralError("branch arrays must be indexed by codomain points")
         if frac.size and not (frac.min() >= 0.0 and frac.max() < 1.0):   # NaN fails
             raise StructuralError("branch fractions must be finite and in [0, 1)")
-        weight = _real_array(self.branch_weight)
         if not _positive_finite(weight):
             raise StructuralError("branch weights must be strictly positive and finite")
         if self.forward_index is not None:
@@ -151,10 +152,24 @@ def _positive_finite(a: np.ndarray) -> bool:
     return a.size == 0 or bool(a.min() > 0.0 and a.max() < math.inf)
 
 
+def _window_steps(n_min, n_max) -> int:
+    """Steps of the window [n_min, n_max]: the one window rule of chains and
+    chain specs.  StructuralError unless both ends are integers and
+    n_max > n_min."""
+    if not all(isinstance(n, (int, np.integer)) for n in (n_min, n_max)):
+        raise StructuralError(f"window ends must be integers, got {n_min!r}, {n_max!r}")
+    if n_max <= n_min:
+        raise StructuralError("window must be nonempty")
+    return n_max - n_min
+
+
 def _index_array(idx, n: int, message: str) -> np.ndarray:
     """``idx`` as an int64 array; StructuralError(message) unless it is an
     integer array with every entry in [0, n)."""
-    idx = np.asarray(idx)
+    try:
+        idx = np.asarray(idx)
+    except ValueError as e:   # ragged nesting
+        raise StructuralError(message) from e
     if not (np.issubdtype(idx.dtype, np.integer) and (
             idx.size == 0 or 0 <= int(idx.min()) <= int(idx.max()) < n)):
         raise StructuralError(message)
@@ -240,9 +255,7 @@ class StageSeq:
     declared: object = None   # analytic HypothesisParams, when the family has them
 
     def __post_init__(self):
-        if self.n_max <= self.n_min:
-            raise StructuralError("window must be nonempty")
-        if len(self.stages) != self.n_max - self.n_min:
+        if len(self.stages) != _window_steps(self.n_min, self.n_max):
             raise StructuralError("need exactly one stage per window step")
         for k in range(len(self.stages) - 1):
             if self.stages[k].codomain is not self.stages[k + 1].domain:

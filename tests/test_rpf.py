@@ -105,7 +105,8 @@ def test_solutions_carry_their_chain_tolerance_and_cone():
     assert plain.cone is DEFAULT_CONE
     bwd = solve_backward(fwd)
     assert bwd.seq is fwd.seq
-    assert bwd.tol == fwd.tol and bwd.headroom == fwd.headroom
+    assert (fwd.tol, fwd.headroom) == (1e-6, headroom_steps(1e-6, 0.5, 1))
+    assert not {"tol", "tau", "block_factor", "headroom"} & set(vars(bwd))   # one owner
 
 
 def test_eigen_relations_report():

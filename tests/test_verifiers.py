@@ -21,8 +21,7 @@ from nsrpf.dictionaries import pairing_vector, weak_dictionary
 from nsrpf.errors import ConvergenceError, StructuralError
 from nsrpf.hypotheses import RateConstants
 from nsrpf.rpf import (ContractionReport, EigenReport, RatesReport, UniquenessReport,
-                       IndependenceReport, _random_cone_seed, _random_sigma,
-                       _uniform_sigma, build_invariant_chain, solve_backward, solve_forward,
+                       IndependenceReport, build_invariant_chain, solve_backward, solve_forward,
                        verify_cone_contraction, verify_eigen_relations,
                        verify_exponential_rates, verify_independence, verify_uniqueness)
 from nsrpf.spaces import Field, MeasureVec, normalize, pair, unit_field
@@ -79,6 +78,24 @@ def _ref_frozen_backward(fwd, seed):
     for n in range(bottom, seq.n_max):
         h[n + 1] = Field(seq.space(n + 1), apply_L(seq.stage(n), h[n]).values / fwd.lam[n])
     return h
+
+
+# the verifiers' seed families: one generator (seed, level + 2^20) per seed
+def _uniform_sigma(level, space):
+    return MeasureVec.uniform(space)
+
+
+def _random_sigma(seed):
+    def fam(level, space):
+        rng = np.random.default_rng((seed, level + 2 ** 20))
+        return MeasureVec(space, rng.uniform(0.5, 1.5, size=space.n_points))
+    return fam
+
+
+def _random_cone_seed(seed, p):
+    def fam(level, space):
+        return sample_log_holder_field(space, p, np.random.default_rng((seed, level + 2 ** 20)))
+    return fam
 
 
 def _ref_reseed_gaps(fwd, bwd, runs, seed_families):
