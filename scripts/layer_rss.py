@@ -7,10 +7,11 @@ Parses CONFIG with ``nsrpf.cli.parse_config`` and runs ``nsrpf.cli.cmd_run``
 on it in this process, with the package imported from this checkout's src/.
 The parse and every function that ``nsrpf.cli`` imports from another module
 of the package (the chain builders, the certificates, the solvers and the
-verifiers) are wrapped, as perfbench's tracer wraps them, and print the
-process's ``ru_maxrss`` in MB (KB / 1024, as perfbench reports
-``peak_rss_mb``) before and after each call and the call's wall seconds,
-one line per call in call order.  The first line is the peak after
+verifiers) are wrapped, as perfbench's tracer wraps them, and so is the
+artifact export ``nsrpf.cli._write_run_artifacts`` (the ``export`` line).
+Each wrapped call prints the process's ``ru_maxrss`` in MB (KB / 1024, as
+perfbench reports ``peak_rss_mb``) before and after the call and the call's
+wall seconds, one line per call in call order.  The first line is the peak after
 importing the package and the import's wall seconds, and the last the peak
 after the run, artifacts written, and the run's wall seconds from the end
 of the parse.  Since ``ru_maxrss`` is a high-water mark, an "after" above
@@ -39,14 +40,16 @@ def _peak_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
-def _wrap(fn, out):
+def _wrap(fn, out, name=None):
+    name = name or fn.__name__
+
     @functools.wraps(fn)
     def probed(*args, **kwargs):
         before = _peak_mb()
         t0 = time.perf_counter()
         result = fn(*args, **kwargs)
         wall = time.perf_counter() - t0
-        print(f"{fn.__name__:32s} {before:9.1f} {_peak_mb():9.1f} {wall:9.4f}", file=out)
+        print(f"{name:32s} {before:9.1f} {_peak_mb():9.1f} {wall:9.4f}", file=out)
         return result
     return probed
 
@@ -61,6 +64,7 @@ def main(argv) -> int:
         if (inspect.isfunction(obj) and obj.__module__.startswith("nsrpf.")
                 and obj.__module__ != cli.__name__):
             setattr(cli, name, _wrap(obj, sys.stdout))
+    cli._write_run_artifacts = _wrap(cli._write_run_artifacts, sys.stdout, "export")
     cfg = _wrap(cli.parse_config, sys.stdout)(argv[0])
     t0 = time.perf_counter()
     with contextlib.redirect_stdout(sys.stderr):

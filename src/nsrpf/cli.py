@@ -28,6 +28,14 @@ the point indices baked in, which gives the same bytes.  The scalar rule ``_fmt`
 constants.txt and report.txt uses the same "%.17g".  A value the config
 admits but the chain does not (an odd grid, a negative matrix entry, zero
 states) is a config error naming [system].
+
+Every file is written by ``_atomic_write`` at the os level: a hidden temp
+file in the target directory, created exclusively with mode 0600 (under the
+umask) and without following a symlink, filled by ``os.write`` and renamed
+over the target; on any failure the temp file is removed.  ``nsrpf run``
+writes one m_<n>.csv and h_<n>.csv per reported index
+(``_write_run_artifacts``), so on small chains the cost of this layer is the
+kernel's file creation, not the float formatting.
 """
 from __future__ import annotations
 
@@ -37,7 +45,6 @@ import itertools
 import math
 import os
 import sys
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -195,12 +202,32 @@ def _fmt(x) -> str:
     return _FLOAT % x if isinstance(x, float) else str(x)
 
 
+_TMP_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_NOFOLLOW
+_TMP_SERIAL = itertools.count()   # with the pid, a temp name no live writer uses
+
+
 def _atomic_write(path: str, text: str):
+    """Write ``text`` to ``path`` through a hidden temp file in the same
+    directory, renamed over ``path``.  The temp name is the pid plus a
+    per-call serial, skipped while it exists (a stale file, or a symlink,
+    which O_EXCL | O_NOFOLLOW never follows); the temp file is removed on
+    any failure.  TypeError for a ``text`` that is not a str."""
+    data = str.encode(text)
     d = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-nsrpf-")
+    for serial in _TMP_SERIAL:
+        tmp = os.path.join(d, f".tmp-nsrpf-{os.getpid()}-{serial}")
+        try:
+            fd = os.open(tmp, _TMP_FLAGS, 0o600)
+            break
+        except FileExistsError:
+            pass
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+        try:
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view):]
+        finally:
+            os.close(fd)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -291,6 +318,34 @@ def cmd_certify(cfg: RunConfig) -> int:
     return 0
 
 
+def _write_run_artifacts(out_dir: str, fwd, bwd, eig, rates, report: str):
+    """The export layer of ``nsrpf run``: lambda.csv (with the eigen
+    residuals), one m_<n>.csv and h_<n>.csv per reported index, rates.csv
+    and report.txt."""
+    resid = {n: r for (n, r, _, _) in eig.rows}
+    ns = fwd.reported_lam
+    _write_csv(os.path.join(out_dir, "lambda.csv"), _LAMBDA_COLUMNS,
+               _interleave(ns, [fwd.lam[n] for n in ns],
+                           [fwd.k_star.get(n, -1) for n in ns],
+                           [resid.get(n, math.nan) for n in ns]))
+    templates = {}   # one body template per vector length
+
+    def write_vector(name, columns, v):
+        if len(v) not in templates:
+            templates[len(v)] = _vector_template(len(v))
+        _atomic_write(os.path.join(out_dir, name), ",".join(c for c, _ in columns) + "\n"
+                      + templates[len(v)] % tuple(v.tolist()))
+
+    for n in fwd.reported_m:
+        write_vector(f"m_{n}.csv", _M_COLUMNS, fwd.m[n].weights)
+    if bwd is not None:
+        for n in bwd.reported_h:
+            write_vector(f"h_{n}.csv", _H_COLUMNS, bwd.h[n].values)
+    _write_csv(os.path.join(out_dir, "rates.csv"), _RATES_COLUMNS,
+               itertools.chain.from_iterable(rates.rows))
+    _atomic_write(os.path.join(out_dir, "report.txt"), report)
+
+
 def cmd_run(cfg: RunConfig) -> int:
     seq, cone, cert, ledger = _certify(cfg)
     os.makedirs(cfg.out_dir, exist_ok=True)
@@ -368,31 +423,9 @@ def cmd_run(cfg: RunConfig) -> int:
                                            "dual gap": chain.tilde_dual_gap})
         note("invariant_chain", chain.passed, detail)
 
-    # artifacts
-    resid = {n: r for (n, r, _, _) in eig.rows}
-    ns = fwd.reported_lam
-    _write_csv(os.path.join(cfg.out_dir, "lambda.csv"), _LAMBDA_COLUMNS,
-               _interleave(ns, [fwd.lam[n] for n in ns],
-                           [fwd.k_star.get(n, -1) for n in ns],
-                           [resid.get(n, math.nan) for n in ns]))
-    templates = {}   # one body template per vector length
-
-    def write_vector(name, columns, v):
-        if len(v) not in templates:
-            templates[len(v)] = _vector_template(len(v))
-        _atomic_write(os.path.join(cfg.out_dir, name), ",".join(c for c, _ in columns) + "\n"
-                      + templates[len(v)] % tuple(v.tolist()))
-
-    for n in fwd.reported_m:
-        write_vector(f"m_{n}.csv", _M_COLUMNS, fwd.m[n].weights)
-    if bwd is not None:
-        for n in bwd.reported_h:
-            write_vector(f"h_{n}.csv", _H_COLUMNS, bwd.h[n].values)
-    _write_csv(os.path.join(cfg.out_dir, "rates.csv"), _RATES_COLUMNS,
-               itertools.chain.from_iterable(rates.rows))
-    _atomic_write(os.path.join(cfg.out_dir, "report.txt"),
-                  "\n".join(report_lines) + "\n")
-    sys.stdout.write("\n".join(report_lines) + "\n")
+    report = "\n".join(report_lines) + "\n"
+    _write_run_artifacts(cfg.out_dir, fwd, bwd, eig, rates, report)
+    sys.stdout.write(report)
     return 0 if all_passed else 1
 
 

@@ -32,8 +32,10 @@ read it from there.  Stopping rule (both solvers): with
 gamma = block_factor^(1/tau) the per-step contraction rate and
 s_tol = tol (1 - gamma) / 2, the stopping depth k* of a reported index is
 the first recorded depth k >= tau at which its successive gap falls below
-s_tol.  Both sweeps run to depth headroom + 2 tau + 2 (_sweep_depth); an
-index that never meets the rule raises ConvergenceError with its history.
+s_tol.  Both sweeps run to depth headroom + 2 tau + 2 (_sweep_depth), or to
+the window edge if that is nearer; an index that never meets the rule
+raises ConvergenceError with its history, naming the depth it reached and
+whether the window edge cut it short of the sweep's depth.
 
 Backward data.  With lambda fixed, one forward sweep of the normalized
 operators from the bottom of the window yields h_n with
@@ -118,9 +120,12 @@ def _stopping_rule(side: str, fwd: ForwardSolution, histories: dict) -> dict:
     for n, h in histories.items():
         hits = np.nonzero((h.ks >= fwd.tau) & (h.succ < s_tol))[0]
         if hits.size == 0:
+            depth, cap = len(h.ks), _sweep_depth(fwd)
+            edge = (f"; the window edge, not the tolerance, limited this index to "
+                    f"{depth} of the sweep's {cap}" if depth < cap else "")
             raise ConvergenceError(
                 f"{side} index {n}: successive gaps never fell below {s_tol} "
-                f"within {_sweep_depth(fwd)} iterations", history=h)
+                f"within {depth} iterations{edge}", history=h)
         k_star[n] = int(h.ks[hits[0]])
     return k_star
 

@@ -66,7 +66,7 @@ class MatrixChainSpec:
     def __post_init__(self):
         _require_states(self.d)
         stack = _real_array(self.matrices)
-        if stack.shape[:1] != (_window_steps(*self.window),):
+        if stack.shape[:1] != (_window_steps(self.window),):
             raise StructuralError("need one matrix per window step")
         if stack.shape[1:] != (self.d, self.d):
             raise StructuralError(f"every matrix must be {self.d} x {self.d}")
@@ -78,7 +78,7 @@ class MatrixChainSpec:
     def stationary(cls, m, window: tuple[int, int]) -> "MatrixChainSpec":
         m = _real_array(m)
         return cls(d=m.shape[0] if m.ndim else 0, window=window,
-                   matrices=np.repeat(m[None], _window_steps(*window), axis=0))
+                   matrices=np.repeat(m[None], _window_steps(window), axis=0))
 
     @classmethod
     def random(cls, d: int, window: tuple[int, int], low: float = 1.0,
@@ -88,7 +88,7 @@ class MatrixChainSpec:
         _require_states(d)
         if not (0.0 < low <= high < math.inf and seed >= 0):
             raise DomainError("random entries need 0 < low <= high < inf and a seed >= 0")
-        k = _window_steps(*window)
+        k = _window_steps(window)
         return cls(d=d, window=window, seed=seed,
                    matrices=np.random.default_rng(seed).uniform(low, high, size=(k, d, d)))
 
@@ -143,7 +143,7 @@ class CircleMapSpec:
     seed: Optional[int] = None
 
     def __post_init__(self):
-        k = _window_steps(*self.window)
+        k = _window_steps(self.window)
         if not (isinstance(self.N, (int, np.integer)) and self.N >= 8 and self.N % 2 == 0):
             raise DomainError(f"use an even integer grid with at least 8 points, got {self.N!r}")
         for arr, name in ((self.eps, "eps"), (self.a, "a"), (self.b, "b")):
@@ -164,6 +164,7 @@ class CircleMapSpec:
              eps_mode: str = "alternating", a: float = 0.1, a_mode: str = "sin",
              b: float = 0.0, b_mode: str = "constant", delta: float = 0.2,
              seed: Optional[int] = None) -> "CircleMapSpec":
+        _window_steps(window)
         for name, amp in (("eps", eps), ("a", a), ("b", b)):
             if not math.isfinite(amp):
                 raise DomainError(f"{name} must be finite")

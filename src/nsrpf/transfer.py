@@ -152,10 +152,14 @@ def _positive_finite(a: np.ndarray) -> bool:
     return a.size == 0 or bool(a.min() > 0.0 and a.max() < math.inf)
 
 
-def _window_steps(n_min, n_max) -> int:
-    """Steps of the window [n_min, n_max]: the one window rule of chains and
-    chain specs.  StructuralError unless both ends are integers and
-    n_max > n_min."""
+def _window_steps(window) -> int:
+    """Steps of the window (n_min, n_max): the one window rule of chains and
+    chain specs.  StructuralError unless the window is one pair of integers
+    with n_max > n_min."""
+    try:
+        n_min, n_max = window
+    except (TypeError, ValueError) as e:
+        raise StructuralError(f"a window is one pair (n_min, n_max), got {window!r}") from e
     if not all(isinstance(n, (int, np.integer)) for n in (n_min, n_max)):
         raise StructuralError(f"window ends must be integers, got {n_min!r}, {n_max!r}")
     if n_max <= n_min:
@@ -255,7 +259,7 @@ class StageSeq:
     declared: object = None   # analytic HypothesisParams, when the family has them
 
     def __post_init__(self):
-        if len(self.stages) != _window_steps(self.n_min, self.n_max):
+        if len(self.stages) != _window_steps((self.n_min, self.n_max)):
             raise StructuralError("need exactly one stage per window step")
         for k in range(len(self.stages) - 1):
             if self.stages[k].codomain is not self.stages[k + 1].domain:

@@ -1,7 +1,9 @@
 import dataclasses
+import itertools
 import math
 import os
 import pathlib
+import stat
 import subprocess
 import sys
 
@@ -74,6 +76,9 @@ def test_run_matrix_ok(tmp_path):
     assert (out / "rates.csv").exists() and (out / "constants.txt").exists()
     assert any(f.name.startswith("m_") for f in out.iterdir())
     assert any(f.name.startswith("h_") for f in out.iterdir())
+    # every artifact private, and no temp file left behind
+    assert {stat.S_IMODE(f.stat().st_mode) for f in out.iterdir()} == {0o600}
+    assert not [f.name for f in out.iterdir() if f.name.startswith(".")]
 
 
 def test_failing_rates_line_names_the_worst_slope(tmp_path, monkeypatch):
@@ -477,3 +482,45 @@ def test_atomic_write_removes_its_temp_file_when_the_write_fails(tmp_path):
     with pytest.raises(TypeError):
         cli._atomic_write(str(tmp_path / "lambda.csv"), b"not text")
     assert os.listdir(tmp_path) == []
+
+
+def test_atomic_write_replaces_the_target_with_a_private_file(tmp_path):
+    target = tmp_path / "lambda.csv"
+    target.write_text("an older, longer body that must not survive\n")
+    text = "n,lambda\n0,1.5\n"
+    cli._atomic_write(str(target), text)
+    assert target.read_bytes() == text.encode()
+    assert stat.S_IMODE(target.stat().st_mode) == 0o600
+    assert os.listdir(tmp_path) == ["lambda.csv"]   # no temp file left
+
+
+def test_atomic_write_loops_until_every_byte_is_written(tmp_path, monkeypatch):
+    write = os.write
+    monkeypatch.setattr(os, "write", lambda fd, data: write(fd, data[:3]))
+    text = "index,value\n0,0.25\n1,0.75\n"
+    cli._atomic_write(str(tmp_path / "m_0.csv"), text)
+    assert (tmp_path / "m_0.csv").read_text() == text
+
+
+def _first_temp_name(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_TMP_SERIAL", itertools.count())
+    return tmp_path / f".tmp-nsrpf-{os.getpid()}-0"
+
+
+def test_atomic_write_skips_a_stale_temp_file(tmp_path, monkeypatch):
+    # left by a killed process that had this pid
+    stale = _first_temp_name(tmp_path, monkeypatch)
+    stale.write_text("stale")
+    cli._atomic_write(str(tmp_path / "report.txt"), "PASS eigen\n")
+    assert (tmp_path / "report.txt").read_text() == "PASS eigen\n"
+    assert stale.read_text() == "stale"
+    assert sorted(os.listdir(tmp_path)) == sorted([stale.name, "report.txt"])
+
+
+def test_atomic_write_does_not_follow_a_symlink_at_its_temp_name(tmp_path, monkeypatch):
+    link = _first_temp_name(tmp_path, monkeypatch)
+    elsewhere = tmp_path / "elsewhere"
+    link.symlink_to(elsewhere)
+    cli._atomic_write(str(tmp_path / "report.txt"), "PASS eigen\n")
+    assert (tmp_path / "report.txt").read_text() == "PASS eigen\n"
+    assert link.is_symlink() and not elsewhere.exists()

@@ -19,7 +19,7 @@ def test_layer_rss_prints_every_layer_of_a_matrix_run(tmp_path):
     assert layers == ["import", "parse_config", "build_matrix_chain", "certify_cone_conditions",
                       "solve_forward", "solve_backward", "verify_eigen_relations",
                       "verify_exponential_rates", "verify_independence", "verify_uniqueness",
-                      "verify_cone_contraction", "build_invariant_chain", "run"]
+                      "verify_cone_contraction", "build_invariant_chain", "export", "run"]
     # import and run print no "before"
     assert [len(r) for r in rows] == [3] + [4] * (len(rows) - 2) + [3]
     peaks = [float(x) for r in rows for x in r[1:-1]]

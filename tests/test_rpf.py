@@ -323,7 +323,8 @@ def test_stopping_rule_failure_names_side_and_index():
     assert hist.ks.tolist() == list(range(1, 9))
     fwd = solve_forward(seq, with_diagnostics=False, **kw)
     lo_h = seq.n_min + fwd.headroom
-    with pytest.raises(ConvergenceError, match=rf"^backward index {lo_h}: .* within 8 ") as exc:
+    with pytest.raises(ConvergenceError, match=rf"^backward index {lo_h}: .* within 4 "
+                       r"iterations; the window edge, .* to 4 of the sweep's 8$") as exc:
         solve_backward(fwd)
     hist = exc.value.history
     assert isinstance(hist, BackwardHistory)

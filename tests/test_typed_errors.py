@@ -1,10 +1,10 @@
 """Entry points refuse malformed input with the package's typed errors.
 
 One table of (entry point, input, expected outcome): ragged branch tables,
-non-integer windows and sizes, hypothesis parameters that are not integers
-or not finite, and matrices the stationary oracle cannot iterate each raise
-their StructuralError or DomainError at the call, not a numpy or builtin
-error later.  The last row holds the C+ ratio reduction to its boundary
+non-integer windows, windows that are not one pair, non-integer sizes,
+hypothesis parameters that are not integers or not finite, and matrices the
+stationary oracle cannot iterate each raise their StructuralError or
+DomainError at the call, not a numpy or builtin error later.  The last row holds the C+ ratio reduction to its boundary
 rule: no positive multiple of f lies below a vector with a negative entry
 where f vanishes, so A = 0 and the distance to f is infinite.
 """
@@ -50,6 +50,9 @@ CASES = {
     "float N": (lambda **kw: build_circle_chain(CircleMapSpec.make(**kw)),
                 dict(N=64.0, window=(-8, 8)), DomainError),
     "float circle window": (CircleMapSpec.make, dict(N=64, window=(-8.0, 8)), StructuralError),
+    "three-end window": (MatrixChainSpec.random, dict(d=2, window=(0, 4, 5)), StructuralError),
+    "one-end window": (MatrixChainSpec.random, dict(d=2, window=(0,)), StructuralError),
+    "one-end circle window": (CircleMapSpec.make, dict(N=16, window=(0,)), StructuralError),
     "float tau": (_hyp, dict(tau=2.0), DomainError),
     "float D": (_hyp, dict(D=2.0), DomainError),
     "nan delta": (_hyp, dict(delta=math.nan), DomainError),
