@@ -14,9 +14,10 @@ variable.  Exit codes: 0 all requested checks passed, 1 a verifier failed,
 failure (the message names the axiom).
 
 Artifacts: lambda.csv (n, lambda, k_star, residual), m_<n>.csv and
-h_<n>.csv per reported index, rates.csv (n, k, error_lambda, error_m,
-error_h), constants.txt (flat name = value ledger), report.txt (one
-PASS/FAIL line per check).  Numbers are written with 17 significant digits
+h_<n>.csv per reported index (an earlier run's m_<n>.csv or h_<n>.csv of
+an index this run does not report is removed), rates.csv (n, k,
+error_lambda, error_m, error_h), constants.txt (flat name = value ledger),
+report.txt (one PASS/FAIL line per check).  Numbers are written with 17 significant digits
 so reruns with the same seeds reproduce files byte for byte.
 
 Every CSV has a per-column row template, "%d" for the integer columns (n,
@@ -44,6 +45,7 @@ import configparser
 import itertools
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass
 
@@ -318,10 +320,15 @@ def cmd_certify(cfg: RunConfig) -> int:
     return 0
 
 
+_VECTOR_NAME = re.compile(r"[mh]_(0|-?[1-9][0-9]*)\.csv")   # f"m_{n}.csv", f"h_{n}.csv"
+
+
 def _write_run_artifacts(out_dir: str, fwd, bwd, eig, rates, report: str):
     """The export layer of ``nsrpf run``: lambda.csv (with the eigen
     residuals), one m_<n>.csv and h_<n>.csv per reported index, rates.csv
-    and report.txt."""
+    and report.txt.  An m_<n>.csv or h_<n>.csv already in ``out_dir`` whose
+    index this run does not report is removed, so the per-index files are
+    exactly this run's; no other name is touched."""
     resid = {n: r for (n, r, _, _) in eig.rows}
     ns = fwd.reported_lam
     _write_csv(os.path.join(out_dir, "lambda.csv"), _LAMBDA_COLUMNS,
@@ -329,18 +336,23 @@ def _write_run_artifacts(out_dir: str, fwd, bwd, eig, rates, report: str):
                            [fwd.k_star.get(n, -1) for n in ns],
                            [resid.get(n, math.nan) for n in ns]))
     templates = {}   # one body template per vector length
+    written = set()
 
     def write_vector(name, columns, v):
         if len(v) not in templates:
             templates[len(v)] = _vector_template(len(v))
         _atomic_write(os.path.join(out_dir, name), ",".join(c for c, _ in columns) + "\n"
                       + templates[len(v)] % tuple(v.tolist()))
+        written.add(name)
 
     for n in fwd.reported_m:
         write_vector(f"m_{n}.csv", _M_COLUMNS, fwd.m[n].weights)
     if bwd is not None:
         for n in bwd.reported_h:
             write_vector(f"h_{n}.csv", _H_COLUMNS, bwd.h[n].values)
+    for name in os.listdir(out_dir):
+        if name not in written and _VECTOR_NAME.fullmatch(name):
+            os.unlink(os.path.join(out_dir, name))
     _write_csv(os.path.join(out_dir, "rates.csv"), _RATES_COLUMNS,
                itertools.chain.from_iterable(rates.rows))
     _atomic_write(os.path.join(out_dir, "report.txt"), report)
@@ -384,9 +396,11 @@ def cmd_run(cfg: RunConfig) -> int:
         note("rates", rates.passed, detail)
     if "independence" in cfg.checks:
         ind = verify_independence(fwd, bwd, tol=cfg.tol)
-        note("independence", ind.passed,
-             f"max dlam {_fmt(ind.max_dlam)}, max dm {_fmt(ind.max_dm)}, "
-             f"max dh {_fmt(ind.max_dh)} (threshold {_fmt(ind.threshold)})")
+        detail = (f"max dlam {_fmt(ind.max_dlam)}, max dm {_fmt(ind.max_dm)}, "
+                  f"max dh {_fmt(ind.max_dh)} (threshold {_fmt(ind.threshold)})")
+        if not ind.passed:
+            detail += _failing(ind.threshold, ind.gaps)
+        note("independence", ind.passed, detail)
     if "uniqueness" in cfg.checks:
         uq = verify_uniqueness(fwd, bwd, tol=cfg.tol)
         detail = (f"tail-shift dlam {_fmt(uq.max_dlam_shift)}, dm {_fmt(uq.max_dm_shift)}, "

@@ -40,6 +40,16 @@ on finite spaces every pair within delta is stored as well.
 Distance +infinity is a first-class value (incomparable directions), never
 an exception: a positive map with image of finite diameter Delta contracts
 Theta by tanh(Delta/4), and tanh(inf) = 1 is a meaningful rate.
+
+Stacks of fields are evaluated one row block at a time, and one budget,
+_BLOCK_CELLS = 2^15 float64 cells, bounds what a block holds at once,
+temporaries included, so peak memory is set by the block and not by the
+stack.  The gap and membership kernels (_gaps, _inside) count _KERNEL_ROWS
+= 4 live rows per field row, each as wide as the pair set or the space,
+whichever is wider: one pair gather, l(f), l(g) and the ratios.  The sampled
+pairs of the contraction verifier (_runs) count the fields they keep per
+sample on the widest space of their path; the gap blocks they call hold a
+budget of their own.
 """
 from __future__ import annotations
 
@@ -159,30 +169,46 @@ def _cone_violation(values: np.ndarray, ps: PairSet, E: np.ndarray):
     if len(ps) == 0:
         return np.zeros(values.shape[:-1])
     lhs = np.take(values, ps.j, axis=-1)   # np.take gathers rows faster than [..., j]
-    rhs = E * np.take(values, ps.i, axis=-1)
-    scale = np.maximum(np.abs(lhs), np.abs(rhs))
+    rhs = np.take(values, ps.i, axis=-1)
+    rhs *= E
+    scale = np.abs(lhs)
+    np.maximum(scale, np.abs(rhs), out=scale)
     scale[scale == 0.0] = 1.0
-    return ((lhs - rhs) / scale).max(axis=-1)
+    lhs -= rhs
+    lhs /= scale
+    return lhs.max(axis=-1)
 
 
-_BLOCK_CELLS = 2 ** 15   # cells of one row block of fields or pair constraints
+_BLOCK_CELLS = 2 ** 15   # cells one row block may hold, its temporaries included
+
+# live rows per field row of the gap and membership kernels, each as wide as
+# the pair set or the space: a gather, l(f), l(g) and the ratios
+_KERNEL_ROWS = 4
 
 
-def _block_rows(spaces, p: ConeParams, rows: int = 1) -> int:
-    """Items per block: _BLOCK_CELLS over ``rows`` rows per item of the
-    widest of the spaces and of their Lambda(Q) pair sets; at least one."""
-    width = max(max(sp.n_points, len(pair_set(sp, p))) for sp in spaces)
+def _block_rows(width: int, rows: int) -> int:
+    """Items per block: _BLOCK_CELLS over ``rows`` live rows of ``width``
+    cells per item; at least one."""
     return max(1, _BLOCK_CELLS // (rows * width))
 
 
-def _runs(items, spaces, p: ConeParams, rows: int) -> list:
+def _kernel_block(space, p: ConeParams):
+    """The Lambda(Q) pair set of ``space``, its weights exp(Q d^beta) and
+    the rows per block of the gap and membership kernels there."""
+    ps = pair_set(space, p)
+    return (ps, ps.exp_weights(p.Q, p.beta),
+            _block_rows(max(space.n_points, len(ps)), _KERNEL_ROWS))
+
+
+def _runs(items, spaces, rows: int) -> list:
     """``items`` cut into runs of consecutive items that share the tuple of
-    spaces ``spaces(item)``, each run at most one block (_block_rows) of
-    those spaces long: the row blocks of the sampled cone pairs."""
+    spaces ``spaces(item)``, each run at most one block of ``rows`` live
+    fields per item on the widest of those spaces: the row blocks of the
+    sampled cone pairs."""
     runs = []
     for sps, run in itertools.groupby(items, spaces):
         run = list(run)
-        cap = _block_rows(sps, p, rows)
+        cap = _block_rows(max(sp.n_points for sp in sps), rows)
         runs += [run[i:i + cap] for i in range(0, len(run), cap)]
     return runs
 
@@ -190,9 +216,7 @@ def _runs(items, spaces, p: ConeParams, rows: int) -> list:
 def _inside(values: np.ndarray, space, p: ConeParams) -> np.ndarray:
     """in_log_holder_cone of each row of an (R, n) stack of fields, one
     block of rows at a time."""
-    ps = pair_set(space, p)
-    E = ps.exp_weights(p.Q, p.beta)
-    step = _block_rows([space], p)
+    ps, E, step = _kernel_block(space, p)
     viol = np.concatenate([_cone_violation(values[r:r + step], ps, E)
                            for r in range(0, len(values), step)])
     return (values.min(axis=1) >= 0.0) & (values.max(axis=1) > 0.0) & (viol <= MEMBERSHIP_SLACK)
@@ -216,11 +240,11 @@ def _ratio_gap(num: np.ndarray, den: np.ndarray) -> tuple[np.ndarray, np.ndarray
     if pos.all():
         r = num / den
         return r.min(axis=-1), r.max(axis=-1)
-    r = np.divide(num, den, out=np.zeros_like(num), where=pos)
-    A = np.where((~pos & (num < 0.0)).any(axis=-1), 0.0,
-                 np.where(pos, r, math.inf).min(axis=-1))
-    B = np.where((~pos & (num > 0.0)).any(axis=-1), math.inf,
-                 np.where(pos, r, -math.inf).max(axis=-1))
+    off = ~pos
+    r = np.divide(num, den, out=np.full_like(num, math.inf), where=pos)
+    A = np.where((off & (num < 0.0)).any(axis=-1), 0.0, r.min(axis=-1))
+    r[off] = -math.inf
+    B = np.where((off & (num > 0.0)).any(axis=-1), math.inf, r.max(axis=-1))
     return A, B
 
 
@@ -260,20 +284,25 @@ def _gap_log_holder_raw(F: np.ndarray, G: np.ndarray, ps: PairSet,
     """
     A, B = _ratio_gap(G, F)
     if len(ps) > 0:
-        lf = E * np.take(F, ps.i, axis=-1) - np.take(F, ps.j, axis=-1)
-        lg = E * np.take(G, ps.i, axis=-1) - np.take(G, ps.j, axis=-1)
-        A_l, B_l = _ratio_gap(lg, lf)
+        A_l, B_l = _ratio_gap(_functionals(G, ps, E), _functionals(F, ps, E))
         A, B = np.minimum(A, A_l), np.maximum(B, B_l)
     return A, B
+
+
+def _functionals(values: np.ndarray, ps: PairSet, E: np.ndarray) -> np.ndarray:
+    """l_{x,y}(f) = E f(x) - f(y) over the pair set for each row f of
+    ``values``, holding one gather besides the result."""
+    lf = np.take(values, ps.i, axis=-1)
+    lf *= E
+    lf -= np.take(values, ps.j, axis=-1)
+    return lf
 
 
 def _gaps(F: np.ndarray, G: np.ndarray, space, p: ConeParams):
     """(A, B) arrays of the Lambda(Q) gaps of the row pairs of the (R, n)
     stacks F and G, and the list of theta_log_holder(f, g, p, checked=False)
     of each pair, one block of rows at a time."""
-    ps = pair_set(space, p)
-    E = ps.exp_weights(p.Q, p.beta)
-    step = _block_rows([space], p)
+    ps, E, step = _kernel_block(space, p)
     A, B = (np.concatenate(x) for x in zip(*[
         _gap_log_holder_raw(F[r:r + step], G[r:r + step], ps, E)
         for r in range(0, len(F), step)]))

@@ -55,14 +55,16 @@ where they share work: the re-solve seeds of one tail are the rows of one
 frozen sweep, compared index by index as it goes; the
 sampled cone pairs of a block are drawn in one call
 (cones._log_holder_rows), pushed through their own stages row by row and
-stacked once for the cone gaps (cones._gaps); the rate envelopes and slope
-fits run on the concatenated histories.  One budget of 2^15 cells,
-cones._BLOCK_CELLS, caps the blocks of sampled pairs and of pair
-constraints, so peak memory is set by the block size and not by the
-window: cones._runs cuts the sampled pairs at four rows per sample (f, g
-and the derived pair) over the widest of the block's spaces and pair sets,
-and cones._gaps cuts each stack of pair constraints by its pair width, as
-for the cone certificate.
+written once into the stack that the cone gaps read (cones._gaps); the
+rate envelopes and slope fits run on the concatenated histories.  One
+budget of 2^15 cells, cones._BLOCK_CELLS, caps what a block of sampled
+pairs or of pair constraints holds, temporaries included, so peak memory is
+set by the block size and not by the window: cones._runs cuts the sampled
+pairs at the eight fields a sample keeps (f, g, the derived pair u, v and
+their tau-step images) on the widest space of the block's path, and
+cones._gaps cuts each stack by its kernel's live rows, as for the cone
+certificate.  The invariant-chain check walks its window holding indices n
+and n + 1 only.
 Every row gets the bits its own per-index call would, so every reported
 number equals that of the per-index loop; the only stacked computation that
 is not bit-equal, the closed-form slope fit, feeds a verdict and no number.
@@ -72,7 +74,7 @@ differs from it in the last bit on some inputs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -83,7 +85,7 @@ from .dictionaries import cone_dictionary, pairing_vector, weak_dictionary
 from .errors import ConvergenceError, DomainError, StructuralError
 from .hypotheses import RateConstants
 from .spaces import Field, MeasureVec, normalize, pair, unit_field
-from .transfer import StageSeq, _apply_values, _dual_weights, normalize_stage
+from .transfer import Stage, StageSeq, _apply_values, _dual_weights, normalize_stage
 
 _ZERO_FLOOR = 1e-13   # error values below this count as converged noise
 
@@ -406,6 +408,7 @@ class IndependenceReport:
     max_dh: float
     threshold: float
     passed: bool
+    gaps: dict        # "dlam", "dm", "dh" -> {n: largest gap at n}
 
 
 def _cone_seeds(fwd: ForwardSolution, seeds) -> np.ndarray:
@@ -418,7 +421,7 @@ def _cone_seeds(fwd: ForwardSolution, seeds) -> np.ndarray:
 
 
 def _reseed_gaps(fwd: ForwardSolution, bwd: Optional[BackwardSolution], tails: dict,
-                 h_seeds: np.ndarray) -> tuple[float, float, float]:
+                 h_seeds: np.ndarray) -> tuple[dict, dict, dict]:
     """Largest gaps between the reported data and re-solves from other seeds.
 
     Forward: the rows of ``tails[tail]``, positive weights on X_tail, are
@@ -426,14 +429,15 @@ def _reseed_gaps(fwd: ForwardSolution, bwd: Optional[BackwardSolution], tails: d
     the sweep goes in log lambda and, against each index's own weak*
     dictionary, in m, over the reported indices below that tail's headroom.
     Backward: the rows of ``h_seeds``, fields on the bottom of the window,
-    are re-solved by one sweep from there, compared in h.  Returns
-    (max |d log lambda|, max norm-scaled dm, max |dh|).  Raises
+    are re-solved by one sweep from there, compared in h.  Returns the
+    largest |d log lambda|, norm-scaled dm and |dh| at each compared index,
+    as three dicts {n: gap} in index order.  Raises
     ConvergenceError when no re-solve reaches a reported index, since gaps
     over no index would read 0 and pass.
     """
     _check_chain(fwd, bwd)
     seq = fwd.seq
-    dlam = dm = dh = 0.0
+    dlam, dm, dh = {}, {}, {}
     lam_idx, m_idx = set(fwd.reported_lam), set(fwd.reported_m)
     compared = 0
     for tail, seeds in tails.items():
@@ -442,12 +446,13 @@ def _reseed_gaps(fwd: ForwardSolution, bwd: Optional[BackwardSolution], tails: d
         for n, mass, nu in _pullbacks(seq, tail, seeds):
             if n < hi and n in lam_idx:
                 log_lam = math.log(fwd.lam[n])
-                dlam = max(dlam, *(abs(math.log(x) - log_lam) for x in mass.tolist()))
+                dlam[n] = max(dlam.get(n, 0.0),
+                              *(abs(math.log(x) - log_lam) for x in mass.tolist()))
             if n <= hi and n in m_idx:
                 d = weak_dictionary(seq.space(n))
                 gap = np.abs(pairing_vector(d, fwd.m[n].weights)
                              - pairing_vector(d, nu)) / d.norms
-                dm = max(dm, float(gap.max()))
+                dm[n] = max(dm.get(n, 0.0), float(gap.max()))
                 compared += 1
     if not compared:
         raise ConvergenceError(
@@ -457,10 +462,10 @@ def _reseed_gaps(fwd: ForwardSolution, bwd: Optional[BackwardSolution], tails: d
         h_idx, top = set(bwd.reported_h), max(bwd.reported_h)
         for n, h in _pushforwards(fwd, h_seeds):
             if n in h_idx:
-                dh = max(dh, float(_row_sup_gap(h, bwd.h[n].values).max()))
+                dh[n] = float(_row_sup_gap(h, bwd.h[n].values).max())
             if n == top:
                 break
-    return dlam, dm, dh
+    return tuple(dict(sorted(g.items())) for g in (dlam, dm, dh))
 
 
 def verify_independence(fwd: ForwardSolution, bwd: Optional[BackwardSolution], *,
@@ -475,10 +480,12 @@ def verify_independence(fwd: ForwardSolution, bwd: Optional[BackwardSolution], *
     thr, top = 10.0 * tol, fwd.seq.n_max
     sigma = [np.random.default_rng((s, top + 2 ** 20)).uniform(
         0.5, 1.5, size=fwd.seq.space(top).n_points) for s in (7, 88)]
-    dlam, dm, dh = _reseed_gaps(fwd, bwd, {top: np.stack(sigma)}, _cone_seeds(fwd, (11, 23)))
+    gaps = dict(zip(("dlam", "dm", "dh"), _reseed_gaps(fwd, bwd, {top: np.stack(sigma)},
+                                                        _cone_seeds(fwd, (11, 23)))))
+    dlam, dm, dh = (max(g.values(), default=0.0) for g in gaps.values())
     passed = dlam < thr and dm < thr and dh < thr
     return IndependenceReport(max_dlam=dlam, max_dm=dm, max_dh=dh,
-                              threshold=thr, passed=passed)
+                              threshold=thr, passed=passed, gaps=gaps)
 
 
 @dataclass
@@ -506,7 +513,8 @@ def verify_uniqueness(fwd: ForwardSolution, bwd: Optional[BackwardSolution], *,
     thr = 10.0 * tol
     tails = {t: MeasureVec.uniform(seq.space(t)).weights[None]
              for t in (seq.n_max - 3, seq.n_max - 5)}
-    dlam, dm, dh = _reseed_gaps(fwd, bwd, tails, _cone_seeds(fwd, range(100, 104)))
+    dlam, dm, dh = (max(g.values(), default=0.0)
+                    for g in _reseed_gaps(fwd, bwd, tails, _cone_seeds(fwd, range(100, 104))))
     xi = 0.0
     if bwd is not None:
         # candidate g = c h_n normalized against m_n, one index at a time
@@ -619,16 +627,33 @@ def verify_exponential_rates(fwd: ForwardSolution, bwd: Optional[BackwardSolutio
                        passed=(viol == 0 and slope_ok))
 
 
-def _compose_rows(seq: StageSeq, starts: list, k: int, X: np.ndarray) -> np.ndarray:
-    """Row r of the (R, n) array X through the k stages from index
-    starts[r], one _apply_values call per row and step: the rows share no
-    stage, so they are stacked once, for the cone gaps that read them."""
-    rows = []
-    for n, x in zip(starts, X):
+def _compose_rows(seq: StageSeq, starts: list, k: int, X) -> np.ndarray:
+    """Row r of X (a sequence of fields on one space) through the k stages
+    from index starts[r], one _apply_values call per row and step: the rows
+    share no stage, so each image is written once into the stack that the
+    cone gaps read.  The rows' paths pass through the same spaces."""
+    out = np.empty((len(starts), seq.space(starts[0] + k).n_points))
+    for r, (n, x) in enumerate(zip(starts, X)):
         for j in range(n, n + k):
             x = _apply_values(seq.stage(j), x)
-        rows.append(x)
-    return np.stack(rows)
+        out[r] = x
+    return out
+
+
+def _pair_images(seq: StageSeq, tau: int, starts: list, f: np.ndarray, g: np.ndarray,
+                 A: np.ndarray, B: np.ndarray) -> tuple[np.ndarray, int]:
+    """The tau-step images of the sampled pairs (f, g) (rows of f and g,
+    with their Lambda(Q) gaps A, B) and of the extremal difference
+    directions u = g - A f and v = B f - g of each pair where both are
+    nonzero (above 1e-13 of max |g|): one stack with rows [f; u; g; v], and
+    the number of derived pairs.  The block holds f, g, u, v and the images."""
+    u = g - A[:, None] * f
+    v = B[:, None] * f - g
+    gn = 1e-13 * np.abs(g).max(axis=1)
+    der = np.nonzero((np.abs(u).max(axis=1) > gn) & (np.abs(v).max(axis=1) > gn))[0]
+    half = starts + [starts[i] for i in der]
+    rows = [*f, *(u[i] for i in der), *g, *(v[i] for i in der)]
+    return _compose_rows(seq, half * 2, tau, rows), der.size
 
 
 @dataclass
@@ -657,12 +682,12 @@ def verify_cone_contraction(seq: StageSeq, p: ConeParams, *, tau: int,
     sample rather than merely plausible.
 
     Consecutive samples whose blocks pass through the same spaces are
-    processed together, at most 2^15 cells per block counted as four rows
-    per sample (f, g and the derived pair) over the widest of those spaces
-    and their pair sets: the fields are drawn in sample order and pushed
-    through their own stages row by row, and the gaps, the derived pairs
-    and the monotone check are row-wise array operations.  The unit-image
-    diameters are taken index by index.
+    processed together, at most 2^15 cells per block counted as the eight
+    fields a sample keeps (f, g, the derived pair u, v and their tau-step
+    images) on the widest of those spaces: the fields are drawn in sample
+    order and pushed through their own stages row by row, and the gaps, the
+    derived pairs and the monotone check are row-wise array operations.  The
+    unit-image diameters are taken index by index.
     """
     if not all(isinstance(v, (int, np.integer)) and v >= 1
                for v in (tau, n_samples, monotone_every)):
@@ -685,28 +710,20 @@ def verify_cone_contraction(seq: StageSeq, p: ConeParams, *, tau: int,
     at = [indices[s % len(indices)] for s in range(n_samples)]
     ratios = []
     mono_viol = 0
-    for run in _runs(range(n_samples), lambda s: path(at[s]), p, rows=4):
+    for run in _runs(range(n_samples), lambda s: path(at[s]), rows=8):
         sp = seq.space(at[run[0]])
-        draws = _log_holder_rows(sp, p, rng, 2 * len(run))
-        A, B, thetas = _gaps(draws[0::2], draws[1::2], sp, p)
+        # rows 2i and 2i + 1 of the draws are the pair (f_i, g_i)
+        f, g = _log_holder_rows(sp, p, rng, 2 * len(run)).reshape(len(run), 2, -1).swapaxes(0, 1)
+        A, B, thetas = _gaps(f, g, sp, p)
         keep = [i for i, t in enumerate(thetas) if 0.0 < t < math.inf]
         if not keep:
             continue
         k = len(keep)
         theta_in = [thetas[i] for i in keep]
-        f = draws[0::2][keep]
-        g = draws[1::2][keep]
-        u = g - A[keep, None] * f
-        v = B[keep, None] * f - g
-        gn = 1e-13 * np.abs(g).max(axis=1)
-        der = np.nonzero((np.abs(u).max(axis=1) > gn) & (np.abs(v).max(axis=1) > gn))[0]
         starts = [at[run[i]] for i in keep]
-        out = _compose_rows(seq, starts * 2 + [starts[i] for i in der] * 2, tau,
-                            np.concatenate((f, g, u[der], v[der])))
-        fi, gi = out[:k], out[k:2 * k]
-        thetas = _gaps(np.concatenate((fi, out[2 * k:2 * k + der.size])),
-                       np.concatenate((gi, out[2 * k + der.size:])),
-                       seq.space(starts[0] + tau), p)[2]
+        f, g = f[keep], g[keep]   # copies of the kept pairs: the draws are freed
+        out, nd = _pair_images(seq, tau, starts, f, g, A[keep], B[keep])
+        thetas = _gaps(out[:k + nd], out[k + nd:], seq.space(starts[0] + tau), p)[2]
         theta_out = thetas[:k]
         delta_m = max(delta_m, *thetas)
         ratios += [o / t for o, t in zip(theta_out, theta_in)]
@@ -714,7 +731,7 @@ def verify_cone_contraction(seq: StageSeq, p: ConeParams, *, tau: int,
                 if starts[i] + 2 * tau <= seq.n_max and run[keep[i]] % monotone_every == 0]
         if mono:
             out2 = _compose_rows(seq, [starts[i] + tau for i in mono] * 2, tau,
-                                 np.concatenate((fi[mono], gi[mono])))
+                                 [out[i] for i in mono] + [out[k + nd + i] for i in mono])
             theta_out2 = _gaps(out2[:len(mono)], out2[len(mono):],
                                seq.space(starts[0] + 2 * tau), p)[2]
             delta_m = max(delta_m, *theta_out2)
@@ -733,13 +750,41 @@ def verify_cone_contraction(seq: StageSeq, p: ConeParams, *, tau: int,
 
 @dataclass
 class InvariantChain:
+    """The checked pseudo-invariant chain: per-index gaps over ``window``.
+
+    mu(n) and normalized_stage(n) rebuild mu_n and L~_n from the solutions
+    with the calls the check made, so they have its bits; the chain keeps
+    neither, so its memory does not grow with the window.
+    """
+    fwd: ForwardSolution = field(repr=False)
+    bwd: BackwardSolution = field(repr=False)
     window: list
-    mu: dict
-    normalized_stages: dict
     push_gap: dict        # n -> max dictionary pushforward gap
     tilde_one_err: dict   # n -> ||L~ 1 - 1||_inf
     tilde_dual_gap: dict  # n -> max dictionary gap of L~* mu_{n+1} vs mu_n
     passed: bool
+
+    def _index(self, n: int, past: int) -> int:
+        if not self.window[0] <= n <= self.window[-1] + past:
+            raise DomainError(f"index {n} is outside the invariant chain's window "
+                              f"{self.window[0]}..{self.window[-1] + past}")
+        return n
+
+    def mu(self, n: int) -> MeasureVec:
+        """mu_n, d mu_n = h_n d m_n normalized, for n in the window or one past it."""
+        return _invariant_measure(self.fwd, self.bwd, self._index(n, 1))
+
+    def normalized_stage(self, n: int) -> Stage:
+        """The normalized stage L~_n for n in the window."""
+        return _normalized(self.fwd, self.bwd, self._index(n, 0))
+
+
+def _invariant_measure(fwd: ForwardSolution, bwd: BackwardSolution, n: int) -> MeasureVec:
+    return normalize(MeasureVec(fwd.seq.space(n), bwd.h[n].values * fwd.m[n].weights))
+
+
+def _normalized(fwd: ForwardSolution, bwd: BackwardSolution, n: int) -> Stage:
+    return normalize_stage(fwd.seq.stage(n), bwd.h[n], bwd.h[n + 1], fwd.lam[n])
 
 
 def build_invariant_chain(fwd: ForwardSolution, bwd: BackwardSolution, *,
@@ -756,6 +801,12 @@ def build_invariant_chain(fwd: ForwardSolution, bwd: BackwardSolution, *,
     once per distinct lift, or the image indices of a finite map.  Each
     check is one row dot per dictionary entry.
 
+    The walk up the window holds indices n and n + 1 only: mu_n, its weak*
+    pairings and L~_n are built, checked and dropped one index at a time,
+    and a lift's rows at its exact images are kept until the last index
+    whose stage uses that lift.  The chain keeps the gaps; mu_n and L~_n
+    are rebuilt on demand (InvariantChain.mu, .normalized_stage).
+
     Refused unless every eigenrelation residual is below ``tol``, read from
     ``eigen`` when the caller has verify_eigen_relations(fwd, bwd, .) already
     (its verdict, graded at another tolerance, is not read).
@@ -770,36 +821,45 @@ def build_invariant_chain(fwd: ForwardSolution, bwd: BackwardSolution, *,
     window = bwd.reported_h[:-1]
     if not window:
         raise ConvergenceError("window too short to report any invariant-chain index")
-    mu, pairings = {}, {}   # pairings[n]: weak* dictionary of X_n against mu_n
-    for n in window + [window[-1] + 1]:
-        mu[n] = normalize(MeasureVec(seq.space(n), bwd.h[n].values * fwd.m[n].weights))
-        pairings[n] = _row_dots(weak_dictionary(seq.space(n)).matrix, mu[n].weights)
-    images = {}   # (lift, grid, grid) -> dictionary rows at the exact image points
-    stages, push_gap, one_err, dual_gap = {}, {}, {}, {}
+
+    def lift(st):
+        return (st.map_fn, st.domain, st.codomain) if st.map_fn is not None else None
+
+    def measure(n):   # mu_n and the weak* dictionary of X_n against it
+        mu = _invariant_measure(fwd, bwd, n)
+        return mu, _row_dots(weak_dictionary(seq.space(n)).matrix, mu.weights)
+
+    last = {lift(seq.stage(n)): n for n in window}   # the last index of each lift
+    images = {}   # lift -> dictionary rows at its exact image points, until its last index
+    push_gap, one_err, dual_gap = {}, {}, {}
+    mu, pairing = measure(window[0])
     for n in window:
-        st = seq.stage(n)
-        nst = stages[n] = normalize_stage(st, bwd.h[n], bwd.h[n + 1], fwd.lam[n])
+        st, nst = seq.stage(n), _normalized(fwd, bwd, n)
+        mu_up, pairing_up = measure(n + 1)
         d, d_dom = weak_dictionary(seq.space(n + 1)), weak_dictionary(seq.space(n))
         tilde_one = _apply_values(nst, np.ones(seq.space(n).n_points))
         one_err[n] = float(np.abs(tilde_one - 1.0).max())
         if not st.has_map:
             # no map: transport along the normalized weights; the defect
             # is exactly <f, mu_{n+1} (L~1 - 1)>
-            push = _row_dots(d.matrix, mu[n + 1].weights * tilde_one)
+            push = _row_dots(d.matrix, mu_up.weights * tilde_one)
         elif st.map_fn is not None:
-            key = (st.map_fn, st.domain, st.codomain)
-            if key not in images:
+            key = lift(st)
+            rows = images.pop(key, None)
+            if rows is None:
                 y = st.map_fn(st.domain.positions) % 1.0
-                images[key] = np.stack([fn(y) for fn in d.fns])
-            push = _row_dots(images[key], mu[n].weights)
+                rows = np.stack([fn(y) for fn in d.fns])
+            if last[key] > n:
+                images[key] = rows
+            push = _row_dots(rows, mu.weights)
         else:   # take keeps the rows C-ordered, so each dot has the bits of a pairing
-            push = _row_dots(d.matrix.take(st.forward_index, axis=1), mu[n].weights)
-        push_gap[n] = float((np.abs(push - pairings[n + 1]) / d.norms).max())
+            push = _row_dots(d.matrix.take(st.forward_index, axis=1), mu.weights)
+        push_gap[n] = float((np.abs(push - pairing_up) / d.norms).max())
         # the dual transport <L~ f, mu_{n+1}> = <f, mu_n> tests f on X_n
-        back = _row_dots(_apply_values(nst, d_dom.matrix), mu[n + 1].weights)
-        dual_gap[n] = float((np.abs(back - pairings[n]) / d_dom.norms).max())
+        back = _row_dots(_apply_values(nst, d_dom.matrix), mu_up.weights)
+        dual_gap[n] = float((np.abs(back - pairing) / d_dom.norms).max())
+        mu, pairing = mu_up, pairing_up
     passed = (max(push_gap.values()) < tol and max(one_err.values()) < tol
               and max(dual_gap.values()) < tol)
-    return InvariantChain(window=window, mu=mu, normalized_stages=stages,
-                          push_gap=push_gap, tilde_one_err=one_err,
-                          tilde_dual_gap=dual_gap, passed=passed)
+    return InvariantChain(fwd=fwd, bwd=bwd, window=window, push_gap=push_gap,
+                          tilde_one_err=one_err, tilde_dual_gap=dual_gap, passed=passed)

@@ -3,6 +3,7 @@ import itertools
 import math
 import os
 import pathlib
+import re
 import stat
 import subprocess
 import sys
@@ -203,6 +204,32 @@ def test_failing_invariant_chain_line_names_the_failing_gap_and_its_worst_index(
     n = chain.window[len(chain.window) // 2]
     assert (failed, lines) == (1, [f"FAIL invariant_chain: max push gap 0.125, {tail}; "
                                    f"failing: push gap at n = {n}"])
+
+
+def test_failing_independence_line_names_the_failing_gap_and_its_worst_index(
+        tmp_path, monkeypatch):
+    # the real report with one m gap raised mid-window: only the FAIL line
+    # gains the criterion and its index, so passing reports keep their bytes
+    code, passing = _report_lines(tmp_path, "pass", "independence")
+    real = cli.verify_independence
+    seen = []
+
+    def one_bad_gap(fwd, bwd, *, tol):
+        seen.append(real(fwd, bwd, tol=tol))
+        dm = seen[0].gaps["dm"]
+        n = list(dm)[len(dm) // 2]
+        return dataclasses.replace(seen[0], max_dm=0.125, gaps={**seen[0].gaps,
+                                   "dm": {**dm, n: 0.125}}, passed=False)
+
+    monkeypatch.setattr(cli, "verify_independence", one_bad_gap)
+    failed, lines = _report_lines(tmp_path, "fail", "independence")
+    ind = seen[0]
+    detail = "max dh {:.17g} (threshold {:.17g})".format(ind.max_dh, 10.0 * 1e-10)
+    assert (code, passing) == (0, [f"PASS independence: max dlam {ind.max_dlam:.17g}, "
+                                   f"max dm {ind.max_dm:.17g}, {detail}"])
+    n = list(ind.gaps["dm"])[len(ind.gaps["dm"]) // 2]
+    assert (failed, lines) == (1, [f"FAIL independence: max dlam {ind.max_dlam:.17g}, "
+                                   f"max dm 0.125, {detail}; failing: dm at n = {n}"])
 
 
 def test_run_doubling_lambda_two(tmp_path):
@@ -524,3 +551,39 @@ def test_atomic_write_does_not_follow_a_symlink_at_its_temp_name(tmp_path, monke
     cli._atomic_write(str(tmp_path / "report.txt"), "PASS eigen\n")
     assert (tmp_path / "report.txt").read_text() == "PASS eigen\n"
     assert link.is_symlink() and not elsewhere.exists()
+
+
+def test_a_rerun_into_one_directory_removes_the_stale_per_index_files(tmp_path, monkeypatch):
+    """A second run with a shorter window leaves exactly its own m_<n>.csv
+    and h_<n>.csv; files of other names stay."""
+    out = tmp_path / "out"
+    out.mkdir()
+    for name in ("notes.txt", "m_x.csv"):
+        (out / name).write_text("kept\n")
+    real = cli._write_run_artifacts
+    reported = []
+
+    def recording(out_dir, fwd, bwd, *args):
+        reported.append({f"m_{n}.csv" for n in fwd.reported_m}
+                        | {f"h_{n}.csv" for n in bwd.reported_h})
+        return real(out_dir, fwd, bwd, *args)
+
+    monkeypatch.setattr(cli, "_write_run_artifacts", recording)
+    for window in ("-40 40", "-30 30"):
+        body = MATRIX_CFG.format(out=out).replace("window = -30 30", f"window = {window}")
+        assert main(["run", write_cfg(tmp_path, body)]) == 0
+    first, second = reported
+    assert second < first
+    per_index = {p.name for p in out.iterdir() if re.fullmatch(r"[mh]_-?[0-9]+\.csv", p.name)}
+    assert per_index == second
+    assert all((out / name).read_text() == "kept\n" for name in ("notes.txt", "m_x.csv"))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists open descriptors on Linux")
+def test_a_run_leaves_no_descriptor_open(tmp_path):
+    """The writer opens raw descriptors, which no ResourceWarning reports:
+    the process's open descriptors are the same before and after a run."""
+    cfg = write_cfg(tmp_path, MATRIX_CFG.format(out=tmp_path / "out"))
+    before = sorted(os.listdir("/proc/self/fd"))
+    assert main(["run", cfg]) == 0
+    assert sorted(os.listdir("/proc/self/fd")) == before

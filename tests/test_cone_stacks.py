@@ -11,6 +11,7 @@ bits of the uncached single-field formula, and consume the generator alike.
 import dataclasses
 import math
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -139,7 +140,7 @@ def test_stacked_certificate_equals_the_per_field_loop(chain, cells, monkeypatch
     if cells is not None:
         monkeypatch.setattr(cones, "_BLOCK_CELLS", cells)
         if chain.startswith("circle"):   # the 12 pairs of an index span several blocks
-            assert cones._block_rows([seq.space(seq.n_min)], cone) < 12
+            assert cones._kernel_block(seq.space(seq.n_min), cone)[2] < 12
     ref = ref_certify_cone_conditions(seq, cone, params)
     cert = certify_cone_conditions(seq, cone, params=params)
     assert (cert.Delta_measured, cert.block_factor, cert.tau, cert.n_samples) == (
@@ -179,6 +180,34 @@ def test_row_membership_is_the_field_rule():
     inside = cones._inside(np.stack(rows), sp, p)
     assert inside.tolist() == [in_log_holder_cone(Field(sp, v), p) for v in rows]
     assert inside.tolist() == [True] * 4 + [False] * 4
+
+
+_SLACK = 8192   # traced bytes beside the blocks: per-row results, lists, array headers
+
+
+@pytest.mark.parametrize("kernel", ["gaps", "inside"])
+def test_kernel_blocks_stay_within_the_budget(kernel):
+    """The gap and membership kernels on 64 rows, several blocks on a
+    circle grid whose pair set is twice the grid, trace at most
+    _BLOCK_CELLS float64 cells plus _SLACK bytes: each block's count of
+    live rows covers every temporary it holds."""
+    sp = PointSpace.circle_grid(1024)
+    p = ConeParams(Q=2.0, delta=0.2)
+    assert len(pair_set(sp, p)) == 2 * sp.n_points
+    rng = np.random.default_rng(9)
+    F, G = (_log_holder_rows(sp, p, rng, 64) for _ in range(2))
+
+    def run():
+        return cones._gaps(F, G, sp, p) if kernel == "gaps" else cones._inside(F, sp, p)
+
+    run()   # warm the pair set and its weights
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= cones._BLOCK_CELLS * 8 + _SLACK
 
 
 # ---------------------------------------------------------------------------

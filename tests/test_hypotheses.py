@@ -222,9 +222,10 @@ def test_certify_normalized_circle_stages():
         N=128, window=(-24, 24), eps=0.05, eps_mode="alternating", a=0.1, a_mode="sin"))
     fwd = solve_forward(seq, tol=1e-6, tau=2, block_factor=0.2, with_diagnostics=False)
     bwd = solve_backward(fwd, with_diagnostics=False)
-    stages = build_invariant_chain(fwd, bwd, tol=1e-2).normalized_stages
-    lo, hi = min(stages), max(stages) + 1
-    normalized = StageSeq(n_min=lo, n_max=hi, stages=tuple(stages[n] for n in range(lo, hi)),
+    chain = build_invariant_chain(fwd, bwd, tol=1e-2)
+    lo, hi = chain.window[0], chain.window[-1] + 1
+    normalized = StageSeq(n_min=lo, n_max=hi,
+                          stages=tuple(chain.normalized_stage(n) for n in range(lo, hi)),
                           declared=seq.declared)
     original = StageSeq(n_min=lo, n_max=hi, stages=tuple(seq.stage(n) for n in range(lo, hi)),
                         declared=seq.declared)

@@ -458,7 +458,14 @@ def test_invariant_chain_matrix():
     # mu is the componentwise product of the left and right chain data
     for n in chain.window:
         want = bwd.h[n].values * fwd.m[n].weights
-        assert np.allclose(chain.mu[n].weights, want / want.sum(), rtol=1e-12)
+        assert np.allclose(chain.mu(n).weights, want / want.sum(), rtol=1e-12)
+    # mu_n exists one index past the window, L~_n only inside it
+    chain.mu(chain.window[-1] + 1)
+    for outside in (lambda: chain.mu(chain.window[-1] + 2),
+                    lambda: chain.normalized_stage(chain.window[-1] + 1),
+                    lambda: chain.mu(chain.window[0] - 1)):
+        with pytest.raises(DomainError, match="outside the invariant chain's window"):
+            outside()
     assert max(chain.tilde_one_err.values()) < 1e-13
     assert max(chain.push_gap.values()) < 1e-13
     assert max(chain.tilde_dual_gap.values()) < 1e-13

@@ -99,20 +99,21 @@ def _random_cone_seed(seed, p):
 
 
 def _ref_reseed_gaps(fwd, bwd, runs, seed_families):
+    """The largest gap at each compared index: {n: dlam}, {n: dm}, {n: dh}."""
     seq = fwd.seq
-    dlam = dm = dh = 0.0
+    dlam, dm, dh = {}, {}, {}
     weak = {n: weak_dictionary(seq.space(n)) for n in fwd.reported_m}
     compared = 0
     for tail, fam in runs:
         lam2, nu2 = _ref_frozen_forward(seq, tail, fam)
         hi = tail - fwd.headroom
         for n in (m for m in fwd.reported_lam if m < hi):
-            dlam = max(dlam, abs(math.log(lam2[n]) - math.log(fwd.lam[n])))
+            dlam[n] = max(dlam.get(n, 0.0), abs(math.log(lam2[n]) - math.log(fwd.lam[n])))
         for n in (m for m in fwd.reported_m if m <= hi):
             d = weak[n]
             gap = np.abs(pairing_vector(d, fwd.m[n].weights)
                          - pairing_vector(d, nu2[n].weights)) / d.norms
-            dm = max(dm, float(np.max(gap)))
+            dm[n] = max(dm.get(n, 0.0), float(np.max(gap)))
             compared += 1
     if not compared:
         raise ConvergenceError("no re-solve reaches a reported index")
@@ -121,25 +122,26 @@ def _ref_reseed_gaps(fwd, bwd, runs, seed_families):
         for fam in seed_families:
             h2 = _ref_frozen_backward(fwd, fam(bottom, seq.space(bottom)))
             for n in bwd.reported_h:
-                dh = max(dh, float(np.abs(h2[n].values - bwd.h[n].values).max()))
+                dh[n] = max(dh.get(n, 0.0), float(np.abs(h2[n].values - bwd.h[n].values).max()))
     return dlam, dm, dh
 
 
 def ref_independence(fwd, bwd, tol):
     thr = 10.0 * tol
-    dlam, dm, dh = _ref_reseed_gaps(
+    gaps = dict(zip(("dlam", "dm", "dh"), _ref_reseed_gaps(
         fwd, bwd, [(fwd.seq.n_max, _random_sigma(s)) for s in (7, 88)],
-        [_random_cone_seed(s, fwd.cone) for s in (11, 23)])
+        [_random_cone_seed(s, fwd.cone) for s in (11, 23)])))
+    dlam, dm, dh = (max(g.values(), default=0.0) for g in gaps.values())
     return IndependenceReport(max_dlam=dlam, max_dm=dm, max_dh=dh, threshold=thr,
-                              passed=dlam < thr and dm < thr and dh < thr)
+                              passed=dlam < thr and dm < thr and dh < thr, gaps=gaps)
 
 
 def ref_uniqueness(fwd, bwd, tol):
     seq = fwd.seq
     thr = 10.0 * tol
-    dlam, dm, dh = _ref_reseed_gaps(
+    dlam, dm, dh = (max(g.values(), default=0.0) for g in _ref_reseed_gaps(
         fwd, bwd, [(seq.n_max - shift, _uniform_sigma) for shift in (3, 5)],
-        [_random_cone_seed(100 + s, fwd.cone) for s in range(4)])
+        [_random_cone_seed(100 + s, fwd.cone) for s in range(4)]))
     xi = 0.0
     if bwd is not None:
         rng = np.random.default_rng(5)
@@ -426,8 +428,8 @@ def test_cone_contraction_equals_the_per_sample_loop(case, n_samples, monotone_e
 def _assert_same_invariant_chain(fwd, bwd, tol):
     got = build_invariant_chain(fwd, bwd, tol=tol)
     mu, push_gap, one_err, dual_gap = ref_invariant_chain(fwd, bwd)
-    assert list(got.mu) == list(mu)
-    assert all(np.array_equal(got.mu[n].weights, w.weights) for n, w in mu.items())
+    assert got.window + [got.window[-1] + 1] == list(mu)
+    assert all(np.array_equal(got.mu(n).weights, w.weights) for n, w in mu.items())
     assert _same(got.push_gap, push_gap)
     assert _same(got.tilde_one_err, one_err)
     assert _same(got.tilde_dual_gap, dual_gap)
@@ -490,3 +492,22 @@ def test_verifier_memory_is_set_by_the_block_not_the_window():
     (eig_short, uq_short), (eig_long, uq_long) = peaks
     assert max(eig_short, uq_short, eig_long, uq_long) < 12 * block
     assert eig_long < eig_short + block and uq_long < uq_short + block
+
+
+def test_invariant_chain_memory_does_not_grow_with_the_window():
+    """On a random-eps circle chain every stage has a lift of its own, so a
+    check that kept mu_n, L~_n or a lift's image rows past their last use
+    would grow with the window.  Doubling the chain's window may add only
+    its per-index gaps, far below one block."""
+    peaks, windows = [], []
+    for half in (40, 60):
+        spec = CircleMapSpec.make(N=1024, window=(-half, half),
+                                  **{**PERTURBED, "eps_mode": "random"})
+        seq = build_circle_chain(spec)
+        fwd = solve_forward(seq, tol=1e-6, tau=2, block_factor=0.2, with_diagnostics=False)
+        bwd = solve_backward(fwd, with_diagnostics=False)
+        eig = verify_eigen_relations(fwd, bwd, 1e-3)
+        peaks.append(_traced_peak(lambda: build_invariant_chain(fwd, bwd, tol=1e-3, eigen=eig)))
+        windows.append(len(bwd.reported_h) - 1)
+    assert windows[1] >= 2 * windows[0]
+    assert peaks[1] < peaks[0] + cones._BLOCK_CELLS * 8
