@@ -17,13 +17,24 @@ Artifacts: lambda.csv (n, lambda, k_star, residual), m_<n>.csv and
 h_<n>.csv per reported index (an earlier run's m_<n>.csv or h_<n>.csv of
 an index this run does not report is removed), rates.csv (n, k,
 error_lambda, error_m, error_h), constants.txt (flat name = value ledger),
-report.txt (one PASS/FAIL line per check).  Numbers are written with 17 significant digits
-so reruns with the same seeds reproduce files byte for byte.
+report.txt (one PASS/FAIL line per check).  Numbers are written with 17
+significant digits, and nothing a run samples comes from a random
+generator: the cone certificate and the verifiers draw named members of the
+enumerated sample family (cones.family_rows), each from its own range of
+member ids, and [solver] seed, an integer in [0, 2^32), picks the
+cone_contraction verifier's range.  Only a config with random coefficients
+(a matrix chain's seed, a circle's random modes) draws them from numpy.random,
+once, when it is parsed.  So a rerun of a config reproduces every file byte
+for byte.  constants.txt
+names what set the certified Delta on its Delta_source line, and the
+cone_contraction line of report.txt the member ids its pairs were drawn
+from.
 
 Every CSV has a per-column row template, "%d" for the integer columns (n,
 index, k, k_star, which is -1 where no k* was found) and "%.17g" for every
-float, and its body is one ``%`` of that template repeated once per row over
-the row-major cell values (``_write_csv``).  m_<n>.csv and h_<n>.csv format
+float, and its body is written in blocks of 256 rows, each one ``%`` of that
+template repeated once per row over the block's row-major cell values
+(``_write_csv``).  m_<n>.csv and h_<n>.csv format
 the vector's ``tolist()`` through one body template per vector length with
 the point indices baked in, which gives the same bytes.  The scalar rule ``_fmt`` of
 constants.txt and report.txt uses the same "%.17g".  A value the config
@@ -33,7 +44,8 @@ states) is a config error naming [system].
 Every file is written by ``_atomic_write`` at the os level: a hidden temp
 file in the target directory, created exclusively with mode 0600 (under the
 umask) and without following a symlink, filled by ``os.write`` and renamed
-over the target; on any failure the temp file is removed.  ``nsrpf run``
+over the target, one chunk after another for a body written in blocks; on
+any failure the temp file is removed.  ``nsrpf run``
 writes one m_<n>.csv and h_<n>.csv per reported index
 (``_write_run_artifacts``), so on small chains the cost of this layer is the
 kernel's file creation, not the float formatting.
@@ -177,8 +189,8 @@ def parse_config(path: str) -> RunConfig:
             raise ConfigError(f"[checks].run: unknown check {c!r} "
                               f"(known: {', '.join(KNOWN_CHECKS)})")
     solver_seed = _get(cp, "solver", "seed", int, 123)
-    if solver_seed < 0:
-        raise ConfigError("[solver].seed: must be a non-negative integer")
+    if not 0 <= solver_seed < 2 ** 32:
+        raise ConfigError("[solver].seed: must be an integer in [0, 2^32)")
     unread = [f"[{sec}].{key}" for sec in cp.sections() for key in cp[sec]
               if (sec, key) not in cp.looked_up]
     if unread:
@@ -208,13 +220,22 @@ _TMP_FLAGS = os.O_WRONLY | os.O_CREAT | os.O_EXCL | os.O_NOFOLLOW
 _TMP_SERIAL = itertools.count()   # with the pid, a temp name no live writer uses
 
 
-def _atomic_write(path: str, text: str):
-    """Write ``text`` to ``path`` through a hidden temp file in the same
-    directory, renamed over ``path``.  The temp name is the pid plus a
-    per-call serial, skipped while it exists (a stale file, or a symlink,
-    which O_EXCL | O_NOFOLLOW never follows); the temp file is removed on
-    any failure.  TypeError for a ``text`` that is not a str."""
-    data = str.encode(text)
+def _write_all(fd: int, data: bytes):
+    # a function of its own, so a chunk's bytes are freed before the next
+    # chunk is formatted
+    view = memoryview(data)
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _atomic_write(path: str, text):
+    """Write ``text``, a str or an iterable of str chunks written in order,
+    to ``path`` through a hidden temp file in the same directory, renamed
+    over ``path``.  The temp name is the pid plus a per-call serial,
+    skipped while it exists (a stale file, or a symlink, which
+    O_EXCL | O_NOFOLLOW never follows); the temp file is removed on any
+    failure.  TypeError for a chunk that is not a str."""
+    chunks = (text,) if isinstance(text, str) else text
     d = os.path.dirname(path) or "."
     for serial in _TMP_SERIAL:
         tmp = os.path.join(d, f".tmp-nsrpf-{os.getpid()}-{serial}")
@@ -225,9 +246,8 @@ def _atomic_write(path: str, text: str):
             pass
     try:
         try:
-            view = memoryview(data)
-            while view:
-                view = view[os.write(fd, view):]
+            for chunk in chunks:
+                _write_all(fd, str.encode(chunk))
         finally:
             os.close(fd)
         os.replace(tmp, path)
@@ -244,14 +264,24 @@ def _interleave(*columns) -> list:
     return flat
 
 
+_CSV_BLOCK_ROWS = 256   # rows per formatted block of a CSV body
+
+
 def _write_csv(path: str, columns: tuple, values):
     """Write ``columns`` ((name, template) pairs) over the row-major cell
-    ``values``: the body is one ``%`` of the repeated row template."""
+    ``values``: the body is written in blocks of _CSV_BLOCK_ROWS rows, each
+    one ``%`` of the repeated row template, so no string of the whole body
+    is ever held."""
     names, templates = zip(*columns)
-    cells = tuple(values)
     row = ",".join(templates) + "\n"
-    body = (row * (len(cells) // len(columns))) % cells
-    _atomic_write(path, ",".join(names) + "\n" + body)
+    cells = iter(values)
+
+    def chunks():
+        yield ",".join(names) + "\n"
+        while block := tuple(itertools.islice(cells, _CSV_BLOCK_ROWS * len(columns))):
+            yield (row * (len(block) // len(columns))) % block
+
+    _atomic_write(path, chunks())
 
 
 def _vector_template(n: int) -> str:
@@ -288,6 +318,18 @@ def _certify(cfg: RunConfig):
     return seq, cone, cert, ledger
 
 
+def _delta_source(cert) -> str:
+    """What set the certified Delta: its source, the members of a family
+    pair and the index, e.g. "family pair (members 16777254, 16777255) at
+    index -56"."""
+    text = cert.Delta_source
+    if cert.Delta_members is not None:
+        text += " (members {}, {})".format(*cert.Delta_members)
+    if cert.Delta_index is not None:
+        text += f" at index {cert.Delta_index}"
+    return text
+
+
 def _constants_text(cfg, cone, cert, ledger) -> str:
     lines = [f"system = {cfg.kind}",
              f"seed = {getattr(cfg.system, 'seed', None)}",
@@ -295,6 +337,7 @@ def _constants_text(cfg, cone, cert, ledger) -> str:
              f"beta = {_fmt(cone.beta)}",
              f"tau = {cert.tau}",
              f"Delta_measured = {_fmt(cert.Delta_measured)}",
+             f"Delta_source = {_delta_source(cert)}",
              f"block_factor = {_fmt(cert.block_factor)}",
              f"density_basis = {cert.density_basis}"]
     rcm = cert.rate_constants()
@@ -410,9 +453,9 @@ def cmd_run(cfg: RunConfig) -> int:
         note("uniqueness", uq.passed, detail)
     if "cone_contraction" in cfg.checks:
         cc = verify_cone_contraction(seq, cone, tau=cert.tau,
-                                     extra_delta=cert.Delta_measured,
-                                     rng=np.random.default_rng(cfg.solver_seed))
-        detail = (f"{cc.n_pairs} pairs, Delta {_fmt(cc.Delta_measured)}, "
+                                     extra_delta=cert.Delta_measured, seed=cfg.solver_seed)
+        detail = (f"{cc.n_pairs} pairs of family members {cc.members[0]}..{cc.members[-1]}, "
+                  f"Delta {_fmt(cc.Delta_measured)}, "
                   f"max ratio {_fmt(float(cc.ratios.max()) if cc.n_pairs else 0.0)} "
                   f"vs tanh(Delta/4) {_fmt(cc.block_factor)}")
         if not cc.passed:

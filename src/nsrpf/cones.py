@@ -50,6 +50,14 @@ whichever is wider: one pair gather, l(f), l(g) and the ratios.  The sampled
 pairs of the contraction verifier (_runs) count the fields they keep per
 sample on the widest space of their path; the gap blocks they call hold a
 budget of their own.
+
+The cone certificate and the verifiers sample from one enumerated family,
+family_rows: member k is a named field (the unit function, an extremal
+exp(+-q d(x, c)^beta), or an interior log-field whose coefficients are the
+Kronecker point of k), computed with integer and float arithmetic and no
+random generator, and each consumer draws from a range of ids of its own
+(member_range).  sample_log_holder_field draws interior fields from a
+numpy Generator instead, for callers that bring one.
 """
 from __future__ import annotations
 
@@ -60,7 +68,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError
-from .spaces import KIND_CIRCLE, Field, _check_same_space, MeasureVec, pair
+from .spaces import KIND_CIRCLE, Field, _check_same_space, MeasureVec, holder_seminorm, pair
 
 #: relative spread below which two cone directions count as proportional
 PROPORTIONAL_TOL = 1e-12
@@ -362,49 +370,47 @@ def norm_theta_bound(f: Field, g: Field, m: MeasureVec) -> tuple[float, float]:
     return lhs, rhs
 
 
-def sample_extremal_log_holder(space, p: ConeParams, rng: np.random.Generator) -> Field:
-    """A field near an extreme ray of Lambda(Q): exp(+-q d(x, c)^beta) with
-    q = 0.98 Q at a random centre c saturates the defining inequality along
-    one direction, the way coordinate directions are extremal for the
-    positive cone."""
-    q = 0.98 * p.Q * rng.choice([-1.0, 1.0])
-    c = rng.integers(space.n_points)
-    if space.kind == KIND_CIRCLE:
-        d = space.circle_distance_points(space.positions, space.positions[c])
-    else:
-        d = space.dist_table[c]
-    return Field(space, np.exp(q * d ** p.beta))
+_MODES = np.arange(1, 7)   # the modes m of the trigonometric log-fields
+
+
+def _trig_logs(space, a: np.ndarray, b: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """The (k, N) rows scale sum_m (a_m cos 2 pi m x + b_m sin 2 pi m x) of
+    the (k, 6) coefficients a, b and the (k, 1) scales, summed over the
+    modes on the grid's cos and sin rows, which are built once and cached on
+    the space.  Every operation is row-wise, so a row has the same bits in
+    any stack."""
+    basis = space._caches.get("log_holder_basis")
+    if basis is None:   # the (6, N) rows cos(2 pi m x) and sin(2 pi m x)
+        basis = space._caches["log_holder_basis"] = tuple(
+            np.stack([fn(2 * np.pi * m * space.positions) for m in _MODES])
+            for fn in (np.cos, np.sin))
+    logf = np.zeros((len(a), space.n_points))
+    for m in range(6):
+        logf += scale * (a[:, m, None] * basis[0][m] + b[:, m, None] * basis[1][m])
+    return logf
 
 
 def _log_holder_rows(space, p: ConeParams, rng: np.random.Generator, k: int) -> np.ndarray:
     """k draws of sample_log_holder_field as the rows of one (k, N) array.
 
     The generator is consumed as by k single calls, so each row has the bits
-    of its single draw and the generator ends in the same state.  On a circle
-    grid the rows are summed over the modes at once, on the grid's cos and
-    sin rows, which are built once and cached on the space.
+    of its single draw and the generator ends in the same state.
     """
     if space.kind != KIND_CIRCLE:
         return np.stack([sample_log_holder_field(space, p, rng).values for _ in range(k)])
-    ms = np.arange(1, 7)
-    basis = space._caches.get("log_holder_basis")
-    if basis is None:   # the (6, N) rows cos(2 pi m x) and sin(2 pi m x)
-        basis = space._caches["log_holder_basis"] = tuple(
-            np.stack([fn(2 * np.pi * m * space.positions) for m in ms]) for fn in (np.cos, np.sin))
     a, b, scale = np.empty((k, 6)), np.empty((k, 6)), np.empty((k, 1))
     for r in range(k):
         a[r], b[r] = rng.normal(size=6), rng.normal(size=6)
-        lip = float(np.sum(2.0 * np.pi * ms * (np.abs(a[r]) + np.abs(b[r]))))
+        lip = float(np.sum(2.0 * np.pi * _MODES * (np.abs(a[r]) + np.abs(b[r]))))
         target = 0.9 * p.Q * rng.uniform(0.2, 1.0)
         scale[r] = 0.0 if lip == 0.0 else target / lip
-    logf = np.zeros((k, space.n_points))
-    for m in range(6):
-        logf += scale * (a[:, m, None] * basis[0][m] + b[:, m, None] * basis[1][m])
-    return np.exp(logf)
+    return np.exp(_trig_logs(space, a, b, scale))
 
 
 def sample_log_holder_field(space, p: ConeParams, rng: np.random.Generator) -> Field:
-    """A random field strictly inside Lambda(Q).
+    """A random field strictly inside Lambda(Q), drawn from ``rng``: the
+    interior members of the sample family with Gaussian coefficients and a
+    uniform Lipschitz target in place of its Kronecker points.
 
     On a circle grid, log f is a random trigonometric polynomial of six
     modes whose Lipschitz constant is held below 0.9 Q (beta = 1 samples
@@ -418,9 +424,111 @@ def sample_log_holder_field(space, p: ConeParams, rng: np.random.Generator) -> F
         return Field(space, rng.uniform(0.5, 2.0, size=space.n_points))
     # generic finite metric space: rescale a random field's log-oscillation
     v = rng.normal(size=space.n_points)
-    f = Field(space, v)
-    from .spaces import holder_seminorm
-    s = holder_seminorm(f, p.beta)
+    s = holder_seminorm(Field(space, v), p.beta)
     if s > 0.0:
         v = v * (0.9 * p.Q * rng.uniform(0.2, 1.0) / s)
     return Field(space, np.exp(v))
+
+
+# ---------------------------------------------------------------------------
+# the enumerated sample family
+# ---------------------------------------------------------------------------
+
+#: ids per slot of the sample family: each consumer draws from a slot of its own
+MEMBER_SLOT = 2 ** 24
+
+# the slots in order: slot 0 holds the unit function (member 0), and the
+# contraction verifier's slot is the last one plus its seed
+_CONSUMERS = ("unit", "certificate", "independence tails", "independence seeds",
+              "uniqueness seeds", "uniqueness scales", "contraction")
+
+
+def member_range(consumer: str, count: int, seed: int = 0) -> range:
+    """The ``count`` member ids that ``consumer`` draws, the first ids of its
+    slot: [s 2^24, s 2^24 + count) for the consumer's slot s in _CONSUMERS,
+    shifted by ``seed`` slots for the contraction verifier.  So no two
+    consumers, and no two verifier seeds, share a member, and every range
+    starts with an interior pair."""
+    if consumer not in _CONSUMERS[1:]:
+        raise DomainError(f"no member range for {consumer!r}")
+    if seed and consumer != "contraction":
+        raise DomainError("only the contraction verifier's range takes a seed")
+    slot = _CONSUMERS.index(consumer) + seed
+    if not (0 <= count <= MEMBER_SLOT and 0 <= seed and (slot + 1) * MEMBER_SLOT <= 2 ** 64):
+        raise DomainError(f"{count} members at seed {seed} do not fit one 64-bit slot")
+    return range(slot * MEMBER_SLOT, slot * MEMBER_SLOT + count)
+
+
+def _kronecker(ids: np.ndarray, d: int) -> np.ndarray:
+    """Rows frac(1/2 + k alpha) in [0, 1)^d of the Kronecker sequence R_d,
+    alpha_j = phi^-j with phi the positive root of x^(d+1) = x + 1, for the
+    uint64 ids k: (k A_j + 2^63) mod 2^64 in 64-bit fixed point, with the
+    odd steps A_j = floor(2^64 alpha_j) | 1, so k != 0 never lands on 1/2."""
+    phi = 2.0
+    for _ in range(64):   # a contraction with rate below 1/3
+        phi = (1.0 + phi) ** (1.0 / (d + 1))
+    steps = np.array([int(phi ** -j * 2.0 ** 64) | 1 for j in range(1, d + 1)], dtype=np.uint64)
+    x = ids[:, None] * steps + np.uint64(2 ** 63)   # wraps mod 2^64
+    return (x >> 11).astype(np.float64) * 2.0 ** -53
+
+
+def family_rows(space, p: ConeParams, ids) -> np.ndarray:
+    """Members ``ids`` of the enumerated sample family of Lambda(Q) on
+    ``space``, as the rows of one (len(ids), N) array.
+
+    Member k is a named field, the same whatever else is drawn with it:
+
+    * k = 0 is the unit function;
+    * on a finite space whose pair set is empty the cone is C+, and every
+      k >= 1 is the positive vector 0.5 + 1.5 u, u the Kronecker point of k
+      in [0, 1)^N;
+    * otherwise the ids come in pairs (2i, 2i + 1), interior for even i and
+      extremal for odd i:
+
+      - an extremal k is exp(+-q d(x, c)^beta), q = 0.98 Q, + for even k,
+        around the grid point c = floor(N v) for v the one-dimensional
+        Kronecker point of k // 4 (so both members of a pair share c, and
+        every id bit moves it); it saturates the cone's inequalities between
+        c and every point within delta up to the factor 0.98, the way
+        coordinate directions are extremal for C+;
+      - an interior k is exp of a log-field with Holder constant
+        0.9 Q (0.2 + 0.8 u_last) in [0.18 Q, 0.9 Q] (the last coordinate of
+        its Kronecker point u): on a circle grid the six trigonometric modes
+        of sample_log_holder_field with coefficients 2 u - 1 and that
+        target over their Lipschitz bound (u in [0, 1)^13); on a finite
+        space the field 2 u - 1 (u in [0, 1)^(N + 1)) rescaled by its
+        holder_seminorm.
+
+    Plain integer and float arithmetic, row-wise, with no generator.
+    """
+    k = np.asarray(ids, dtype=np.uint64).reshape(-1)
+    n = space.n_points
+    circle = space.kind == KIND_CIRCLE
+    if not circle and len(pair_set(space, p)) == 0:
+        rows = np.ones((k.size, n))
+        rows[k > 0] = 0.5 + 1.5 * _kronecker(k[k > 0], n)
+        return rows
+    logf = np.zeros((k.size, n))
+    extremal = ((k >> 1) & 1) == 1
+    ke = k[extremal]
+    if ke.size:
+        q = 0.98 * p.Q * np.where((ke & 1) == 0, 1.0, -1.0)
+        centre = (_kronecker(ke >> 2, 1)[:, 0] * n).astype(np.int64)
+        d = space.distance(np.arange(n)[None, :], centre[:, None])
+        logf[extremal] = q[:, None] * d ** p.beta
+    interior = (k > 0) & ~extremal
+    ki = k[interior]
+    if ki.size and circle:
+        u = _kronecker(ki, 13)
+        a, b = 2.0 * u[:, :6] - 1.0, 2.0 * u[:, 6:12] - 1.0
+        lip = np.sum(2.0 * np.pi * _MODES * (np.abs(a) + np.abs(b)), axis=1)
+        logf[interior] = _trig_logs(space, a, b, (0.9 * p.Q * (0.2 + 0.8 * u[:, 12]) / lip)[:, None])
+    elif ki.size:
+        u = _kronecker(ki, n + 1)
+        v = 2.0 * u[:, :n] - 1.0
+        for r in range(ki.size):
+            s = holder_seminorm(Field(space, v[r]), p.beta)
+            if s > 0.0:
+                v[r] *= 0.9 * p.Q * (0.2 + 0.8 * u[r, n]) / s
+        logf[interior] = v
+    return np.exp(logf)

@@ -31,13 +31,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cones import (ConeParams, _gaps, _inside, birkhoff_rate, in_log_holder_cone,
-                    pair_set, sample_extremal_log_holder, sample_log_holder_field)
+from .cones import (ConeParams, _gaps, _inside, birkhoff_rate, family_rows,
+                    in_log_holder_cone, member_range, pair_set)
 from .errors import CertificationError, DomainError, StructuralError
 from .spaces import KIND_CIRCLE, Field, holder_seminorm, unit_field
 from .transfer import StageSeq, _apply_values
-
-_RNG_SEED = 20250811
 
 
 @dataclass(frozen=True)
@@ -348,6 +346,14 @@ class ConeCertificate:
     operator stage, and the unit function's image ratio).  block_factor is
     the Birkhoff contraction factor tanh(Delta_measured/4) of one tau-block.
     n_samples counts sampled pairs, none on operator chains whose cone is C+.
+
+    Delta_source names what set Delta_measured, the first value to reach
+    it: "unit image", "family pair" (the image distance of the sampled
+    pair of sample-family members Delta_members), "ratio envelope"
+    (4 artanh of the largest block ratio, that of the pair Delta_members),
+    "column diameter" (of the operator stage Delta_index) or "floor" (the
+    1e-9 kept for rank-one chains).  Delta_index is the index n of the
+    block or stage, None for the floor.
     """
 
     Delta_measured: float
@@ -355,31 +361,37 @@ class ConeCertificate:
     block_factor: float
     density_basis: str
     n_samples: int
+    Delta_source: str
+    Delta_index: int | None = None
+    Delta_members: tuple | None = None
 
     def rate_constants(self) -> RateConstants:
         return RateConstants.from_delta(self.Delta_measured, self.tau)
 
 
-def _column_diameter(mats: np.ndarray) -> float:
+def _column_diameter(mats: np.ndarray) -> np.ndarray:
     """Exact projective diameter of M C+ for a strictly positive matrix M,
-    the largest over a (..., rows, columns) stack of them: the extreme rays
-    of C+ on a finite set are the coordinate directions."""
+    for each matrix of a (..., rows, columns) stack of them: the extreme
+    rays of C+ on a finite set are the coordinate directions."""
     logm = np.log(mats)
-    best = 0.0
+    best = np.zeros(mats.shape[:-2])
     d = mats.shape[-1]
     for a in range(d - 1):
         diff = logm[..., a, None] - logm[..., a + 1:]   # log(M[:,a]/M[:,b])
-        best = max(best, float((diff.max(axis=-2) - diff.min(axis=-2)).max()))
+        np.maximum(best, (diff.max(axis=-2) - diff.min(axis=-2)).max(axis=-1), out=best)
     return best
 
 
-def _chain_column_diameter(stages) -> float:
-    """The largest _column_diameter over the operator stages, one stacked
-    pass per matrix shape: spaces may change size along the chain."""
+def _chain_column_diameter(stages) -> np.ndarray:
+    """The _column_diameter of each operator stage, in stage order, one
+    stacked pass per matrix shape: spaces may change size along the chain."""
     by_shape = {}
-    for st in stages:
-        by_shape.setdefault(st.dense.shape, []).append(st.dense)
-    return max(_column_diameter(np.stack(ms)) for ms in by_shape.values())
+    for r, st in enumerate(stages):
+        by_shape.setdefault(st.dense.shape, []).append(r)
+    out = np.empty(len(stages))
+    for rs in by_shape.values():
+        out[rs] = _column_diameter(np.stack([stages[r].dense for r in rs]))
+    return out
 
 
 def certify_cone_conditions(seq: StageSeq, p: ConeParams, *,
@@ -392,14 +404,17 @@ def certify_cone_conditions(seq: StageSeq, p: ConeParams, *,
     the projective diameter of tau-step images.  Operator chains take no
     ``params``, use tau = 1 and start Delta at the exact column diameter of
     M_n C+ at every index n (coordinate directions are the extreme rays of
-    the positive cone on a finite set).  The sampling is fixed: at
-    every 8th index from the window bottom that starts a full tau-block, 12
-    pairs alternating between random interior fields and near-extremal
-    exponential-of-distance fields, drawn from a generator seeded with
-    20250811 in the order f_0, g_0, f_1, g_1, ... (even t interior, odd t
-    extremal).  Delta_measured additionally dominates 4 artanh(rho) for every
-    observed tau-block contraction factor rho, so the certified tanh(Delta/4)
-    rate is an upper envelope for everything seen.
+    the positive cone on a finite set).  The sampling is fixed: at every
+    8th index from the window bottom that starts a full tau-block, 12 pairs
+    of members of the enumerated sample family (cones.family_rows), in
+    order from the certificate's member range (cones.member_range): the
+    c-th such index takes the 24 members from 24 c on, as
+    f_0, g_0, f_1, g_1, ..., and the family's layout makes the pair
+    (f_t, g_t) interior for even t and extremal for odd t.  Delta_measured
+    additionally dominates 4 artanh(rho) for every observed tau-block
+    contraction factor rho, so the certified tanh(Delta/4) rate is an upper
+    envelope for everything seen; Delta_source records which of these set
+    it, with its index and member ids.
 
     The 24 fields of an index all pass through the stages n .. n + tau - 1,
     so they are the rows of one array, pushed through each stage in one
@@ -411,7 +426,6 @@ def certify_cone_conditions(seq: StageSeq, p: ConeParams, *,
     draws no samples: positive matrices keep C+, and by Birkhoff's bound no
     image pair or contraction ratio exceeds the column diameter.
     """
-    rng = np.random.default_rng(_RNG_SEED)
     has_map = seq.stage(seq.n_min).has_map
     if not has_map and any(st.dense is None for st in seq.stages):
         raise StructuralError("a chain without forward maps needs operator stages")
@@ -433,9 +447,18 @@ def certify_cone_conditions(seq: StageSeq, p: ConeParams, *,
                 f"S(Q) = {s_param} is not below Q = {p.Q}; raise Q above the threshold")
 
     target = ConeParams(Q=s_param, delta=p.delta, beta=p.beta) if s_param else p
-    # exact diameter of M_n C+ at every index; tau = 1 without maps
-    delta_m = 0.0 if has_map else _chain_column_diameter(seq.stages)
-    max_ratio = 0.0
+    delta_m, source = 0.0, ("floor", None, None)
+
+    def offer(value, *where):   # the first value to reach the maximum keeps it
+        nonlocal delta_m, source
+        if value > delta_m:
+            delta_m, source = value, where
+
+    if not has_map:   # exact diameter of M_n C+ at every index; tau = 1
+        diameters = _chain_column_diameter(seq.stages)
+        r = int(diameters.argmax())
+        offer(float(diameters[r]), "column diameter", seq.n_min + r, None)
+    max_ratio, ratio_at = 0.0, None
     n_sampled = 0
     check_indices = [n for n in seq.stage_indices if (n - seq.n_min) % 8 == 0
                      and n + tau <= seq.n_max]
@@ -443,19 +466,20 @@ def certify_cone_conditions(seq: StageSeq, p: ConeParams, *,
         raise StructuralError("window too short for one tau-block")
     positive = not has_map and all(len(pair_set(sp, p)) == 0
                                    for sp in {seq.space(n) for n in seq.space_indices})
-    for n in check_indices:
+    members = member_range("certificate", 24 * len(check_indices))
+    for c, n in enumerate(check_indices):
         sp = seq.space(n)
         # unit-image ratio bound after tau steps
         img1 = np.ones(sp.n_points)
         for j in range(n, n + tau):
             img1 = _apply_values(seq.stage(j), img1)
-        delta_m = max(delta_m, math.log(float(img1.max()) / float(img1.min())))
+        offer(math.log(float(img1.max()) / float(img1.min())), "unit image", n, None)
         if positive:
             continue
         # cone invariance on samples, one-step membership at S(Q): rows
-        # 2t and 2t + 1 are the pair (f_t, g_t), extremal for odd t
-        draws = (sample_log_holder_field, sample_extremal_log_holder)
-        fg = np.stack([draws[j // 2 % 2](sp, p, rng).values for j in range(24)])
+        # 2t and 2t + 1 are the pair (f_t, g_t)
+        ids = members[24 * c:24 * (c + 1)]
+        fg = family_rows(sp, p, ids)
         img = _apply_values(seq.stage(n), fg)
         if not _inside(img[0::2], seq.space(n + 1), target).all():
             raise CertificationError(
@@ -465,17 +489,20 @@ def certify_cone_conditions(seq: StageSeq, p: ConeParams, *,
             out = _apply_values(seq.stage(j), out)
         theta_out = _gaps(out[0::2], out[1::2], seq.space(n + tau), p)[2]
         theta_in = _gaps(fg[0::2], fg[1::2], sp, p)[2]
-        for t_out, t_in in zip(theta_out, theta_in):
-            delta_m = max(delta_m, t_out)
-            if 0.0 < t_in < math.inf and t_out > 0.0:
-                max_ratio = max(max_ratio, t_out / t_in)
+        for t, (t_out, t_in) in enumerate(zip(theta_out, theta_in)):
+            pair_ids = (ids[2 * t], ids[2 * t + 1])
+            offer(t_out, "family pair", n, pair_ids)
+            if 0.0 < t_in < math.inf and t_out > 0.0 and t_out / t_in > max_ratio:
+                max_ratio, ratio_at = t_out / t_in, (n, pair_ids)
         n_sampled += 12
     if max_ratio > 0.0:
-        delta_m = max(delta_m, 4.0 * math.atanh(min(max_ratio, 1.0 - 1e-12)))
+        offer(4.0 * math.atanh(min(max_ratio, 1.0 - 1e-12)), "ratio envelope", *ratio_at)
     # rank-one chains collapse every image to a single ray; keep the
     # certified diameter positive so downstream rate constants stay finite
-    delta_m = max(delta_m, 1e-9)
+    offer(1e-9, "floor", None, None)
     basis = "holder-shift" if has_map else "coordinate-span"
     return ConeCertificate(Delta_measured=delta_m, tau=tau,
                            block_factor=birkhoff_rate(delta_m),
-                           density_basis=basis, n_samples=n_sampled)
+                           density_basis=basis, n_samples=n_sampled,
+                           Delta_source=source[0], Delta_index=source[1],
+                           Delta_members=source[2])

@@ -54,7 +54,7 @@ _dual_weights, since every index has a stage of its own.  Rows stay stacked
 where they share work: the re-solve seeds of one tail are the rows of one
 frozen sweep, compared index by index as it goes; the
 sampled cone pairs of a block are drawn in one call
-(cones._log_holder_rows), pushed through their own stages row by row and
+(cones.family_rows), pushed through their own stages row by row and
 written once into the stack that the cone gaps read (cones._gaps); the
 rate envelopes and slope fits run on the concatenated histories.  One
 budget of 2^15 cells, cones._BLOCK_CELLS, caps what a block of sampled
@@ -70,6 +70,12 @@ number equals that of the per-index loop; the only stacked computation that
 is not bit-equal, the closed-form slope fit, feeds a verdict and no number.
 Logarithms that reach a report keep math.log per element, since np.log
 differs from it in the last bit on some inputs.
+
+Samples.  Every seed, tail weight, scale and cone pair a verifier samples
+is a member of the enumerated sample family (cones.family_rows), named by
+its id, and each verifier draws from member ranges of its own
+(cones.member_range): the same run samples the same fields, with no random
+generator, and no verifier reuses the cone certificate's pairs.
 """
 from __future__ import annotations
 
@@ -80,11 +86,11 @@ from typing import Optional
 import numpy as np
 
 from .cones import (DEFAULT_CONE, ConeParams, _gaps, _log_holder_rows, _runs,
-                    birkhoff_rate, sample_log_holder_field)
+                    birkhoff_rate, family_rows, member_range)
 from .dictionaries import cone_dictionary, pairing_vector, weak_dictionary
 from .errors import ConvergenceError, DomainError, StructuralError
 from .hypotheses import RateConstants
-from .spaces import Field, MeasureVec, normalize, pair, unit_field
+from .spaces import Field, MeasureVec, PointSpace, normalize, pair, unit_field
 from .transfer import Stage, StageSeq, _apply_values, _dual_weights, normalize_stage
 
 _ZERO_FLOOR = 1e-13   # error values below this count as converged noise
@@ -411,13 +417,11 @@ class IndependenceReport:
     gaps: dict        # "dlam", "dm", "dh" -> {n: largest gap at n}
 
 
-def _cone_seeds(fwd: ForwardSolution, seeds) -> np.ndarray:
-    """One field of the forward solution's cone on the window bottom per
-    integer seed s, drawn from the generator (s, n_min + 2^20): the rows of
+def _cone_seeds(fwd: ForwardSolution, consumer: str, count: int) -> np.ndarray:
+    """The first ``count`` members of ``consumer``'s range of the sample
+    family in the forward solution's cone on the window bottom: the rows of
     a backward re-solve."""
-    sp, level = fwd.seq.space(fwd.seq.n_min), fwd.seq.n_min + 2 ** 20
-    return np.stack([sample_log_holder_field(sp, fwd.cone, np.random.default_rng((s, level)))
-                     .values for s in seeds])
+    return family_rows(fwd.seq.space(fwd.seq.n_min), fwd.cone, member_range(consumer, count))
 
 
 def _reseed_gaps(fwd: ForwardSolution, bwd: Optional[BackwardSolution], tails: dict,
@@ -475,13 +479,15 @@ def verify_independence(fwd: ForwardSolution, bwd: Optional[BackwardSolution], *
     The limits do not depend on the seed sequence; at finite depth the
     difference is bounded by the same contraction envelope as the
     convergence error, so reported indices must agree to within 10 tol.
-    Backward seeds are drawn from the forward solution's cone.
+    The two tail seeds sigma are the weights of the first two members of
+    the sample family's "independence tails" range on the window top, in
+    the forward solution's cone, and the two backward seeds the first two
+    of its "independence seeds" range on the window bottom.
     """
     thr, top = 10.0 * tol, fwd.seq.n_max
-    sigma = [np.random.default_rng((s, top + 2 ** 20)).uniform(
-        0.5, 1.5, size=fwd.seq.space(top).n_points) for s in (7, 88)]
-    gaps = dict(zip(("dlam", "dm", "dh"), _reseed_gaps(fwd, bwd, {top: np.stack(sigma)},
-                                                        _cone_seeds(fwd, (11, 23)))))
+    sigma = family_rows(fwd.seq.space(top), fwd.cone, member_range("independence tails", 2))
+    gaps = dict(zip(("dlam", "dm", "dh"), _reseed_gaps(
+        fwd, bwd, {top: sigma}, _cone_seeds(fwd, "independence seeds", 2))))
     dlam, dm, dh = (max(g.values(), default=0.0) for g in gaps.values())
     passed = dlam < thr and dm < thr and dh < thr
     return IndependenceReport(max_dlam=dlam, max_dm=dm, max_dh=dh,
@@ -505,20 +511,25 @@ def verify_uniqueness(fwd: ForwardSolution, bwd: Optional[BackwardSolution], *,
     Re-solves from tails 3 and 5 steps below the window top must reproduce
     (lambda, m); any normalized candidate chain satisfying the eigenrelations
     recovers its scalars as exactly lambda_n; and backward re-solves from
-    fresh cone seeds must reproduce h (seeds drawn from the forward
-    solution's cone).  Raises ConvergenceError when neither tail leaves a
-    reported index a full headroom below it.
+    fresh cone seeds must reproduce h.  The four backward seeds are the
+    first members of the sample family's "uniqueness seeds" range in the
+    forward solution's cone (an interior and an extremal pair), and the
+    candidate scale c of the r-th reported h is its "uniqueness scales"
+    member r on a one-point space, a number in [0.5, 2].  Raises
+    ConvergenceError when neither tail leaves a reported index a full
+    headroom below it.
     """
     seq = fwd.seq
     thr = 10.0 * tol
     tails = {t: MeasureVec.uniform(seq.space(t)).weights[None]
              for t in (seq.n_max - 3, seq.n_max - 5)}
     dlam, dm, dh = (max(g.values(), default=0.0)
-                    for g in _reseed_gaps(fwd, bwd, tails, _cone_seeds(fwd, range(100, 104))))
+                    for g in _reseed_gaps(fwd, bwd, tails, _cone_seeds(fwd, "uniqueness seeds", 4)))
     xi = 0.0
     if bwd is not None:
         # candidate g = c h_n normalized against m_n, one index at a time
-        scale = np.random.default_rng(5).uniform(0.5, 2.0, len(bwd.reported_h))
+        scale = family_rows(PointSpace.simplex(1), DEFAULT_CONE,
+                            member_range("uniqueness scales", len(bwd.reported_h)))[:, 0]
         for n, c in zip(bwd.reported_h, scale.tolist()):
             g = bwd.h[n].values * c
             g *= 1.0 / float(g @ fwd.m[n].weights)
@@ -664,11 +675,13 @@ class ContractionReport:
     monotone_violations: int
     n_pairs: int
     passed: bool
+    members: Optional[range] = None   # the family ids drawn; None with a generator
 
 
 def verify_cone_contraction(seq: StageSeq, p: ConeParams, *, tau: int,
                             n_samples: int = 100,
                             rng: Optional[np.random.Generator] = None,
+                            seed: int = 0,
                             extra_delta: float = 0.0,
                             monotone_every: int = 1) -> ContractionReport:
     """Sampled tau-block contraction factors against tanh(Delta_measured/4).
@@ -681,6 +694,12 @@ def verify_cone_contraction(seq: StageSeq, p: ConeParams, *, tau: int,
     exactly that derived pair, which makes the asserted bound sound on the
     sample rather than merely plausible.
 
+    Sample s is the pair of members 2 s and 2 s + 1 of the sample family's
+    contraction range at ``seed`` (cones.member_range), which no other
+    consumer draws from, so the pairs are never the certificate's; with a
+    generator ``rng`` it is instead two draws of sample_log_holder_field.
+    Sample s sits at index s modulo the indices with a full tau-block.
+
     Consecutive samples whose blocks pass through the same spaces are
     processed together, at most 2^15 cells per block counted as the eight
     fields a sample keeps (f, g, the derived pair u, v and their tau-step
@@ -692,7 +711,7 @@ def verify_cone_contraction(seq: StageSeq, p: ConeParams, *, tau: int,
     if not all(isinstance(v, (int, np.integer)) and v >= 1
                for v in (tau, n_samples, monotone_every)):
         raise DomainError("tau, n_samples and monotone_every must be integers of at least 1")
-    rng = rng or np.random.default_rng(20250811)
+    members = None if rng is not None else member_range("contraction", 2 * n_samples, seed)
     slack = 1e-9
     indices = [n for n in seq.stage_indices if n + tau <= seq.n_max]
     if not indices:
@@ -713,7 +732,9 @@ def verify_cone_contraction(seq: StageSeq, p: ConeParams, *, tau: int,
     for run in _runs(range(n_samples), lambda s: path(at[s]), rows=8):
         sp = seq.space(at[run[0]])
         # rows 2i and 2i + 1 of the draws are the pair (f_i, g_i)
-        f, g = _log_holder_rows(sp, p, rng, 2 * len(run)).reshape(len(run), 2, -1).swapaxes(0, 1)
+        f, g = (_log_holder_rows(sp, p, rng, 2 * len(run)) if members is None else
+                family_rows(sp, p, members[2 * run[0]:2 * run[-1] + 2])   # runs are consecutive
+                ).reshape(len(run), 2, -1).swapaxes(0, 1)
         A, B, thetas = _gaps(f, g, sp, p)
         keep = [i for i, t in enumerate(thetas) if 0.0 < t < math.inf]
         if not keep:
@@ -741,7 +762,7 @@ def verify_cone_contraction(seq: StageSeq, p: ConeParams, *, tau: int,
     passed = bool(np.all(ratios <= bf + slack)) and mono_viol == 0
     return ContractionReport(Delta_measured=delta_m, block_factor=bf, ratios=ratios,
                              monotone_violations=mono_viol, n_pairs=len(ratios),
-                             passed=passed)
+                             passed=passed, members=members)
 
 
 # ---------------------------------------------------------------------------

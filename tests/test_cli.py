@@ -148,7 +148,9 @@ def test_failing_cone_contraction_line_counts_the_monotone_violations(tmp_path, 
     failed, lines = _report_lines(tmp_path, "fail", "cone_contraction")
     cc = seen[0]
     assert cc.n_pairs > 0 and float(cc.ratios.max()) <= cc.block_factor
-    detail = (f"cone_contraction: {cc.n_pairs} pairs, Delta {cc.Delta_measured:.17g}, "
+    members = f"family members {cc.members[0]}..{cc.members[-1]}"
+    detail = (f"cone_contraction: {cc.n_pairs} pairs of {members}, "
+              f"Delta {cc.Delta_measured:.17g}, "
               f"max ratio {float(cc.ratios.max()):.17g} "
               f"vs tanh(Delta/4) {cc.block_factor:.17g}")
     assert (code, passing) == (0, ["PASS " + detail])

@@ -7,6 +7,8 @@ theta_log_holder.  The stacked certificate must certify exactly the same
 constants (floats compared with ==) and raise the same first failure.  The
 sampling basis cached on a circle grid and the stacked draws must give the
 bits of the uncached single-field formula, and consume the generator alike.
+The reference draws each sample as its own one-member call of the sample
+family, so a member's bits must not depend on what it is drawn with.
 """
 import dataclasses
 import math
@@ -17,11 +19,10 @@ import numpy as np
 import pytest
 
 from nsrpf import cli, cones, rpf
-from nsrpf.cones import (ConeParams, _log_holder_rows, in_log_holder_cone,
-                         pair_set, sample_extremal_log_holder, sample_log_holder_field,
-                         theta_log_holder)
+from nsrpf.cones import (ConeParams, _log_holder_rows, family_rows, in_log_holder_cone,
+                         member_range, pair_set, sample_log_holder_field, theta_log_holder)
 from nsrpf.errors import CertificationError, DomainError
-from nsrpf.hypotheses import (_RNG_SEED, ConeCertificate, _circle_holder,
+from nsrpf.hypotheses import (ConeCertificate, _circle_holder,
                               certify_cone_conditions, certify_map_hypotheses, default_Q)
 from nsrpf.rpf import build_invariant_chain, solve_backward, solve_forward, verify_eigen_relations
 from nsrpf.spaces import Field, PointSpace, unit_field
@@ -39,48 +40,59 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 def ref_certify_cone_conditions(seq, p, params=None):
     """The certificate's per-sample loop: validation and the C+ column
-    diameter as in certify_cone_conditions, then one field at a time."""
-    rng = np.random.default_rng(_RNG_SEED)
+    diameter as in certify_cone_conditions, then one field at a time, each
+    a single member of the certificate's range of the sample family.  The
+    Delta provenance is the first source to reach the maximum."""
     has_map = seq.stage(seq.n_min).has_map
     tau = params.tau if has_map else 1
     assert in_log_holder_cone(unit_field(seq.space(seq.n_min)), p)
     s_param = params.rho ** params.beta * (params.H + p.Q) if params is not None else None
     target = ConeParams(Q=s_param, delta=p.delta, beta=p.beta) if s_param else p
-    delta_m = 0.0 if has_map else max(ref_column_diameter(st.dense) for st in seq.stages)
-    max_ratio = 0.0
+    found = [0.0, ("floor", None, None)]
+
+    def offer(value, *where):
+        if value > found[0]:
+            found[:] = value, where
+
+    if not has_map:
+        for r, st in enumerate(seq.stages):
+            offer(ref_column_diameter(st.dense), "column diameter", seq.n_min + r, None)
+    max_ratio, ratio_at = 0.0, None
     n_sampled = 0
     check_indices = [n for n in seq.stage_indices if (n - seq.n_min) % 8 == 0
                      and n + tau <= seq.n_max]
     positive = not has_map and all(len(pair_set(sp, p)) == 0
                                    for sp in {seq.space(n) for n in seq.space_indices})
+    members = iter(member_range("certificate", 24 * len(check_indices)))
     for n in check_indices:
         st = seq.stage(n)
         img1 = compose_L(seq, n, tau, unit_field(seq.space(n)))
-        delta_m = max(delta_m, math.log(img1.sup() / img1.inf()))
+        offer(math.log(img1.sup() / img1.inf()), "unit image", n, None)
         for t in range(0 if positive else 12):
-            draw = sample_extremal_log_holder if t % 2 == 1 else sample_log_holder_field
-            f = draw(seq.space(n), p, rng)
+            ids = next(members), next(members)
+            f, g = (Field(seq.space(n), family_rows(seq.space(n), p, [k])[0]) for k in ids)
             lf = apply_L(st, f)
             if not in_log_holder_cone(lf, target):
                 raise CertificationError(
                     "cone-invariance",
                     f"image of a sampled cone field left the cone at stage {n}")
-            g = draw(seq.space(n), p, rng)
             fi = compose_L(seq, n + 1, tau - 1, lf)
             gi = compose_L(seq, n, tau, g)
             theta_out = theta_log_holder(fi, gi, p, checked=False)
-            delta_m = max(delta_m, theta_out)
+            offer(theta_out, "family pair", n, ids)
             theta_in = theta_log_holder(f, g, p, checked=False)
-            if 0.0 < theta_in < math.inf and theta_out > 0.0:
-                max_ratio = max(max_ratio, theta_out / theta_in)
+            if 0.0 < theta_in < math.inf and theta_out > 0.0 and theta_out / theta_in > max_ratio:
+                max_ratio, ratio_at = theta_out / theta_in, (n, ids)
             n_sampled += 1
     if max_ratio > 0.0:
-        delta_m = max(delta_m, 4.0 * math.atanh(min(max_ratio, 1.0 - 1e-12)))
-    delta_m = max(delta_m, 1e-9)
+        offer(4.0 * math.atanh(min(max_ratio, 1.0 - 1e-12)), "ratio envelope", *ratio_at)
+    offer(1e-9, "floor", None, None)
+    delta_m, (source, index, ids) = found
     return ConeCertificate(Delta_measured=delta_m, tau=tau,
                            block_factor=cones.birkhoff_rate(delta_m),
                            density_basis="holder-shift" if has_map else "coordinate-span",
-                           n_samples=n_sampled)
+                           n_samples=n_sampled, Delta_source=source, Delta_index=index,
+                           Delta_members=ids)
 
 
 def ref_sample_log_holder_field(space, p, rng):

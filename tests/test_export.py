@@ -2,6 +2,7 @@
 with the CLI: every float at 17 significant digits, anything else by str()."""
 import math
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -93,6 +94,32 @@ def test_rate_rows_with_nan_padding_match_the_reference(tmp_path):
             for n in (-2, 0, 5) for k in (1, 2, 3)]
     assert written(tmp_path, cli._RATES_COLUMNS, (v for row in rows for v in row)) == \
         reference_csv(["n", "k", "error_lambda", "error_m", "error_h"], rows)
+
+
+def _traced_write_peak(path, cells) -> int:
+    tracemalloc.start()
+    try:
+        cli._write_csv(str(path), cli._RATES_COLUMNS, iter(cells))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_csv_writer_memory_is_bounded_by_a_block_not_by_the_rows(tmp_path):
+    """rates.csv's writer formats and writes one block of rows at a time: a
+    body of 40 blocks traces no more than a body of 10 (plus a little), far
+    below the 40-block body itself, and the bytes match the per-value
+    reference, across block boundaries too."""
+    block = cli._CSV_BLOCK_ROWS
+    rows = [(n, k, math.pi * n / (k + 1), 1.0 / (n + k + 1), math.nan if k % 3 else 1e-300)
+            for n in range(40) for k in range(block + (n == 39))]
+    cells = [v for row in rows for v in row]   # the cells exist before the write
+    _traced_write_peak(tmp_path / "warm.csv", cells[:5 * block])
+    ten = _traced_write_peak(tmp_path / "ten.csv", cells[:50 * block])
+    forty = _traced_write_peak(tmp_path / "forty.csv", cells)
+    body = (tmp_path / "forty.csv").read_bytes()
+    assert body == reference_csv(["n", "k", "error_lambda", "error_m", "error_h"], rows)
+    assert forty <= ten + 1024 and forty < len(body) // 10
 
 
 @pytest.mark.parametrize("columns", [cli._LAMBDA_COLUMNS, cli._M_COLUMNS,

@@ -15,8 +15,9 @@ import pytest
 
 import nsrpf as nr
 from nsrpf import cones
-from nsrpf.cones import (ConeParams, birkhoff_rate, hilbert_gap_log_holder,
-                         sample_log_holder_field, theta_log_holder)
+from nsrpf.cones import (DEFAULT_CONE, ConeParams, birkhoff_rate, family_rows,
+                         hilbert_gap_log_holder, member_range, sample_log_holder_field,
+                         theta_log_holder)
 from nsrpf.dictionaries import pairing_vector, weak_dictionary
 from nsrpf.errors import ConvergenceError, StructuralError
 from nsrpf.hypotheses import RateConstants
@@ -24,7 +25,7 @@ from nsrpf.rpf import (ContractionReport, EigenReport, RatesReport, UniquenessRe
                        IndependenceReport, build_invariant_chain, solve_backward, solve_forward,
                        verify_cone_contraction, verify_eigen_relations,
                        verify_exponential_rates, verify_independence, verify_uniqueness)
-from nsrpf.spaces import Field, MeasureVec, normalize, pair, unit_field
+from nsrpf.spaces import Field, MeasureVec, PointSpace, normalize, pair, unit_field
 from nsrpf.systems import (CircleMapSpec, MatrixChainSpec, build_circle_chain,
                            build_matrix_chain)
 from nsrpf.transfer import StageSeq, apply_L, apply_L_dual, compose_L, normalize_stage
@@ -80,21 +81,25 @@ def _ref_frozen_backward(fwd, seed):
     return h
 
 
-# the verifiers' seed families: one generator (seed, level + 2^20) per seed
+# the verifiers' seed families: one member k of the sample family per seed,
+# drawn on its own
 def _uniform_sigma(level, space):
     return MeasureVec.uniform(space)
 
 
-def _random_sigma(seed):
+def _member(space, p, k):
+    return family_rows(space, p, [k])[0]
+
+
+def _member_sigma(k, p):
     def fam(level, space):
-        rng = np.random.default_rng((seed, level + 2 ** 20))
-        return MeasureVec(space, rng.uniform(0.5, 1.5, size=space.n_points))
+        return MeasureVec(space, _member(space, p, k))
     return fam
 
 
-def _random_cone_seed(seed, p):
+def _member_seed(k, p):
     def fam(level, space):
-        return sample_log_holder_field(space, p, np.random.default_rng((seed, level + 2 ** 20)))
+        return Field(space, _member(space, p, k))
     return fam
 
 
@@ -129,8 +134,9 @@ def _ref_reseed_gaps(fwd, bwd, runs, seed_families):
 def ref_independence(fwd, bwd, tol):
     thr = 10.0 * tol
     gaps = dict(zip(("dlam", "dm", "dh"), _ref_reseed_gaps(
-        fwd, bwd, [(fwd.seq.n_max, _random_sigma(s)) for s in (7, 88)],
-        [_random_cone_seed(s, fwd.cone) for s in (11, 23)])))
+        fwd, bwd, [(fwd.seq.n_max, _member_sigma(k, fwd.cone))
+                   for k in member_range("independence tails", 2)],
+        [_member_seed(k, fwd.cone) for k in member_range("independence seeds", 2)])))
     dlam, dm, dh = (max(g.values(), default=0.0) for g in gaps.values())
     return IndependenceReport(max_dlam=dlam, max_dm=dm, max_dh=dh, threshold=thr,
                               passed=dlam < thr and dm < thr and dh < thr, gaps=gaps)
@@ -141,12 +147,12 @@ def ref_uniqueness(fwd, bwd, tol):
     thr = 10.0 * tol
     dlam, dm, dh = (max(g.values(), default=0.0) for g in _ref_reseed_gaps(
         fwd, bwd, [(seq.n_max - shift, _uniform_sigma) for shift in (3, 5)],
-        [_random_cone_seed(100 + s, fwd.cone) for s in range(4)]))
+        [_member_seed(k, fwd.cone) for k in member_range("uniqueness seeds", 4)]))
     xi = 0.0
     if bwd is not None:
-        rng = np.random.default_rng(5)
-        for n in bwd.reported_h:
-            c = rng.uniform(0.5, 2.0)
+        scales = member_range("uniqueness scales", len(bwd.reported_h))
+        for n, k in zip(bwd.reported_h, scales):
+            c = float(_member(PointSpace.simplex(1), DEFAULT_CONE, k)[0])
             g = bwd.h[n] * c
             g = g * (1.0 / pair(g, fwd.m[n]))
             xi_n = pair(apply_L(seq.stage(n), g), fwd.m[n + 1])
@@ -195,9 +201,9 @@ def ref_rates(fwd, bwd, rc, slack=1e-9):
                        passed=(viol == 0 and slope_ok))
 
 
-def ref_cone_contraction(seq, p, *, tau, n_samples=100, rng=None, extra_delta=0.0,
+def ref_cone_contraction(seq, p, *, tau, n_samples=100, rng=None, seed=0, extra_delta=0.0,
                          monotone_every=1):
-    rng = rng or np.random.default_rng(20250811)
+    members = None if rng is not None else member_range("contraction", 2 * n_samples, seed)
     slack = 1e-9
     indices = [n for n in seq.stage_indices if n + tau <= seq.n_max]
     delta_m = extra_delta
@@ -209,8 +215,11 @@ def ref_cone_contraction(seq, p, *, tau, n_samples=100, rng=None, extra_delta=0.
     for s in range(n_samples):
         n = indices[s % len(indices)]
         sp = seq.space(n)
-        f = sample_log_holder_field(sp, p, rng)
-        g = sample_log_holder_field(sp, p, rng)
+        if members is None:
+            f = sample_log_holder_field(sp, p, rng)
+            g = sample_log_holder_field(sp, p, rng)
+        else:
+            f, g = (Field(sp, _member(sp, p, members[2 * s + j])) for j in (0, 1))
         A, B = hilbert_gap_log_holder(f, g, p)
         if not (A > 0.0) or math.isinf(B):
             continue
@@ -241,7 +250,7 @@ def ref_cone_contraction(seq, p, *, tau, n_samples=100, rng=None, extra_delta=0.
     passed = bool(np.all(ratios <= bf + slack)) and mono_viol == 0
     return ContractionReport(Delta_measured=delta_m, block_factor=bf, ratios=ratios,
                              monotone_violations=mono_viol, n_pairs=len(ratios),
-                             passed=passed)
+                             passed=passed, members=members)
 
 
 def ref_invariant_chain(fwd, bwd):
@@ -423,6 +432,18 @@ def test_cone_contraction_equals_the_per_sample_loop(case, n_samples, monotone_e
     _assert_same_report(got, want)
     if case.seq.space(case.seq.n_min).n_points > 1:
         assert want.n_pairs > 0
+
+
+@pytest.mark.parametrize("seed", [0, 123])
+def test_cone_contraction_from_the_family_equals_the_per_sample_loop(case, seed, cells):
+    """Without a generator the pairs are members of the sample family's
+    contraction range at ``seed``, drawn in blocks; the reference draws
+    each member on its own."""
+    kw = dict(tau=case.tau, n_samples=57, extra_delta=case.extra_delta, monotone_every=4)
+    got = verify_cone_contraction(case.seq, case.cone, seed=seed, **kw)
+    want = ref_cone_contraction(case.seq, case.cone, seed=seed, **kw)
+    _assert_same_report(got, want)
+    assert got.members == member_range("contraction", 114, seed)
 
 
 def _assert_same_invariant_chain(fwd, bwd, tol):
