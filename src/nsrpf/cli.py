@@ -22,10 +22,11 @@ significant digits, and nothing a run samples comes from a random
 generator: the cone certificate and the verifiers draw named members of the
 enumerated sample family (cones.family_rows), each from its own range of
 member ids, and [solver] seed, an integer in [0, 2^32), picks the
-cone_contraction verifier's range.  Only a config with random coefficients
-(a matrix chain's seed, a circle's random modes) draws them from numpy.random,
-once, when it is parsed.  So a rerun of a config reproduces every file byte
-for byte.  constants.txt
+cone_contraction verifier's range.  A config with random coefficients (a
+matrix chain's seed, a circle's random modes) draws them once, when it is
+parsed, with the bits of ``np.random.default_rng(seed).uniform`` but
+without importing numpy.random (systems._uniform).  So a rerun of a config
+reproduces every file byte for byte.  constants.txt
 names what set the certified Delta on its Delta_source line, and the
 cone_contraction line of report.txt the member ids its pairs were drawn
 from.

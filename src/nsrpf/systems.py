@@ -22,6 +22,11 @@ Two families:
 
 Oracles recompute the chain data by explicit (log-rescaled) dense matrix
 products, independently of the incremental solver code path.
+
+Random matrices and random-mode coefficients are drawn by ``_uniform``,
+which rebuilds numpy's default generator (SeedSequence and PCG64) and its
+uniform draw bit for bit, so a seed defines the same chain as
+``np.random.default_rng(seed)`` would while numpy.random stays unimported.
 """
 from __future__ import annotations
 
@@ -37,6 +42,91 @@ from .spaces import PointSpace
 from .transfer import Stage, StageSeq, _positive_finite, _real_array, _window_steps
 
 _BISECT_TOL = 1e-13
+
+
+# ---------------------------------------------------------------------------
+# seeded uniform draws
+# ---------------------------------------------------------------------------
+
+_M32 = 0xFFFFFFFF
+_M128 = (1 << 128) - 1
+_PCG64_MULT = (2549297995355413924 << 64) | 4865540595714422341
+
+
+def _require_seed(seed):
+    if not isinstance(seed, (int, np.integer)):
+        raise StructuralError(f"seed must be an integer, got {seed!r}")
+    if seed < 0:
+        raise DomainError(f"seed must be a non-negative integer, got {seed}")
+
+
+def _hashmix(h: int, mult: int):
+    """numpy SeedSequence's hashmix on 32-bit words, with hash constant ``h``
+    advanced by ``mult`` on every call."""
+    def hashmix(value: int) -> int:
+        nonlocal h
+        value ^= h
+        h = (h * mult) & _M32
+        value = (value * h) & _M32
+        return value ^ (value >> 16)
+    return hashmix
+
+
+def _mix(x: int, y: int) -> int:
+    r = (0xCA01F9DD * x - 0x4973F715 * y) & _M32
+    return r ^ (r >> 16)
+
+
+def _seed_state(seed: int) -> list[int]:
+    """``np.random.SeedSequence(seed).generate_state(4, np.uint64)`` as
+    Python ints: the seed's 32-bit words, least significant first, hashed
+    into a pool of four words and mixed so that every word reaches every
+    other; words past the fourth are mixed into each pool word.  The pool is
+    hashed out again as eight 32-bit words, paired low word first."""
+    words = [(seed >> s) & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]
+    hashmix = _hashmix(0x43B0D7E5, 0x931E8875)
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for w in words[4:]:
+        for dst in range(4):
+            pool[dst] = _mix(pool[dst], hashmix(w))
+    out = _hashmix(0x8B51F9DD, 0x58F38DED)
+    half = [out(pool[i % 4]) for i in range(8)]
+    return [half[i] | (half[i + 1] << 32) for i in range(0, 8, 2)]
+
+
+def _uniform(seed: int, low: float, high: float, shape: tuple[int, ...]) -> np.ndarray:
+    """Exactly ``np.random.default_rng(seed).uniform(low, high, size=shape)``,
+    without numpy.random (whose import loads hashlib, secrets and libcrypto).
+
+    The PCG64 generator is seeded from ``_seed_state`` as numpy seeds it:
+    state 0, increment 2 initseq + 1, one step, the initial state added, one
+    more step.  Each draw takes one 128-bit LCG step in Python ints; the
+    XSL-RR output (high word xor low word, rotated right by the top six
+    bits), the 53-bit double and ``low + (high - low) u`` run vectorized, in
+    C order.  DomainError unless high - low is finite and >= 0 and the seed
+    is >= 0; StructuralError for a seed that is not an integer."""
+    _require_seed(seed)
+    low, high = float(low), float(high)
+    span = high - low
+    if not 0.0 <= span < math.inf:
+        raise DomainError(f"uniform draws need low <= high with a finite high - low, "
+                          f"got [{low!r}, {high!r}]")
+    s_hi, s_lo, q_hi, q_lo = _seed_state(int(seed))
+    inc = ((((q_hi << 64) | q_lo) << 1) | 1) & _M128
+    state = ((inc + ((s_hi << 64) | s_lo)) * _PCG64_MULT + inc) & _M128
+    n = math.prod(shape)
+    # the one per-draw Python step; each state is kept as its 16 little-endian bytes
+    raw = b"".join([(state := (state * _PCG64_MULT + inc) & _M128).to_bytes(16, "little")
+                    for _ in range(n)])
+    lo, hi = np.frombuffer(raw, dtype="<u8").reshape(n, 2).T
+    x, rot = lo ^ hi, hi >> 58
+    bits = (x >> rot) | (x << ((64 - rot) & 63))
+    u = (bits >> 11).astype(np.float64) * 2.0 ** -53
+    return (low + span * u).reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -83,14 +173,14 @@ class MatrixChainSpec:
     @classmethod
     def random(cls, d: int, window: tuple[int, int], low: float = 1.0,
                high: float = 2.0, seed: int = 0) -> "MatrixChainSpec":
-        """W matrices drawn in one call, with the bits and the final
-        generator state of W draws of one (d, d) matrix each."""
+        """W matrices drawn in one call of ``_uniform``: the bits of
+        ``np.random.default_rng(seed).uniform(low, high, size=(W, d, d))``,
+        which are those of W successive draws of one (d, d) matrix each."""
         _require_states(d)
-        if not (0.0 < low <= high < math.inf and seed >= 0):
-            raise DomainError("random entries need 0 < low <= high < inf and a seed >= 0")
+        if not 0.0 < low <= high < math.inf:
+            raise DomainError("random entries need 0 < low <= high < inf")
         k = _window_steps(window)
-        return cls(d=d, window=window, seed=seed,
-                   matrices=np.random.default_rng(seed).uniform(low, high, size=(k, d, d)))
+        return cls(d=d, window=window, seed=seed, matrices=_uniform(seed, low, high, (k, d, d)))
 
     def matrix(self, n: int) -> np.ndarray:
         n_min, n_max = self.window
@@ -114,8 +204,6 @@ def build_matrix_chain(spec: MatrixChainSpec) -> StageSeq:
 
 def _mode_values(mode: str, amp: float, window: tuple[int, int],
                  seed: Optional[int]) -> np.ndarray:
-    if seed is not None and seed < 0:
-        raise DomainError(f"seed must be a non-negative integer, got {seed}")
     ns = np.arange(window[0], window[1])
     if mode == "constant":
         return np.full(ns.shape, amp)
@@ -124,8 +212,7 @@ def _mode_values(mode: str, amp: float, window: tuple[int, int],
     if mode == "sin":
         return amp * np.sin(ns.astype(np.float64))
     if mode == "random":
-        rng = np.random.default_rng(0 if seed is None else seed)
-        return rng.uniform(-amp, amp, size=ns.shape)
+        return _uniform(0 if seed is None else seed, -amp, amp, ns.shape)
     raise DomainError(f"unknown coefficient mode {mode!r}")
 
 
@@ -165,6 +252,8 @@ class CircleMapSpec:
              b: float = 0.0, b_mode: str = "constant", delta: float = 0.2,
              seed: Optional[int] = None) -> "CircleMapSpec":
         _window_steps(window)
+        if seed is not None:
+            _require_seed(seed)
         for name, amp in (("eps", eps), ("a", a), ("b", b)):
             if not math.isfinite(amp):
                 raise DomainError(f"{name} must be finite")

@@ -443,6 +443,9 @@ SHIPPED = HERE.parent / "configs"
     ("matrix_random", "entry_low = 1.0", "entry_low = 2.5"),
     ("matrix_random", "seed = 1234", "seed = -1"),
     ("circle_perturbed", "eps_mode = alternating", "eps_mode = random\nseed = -1"),
+    ("circle_perturbed", "a = 0.1\na_mode = sin", "a = -0.1\na_mode = random"),
+    ("circle_perturbed", "eps = 0.05\neps_mode = alternating", "eps = -0.01\neps_mode = random"),
+    ("circle_perturbed", "a = 0.1\na_mode = sin", "a = 1e308\na_mode = random"),
 ])
 @pytest.mark.parametrize("cmd", ["certify", "run"])
 def test_system_value_errors_exit_2_without_a_traceback(tmp_path, config, old, new, cmd):

@@ -146,28 +146,50 @@ def test_a_different_solver_seed_gives_the_verifier_a_different_range(tmp_path):
 _RUN_TWICE = """
 import os, sys
 from nsrpf import cli
-for config, out in zip(sys.argv[1::2], sys.argv[2::2]):
+args = sys.argv[1:]
+for cmd, config, out in zip(args[0::3], args[1::3], args[2::3]):
     for rep in ("a", "b"):
         os.environ["NSRPF_OUTDIR"] = os.path.join(out, rep)
-        assert cli.main(["run", config]) == 0
+        assert cli.main([cmd, config]) == 0
 print([m for m in ("numpy.random", "hashlib", "secrets") if m in sys.modules])
 """
 
 
-def test_circle_runs_import_no_random_generator_and_repeat_byte_for_byte(tmp_path):
-    """In a fresh interpreter (pytest's own has numpy.random loaded), two
-    runs each of the shipped circle configs leave numpy.random, hashlib
-    and secrets unimported and write the same bytes twice."""
-    configs = ["circle_perturbed", "doubling"]
-    args = [x for c in configs for x in (str(ROOT / "configs" / f"{c}.ini"), str(tmp_path / c))]
+def _assert_twice_without_a_random_generator(tmp_path, steps):
+    """Runs each (cmd, config, label) of ``steps`` twice in one fresh
+    interpreter (pytest's own has numpy.random loaded); numpy.random,
+    hashlib and secrets stay unimported, and both runs of a step write the
+    same files with the same bytes."""
+    args = [x for cmd, config, label in steps for x in (cmd, str(config), str(tmp_path / label))]
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     proc = subprocess.run([sys.executable, "-c", _RUN_TWICE, *args], env=env,
                           capture_output=True, text=True, check=False)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
-    for c in configs:
-        a, b = tmp_path / c / "a", tmp_path / c / "b"
+    for _, _, label in steps:
+        a, b = tmp_path / label / "a", tmp_path / label / "b"
         names = sorted(os.listdir(a))
-        assert names == sorted(os.listdir(b)) and "constants.txt" in names
+        assert names == sorted(os.listdir(b)) and "report.txt" in names
         match, mismatch, errors = filecmp.cmpfiles(a, b, names, shallow=False)
         assert (mismatch, errors) == ([], [])
+
+
+def test_circle_runs_import_no_random_generator_and_repeat_byte_for_byte(tmp_path):
+    """The shipped circle configs, which draw nothing at parse time."""
+    _assert_twice_without_a_random_generator(
+        tmp_path, [("run", ROOT / "configs" / f"{c}.ini", c)
+                   for c in ("circle_perturbed", "doubling")])
+
+
+def test_drawn_chains_import_no_random_generator_and_repeat_byte_for_byte(tmp_path):
+    """Configs whose chain is drawn from a seed when parsed: a random matrix
+    chain (run and oracle), the seed-72 matrix chain and a random-mode
+    circle draw through ``systems._uniform``, not numpy.random."""
+    matrix = ROOT / "configs" / "matrix_random.ini"
+    data = ROOT / "tests" / "data"
+    _assert_twice_without_a_random_generator(tmp_path, [
+        ("run", matrix, "matrix_random"),
+        ("oracle", matrix, "oracle-matrix_random"),
+        ("run", data / "matrix_seed72_chain6.ini", "matrix_seed72_chain6"),
+        ("run", data / "circle_random_holder.ini", "circle_random_holder"),
+    ])

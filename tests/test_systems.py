@@ -8,7 +8,7 @@ import pytest
 from nsrpf.cli import parse_config
 from nsrpf.errors import ConvergenceError, DomainError, StructuralError
 from nsrpf.spaces import Field, MeasureVec, PointSpace
-from nsrpf.systems import (CircleMapSpec, MatrixChainSpec, build_circle_chain,
+from nsrpf.systems import (CircleMapSpec, MatrixChainSpec, _uniform, build_circle_chain,
                            build_matrix_chain, oracle_rpf_chain,
                            oracle_stationary_rpf)
 from nsrpf.transfer import Stage, StageSeq, apply_L, apply_L_dual
@@ -67,8 +67,10 @@ def test_matrix_spec_and_stage_reject_entries_outside_the_positive_reals(bad):
 
 @pytest.mark.parametrize("d", [2, 3, 4])
 def test_one_stacked_draw_equals_one_draw_per_matrix(d):
-    """MatrixChainSpec.random draws its (W, d, d) stack in one call: the bits
-    and the generator's final state are those of W draws of (d, d)."""
+    """MatrixChainSpec.random holds the bits of numpy's stream: W draws of
+    one (d, d) matrix each from ``default_rng(seed)``, which one stacked
+    (W, d, d) draw reproduces, bits and final generator state.  The spec
+    keeps the matrices only, no generator state."""
     low, high, seed, window = 1.0, 2.0, 1472442089 + d, (-50, 50)
     rng = np.random.default_rng(seed)
     loop = [rng.uniform(low, high, size=(d, d)) for _ in range(window[1] - window[0])]
@@ -79,6 +81,24 @@ def test_one_stacked_draw_equals_one_draw_per_matrix(d):
     assert spec.matrices.shape == (len(loop), d, d) and spec.matrices.dtype == np.float64
     for k, m in enumerate(loop):
         assert np.array_equal(draw[k], m) and np.array_equal(spec.matrix(window[0] + k), m)
+
+
+UNIFORM_SEEDS = [*range(200), 2**32 - 1, 2**32, 2**40 + 7, 2**64 + 3, 2**160 + 11]
+UNIFORM_SHAPES = [s for w in (1, 100) for s in [(w,)] + [(w, d, d) for d in range(1, 5)]]
+
+
+@pytest.mark.parametrize("low, high", [(1.0, 2.0), (-0.05, 0.05), (-0.0, 0.0), (5.0, 5.0)])
+def test_uniform_is_numpys_default_generator_bit_for_bit(low, high):
+    """``_uniform`` against ``default_rng(seed).uniform`` itself, compared as
+    uint64 bit patterns: one-word seeds 0..199, the largest one-word seed,
+    seeds of two and three 32-bit words and one of six (more words than the
+    entropy pool holds), flat and (W, d, d) shapes."""
+    for seed in UNIFORM_SEEDS:
+        for shape in UNIFORM_SHAPES:
+            got = _uniform(seed, low, high, shape)
+            want = np.random.default_rng(seed).uniform(low, high, size=shape)
+            assert got.shape == want.shape and got.dtype == np.float64
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (seed, shape)
 
 
 def test_stationary_spec_is_one_stack_of_copies():

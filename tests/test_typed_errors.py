@@ -2,7 +2,9 @@
 
 One table of (entry point, input, expected outcome): ragged branch tables,
 non-integer windows, windows that are not one pair, non-integer sizes,
-hypothesis parameters that are not integers or not finite, and matrices the
+seeds that are not non-negative integers, random-mode ranges of negative or
+overflowing width, hypothesis parameters that are not integers or not
+finite, and matrices the
 stationary oracle cannot iterate each raise their StructuralError or
 DomainError at the call, not a numpy or builtin error later.  The last row holds the C+ ratio reduction to its boundary
 rule: no positive multiple of f lies below a vector with a negative entry
@@ -53,6 +55,24 @@ CASES = {
     "three-end window": (MatrixChainSpec.random, dict(d=2, window=(0, 4, 5)), StructuralError),
     "one-end window": (MatrixChainSpec.random, dict(d=2, window=(0,)), StructuralError),
     "one-end circle window": (CircleMapSpec.make, dict(N=16, window=(0,)), StructuralError),
+    "float matrix seed": (MatrixChainSpec.random, dict(d=2, window=(0, 4), seed=1.5),
+                          StructuralError),
+    "string matrix seed": (MatrixChainSpec.random, dict(d=2, window=(0, 4), seed="3"),
+                           StructuralError),
+    "negative matrix seed": (MatrixChainSpec.random, dict(d=2, window=(0, 4), seed=-1),
+                             DomainError),
+    "float circle seed": (CircleMapSpec.make, dict(N=64, window=(0, 8), eps_mode="random",
+                                                   seed=1.5), StructuralError),
+    "string circle seed": (CircleMapSpec.make, dict(N=64, window=(0, 8), seed="3"),
+                           StructuralError),
+    "negative circle seed": (CircleMapSpec.make, dict(N=64, window=(0, 8), seed=-1),
+                             DomainError),
+    "negative random amplitude": (CircleMapSpec.make, dict(N=64, window=(0, 8), a=-0.1,
+                                                           a_mode="random"), DomainError),
+    "negative random eps": (CircleMapSpec.make, dict(N=64, window=(0, 8), eps=-0.01,
+                                                     eps_mode="random"), DomainError),
+    "overflowing random range": (CircleMapSpec.make, dict(N=64, window=(0, 8), a=1e308,
+                                                          a_mode="random"), DomainError),
     "float tau": (_hyp, dict(tau=2.0), DomainError),
     "float D": (_hyp, dict(D=2.0), DomainError),
     "nan delta": (_hyp, dict(delta=math.nan), DomainError),
