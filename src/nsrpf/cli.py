@@ -35,12 +35,14 @@ Every CSV has a per-column row template, "%d" for the integer columns (n,
 index, k, k_star, which is -1 where no k* was found) and "%.17g" for every
 float, and its body is written in blocks of 256 rows, each one ``%`` of that
 template repeated once per row over the block's row-major cell values
-(``_write_csv``).  m_<n>.csv and h_<n>.csv format
+(``_write_csv``); rates.csv takes its cells from the report's record
+columns, one block at a time.  m_<n>.csv and h_<n>.csv format
 the vector's ``tolist()`` through one body template per vector length with
 the point indices baked in, which gives the same bytes.  The scalar rule ``_fmt`` of
 constants.txt and report.txt uses the same "%.17g".  A value the config
 admits but the chain does not (an odd grid, a negative matrix entry, zero
-states) is a config error naming [system].
+states, a potential whose exp overflows or vanishes) is a config error
+naming [system].
 
 Every file is written by ``_atomic_write`` at the os level: a hidden temp
 file in the target directory, created exclusively with mode 0600 (under the
@@ -285,6 +287,13 @@ def _write_csv(path: str, columns: tuple, values):
     _atomic_write(path, chunks())
 
 
+def _record_cells(records: np.ndarray):
+    """Row-major cell values of the structured array ``records`` as Python
+    scalars, converted one block of _CSV_BLOCK_ROWS records at a time."""
+    for i in range(0, records.size, _CSV_BLOCK_ROWS):
+        yield from itertools.chain.from_iterable(records[i:i + _CSV_BLOCK_ROWS].tolist())
+
+
 def _vector_template(n: int) -> str:
     """Body template of an (index, value) CSV over a vector of n points: the
     indices baked in, one "%.17g" per value."""
@@ -397,8 +406,7 @@ def _write_run_artifacts(out_dir: str, fwd, bwd, eig, rates, report: str):
     for name in os.listdir(out_dir):
         if name not in written and _VECTOR_NAME.fullmatch(name):
             os.unlink(os.path.join(out_dir, name))
-    _write_csv(os.path.join(out_dir, "rates.csv"), _RATES_COLUMNS,
-               itertools.chain.from_iterable(rates.rows))
+    _write_csv(os.path.join(out_dir, "rates.csv"), _RATES_COLUMNS, _record_cells(rates.rows))
     _atomic_write(os.path.join(out_dir, "report.txt"), report)
 
 

@@ -540,9 +540,22 @@ def verify_uniqueness(fwd: ForwardSolution, bwd: Optional[BackwardSolution], *,
                             max_dh_seed=dh, threshold=thr, passed=passed)
 
 
+_RATE_RECORD = np.dtype([("n", np.int64), ("k", np.int64), ("err_lambda", np.float64),
+                         ("err_m", np.float64), ("err_h", np.float64)])
+
+
 @dataclass
 class RatesReport:
-    rows: list            # (n, k, err_lambda, err_m, err_h) with nan padding
+    """The replayed error records and the envelope verdict.
+
+    ``rows`` holds one record per forward history entry, index by index in
+    the window's order and depth by depth within an index, as five array
+    columns of one structured array: ``n`` and ``k`` (int64), and
+    ``err_lambda``, ``err_m`` and ``err_h`` (float64), ``err_h`` nan where
+    the backward history has no entry at that position.  A record takes
+    40 bytes; ``len(rows)`` counts them."""
+
+    rows: np.ndarray
     violations: int
     slopes: dict          # n -> (slope_lambda, slope_h)
     passed: bool
@@ -621,11 +634,15 @@ def verify_exponential_rates(fwd: ForwardSolution, bwd: Optional[BackwardSolutio
     viol = (int(np.sum((err_l > env + slack) & (k_f >= rc.tau + 1)))
             + int(np.sum((err_m > env + slack) & (k_f >= rc.tau)))
             + int(np.sum((err_hb > envh + slack) & (k_b >= rc.tau))))
-    err_h = []    # both histories hold depths 1, 2, ..: pair records by position
-    for n, h in fh.items():
-        e = bh[n].err_h.tolist()[:h.ks.size] if n in bh else []
-        err_h += e + [math.nan] * (h.ks.size - len(e))
-    rows = list(zip(n_f.tolist(), k_f.tolist(), err_l.tolist(), err_m.tolist(), err_h))
+    rows = np.empty(n_f.size, _RATE_RECORD)
+    for name, col in zip(_RATE_RECORD.names, (n_f, k_f, err_l, err_m, math.nan)):
+        rows[name] = col
+    start = 0     # both histories hold depths 1, 2, ..: pair records by position
+    for n, size in zip(fh, f_len):
+        if n in bh:
+            e = bh[n].err_h[:size]
+            rows["err_h"][start:start + e.size] = e
+        start += size
     fits = _fit_slopes(np.concatenate((k_f, k_b)), np.concatenate((err_l, err_hb)),
                        f_len + b_len, [rc.tau + 1] * len(f_len) + [rc.tau] * len(b_len))
     sl = fits[:len(f_len)].tolist()

@@ -16,9 +16,11 @@ Two families:
   sequence.  Branch inverses are solved by bisection on the monotone lift to
   1e-13; off-grid function values are linearly interpolated.  The branch
   inverses and the lift depend on eps_n alone, so they are solved once per
-  distinct eps_n and shared, read-only, by the stages that use that map;
-  only the branch weights and the potential are per stage.  A circle stage
-  holds its map and potential as exact callables, never sampled.
+  distinct eps_n and shared, read-only, by the stages that use that map,
+  with cos(2 pi y) at the branch points.  Only (a_n, b_n) is per stage: a
+  circle stage holds its map and potential as exact callables, never
+  sampled, its potential an AffinePotential from which the stage derives
+  its branch weights exp(a_n cos(2 pi y) + b_n) when they are read.
 
 Oracles recompute the chain data by explicit (log-rescaled) dense matrix
 products, independently of the incremental solver code path.
@@ -31,6 +33,7 @@ uniform draw bit for bit, so a seed defines the same chain as
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -39,9 +42,11 @@ import numpy as np
 from .errors import ConvergenceError, DomainError, StructuralError
 from .hypotheses import HypothesisParams
 from .spaces import PointSpace
-from .transfer import Stage, StageSeq, _positive_finite, _real_array, _window_steps
+from .transfer import (AffinePotential, Stage, StageSeq, _positive_finite, _real_array,
+                       _window_steps)
 
 _BISECT_TOL = 1e-13
+_EXP_ARG_MAX = math.log(sys.float_info.max)   # exp(x) is finite and positive for |x| below
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +224,9 @@ def _mode_values(mode: str, amp: float, window: tuple[int, int],
 @dataclass(frozen=True, eq=False)
 class CircleMapSpec:
     """Maps x -> 2x + eps_n sin(2 pi x) on the N-point circle grid with
-    potentials a_n cos(2 pi x) + b_n."""
+    potentials a_n cos(2 pi x) + b_n.  DomainError unless every potential
+    lies in exp's finite positive range: max|a_n| + max|b_n| < log(max
+    float), about 709.78."""
 
     N: int
     window: tuple[int, int]
@@ -238,6 +245,10 @@ class CircleMapSpec:
                 raise StructuralError(f"{name} needs one value per window step")
             if not np.isfinite(arr).all():
                 raise DomainError(f"{name} values must be finite")
+        bound = float(np.abs(self.a).max()) + float(np.abs(self.b).max())
+        if not bound < _EXP_ARG_MAX:
+            raise DomainError(f"potentials need max|a| + max|b| < {_EXP_ARG_MAX:.2f} for "
+                              f"finite positive weights exp(potential), got {bound:.6g}")
         if not (math.isfinite(self.delta) and self.delta > 0.0):
             raise DomainError("delta must be positive and finite")
         emax = float(np.abs(self.eps).max())
@@ -277,10 +288,15 @@ class CircleMapSpec:
 _GRID_SNAP_UNITS = 1e-9   # in grid units; exact-grid preimages stay exact
 
 
+def _cos_2pi(y):
+    """The basis of the circle potentials, cos(2 pi y) at raw positions y."""
+    return np.cos(2.0 * math.pi * y)
+
+
 def _circle_map(space: PointSpace, eps: float):
     """Geometry of x -> 2x + eps sin(2 pi x) on the grid, shared by every
-    stage with this eps: (lift, branch_index, branch_frac, branch positions).
-    The arrays are read-only."""
+    stage with this eps: (lift, branch_index, branch_frac, cos(2 pi y) at
+    the branch points y).  The arrays are read-only."""
     n = space.n_points
     x = space.positions
 
@@ -292,7 +308,7 @@ def _circle_map(space: PointSpace, eps: float):
     # on [br/2, (br+1)/2], independent of eps
     branch_idx = np.empty((2, n), dtype=np.int64)
     branch_frac = np.empty((2, n))
-    branch_pos = np.empty((2, n))
+    branch_cos = np.empty((2, n))
     for br in range(2):
         target = x + br
         lo = np.full(n, br / 2.0)
@@ -310,27 +326,25 @@ def _circle_map(space: PointSpace, eps: float):
         base = np.floor(scaled).astype(np.int64)
         branch_idx[br] = base % n
         branch_frac[br] = scaled - base
-        branch_pos[br] = scaled / n
-    geometry = (branch_idx, branch_frac, branch_pos)
+        branch_cos[br] = _cos_2pi(scaled / n)
+    geometry = (branch_idx, branch_frac, branch_cos)
     for arr in geometry:
         arr.flags.writeable = False
     return (lift,) + geometry
 
 
 def _make_circle_stage(space: PointSpace, geometry, a: float, b: float) -> Stage:
-    lift, branch_idx, branch_frac, branch_pos = geometry
-
-    def potential_fn(y):
-        return a * np.cos(2.0 * math.pi * y) + b
-
+    lift, branch_idx, branch_frac, branch_cos = geometry
     return Stage(domain=space, codomain=space, branch_index=branch_idx,
-                 branch_frac=branch_frac, branch_weight=np.exp(potential_fn(branch_pos)),
-                 potential_fn=potential_fn, map_fn=lift)
+                 branch_frac=branch_frac, map_fn=lift,
+                 potential_fn=AffinePotential(a, b, _cos_2pi, branch_cos))
 
 
 def build_circle_chain(spec: CircleMapSpec) -> StageSeq:
     """One stage per window step; the branch inverses are solved once per
-    distinct eps_n and shared, with the lift, by the stages with that map."""
+    distinct eps_n and shared, with the lift and the cosine table, by the
+    stages with that map.  A stage holds its (a_n, b_n) and derives its
+    weights."""
     space = PointSpace.circle_grid(spec.N)
     steps_of = {}   # eps -> the window steps that use that map
     for k in range(spec.window[1] - spec.window[0]):

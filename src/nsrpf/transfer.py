@@ -7,11 +7,16 @@ one of two representations, and the kernels dispatch once on which:
 
       (L f)(x) = sum over preimage branches y of x  of  w(y) f(y),
 
-  with strictly positive branch weights w(y) = exp(potential at y), stored
+  with strictly positive branch weights w(y) = exp(potential at y), held
   as (grid index, interpolation fraction, weight) triples.  On a circle
   grid the branch preimages are solved off-grid and f(y) is linearly
   interpolated between grid neighbours; on finite point sets preimages sit
-  exactly on points (fraction 0);
+  exactly on points (fraction 0).  A stage whose exact potential is an
+  AffinePotential, a g + b over a basis g tabulated at its branch points
+  (the built-in circle chains), derives its weights exp(a g + b) from that
+  table whenever they are read and stores none; every other branch-table
+  stage (finite maps, normalized stages, hand-built tables) stores the
+  weights it was given;
 * a dense matrix, for operator stages given by a strictly positive matrix
   M: L is exactly f -> M f, and no forward map exists.
 
@@ -26,11 +31,11 @@ and the cone certificate calls them directly.  Both also take a stack of
 rows, one vector per row, and give every row the same bits as a call on
 that row alone, so a stack pays off where one call serves all its rows:
 the solvers' sweeps push all depths of one index through its stage in one
-call.  On a branch table a call computes the stage's invariants
-(1 - frac, the next-point indices and the output) once and loops over the
-rows, each gathered with ndarray.take and blended, weighted and summed in
-place; the dual weights each row once for all branches and adds the
-branches' bincounts in a fixed order.  Per-row work on rows of a few
+call.  On a branch table a call computes the stage's invariants (the
+weights, 1 - frac, the next-point indices and the output) once and loops
+over the rows, each gathered with ndarray.take and blended, weighted and
+summed in place; the dual weights each row once for all branches and adds
+the branches' bincounts in a fixed order.  Per-row work on rows of a few
 thousand points stays in cache, which a batched (R, B, n) gather does not.
 """
 from __future__ import annotations
@@ -43,6 +48,53 @@ import numpy as np
 
 from .errors import DomainError, StructuralError
 from .spaces import KIND_CIRCLE, Field, MeasureVec, PointSpace
+
+
+@dataclass(frozen=True, eq=False, slots=True)
+class AffinePotential:
+    """The exact potential y -> a g(y) + b of a circle stage, for a basis g
+    shared by the stages of one map and tabulated at their branch points.
+
+    The stage's branch weights exp(a g + b) are derived from the table when
+    read, with the bits of ``np.exp(potential(branch positions))``, so only
+    (a, b) is per stage."""
+
+    a: float
+    b: float
+    basis: Callable              # g at raw positions
+    at_branches: np.ndarray      # g at the branch points, (B, n_cod), shared
+
+    def __call__(self, y):
+        return self.a * self.basis(y) + self.b
+
+    def branch_weight(self) -> np.ndarray:
+        w = self.a * self.at_branches
+        w += self.b
+        return np.exp(w, out=w)
+
+
+def _weight_source(stage) -> Optional[AffinePotential]:
+    """The potential a stage derives its branch weights from: its exact
+    potential when that is an AffinePotential and no weights were given."""
+    pot = stage.potential_fn
+    if stage.__dict__["_given_weight"] is None and isinstance(pot, AffinePotential):
+        return pot
+    return None
+
+
+class _BranchWeight:
+    """The field ``Stage.branch_weight``: the weights a stage was given or,
+    on a stage with a _weight_source, the weights derived from it, computed
+    anew at every read."""
+
+    def __get__(self, stage, owner=None):
+        if stage is None:
+            return None   # the field's default
+        source = _weight_source(stage)
+        return stage.__dict__["_given_weight"] if source is None else source.branch_weight()
+
+    def __set__(self, stage, value):
+        stage.__dict__["_given_weight"] = value
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,13 +110,20 @@ class Stage:
     the exact lift and the exact potential at raw positions.  Operator
     stages hold only ``dense``, the strictly positive (n_codomain, n_domain)
     matrix of L.
+
+    ``branch_weight`` reads as the (B, n_codomain) float64 array on every
+    map stage.  A stage built without it whose ``potential_fn`` is an
+    AffinePotential (the built-in circle chains) derives it from that
+    potential at each read, ``np.exp(a * table + b)``, and stores no
+    weights; any other map stage stores the weights it was given.  Either
+    form is validated once, here; a kernel reads the weights once per call.
     """
 
     domain: PointSpace
     codomain: PointSpace
     branch_index: Optional[np.ndarray] = None    # (B, n_cod) int64
     branch_frac: Optional[np.ndarray] = None     # (B, n_cod) float64 in [0, 1)
-    branch_weight: Optional[np.ndarray] = None   # (B, n_cod) float64 > 0
+    branch_weight: Optional[np.ndarray] = _BranchWeight()   # (B, n_cod) float64 > 0
     forward_index: Optional[np.ndarray] = None   # (n_dom,) image index, finite form
     potential: Optional[Field] = None            # sampled potential, finite form
     potential_fn: Optional[Callable] = None      # exact potential at raw positions
@@ -73,7 +132,11 @@ class Stage:
 
     def __post_init__(self):
         n_dom, n_cod = self.domain.n_points, self.codomain.n_points
-        table = (self.branch_index, self.branch_frac, self.branch_weight)
+        weight, source = self.__dict__["_given_weight"], _weight_source(self)
+        if source is not None:
+            with np.errstate(over="ignore", invalid="ignore"):   # judged below
+                weight = source.branch_weight()
+        table = (self.branch_index, self.branch_frac, weight)
         if (self.dense is None) == all(a is None for a in table):
             raise StructuralError("a stage needs exactly one of a branch table and a matrix")
         finite = (self.forward_index is not None, self.potential is not None)
@@ -104,7 +167,7 @@ class Stage:
             raise StructuralError(shape_error)
         index = _index_array(self.branch_index, n_dom,
                              "branch indices must be integers in [0, n_domain)")
-        frac, weight = _real_array(self.branch_frac), _real_array(self.branch_weight)
+        frac, weight = _real_array(self.branch_frac), _real_array(weight)
         if index.ndim != 2 or not index.shape == frac.shape == weight.shape:
             raise StructuralError(shape_error)
         if index.shape[1] != n_cod:
@@ -116,9 +179,10 @@ class Stage:
         if self.forward_index is not None:
             object.__setattr__(self, "forward_index", _index_array(
                 self.forward_index, n_cod, "forward indices must be integers in [0, n_codomain)"))
-        for name, arr in (("branch_index", index), ("branch_frac", frac),
-                          ("branch_weight", weight)):
-            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "branch_index", index)
+        object.__setattr__(self, "branch_frac", frac)
+        if source is None:   # derived weights stay unstored
+            object.__setattr__(self, "branch_weight", weight)
 
     @property
     def n_branches(self) -> int:
@@ -317,7 +381,8 @@ def normalize_stage(stage: Stage, h_dom: Field, h_cod: Field, lam: float) -> Sta
     h_dom at the preimages exactly like apply_L does, so the normalized
     operator satisfies  L~ 1 = L(h_dom)/(lambda h_cod)  identically.
     Normalizing changes the weights, not the map: the stage keeps its form
-    of the map.  A sampled potential is shifted pointwise; an exact one
+    of the map, and stores its new weights, which are not exp of its new
+    potential bit for bit.  A sampled potential is shifted pointwise; an exact one
     becomes y -> phi(y) + log h_dom(y) - log h_cod(T(y) mod 1) - log lambda,
     with h linearly interpolated at raw positions.  An operator stage's
     matrix becomes M[x, y] h_dom(y) / (lambda h_cod(x)).

@@ -446,6 +446,8 @@ SHIPPED = HERE.parent / "configs"
     ("circle_perturbed", "a = 0.1\na_mode = sin", "a = -0.1\na_mode = random"),
     ("circle_perturbed", "eps = 0.05\neps_mode = alternating", "eps = -0.01\neps_mode = random"),
     ("circle_perturbed", "a = 0.1\na_mode = sin", "a = 1e308\na_mode = random"),
+    ("circle_perturbed", "a = 0.1\na_mode = sin", "a = 800\na_mode = constant"),
+    ("circle_perturbed", "b = 0.0", "b = -800"),
 ])
 @pytest.mark.parametrize("cmd", ["certify", "run"])
 def test_system_value_errors_exit_2_without_a_traceback(tmp_path, config, old, new, cmd):

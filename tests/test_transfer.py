@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,8 +11,8 @@ from nsrpf.errors import DomainError, StructuralError
 from nsrpf.spaces import Field, MeasureVec, PointSpace, pair, unit_field
 from nsrpf.systems import CircleMapSpec, MatrixChainSpec, build_circle_chain, build_matrix_chain
 from nsrpf.rpf import _compose_rows
-from nsrpf.transfer import (Stage, StageSeq, _apply_values, _dual_weights, apply_L,
-                            apply_L_dual, compose_L, normalize_stage)
+from nsrpf.transfer import (AffinePotential, Stage, StageSeq, _apply_values, _dual_weights,
+                            apply_L, apply_L_dual, compose_L, normalize_stage)
 
 from conftest import (PERTURBED, brute_compose_values, build_halving_chain,
                       sampled_doubling_chain, snapped_stage)
@@ -130,6 +131,22 @@ def test_branch_tables_are_validated(field, value, message):
     st = build_halving_chain(levels=1, n_top=4, seed=1).stage(0)
     with pytest.raises(StructuralError, match=message):
         dataclasses.replace(st, **{field: value})
+
+
+@pytest.mark.parametrize("a, b", [(800.0, 0.0), (0.0, -800.0), (math.nan, 0.0),
+                                  (0.0, math.inf)])
+def test_derived_branch_weights_are_validated(a, b):
+    # a circle stage built directly over its shared geometry, with an (a, b)
+    # whose weights exp(a cos + b) are not all finite and positive: refused
+    # at construction like a given weight table, and without a numpy warning
+    st = _circle_stage()
+    pot = st.potential_fn
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StructuralError, match="branch weights"):
+            Stage(st.domain, st.codomain, branch_index=st.branch_index,
+                  branch_frac=st.branch_frac, map_fn=st.map_fn,
+                  potential_fn=AffinePotential(a, b, pot.basis, pot.at_branches))
 
 
 def test_constant_potential_factors_out():

@@ -3,7 +3,8 @@
 One table of (entry point, input, expected outcome): ragged branch tables,
 non-integer windows, windows that are not one pair, non-integer sizes,
 seeds that are not non-negative integers, random-mode ranges of negative or
-overflowing width, hypothesis parameters that are not integers or not
+overflowing width, circle potentials whose exp overflows or vanishes,
+hypothesis parameters that are not integers or not
 finite, and matrices the
 stationary oracle cannot iterate each raise their StructuralError or
 DomainError at the call, not a numpy or builtin error later.  The last row holds the C+ ratio reduction to its boundary
@@ -73,6 +74,10 @@ CASES = {
                                                      eps_mode="random"), DomainError),
     "overflowing random range": (CircleMapSpec.make, dict(N=64, window=(0, 8), a=1e308,
                                                           a_mode="random"), DomainError),
+    "potential past exp's range": (CircleMapSpec.make, dict(N=64, window=(-32, 32), a=800.0,
+                                                            a_mode="constant"), DomainError),
+    "potential below exp's range": (CircleMapSpec.make, dict(N=64, window=(-32, 32),
+                                                             b=-800.0), DomainError),
     "float tau": (_hyp, dict(tau=2.0), DomainError),
     "float D": (_hyp, dict(D=2.0), DomainError),
     "nan delta": (_hyp, dict(delta=math.nan), DomainError),
