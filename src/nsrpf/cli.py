@@ -364,9 +364,17 @@ def _constants_text(cfg, cone, cert, ledger) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _make_out_dir(cfg: RunConfig) -> None:
+    """Create the output directory ([outputs].dir or NSRPF_OUTDIR)."""
+    try:
+        os.makedirs(cfg.out_dir, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(f"[outputs].dir: cannot create {cfg.out_dir!r}: {e.strerror}") from e
+
+
 def cmd_certify(cfg: RunConfig) -> int:
     _, cone, cert, ledger = _certify(cfg)
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    _make_out_dir(cfg)
     text = _constants_text(cfg, cone, cert, ledger)
     _atomic_write(os.path.join(cfg.out_dir, "constants.txt"), text)
     sys.stdout.write(text)
@@ -412,7 +420,7 @@ def _write_run_artifacts(out_dir: str, fwd, bwd, eig, rates, report: str):
 
 def cmd_run(cfg: RunConfig) -> int:
     seq, cone, cert, ledger = _certify(cfg)
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    _make_out_dir(cfg)
     _atomic_write(os.path.join(cfg.out_dir, "constants.txt"),
                   _constants_text(cfg, cone, cert, ledger))
     fwd = solve_forward(seq, tol=cfg.tol, tau=cert.tau,
@@ -513,7 +521,7 @@ def cmd_oracle(cfg: RunConfig) -> int:
               if n in bwd.reported_h else math.nan)
         worst = max(worst, dl, dm, 0.0 if math.isnan(dh) else dh)
         rows.append((n, dl, dm, dh))
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    _make_out_dir(cfg)
     _write_csv(os.path.join(cfg.out_dir, "oracle_diff.csv"), _ORACLE_COLUMNS,
                itertools.chain.from_iterable(rows))
     ok = worst < 1e-9

@@ -20,11 +20,12 @@ index with tail seeds supplied per level.  Successive-iterate gaps (in the
 growth logs and in pairings against a separating dictionary) give the
 stopping index k*; distances to the frozen solution give the error
 histories that the exponential-rate verifier replays against the C1 gamma^k
-and C3 gamma^k envelopes.  The sweeps are index-major: all depths of one
-index are the rows of one array, advanced by one stacked call of its stage
-from the previous index's rows.  Gaps and errors are row-wise array
-operations, and every history equals the one a per-index loop of
-apply_L_dual / apply_L would record, bit for bit.
+and C3 gamma^k envelopes.  A solution keeps them as one record array, read
+as it is by the stopping rule and the rates replay.  The sweeps are
+index-major: all depths of one index are the rows of one array, advanced by
+one stacked call of its stage from the previous index's rows.  Gaps and
+errors are row-wise array operations, and every record equals the one a
+per-index loop of apply_L_dual / apply_L would record, bit for bit.
 
 Schedule.  The forward solution is the one holder of the solve schedule,
 (tol, tau, block_factor, headroom); the backward solver and every verifier
@@ -34,7 +35,7 @@ s_tol = tol (1 - gamma) / 2, the stopping depth k* of a reported index is
 the first recorded depth k >= tau at which its successive gap falls below
 s_tol.  Both sweeps run to depth headroom + 2 tau + 2 (_sweep_depth), or to
 the window edge if that is nearer; an index that never meets the rule
-raises ConvergenceError with its history, naming the depth it reached and
+raises ConvergenceError with its records, naming the depth it reached and
 whether the window edge cut it short of the sweep's depth.
 
 Backward data.  With lambda fixed, one forward sweep of the normalized
@@ -54,10 +55,10 @@ _dual_weights, since every index has a stage of its own.  Rows stay stacked
 where they share work: the re-solve seeds of one tail are the rows of one
 frozen sweep, compared index by index as it goes; the
 sampled cone pairs of a block are drawn in one call
-(cones.family_rows), pushed through their own stages row by row and
-written once into the stack that the cone gaps read (cones._gaps); the
-rate envelopes and slope fits run on the concatenated histories.  One
-budget of 2^15 cells, cones._BLOCK_CELLS, caps what a block of sampled
+(cones.family_rows), pushed through their own stages as one stack per
+start and written once into the stack that the cone gaps read
+(cones._gaps); the rate envelopes and slope fits run on the record
+columns.  One budget of 2^15 cells, cones._BLOCK_CELLS, caps what a block of sampled
 pairs or of pair constraints holds, temporaries included, so peak memory is
 set by the block size and not by the window: cones._runs cuts the sampled
 pairs at the eight fields a sample keeps (f, g, the derived pair u, v and
@@ -117,24 +118,24 @@ def _sweep_depth(fwd: ForwardSolution) -> int:
     return fwd.headroom + 2 * fwd.tau + 2
 
 
-def _stopping_rule(side: str, fwd: ForwardSolution, histories: dict) -> dict:
+def _stopping_rule(side: str, fwd: ForwardSolution, records: np.ndarray) -> dict:
     """The stopping depths k* of both solvers (see the module docstring),
-    read from the histories of the reported indices on the schedule of the
-    forward solution.  Raises ConvergenceError carrying the history of the
-    first reported index that never meets the rule.
+    read index by index from the k and succ columns of a solver's records on
+    the schedule of the forward solution.  Raises ConvergenceError carrying
+    the records of the first reported index that never meets the rule.
     """
     s_tol = fwd.tol * (1.0 - fwd.block_factor ** (1.0 / fwd.tau)) / 2.0
     k_star = {}
-    for n, h in histories.items():
-        hits = np.nonzero((h.ks >= fwd.tau) & (h.succ < s_tol))[0]
+    for rec in np.split(records, np.flatnonzero(records["k"] == 1)[1:]):
+        n, hits = int(rec["n"][0]), np.nonzero((rec["k"] >= fwd.tau) & (rec["succ"] < s_tol))[0]
         if hits.size == 0:
-            depth, cap = len(h.ks), _sweep_depth(fwd)
+            depth, cap = rec.size, _sweep_depth(fwd)
             edge = (f"; the window edge, not the tolerance, limited this index to "
                     f"{depth} of the sweep's {cap}" if depth < cap else "")
             raise ConvergenceError(
                 f"{side} index {n}: successive gaps never fell below {s_tol} "
-                f"within {depth} iterations{edge}", history=h)
-        k_star[n] = int(h.ks[hits[0]])
+                f"within {depth} iterations{edge}", history=rec.copy())
+        k_star[n] = int(rec["k"][hits[0]])
     return k_star
 
 
@@ -142,12 +143,10 @@ def _stopping_rule(side: str, fwd: ForwardSolution, histories: dict) -> dict:
 # forward solver
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ForwardHistory:
-    ks: np.ndarray
-    succ: np.ndarray        # max successive gap (growth log and weak pairings)
-    err_lambda: np.ndarray  # |r_{n,k} - log lambda_n|
-    err_m: np.ndarray       # max normalized cone-dictionary pairing gap vs m_n
+# per index n (ascending) and depth k = 1..d: the max successive gap (growth log
+# and weak pairings), |r_{n,k} - log lambda_n|, the max normalized cone-pairing gap to m_n
+_FORWARD_RECORD = np.dtype([("n", np.int64), ("k", np.int64), ("succ", np.float64),
+                            ("err_lambda", np.float64), ("err_m", np.float64)])
 
 
 @dataclass
@@ -163,7 +162,7 @@ class ForwardSolution:
     reported_m: list
     reported_lam: list
     k_star: dict
-    histories: dict
+    records: np.ndarray     # _FORWARD_RECORD per reported index; empty without diagnostics
 
 
 def _pullbacks(seq: StageSeq, tail: int, seeds: np.ndarray):
@@ -178,13 +177,13 @@ def _pullbacks(seq: StageSeq, tail: int, seeds: np.ndarray):
         yield n, mass, nu
 
 
-def _forward_sweep(sol: ForwardSolution) -> dict:
-    """Histories of the incremental dual sweep, one per reported index.
+def _forward_sweep(sol: ForwardSolution) -> np.ndarray:
+    """The records of the incremental dual sweep at the reported indices.
 
     Walks the window down from its top.  Index n is live at depths
     1..min(n_max - n, k_cap), and all of them are one dual call of stage n
     on the stack [depth-0 seed on X_{n+1}; depths 1.. of index n + 1], so
-    only the previous index's iterates are kept.
+    only the previous index's iterates are kept; records fill from the end.
     """
     seq, top, k_cap = sol.seq, sol.seq.n_max, _sweep_depth(sol)
     # per space: depth-0 seed, dictionaries and the seed's weak pairings
@@ -194,7 +193,8 @@ def _forward_sweep(sol: ForwardSolution) -> dict:
         weak[sp] = weak_dictionary(sp)
         coned[sp] = cone_dictionary(sp, sol.cone)
         seed_weak[sp] = pairing_vector(weak[sp], seed[sp])
-    hist = {}
+    rec = np.empty(sum(min(top - n, k_cap) for n in sol.reported_m), _FORWARD_RECORD)
+    end = rec.size
     prev = np.empty((0, seq.space(top).n_points))
     for n in range(top - 1, seq.n_min - 1, -1):
         sp, up, d = seq.space(n), seq.space(n + 1), min(top - n, k_cap)
@@ -211,11 +211,12 @@ def _forward_sweep(sol: ForwardSolution) -> dict:
         succ_r = np.concatenate(([math.inf], np.abs(r[1:] - r[:-1])))
         m_pair = pairing_vector(coned[sp], sol.m[n].weights)
         em = np.abs(pairing_vector(coned[sp], nu) - m_pair) / coned[sp].norms
-        hist[n] = ForwardHistory(ks=np.arange(1, d + 1, dtype=np.int64),
-                                 succ=np.maximum(succ_r, succ_w),
-                                 err_lambda=np.abs(r - math.log(sol.lam[n])),
-                                 err_m=em.max(axis=1))
-    return {n: hist[n] for n in sol.reported_m}
+        at, end = rec[end - d:end], end - d
+        at["n"], at["k"] = n, np.arange(1, d + 1)
+        at["succ"] = np.maximum(succ_r, succ_w)
+        at["err_lambda"] = np.abs(r - math.log(sol.lam[n]))
+        at["err_m"] = em.max(axis=1)
+    return rec
 
 
 def solve_forward(seq: StageSeq, *, tol: float, tau: int, block_factor: float,
@@ -225,7 +226,7 @@ def solve_forward(seq: StageSeq, *, tol: float, tau: int, block_factor: float,
 
     The returned solution is frozen from the deepest available tail (the
     window top), so its eigenrelations telescope exactly; per-index stopping
-    depths k* and full error histories come from the incremental sweep.
+    depths k* and the error records come from the incremental sweep.
     Raises ConvergenceError when a reportable index fails to meet the
     stopping rule within its available depth.
     """
@@ -247,10 +248,10 @@ def solve_forward(seq: StageSeq, *, tol: float, tau: int, block_factor: float,
     sol = ForwardSolution(seq=seq, tol=tol, tau=tau, block_factor=block_factor,
                           headroom=hr, cone=cone_params or DEFAULT_CONE, lam=lam,
                           m=nu, reported_m=reported_m, reported_lam=reported_lam,
-                          k_star={}, histories={})
+                          k_star={}, records=np.empty(0, _FORWARD_RECORD))
     if with_diagnostics:
-        sol.histories = _forward_sweep(sol)
-        sol.k_star = _stopping_rule("forward", sol, sol.histories)
+        sol.records = _forward_sweep(sol)
+        sol.k_star = _stopping_rule("forward", sol, sol.records)
     return sol
 
 
@@ -258,11 +259,9 @@ def solve_forward(seq: StageSeq, *, tol: float, tau: int, block_factor: float,
 # backward solver
 # ---------------------------------------------------------------------------
 
-@dataclass
-class BackwardHistory:
-    ks: np.ndarray
-    succ: np.ndarray
-    err_h: np.ndarray
+# as _FORWARD_RECORD: the sup successive gap, the sup gap to the frozen h_n
+_BACKWARD_RECORD = np.dtype([("n", np.int64), ("k", np.int64), ("succ", np.float64),
+                             ("err_h", np.float64)])
 
 
 @dataclass
@@ -271,7 +270,7 @@ class BackwardSolution:
     h: dict
     reported_h: list
     k_star: dict
-    histories: dict
+    records: np.ndarray     # _BACKWARD_RECORD per reported index; empty without diagnostics
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -302,8 +301,8 @@ def _row_sup_gap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.abs(d, out=d).max(axis=1)
 
 
-def _backward_sweep(sol: BackwardSolution, fwd: ForwardSolution) -> dict:
-    """Histories of the incremental forward sweep, one per reported index.
+def _backward_sweep(sol: BackwardSolution, fwd: ForwardSolution) -> np.ndarray:
+    """The records of the incremental forward sweep at the reported indices.
 
     Walks the window up from its bottom.  Index n is live at depths
     1..min(n - n_min, k_cap), and all of them are one call of stage n - 1 on
@@ -317,18 +316,20 @@ def _backward_sweep(sol: BackwardSolution, fwd: ForwardSolution) -> dict:
         one = unit_field(seq.space(n))
         return np.full((1, one.values.size), 1.0 / pair(one, fwd.m[n]))
 
-    hist = {}
+    rec = np.empty(sum(min(n - bottom, k_cap) for n in sol.reported_h), _BACKWARD_RECORD)
+    start = 0
     below, prev = seed(bottom), np.empty((0, seq.space(bottom).n_points))
     for n in range(bottom + 1, sol.reported_h[-1] + 1):
         here, d = seed(n), min(n - bottom, k_cap)
         it = _apply_values(seq.stage(n - 1), np.concatenate((below, prev[:d - 1])))
         it /= fwd.lam[n - 1]
         if n >= sol.reported_h[0]:
-            hist[n] = BackwardHistory(ks=np.arange(1, d + 1, dtype=np.int64),
-                                      succ=_row_sup_gap(it, np.concatenate((here, it[:-1]))),
-                                      err_h=_row_sup_gap(it, sol.h[n].values))
+            at, start = rec[start:start + d], start + d
+            at["n"], at["k"] = n, np.arange(1, d + 1)
+            at["succ"] = _row_sup_gap(it, np.concatenate((here, it[:-1])))
+            at["err_h"] = _row_sup_gap(it, sol.h[n].values)
         below, prev = here, it
-    return hist
+    return rec
 
 
 def solve_backward(fwd: ForwardSolution, *, with_diagnostics: bool = True) -> BackwardSolution:
@@ -350,10 +351,11 @@ def solve_backward(fwd: ForwardSolution, *, with_diagnostics: bool = True) -> Ba
     if lo_h > hi_h:
         raise ConvergenceError("window too short to report any backward index")
     reported_h = list(range(lo_h, hi_h + 1))
-    sol = BackwardSolution(seq=seq, h=h, reported_h=reported_h, k_star={}, histories={})
+    sol = BackwardSolution(seq=seq, h=h, reported_h=reported_h, k_star={},
+                           records=np.empty(0, _BACKWARD_RECORD))
     if with_diagnostics:
-        sol.histories = _backward_sweep(sol, fwd)
-        sol.k_star = _stopping_rule("backward", fwd, sol.histories)
+        sol.records = _backward_sweep(sol, fwd)
+        sol.k_star = _stopping_rule("backward", fwd, sol.records)
     return sol
 
 
@@ -548,12 +550,12 @@ _RATE_RECORD = np.dtype([("n", np.int64), ("k", np.int64), ("err_lambda", np.flo
 class RatesReport:
     """The replayed error records and the envelope verdict.
 
-    ``rows`` holds one record per forward history entry, index by index in
-    the window's order and depth by depth within an index, as five array
+    ``rows`` holds one record per forward record, index by index in the
+    window's order and depth by depth within an index, as five array
     columns of one structured array: ``n`` and ``k`` (int64), and
     ``err_lambda``, ``err_m`` and ``err_h`` (float64), ``err_h`` nan where
-    the backward history has no entry at that position.  A record takes
-    40 bytes; ``len(rows)`` counts them."""
+    the backward records have no entry with the same (n, k).  A record
+    takes 40 bytes; ``len(rows)`` counts them."""
 
     rows: np.ndarray
     violations: int
@@ -561,11 +563,7 @@ class RatesReport:
     passed: bool
 
 
-def _concat(arrays: list, dtype) -> np.ndarray:
-    return np.concatenate(arrays) if arrays else np.empty(0, dtype)
-
-
-def _fit_slopes(ks: np.ndarray, errs: np.ndarray, lengths: list, k_lo: list) -> np.ndarray:
+def _fit_slopes(ks: np.ndarray, errs: np.ndarray, lengths, k_lo) -> np.ndarray:
     """Least-squares slopes of log error over the decaying prefix of each
     history, for histories stored one after another in ``ks``/``errs``
     (``lengths[i]`` entries for history i, fitted from depth ``k_lo[i]``).
@@ -609,45 +607,36 @@ def verify_exponential_rates(fwd: ForwardSolution, bwd: Optional[BackwardSolutio
     negative and within one e-fold per step of log(gamma), a smell test
     that tolerates histories whose fast transient bottoms out onto a tiny
     slow regime.  Indices whose history is flat at roundoff pass as
-    degenerate (slope -inf).  The histories of all indices are replayed as
-    one concatenated array per quantity.  Raises StructuralError when a
-    given solution has no histories to replay (solved with
-    with_diagnostics=False), since no records would read as a pass.
+    degenerate (slope -inf).  Raises StructuralError when a given solution
+    has no records to replay (solved with with_diagnostics=False), since no
+    records would read as a pass.
     """
     _check_chain(fwd, bwd)
-    if not fwd.histories or (bwd is not None and not bwd.histories):
-        raise StructuralError("rates need error histories: solve with "
-                              "with_diagnostics=True")
-    fh = fwd.histories
-    bh = ({n: bwd.histories[n] for n in fh if n in bwd.histories}
-          if bwd is not None else {})
-    f_len = [h.ks.size for h in fh.values()]
-    b_len = [h.ks.size for h in bh.values()]
-    n_f = np.repeat(np.array(list(fh), dtype=np.int64), f_len)
-    k_f = _concat([h.ks for h in fh.values()], np.int64)
-    err_l = _concat([h.err_lambda for h in fh.values()], np.float64)
-    err_m = _concat([h.err_m for h in fh.values()], np.float64)
-    k_b = _concat([h.ks for h in bh.values()], np.int64)
-    err_hb = _concat([h.err_h for h in bh.values()], np.float64)
+    fr = fwd.records
+    if not fr.size or (bwd is not None and not bwd.records.size):
+        raise StructuralError("rates need error histories: solve with with_diagnostics=True")
+    br = bwd.records if bwd is not None else np.empty(0, _BACKWARD_RECORD)
+    br = br[:np.searchsorted(br["n"], fwd.reported_m[-1], "right")]   # at forward indices
+    k_f, err_l, k_b, err_hb = fr["k"], fr["err_lambda"], br["k"], br["err_h"]
     env = rc.C1 * rc.gamma ** k_f
     envh = rc.C3 * rc.gamma ** k_b
     viol = (int(np.sum((err_l > env + slack) & (k_f >= rc.tau + 1)))
-            + int(np.sum((err_m > env + slack) & (k_f >= rc.tau)))
+            + int(np.sum((fr["err_m"] > env + slack) & (k_f >= rc.tau)))
             + int(np.sum((err_hb > envh + slack) & (k_b >= rc.tau))))
-    rows = np.empty(n_f.size, _RATE_RECORD)
-    for name, col in zip(_RATE_RECORD.names, (n_f, k_f, err_l, err_m, math.nan)):
-        rows[name] = col
-    start = 0     # both histories hold depths 1, 2, ..: pair records by position
-    for n, size in zip(fh, f_len):
-        if n in bh:
-            e = bh[n].err_h[:size]
-            rows["err_h"][start:start + e.size] = e
-        start += size
-    fits = _fit_slopes(np.concatenate((k_f, k_b)), np.concatenate((err_l, err_hb)),
-                       f_len + b_len, [rc.tau + 1] * len(f_len) + [rc.tau] * len(b_len))
-    sl = fits[:len(f_len)].tolist()
-    sh = dict(zip(bh, fits[len(f_len):].tolist()))
-    slopes = {n: (s, sh.get(n, -math.inf)) for n, s in zip(fh, sl)}
+    rows = np.empty(fr.size, _RATE_RECORD)
+    rows[list(_RATE_RECORD.names[:4])] = fr[list(_RATE_RECORD.names[:4])]
+    rows["err_h"] = math.nan
+    # each backward error lands on the forward record with the same (n, k)
+    at = np.minimum(np.searchsorted(fr["n"], br["n"]) + k_b - 1, fr.size - 1)
+    hit = (fr["n"][at] == br["n"]) & (k_f[at] == k_b)
+    rows["err_h"][at[hit]] = err_hb[hit]
+    ks = np.concatenate((k_f, k_b))
+    first = np.flatnonzero(ks == 1)   # each index's first record, forward then backward
+    nf = np.count_nonzero(first < fr.size)
+    fits = _fit_slopes(ks, np.concatenate((err_l, err_hb)), np.diff(first, append=ks.size),
+                       np.repeat([rc.tau + 1, rc.tau], [nf, first.size - nf])).tolist()
+    sl, sh = fits[:nf], dict(zip(br["n"][first[nf:] - fr.size].tolist(), fits[nf:]))
+    slopes = {n: (s, sh.get(n, -math.inf)) for n, s in zip(fr["n"][first[:nf]].tolist(), sl)}
     bound = math.log(rc.gamma) + 1.0
     slope_ok = all(s[0] < 0.0 and s[0] <= bound and s[1] < 0.0 and s[1] <= bound
                    for s in slopes.values())
@@ -657,14 +646,18 @@ def verify_exponential_rates(fwd: ForwardSolution, bwd: Optional[BackwardSolutio
 
 def _compose_rows(seq: StageSeq, starts: list, k: int, X) -> np.ndarray:
     """Row r of X (a sequence of fields on one space) through the k stages
-    from index starts[r], one _apply_values call per row and step: the rows
-    share no stage, so each image is written once into the stack that the
-    cone gaps read.  The rows' paths pass through the same spaces."""
+    from index starts[r], one _apply_values call per start and step on the
+    stack of that start's rows, each image written once into the stack that
+    the cone gaps read.  The rows' paths pass through the same spaces."""
     out = np.empty((len(starts), seq.space(starts[0] + k).n_points))
-    for r, (n, x) in enumerate(zip(starts, X)):
+    rows = {}
+    for r, n in enumerate(starts):
+        rows.setdefault(n, []).append(r)
+    for n, rs in rows.items():
+        x = np.stack([X[r] for r in rs])
         for j in range(n, n + k):
             x = _apply_values(seq.stage(j), x)
-        out[r] = x
+        out[rs] = x
     return out
 
 

@@ -282,18 +282,16 @@ def _dual_weights(stage: Stage, s: np.ndarray) -> np.ndarray:
         return np.matmul(stage.dense.T, s[..., None])[..., 0]
     idx, frac, w = stage.branch_index, stage.branch_frac, stage.branch_weight
     keep, n_dom = 1.0 - frac, stage.domain.n_points
+    nxt = (idx + 1) % n_dom   # a high share belongs to the next point
     out = np.zeros(s.shape[:-1] + (n_dom,))
     for o, row in zip(out.reshape(-1, n_dom), s.reshape(-1, s.shape[-1])):
         hi_w = w * row
         lo_w = hi_w * keep
         hi_w *= frac
-        # additions in a fixed order, branch 0 low, branch 0 high, branch 1
-        # low, ...: bin i of a high share belongs to point i + 1
+        # additions in a fixed order: branch 0 low, branch 0 high, branch 1 low, ...
         for b in range(len(idx)):
             o += np.bincount(idx[b], lo_w[b], n_dom)
-            hi = np.bincount(idx[b], hi_w[b], n_dom)
-            o[1:] += hi[:-1]
-            o[0] += hi[-1]
+            o += np.bincount(nxt[b], hi_w[b], n_dom)
     return out
 
 

@@ -397,6 +397,30 @@ def test_outdir_env_override(tmp_path, monkeypatch):
     assert not (tmp_path / "ignored").exists()
 
 
+@pytest.mark.parametrize("via", ["config", "env"])
+@pytest.mark.parametrize("below", ["", "sub"])
+@pytest.mark.parametrize("cmd", ["run", "certify", "oracle"])
+def test_an_output_directory_that_cannot_be_created_is_a_config_error(
+        tmp_path, monkeypatch, capsys, cmd, below, via):
+    """A regular file at the output directory's path, or on the way to it,
+    exits 2 with a config error naming the directory, whether the path comes
+    from [outputs].dir or from NSRPF_OUTDIR."""
+    blocker = tmp_path / "a-file"
+    blocker.write_text("keep\n")
+    out = blocker / below if below else blocker
+    monkeypatch.delenv("NSRPF_OUTDIR", raising=False)
+    if via == "env":
+        monkeypatch.setenv("NSRPF_OUTDIR", str(out))
+    body = DOUBLING_CFG if cmd == "certify" else MATRIX_CFG
+    cfg = write_cfg(tmp_path, body.format(out=out if via == "config" else tmp_path / "unused"))
+    assert main([cmd, cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: [outputs].dir: ")
+    assert repr(str(out)) in err
+    assert blocker.read_text() == "keep\n"
+    assert not (tmp_path / "unused").exists()
+
+
 def test_invariant_chain_on_a_too_short_window_is_a_typed_error(tmp_path, capsys):
     # one reported backward index leaves no invariant-chain step to check
     cfg = write_cfg(tmp_path, """

@@ -8,8 +8,7 @@ import pytest
 import nsrpf as nr
 from nsrpf.cones import DEFAULT_CONE, ConeParams
 from nsrpf.errors import ConvergenceError, DomainError, StructuralError
-from nsrpf.rpf import (BackwardHistory, ForwardHistory, _pullbacks,
-                       build_invariant_chain, headroom_steps, solve_backward,
+from nsrpf.rpf import (_pullbacks, build_invariant_chain, headroom_steps, solve_backward,
                        solve_forward, verify_cone_contraction,
                        verify_eigen_relations, verify_exponential_rates,
                        verify_independence, verify_uniqueness)
@@ -319,16 +318,16 @@ def test_stopping_rule_failure_names_side_and_index():
     with pytest.raises(ConvergenceError, match=r"^forward index -40: .* within 8 ") as exc:
         solve_forward(seq, **kw)
     hist = exc.value.history
-    assert isinstance(hist, ForwardHistory)
-    assert hist.ks.tolist() == list(range(1, 9))
+    assert hist["k"].tolist() == list(range(1, 9))
+    assert hist["n"].tolist() == [-40] * 8
     fwd = solve_forward(seq, with_diagnostics=False, **kw)
     lo_h = seq.n_min + fwd.headroom
     with pytest.raises(ConvergenceError, match=rf"^backward index {lo_h}: .* within 4 "
                        r"iterations; the window edge, .* to 4 of the sweep's 8$") as exc:
         solve_backward(fwd)
     hist = exc.value.history
-    assert isinstance(hist, BackwardHistory)
-    assert hist.ks.tolist() == [1, 2, 3, 4]
+    assert hist["k"].tolist() == [1, 2, 3, 4]
+    assert hist["n"].tolist() == [lo_h] * 4
 
 
 def _reference_histories(fwd, k_cap):
@@ -381,27 +380,25 @@ def _reference_histories(fwd, k_cap):
     return f_rows, b_rows
 
 
-def _assert_history(hist, rows):
-    cols = [np.array(c) for c in zip(*rows)]
-    got = [hist.ks] + [getattr(hist, f) for f in vars(hist) if f != "ks"]
-    assert len(got) == len(cols)
-    for g, c in zip(got, cols):
-        assert np.array_equal(g, c)
+def _assert_records(records, rows_by_index):
+    """The records are the reference rows of every index, in index order,
+    each prefixed by its index n."""
+    cols = [np.array(c) for c in zip(*((n, *row) for n, rows in rows_by_index.items()
+                                       for row in rows))]
+    assert len(records.dtype.names) == len(cols)
+    for name, c in zip(records.dtype.names, cols):
+        assert np.array_equal(records[name], c)
 
 
 def _check_sweeps_against_reference(fwd, bwd_or_error):
     k_cap = fwd.headroom + 2 * fwd.tau + 2
     f_rows, b_rows = _reference_histories(fwd, k_cap)
-    assert list(fwd.histories) == list(f_rows)
-    for n, rows in f_rows.items():
-        _assert_history(fwd.histories[n], rows)
+    _assert_records(fwd.records, f_rows)
     if isinstance(bwd_or_error, ConvergenceError):
         n = int(re.match(r"backward index (-?\d+):", str(bwd_or_error)).group(1))
-        _assert_history(bwd_or_error.history, b_rows[n])
+        _assert_records(bwd_or_error.history, {n: b_rows[n]})
     else:
-        assert list(bwd_or_error.histories) == list(b_rows)
-        for n, rows in b_rows.items():
-            _assert_history(bwd_or_error.histories[n], rows)
+        _assert_records(bwd_or_error.records, b_rows)
 
 
 def test_sweep_histories_equal_a_per_step_reference():
@@ -430,6 +427,34 @@ def test_sweep_histories_equal_a_per_step_reference():
     with pytest.raises(ConvergenceError, match="^backward index") as exc:
         solve_backward(fwd)
     _check_sweeps_against_reference(fwd, exc.value)
+
+
+def test_solver_records_layout():
+    """Each solver's records run in ascending n, and within index n through
+    k = 1..d, d the sweep depth the window leaves n; the rates rows carry the
+    forward records' n, k, err_lambda and err_m columns as they are.
+    Without diagnostics both record arrays are empty."""
+    seq = build_matrix_chain(MatrixChainSpec.random(d=3, window=(-30, 30), seed=21))
+    cert = nr.certify_cone_conditions(seq, CONE2)
+    kw = dict(tol=1e-10, tau=cert.tau, block_factor=cert.block_factor, cone_params=CONE2)
+    fwd = solve_forward(seq, **kw)
+    bwd = solve_backward(fwd)
+    cap = fwd.headroom + 2 * fwd.tau + 2
+    assert fwd.records.dtype.names == ("n", "k", "succ", "err_lambda", "err_m")
+    assert bwd.records.dtype.names == ("n", "k", "succ", "err_h")
+    for records, ns, depth in ((fwd.records, fwd.reported_m, lambda n: seq.n_max - n),
+                               (bwd.records, bwd.reported_h, lambda n: n - seq.n_min)):
+        d = [min(depth(n), cap) for n in ns]
+        assert d[0] != d[-1]   # the window edge cuts some indices short
+        assert records["n"].tolist() == [n for n, dn in zip(ns, d) for _ in range(dn)]
+        assert records["k"].tolist() == [k for dn in d for k in range(1, dn + 1)]
+    rates = verify_exponential_rates(fwd, bwd, cert.rate_constants())
+    assert rates.rows.dtype.names[:4] == ("n", "k", "err_lambda", "err_m")
+    for name in rates.rows.dtype.names[:4]:
+        assert np.array_equal(rates.rows[name], fwd.records[name])
+    fwd = solve_forward(seq, with_diagnostics=False, **kw)
+    assert fwd.records.size == 0
+    assert solve_backward(fwd, with_diagnostics=False).records.size == 0
 
 
 def test_invariant_chain_on_spaces_that_change_size():

@@ -351,6 +351,14 @@ def test_row_kernels_equal_the_per_row_kernels(name):
         for r, n in enumerate(run):
             assert np.array_equal(out[r], _apply_values(seq.stage(n), V[r]))
             assert np.array_equal(back[r], _dual_weights(seq.stage(n), S[r]))
+    # three steps from repeated, interleaved starts whose paths share spaces:
+    # the rows of one start are pushed as one stack
+    lo = seq.n_min
+    starts = [n for n in (lo, lo + 1, lo + 2) if seq.space(n) is seq.space(lo)] * 3
+    V = RNG.normal(size=(len(starts), seq.space(lo).n_points))
+    out = _compose_rows(seq, starts, 3, V)
+    for r, n in enumerate(starts):
+        assert np.array_equal(out[r], compose_L(seq, n, 3, Field(seq.space(n), V[r])).values)
 
 
 @pytest.mark.parametrize("name", ["matrix_d3", "circle_N64", "halving"])

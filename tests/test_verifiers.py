@@ -175,25 +175,31 @@ def _ref_fit_slope(ks, errs, k_lo):
     return float(np.polyfit(ks[mask].astype(np.float64), np.log(errs[mask]), 1)[0])
 
 
+def _by_index(records):
+    """{n: the records of index n}, in index order."""
+    return {int(n): records[records["n"] == n] for n in np.unique(records["n"])}
+
+
 def ref_rates(fwd, bwd, rc, slack=1e-9):
     rows = []
     viol = 0
     slopes = {}
     bound = math.log(rc.gamma) + 1.0
-    for n, h in fwd.histories.items():
-        env = rc.C1 * rc.gamma ** h.ks
-        viol += int(np.sum((h.err_lambda > env + slack) & (h.ks >= rc.tau + 1)))
-        viol += int(np.sum((h.err_m > env + slack) & (h.ks >= rc.tau)))
-        hb = bwd.histories.get(n) if bwd is not None else None
-        errh = {int(k): e for k, e in zip(hb.ks, hb.err_h)} if hb is not None else {}
-        for k, el, em in zip(h.ks, h.err_lambda, h.err_m):
+    backward = _by_index(bwd.records) if bwd is not None else {}
+    for n, h in _by_index(fwd.records).items():
+        env = rc.C1 * rc.gamma ** h["k"]
+        viol += int(np.sum((h["err_lambda"] > env + slack) & (h["k"] >= rc.tau + 1)))
+        viol += int(np.sum((h["err_m"] > env + slack) & (h["k"] >= rc.tau)))
+        hb = backward.get(n)
+        errh = {int(k): e for k, e in zip(hb["k"], hb["err_h"])} if hb is not None else {}
+        for k, el, em in zip(h["k"], h["err_lambda"], h["err_m"]):
             rows.append((n, int(k), el, em, errh.get(int(k), math.nan)))
-        sl = _ref_fit_slope(h.ks, h.err_lambda, rc.tau + 1)
+        sl = _ref_fit_slope(h["k"], h["err_lambda"], rc.tau + 1)
         sh = -math.inf
         if hb is not None:
-            envh = rc.C3 * rc.gamma ** hb.ks
-            viol += int(np.sum((hb.err_h > envh + slack) & (hb.ks >= rc.tau)))
-            sh = _ref_fit_slope(hb.ks, hb.err_h, rc.tau)
+            envh = rc.C3 * rc.gamma ** hb["k"]
+            viol += int(np.sum((hb["err_h"] > envh + slack) & (hb["k"] >= rc.tau)))
+            sh = _ref_fit_slope(hb["k"], hb["err_h"], rc.tau)
         slopes[n] = (sl, sh)
     slope_ok = all(s[0] < 0.0 and s[0] <= bound and s[1] < 0.0 and s[1] <= bound
                    for s in slopes.values())
