@@ -220,8 +220,9 @@ def _finite_exactness(seq: StageSeq, n: int, delta: float, k_max: int) -> int | 
         if n + k > seq.n_max:
             return None
         fwd = seq.stage(n + k - 1).forward_index
-        balls = [np.unique(fwd[b]) for b in balls]
         target = seq.space(n + k).n_points
+        # the distinct images of each ball, sorted (np.unique would import numpy.ma)
+        balls = [np.flatnonzero(np.bincount(fwd[b], minlength=target)) for b in balls]
         if all(len(b) == target for b in balls):
             return k
     return None

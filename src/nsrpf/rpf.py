@@ -57,9 +57,10 @@ frozen sweep, compared index by index as it goes; the
 sampled cone pairs of a block are drawn in one call
 (cones.family_rows), pushed through their own stages as one stack per
 start and written once into the stack that the cone gaps read
-(cones._gaps); the rate envelopes and slope fits run on the record
-columns.  One budget of 2^15 cells, cones._BLOCK_CELLS, caps what a block of sampled
-pairs or of pair constraints holds, temporaries included, so peak memory is
+(cones._gaps); the rate envelopes run on the record columns, and each
+index's slope is fitted from its own history.  One budget of 2^15 cells,
+cones._BLOCK_CELLS, caps what a block of sampled pairs or of pair
+constraints holds, temporaries included, so peak memory is
 set by the block size and not by the window: cones._runs cuts the sampled
 pairs at the eight fields a sample keeps (f, g, the derived pair u, v and
 their tau-step images) on the widest space of the block's path, and
@@ -67,8 +68,8 @@ cones._gaps cuts each stack by its kernel's live rows, as for the cone
 certificate.  The invariant-chain check walks its window holding indices n
 and n + 1 only.
 Every row gets the bits its own per-index call would, so every reported
-number equals that of the per-index loop; the only stacked computation that
-is not bit-equal, the closed-form slope fit, feeds a verdict and no number.
+number equals that of the per-index loop; the slope fits, closed-form per
+history, feed a verdict and no number.
 Logarithms that reach a report keep math.log per element, since np.log
 differs from it in the last bit on some inputs.
 
@@ -118,6 +119,13 @@ def _sweep_depth(fwd: ForwardSolution) -> int:
     return fwd.headroom + 2 * fwd.tau + 2
 
 
+def _histories(records: np.ndarray) -> dict:
+    """A solver's records as {n: the records of index n (a view)}, in
+    ascending n: the records cut at their k = 1 rows."""
+    cut = np.flatnonzero(records["k"] == 1).tolist()
+    return {int(records["n"][a]): records[a:b] for a, b in zip(cut, cut[1:] + [records.size])}
+
+
 def _stopping_rule(side: str, fwd: ForwardSolution, records: np.ndarray) -> dict:
     """The stopping depths k* of both solvers (see the module docstring),
     read index by index from the k and succ columns of a solver's records on
@@ -126,8 +134,8 @@ def _stopping_rule(side: str, fwd: ForwardSolution, records: np.ndarray) -> dict
     """
     s_tol = fwd.tol * (1.0 - fwd.block_factor ** (1.0 / fwd.tau)) / 2.0
     k_star = {}
-    for rec in np.split(records, np.flatnonzero(records["k"] == 1)[1:]):
-        n, hits = int(rec["n"][0]), np.nonzero((rec["k"] >= fwd.tau) & (rec["succ"] < s_tol))[0]
+    for n, rec in _histories(records).items():
+        hits = np.nonzero((rec["k"] >= fwd.tau) & (rec["succ"] < s_tol))[0]
         if hits.size == 0:
             depth, cap = rec.size, _sweep_depth(fwd)
             edge = (f"; the window edge, not the tolerance, limited this index to "
@@ -563,36 +571,27 @@ class RatesReport:
     passed: bool
 
 
-def _fit_slopes(ks: np.ndarray, errs: np.ndarray, lengths, k_lo) -> np.ndarray:
-    """Least-squares slopes of log error over the decaying prefix of each
-    history, for histories stored one after another in ``ks``/``errs``
-    (``lengths[i]`` entries for history i, fitted from depth ``k_lo[i]``).
+def _slope(errs: list, k_lo: int) -> float:
+    """Least-squares slope of log error on depth over the decaying prefix of
+    one history, ``errs`` at depths k = 1, 2, ..., fitted from depth ``k_lo``.
 
     Histories bottom out on a noise floor once the iterates agree to
-    roundoff; each fit stops at the first error within 10x of its history's
+    roundoff; the fit stops at the first error within 10x of the history's
     minimum so the floor does not wash out the decay.  Fewer than three
     usable points means the history was flat at noise level from the start
-    (slope -inf, degenerate pass).  One masked, centred closed-form fit
-    covers every history.
+    (slope -inf, degenerate pass).
     """
-    lengths = np.asarray(lengths, dtype=np.int64)
-    seg = np.repeat(np.arange(lengths.size), lengths)
-    pos = np.arange(seg.size) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    low = np.full(lengths.size, math.inf)
-    np.minimum.at(low, seg, errs)
-    stop = lengths - 1
-    np.minimum.at(stop, seg, np.where(errs <= np.maximum(low * 10.0, _ZERO_FLOOR)[seg],
-                                      pos, stop[seg]))
-    use = (pos <= stop[seg]) & (ks >= np.asarray(k_lo)[seg]) & (errs > _ZERO_FLOOR)
-    w = use.astype(np.float64)
-    x = ks.astype(np.float64)
-    y = np.log(np.where(use, errs, 1.0))
-    count = np.bincount(seg, w, lengths.size)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        dx = (x - (np.bincount(seg, w * x, lengths.size) / count)[seg]) * w
-        dy = y - (np.bincount(seg, w * y, lengths.size) / count)[seg]
-        slope = np.bincount(seg, dx * dy, lengths.size) / np.bincount(seg, dx * dx, lengths.size)
-    return np.where(count >= 3, slope, -math.inf)
+    floor = max(min(errs) * 10.0, _ZERO_FLOOR)
+    for stop, e in enumerate(errs):
+        if e <= floor:
+            break
+    pts = [(k, math.log(e)) for k, e in enumerate(errs[k_lo - 1:stop + 1], k_lo)
+           if e > _ZERO_FLOOR]
+    if len(pts) < 3:
+        return -math.inf
+    ks, ys = zip(*pts)
+    mk, my = sum(ks) / len(pts), sum(ys) / len(pts)
+    return sum((k - mk) * (y - my) for k, y in pts) / sum((k - mk) ** 2 for k in ks)
 
 
 def verify_exponential_rates(fwd: ForwardSolution, bwd: Optional[BackwardSolution],
@@ -603,10 +602,11 @@ def verify_exponential_rates(fwd: ForwardSolution, bwd: Optional[BackwardSolutio
     is spent relating consecutive quotients), measure-pairing errors to
     C1 gamma^k for k >= tau, and eigenfunction errors to C3 gamma^k for
     k >= tau.  The envelope comparison at absolute slack is the quantitative
-    assertion; fitted log-error slopes additionally must be strictly
-    negative and within one e-fold per step of log(gamma), a smell test
-    that tolerates histories whose fast transient bottoms out onto a tiny
-    slow regime.  Indices whose history is flat at roundoff pass as
+    assertion; the log-error slope of each index's own growth-log and
+    eigenfunction history (_slope) additionally must be strictly negative
+    and within one e-fold per step of log(gamma), a smell test that
+    tolerates histories whose fast transient bottoms out onto a tiny slow
+    regime.  Indices whose history is flat at roundoff, or missing, pass as
     degenerate (slope -inf).  Raises StructuralError when a given solution
     has no records to replay (solved with with_diagnostics=False), since no
     records would read as a pass.
@@ -630,13 +630,9 @@ def verify_exponential_rates(fwd: ForwardSolution, bwd: Optional[BackwardSolutio
     at = np.minimum(np.searchsorted(fr["n"], br["n"]) + k_b - 1, fr.size - 1)
     hit = (fr["n"][at] == br["n"]) & (k_f[at] == k_b)
     rows["err_h"][at[hit]] = err_hb[hit]
-    ks = np.concatenate((k_f, k_b))
-    first = np.flatnonzero(ks == 1)   # each index's first record, forward then backward
-    nf = np.count_nonzero(first < fr.size)
-    fits = _fit_slopes(ks, np.concatenate((err_l, err_hb)), np.diff(first, append=ks.size),
-                       np.repeat([rc.tau + 1, rc.tau], [nf, first.size - nf])).tolist()
-    sl, sh = fits[:nf], dict(zip(br["n"][first[nf:] - fr.size].tolist(), fits[nf:]))
-    slopes = {n: (s, sh.get(n, -math.inf)) for n, s in zip(fr["n"][first[:nf]].tolist(), sl)}
+    sh = {n: _slope(h["err_h"].tolist(), rc.tau) for n, h in _histories(br).items()}
+    slopes = {n: (_slope(h["err_lambda"].tolist(), rc.tau + 1), sh.get(n, -math.inf))
+              for n, h in _histories(fr).items()}
     bound = math.log(rc.gamma) + 1.0
     slope_ok = all(s[0] < 0.0 and s[0] <= bound and s[1] < 0.0 and s[1] <= bound
                    for s in slopes.values())

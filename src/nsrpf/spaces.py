@@ -68,9 +68,11 @@ class PointSpace:
 
     @classmethod
     def simplex(cls, n: int) -> "PointSpace":
-        """n points, all pairwise distances 1 (the metric used for operator chains)."""
-        d = np.ones((n, n)) - np.eye(n)
-        return cls.finite(d)
+        """n points, all pairwise distances 1 (the metric used for operator
+        chains): a metric by construction, built without finite()'s checks."""
+        d = 1.0 - np.eye(n)
+        d.setflags(write=False)
+        return cls(kind=KIND_FINITE, n_points=n, dist_table=d)
 
     def distance(self, i, j) -> np.ndarray:
         """Pairwise distance for (arrays of) point indices."""

@@ -494,6 +494,16 @@ def test_system_value_errors_exit_2_without_a_traceback(tmp_path, config, old, n
     ("circle_perturbed", "seed = 123", "seed = -1", "[solver].seed"),
     ("circle_perturbed", "q = auto", "q = inf", "[cone].q"),
     ("matrix_random", "delta = 0.5", "delta = inf", "[cone]"),
+    ("circle_perturbed", "window = -64 64", "", "[system].window: missing required key"),
+    ("circle_perturbed", "kind = circle", "", "[system].kind: missing required key"),
+    ("circle_perturbed", "n_grid = 1024", "n_grid = many", "[system].n_grid: invalid literal"),
+    ("circle_perturbed", "tol = 1e-6", "tol = small", "[solver].tol: could not convert"),
+    ("circle_perturbed", "window = -64 64", "window = 5",
+     "[system].window: window needs two integers"),
+    ("circle_perturbed", "window = -64 64", "window = 4 4",
+     "[system].window: window upper end must exceed"),
+    ("circle_perturbed", "q = auto", "q = big",
+     "[cone].q: must be 'auto' or a positive finite number"),
 ])
 def test_cone_and_solver_value_errors_exit_2(tmp_path, monkeypatch, capsys,
                                              config, old, new, section):

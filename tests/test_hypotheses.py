@@ -1,6 +1,9 @@
 import dataclasses
 import math
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -201,6 +204,28 @@ def test_certify_finite_doubling_sample():
     meas = certify_map_hypotheses(seq)
     assert (meas.D, meas.rho, meas.tau) == (2, 0.5, 3)
     assert 0.0 < meas.H <= SAMPLED_DOUBLING.H and 0.0 < meas.V <= SAMPLED_DOUBLING.V
+
+
+_CERTIFY_SAMPLED_DOUBLING = """
+import sys
+from conftest import sampled_doubling_chain
+from nsrpf.hypotheses import HypothesisParams, certify_map_hypotheses
+meas = certify_map_hypotheses(sampled_doubling_chain(256, 8, {declared!r}))
+print((meas.D, meas.rho, meas.tau), "numpy.ma" in sys.modules)
+"""
+
+
+def test_finite_map_certification_leaves_numpy_ma_unimported():
+    """The distinct images of a ball are counted without np.unique, whose
+    first call in a process imports numpy.ma; run in a fresh interpreter,
+    since pytest's own may have it loaded."""
+    tests = pathlib.Path(__file__).resolve().parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tests.parent / "src"), str(tests)]))
+    proc = subprocess.run(
+        [sys.executable, "-c", _CERTIFY_SAMPLED_DOUBLING.format(declared=SAMPLED_DOUBLING)],
+        env=env, capture_output=True, text=True, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "(2, 0.5, 3) False"
 
 
 def test_certify_finite_halving_fails_expansion():

@@ -37,6 +37,15 @@ def test_pair_space_mismatch(two_points):
         pair(Field(two_points, [1.0, 1.0]), MeasureVec(other, [1.0, 1.0]))
 
 
+@pytest.mark.parametrize("n", range(1, 6))
+def test_simplex_equals_the_checked_finite_table(n):
+    got, want = PointSpace.simplex(n), PointSpace.finite(np.ones((n, n)) - np.eye(n))
+    assert (got.kind, got.n_points) == (want.kind, want.n_points)
+    assert got.dist_table.dtype == want.dist_table.dtype
+    assert got.dist_table.tobytes() == want.dist_table.tobytes()
+    assert not got.dist_table.flags.writeable
+
+
 def test_normalize_examples():
     sp = PointSpace.finite(np.ones((3, 3)) - np.eye(3))
     m = normalize(MeasureVec(sp, [1.0, 0.0, 3.0]))
