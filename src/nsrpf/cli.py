@@ -300,12 +300,20 @@ def _vector_template(n: int) -> str:
     return "".join(f"{i},{_FLOAT}\n" for i in range(n))
 
 
-def _failing(tol: float, criteria: dict) -> str:
-    """The suffix of a FAIL line: each criterion (name -> {n: value}) whose
-    largest value is not below tol, with the index where it is largest."""
-    worst = [(name, max(values, key=values.get)) for name, values in criteria.items()
-             if values and not max(values.values()) < tol]
+def _failing(v) -> str:
+    """The suffix of a FAIL line of a Verdict ``v``: each criterion whose
+    largest value is not below v.tol, with the index where it is largest."""
+    worst = [(name, max(values, key=values.get)) for name, values in v.criteria.items()
+             if values and not v.worst(name) < v.tol]
     return "; failing: " + ", ".join(f"{name} at n = {n}" for name, n in worst) if worst else ""
+
+
+def _graded(v, bound: str) -> str:
+    """The detail of a Verdict ``v``: each criterion's largest value, the
+    tolerance named ``bound`` and, on a FAIL, _failing(v)."""
+    detail = (", ".join(f"max {name} {_fmt(v.worst(name))}" for name in v.criteria)
+              + f" ({bound} {_fmt(v.tol)})")
+    return detail if v.passed else detail + _failing(v)
 
 
 def _certify(cfg: RunConfig):
@@ -385,17 +393,16 @@ _VECTOR_NAME = re.compile(r"[mh]_(0|-?[1-9][0-9]*)\.csv")   # f"m_{n}.csv", f"h_
 
 
 def _write_run_artifacts(out_dir: str, fwd, bwd, eig, rates, report: str):
-    """The export layer of ``nsrpf run``: lambda.csv (with the eigen
+    """The export layer of ``nsrpf run``: lambda.csv (with the eigen dual
     residuals), one m_<n>.csv and h_<n>.csv per reported index, rates.csv
     and report.txt.  An m_<n>.csv or h_<n>.csv already in ``out_dir`` whose
     index this run does not report is removed, so the per-index files are
     exactly this run's; no other name is touched."""
-    resid = {n: r for (n, r, _, _) in eig.rows}
+    resid = eig.criteria["dual residual"]
     ns = fwd.reported_lam
     _write_csv(os.path.join(out_dir, "lambda.csv"), _LAMBDA_COLUMNS,
                _interleave(ns, [fwd.lam[n] for n in ns],
-                           [fwd.k_star.get(n, -1) for n in ns],
-                           [resid.get(n, math.nan) for n in ns]))
+                           [fwd.k_star.get(n, -1) for n in ns], [resid[n] for n in ns]))
     templates = {}   # one body template per vector length
     written = set()
 
@@ -427,24 +434,10 @@ def cmd_run(cfg: RunConfig) -> int:
                         block_factor=cert.block_factor, cone_params=cone)
     bwd = solve_backward(fwd) if seq.two_sided else None
 
-    report_lines = []
-    all_passed = True
+    results = []   # (check, passed, detail), in report order
     eig = verify_eigen_relations(fwd, bwd, cfg.tol)
-
-    def note(name, passed, detail):
-        nonlocal all_passed
-        all_passed = all_passed and passed
-        report_lines.append(f"{'PASS' if passed else 'FAIL'} {name}: {detail}")
-
     if "eigen" in cfg.checks:
-        detail = (f"max dual residual {_fmt(eig.max_resid_dual)}, "
-                  f"max |<h,m>-1| {_fmt(eig.max_pair_h)}, "
-                  f"max h residual {_fmt(eig.max_resid_h)} (tol {_fmt(cfg.tol)})")
-        if not eig.passed:   # rows are (n, dual residual, |<h,m>-1|, h residual)
-            detail += _failing(cfg.tol, {
-                name: {row[0]: row[j] for row in eig.rows if not math.isnan(row[j])}
-                for j, name in enumerate(("dual residual", "|<h,m>-1|", "h residual"), 1)})
-        note("eigen", eig.passed, detail)
+        results.append(("eigen", eig.passed, _graded(eig, "tol")))
     rc = cert.rate_constants()
     rates = verify_exponential_rates(fwd, bwd, rc)   # rates.csv is written either way
     if "rates" in cfg.checks:
@@ -453,21 +446,17 @@ def cmd_run(cfg: RunConfig) -> int:
             worst, n = max((s, n) for n, pair in rates.slopes.items() for s in pair)
             detail += (f", worst slope {_fmt(worst)} at n = {n} (must be < 0 and "
                        f"<= log(gamma) + 1 = {_fmt(math.log(rc.gamma) + 1.0)})")
-        note("rates", rates.passed, detail)
+        results.append(("rates", rates.passed, detail))
     if "independence" in cfg.checks:
         ind = verify_independence(fwd, bwd, tol=cfg.tol)
-        detail = (f"max dlam {_fmt(ind.max_dlam)}, max dm {_fmt(ind.max_dm)}, "
-                  f"max dh {_fmt(ind.max_dh)} (threshold {_fmt(ind.threshold)})")
-        if not ind.passed:
-            detail += _failing(ind.threshold, ind.gaps)
-        note("independence", ind.passed, detail)
+        results.append(("independence", ind.passed, _graded(ind, "threshold")))
     if "uniqueness" in cfg.checks:
         uq = verify_uniqueness(fwd, bwd, tol=cfg.tol)
-        detail = (f"tail-shift dlam {_fmt(uq.max_dlam_shift)}, dm {_fmt(uq.max_dm_shift)}, "
-                  f"xi gap {_fmt(uq.max_xi_gap)}, seed dh {_fmt(uq.max_dh_seed)}")
+        detail = (f"tail-shift dlam {_fmt(uq.worst('dlam'))}, dm {_fmt(uq.worst('dm'))}, "
+                  f"xi gap {_fmt(uq.worst('xi gap'))}, seed dh {_fmt(uq.worst('dh'))}")
         if not uq.passed:
-            detail += f" (threshold {_fmt(uq.threshold)})"
-        note("uniqueness", uq.passed, detail)
+            detail += f" (threshold {_fmt(uq.tol)})" + _failing(uq)
+        results.append(("uniqueness", uq.passed, detail))
     if "cone_contraction" in cfg.checks:
         cc = verify_cone_contraction(seq, cone, tau=cert.tau,
                                      extra_delta=cert.Delta_measured, seed=cfg.solver_seed)
@@ -477,7 +466,7 @@ def cmd_run(cfg: RunConfig) -> int:
                   f"vs tanh(Delta/4) {_fmt(cc.block_factor)}")
         if not cc.passed:
             detail += f", {cc.monotone_violations} monotone violations"
-        note("cone_contraction", cc.passed, detail)
+        results.append(("cone_contraction", cc.passed, detail))
     if "invariant_chain" in cfg.checks and bwd is not None:
         if cfg.kind == "matrix":
             chain_tol = cfg.tol
@@ -487,20 +476,13 @@ def cmd_run(cfg: RunConfig) -> int:
             n = seq.space(seq.n_min).n_points
             chain_tol = max(cfg.tol, 1e-4 * (1024.0 / n) ** 2)
         chain = build_invariant_chain(fwd, bwd, tol=chain_tol, eigen=eig)
-        detail = (f"max push gap {_fmt(max(chain.push_gap.values()))}, "
-                  f"max ||L~1 - 1|| {_fmt(max(chain.tilde_one_err.values()))}, "
-                  f"max dual gap {_fmt(max(chain.tilde_dual_gap.values()))} "
-                  f"(tol {_fmt(chain_tol)})")
-        if not chain.passed:
-            detail += _failing(chain_tol, {"push gap": chain.push_gap,
-                                           "||L~1 - 1||": chain.tilde_one_err,
-                                           "dual gap": chain.tilde_dual_gap})
-        note("invariant_chain", chain.passed, detail)
+        results.append(("invariant_chain", chain.passed, _graded(chain, "tol")))
 
-    report = "\n".join(report_lines) + "\n"
+    report = "\n".join(f"{'PASS' if ok else 'FAIL'} {check}: {detail}"
+                       for check, ok, detail in results) + "\n"
     _write_run_artifacts(cfg.out_dir, fwd, bwd, eig, rates, report)
     sys.stdout.write(report)
-    return 0 if all_passed else 1
+    return 0 if all(ok for _, ok, _ in results) else 1
 
 
 def cmd_oracle(cfg: RunConfig) -> int:

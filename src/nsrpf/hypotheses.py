@@ -359,12 +359,15 @@ class ConeCertificate:
 
     Delta_measured: float
     tau: int
-    block_factor: float
     density_basis: str
     n_samples: int
     Delta_source: str
     Delta_index: int | None = None
     Delta_members: tuple | None = None
+
+    @property
+    def block_factor(self) -> float:
+        return birkhoff_rate(self.Delta_measured)
 
     def rate_constants(self) -> RateConstants:
         return RateConstants.from_delta(self.Delta_measured, self.tau)
@@ -415,7 +418,8 @@ def certify_cone_conditions(seq: StageSeq, p: ConeParams, *,
     additionally dominates 4 artanh(rho) for every observed tau-block
     contraction factor rho, so the certified tanh(Delta/4) rate is an upper
     envelope for everything seen; Delta_source records which of these set
-    it, with its index and member ids.
+    it, with its index and member ids.  A Delta whose tanh(Delta/4) rounds
+    to 1 certifies no contraction: CertificationError "block-contraction".
 
     The 24 fields of an index all pass through the stages n .. n + tau - 1,
     so they are the rows of one array, pushed through each stage in one
@@ -501,9 +505,12 @@ def certify_cone_conditions(seq: StageSeq, p: ConeParams, *,
     # rank-one chains collapse every image to a single ray; keep the
     # certified diameter positive so downstream rate constants stay finite
     offer(1e-9, "floor", None, None)
+    if not birkhoff_rate(delta_m) < 1.0:   # the floor never sets such a Delta
+        raise CertificationError("block-contraction", f"Delta_measured = {delta_m} (set by "
+                                 f"{source[0]} at index {source[1]}) gives a block factor "
+                                 "tanh(Delta/4) that rounds to 1")
     basis = "holder-shift" if has_map else "coordinate-span"
     return ConeCertificate(Delta_measured=delta_m, tau=tau,
-                           block_factor=birkhoff_rate(delta_m),
                            density_basis=basis, n_samples=n_sampled,
                            Delta_source=source[0], Delta_index=source[1],
                            Delta_members=source[2])

@@ -47,21 +47,23 @@ the window edge on the relevant side, so truncation of the (bi-)infinite
 chain stays below tolerance at every reported index, and every reported
 index n has n + 1 inside the window.
 
-Verifiers.  One rule decides where rows are stacked: only where a single
-call serves every row of the stack.  The eigenrelations, the xi check of
-the uniqueness verifier and the unit-image diameters of the contraction
-verifier are per-index loops over the kernels _apply_values and
+Verifiers.  The eigen, independence and uniqueness checks return a
+Verdict, and the invariant chain grades as one: per-index values of each
+criterion, {name: {n: value}}, passed when every criterion's largest value
+is below the one tol.  One rule decides where rows are stacked: only where
+a single call serves every row of the stack.  The eigenrelations, the xi
+check of the uniqueness verifier and the unit-image diameters of the
+contraction verifier are per-index loops over the kernels _apply_values and
 _dual_weights, since every index has a stage of its own.  Rows stay stacked
 where they share work: the re-solve seeds of one tail are the rows of one
-frozen sweep, compared index by index as it goes; the
-sampled cone pairs of a block are drawn in one call
-(cones.family_rows), pushed through their own stages as one stack per
-start and written once into the stack that the cone gaps read
-(cones._gaps); the rate envelopes run on the record columns, and each
-index's slope is fitted from its own history.  One budget of 2^15 cells,
-cones._BLOCK_CELLS, caps what a block of sampled pairs or of pair
-constraints holds, temporaries included, so peak memory is
-set by the block size and not by the window: cones._runs cuts the sampled
+frozen sweep, compared index by index as it goes; the sampled cone pairs of
+a block are drawn in one call (cones.family_rows), pushed through their own
+stages as one stack per start and written once into the stack that the cone
+gaps read (cones._gaps); the rate envelopes run on the record columns, and
+each index's slope is fitted from its own history.  One budget of 2^15
+cells, cones._BLOCK_CELLS, caps what a block of sampled pairs or of pair
+constraints holds, temporaries included, so peak memory is set by the block
+size and not by the window: cones._runs cuts the sampled
 pairs at the eight fields a sample keeps (f, g, the derived pair u, v and
 their tau-step images) on the widest space of the block's path, and
 cones._gaps cuts each stack by its kernel's live rows, as for the cone
@@ -379,52 +381,44 @@ def _check_chain(fwd: ForwardSolution, bwd: Optional[BackwardSolution]) -> None:
 
 
 @dataclass
-class EigenReport:
-    rows: list           # (n, resid_dual, pair_h, resid_h); nan where not applicable
-    max_resid_dual: float
-    max_pair_h: float
-    max_resid_h: float
-    passed: bool
+class Verdict:
+    """A check graded at one tolerance: ``criteria`` maps each criterion's
+    name to its values {n: value} in index order, and the check passes when
+    every criterion's largest value (0.0 with no index) is below ``tol``."""
+    criteria: dict
+    tol: float
+
+    def worst(self, name: str) -> float:
+        """The largest value of criterion ``name``, 0.0 when it has none."""
+        return max(self.criteria[name].values(), default=0.0)
+
+    @property
+    def passed(self) -> bool:
+        return all(self.worst(name) < self.tol for name in self.criteria)
 
 
 def verify_eigen_relations(fwd: ForwardSolution, bwd: Optional[BackwardSolution],
-                           tol: float) -> EigenReport:
-    """Residuals of L_n^* m_{n+1} = lambda_n m_n, <h_n, m_n> = 1, and
-    L_n h_n = lambda_n h_{n+1} at every reported index (at least one)."""
+                           tol: float) -> Verdict:
+    """Residuals of L_n^* m_{n+1} = lambda_n m_n ("dual residual", at every
+    reported index, at least one) and, where h is reported, of <h_n, m_n> = 1
+    ("|<h,m>-1|") and L_n h_n = lambda_n h_{n+1} ("h residual"), graded at tol."""
     _check_chain(fwd, bwd)
     seq = fwd.seq
     if not fwd.reported_lam:
         raise ConvergenceError(f"window {seq.n_min}..{seq.n_max} reports no eigenvalue "
                                f"index below its headroom of {fwd.headroom} steps")
     h_idx = set(bwd.reported_h) if bwd is not None else set()
-    rows = []
-    md = mp = mh = 0.0
+    dual, pair_h, resid_h = {}, {}, {}
     for n in fwd.reported_lam:
         lam, m = fwd.lam[n], fwd.m[n].weights
         back = _dual_weights(seq.stage(n), fwd.m[n + 1].weights)
-        resid = float(np.abs(back - lam * m).sum())
-        md = max(md, resid)
-        pair_h = resid_h = math.nan
+        dual[n] = float(np.abs(back - lam * m).sum())
         if n in h_idx:
             h = bwd.h[n].values
-            pair_h = abs(float(h @ m) - 1.0)
+            pair_h[n] = abs(float(h @ m) - 1.0)
             img = _apply_values(seq.stage(n), h)
-            resid_h = float(np.abs(img - lam * bwd.h[n + 1].values).max())
-            mp, mh = max(mp, pair_h), max(mh, resid_h)
-        rows.append((n, resid, pair_h, resid_h))
-    passed = md < tol and (bwd is None or (mp < tol and mh < tol))
-    return EigenReport(rows=rows, max_resid_dual=md, max_pair_h=mp,
-                       max_resid_h=mh, passed=passed)
-
-
-@dataclass
-class IndependenceReport:
-    max_dlam: float
-    max_dm: float
-    max_dh: float
-    threshold: float
-    passed: bool
-    gaps: dict        # "dlam", "dm", "dh" -> {n: largest gap at n}
+            resid_h[n] = float(np.abs(img - lam * bwd.h[n + 1].values).max())
+    return Verdict({"dual residual": dual, "|<h,m>-1|": pair_h, "h residual": resid_h}, tol)
 
 
 def _cone_seeds(fwd: ForwardSolution, consumer: str, count: int) -> np.ndarray:
@@ -483,59 +477,45 @@ def _reseed_gaps(fwd: ForwardSolution, bwd: Optional[BackwardSolution], tails: d
 
 
 def verify_independence(fwd: ForwardSolution, bwd: Optional[BackwardSolution], *,
-                        tol: float) -> IndependenceReport:
+                        tol: float) -> Verdict:
     """Re-solve with different tail seeds and compare the reported data.
 
     The limits do not depend on the seed sequence; at finite depth the
     difference is bounded by the same contraction envelope as the
-    convergence error, so reported indices must agree to within 10 tol.
+    convergence error, so reported indices must agree to within 10 tol:
+    the criteria "dlam", "dm" and "dh" of _reseed_gaps, graded at 10 tol.
     The two tail seeds sigma are the weights of the first two members of
     the sample family's "independence tails" range on the window top, in
     the forward solution's cone, and the two backward seeds the first two
     of its "independence seeds" range on the window bottom.
     """
-    thr, top = 10.0 * tol, fwd.seq.n_max
+    top = fwd.seq.n_max
     sigma = family_rows(fwd.seq.space(top), fwd.cone, member_range("independence tails", 2))
-    gaps = dict(zip(("dlam", "dm", "dh"), _reseed_gaps(
-        fwd, bwd, {top: sigma}, _cone_seeds(fwd, "independence seeds", 2))))
-    dlam, dm, dh = (max(g.values(), default=0.0) for g in gaps.values())
-    passed = dlam < thr and dm < thr and dh < thr
-    return IndependenceReport(max_dlam=dlam, max_dm=dm, max_dh=dh,
-                              threshold=thr, passed=passed, gaps=gaps)
-
-
-@dataclass
-class UniquenessReport:
-    max_dlam_shift: float
-    max_dm_shift: float
-    max_xi_gap: float
-    max_dh_seed: float
-    threshold: float
-    passed: bool
+    gaps = _reseed_gaps(fwd, bwd, {top: sigma}, _cone_seeds(fwd, "independence seeds", 2))
+    return Verdict(dict(zip(("dlam", "dm", "dh"), gaps)), 10.0 * tol)
 
 
 def verify_uniqueness(fwd: ForwardSolution, bwd: Optional[BackwardSolution], *,
-                      tol: float) -> UniquenessReport:
-    """Collapse checks for the uniqueness statements.
+                      tol: float) -> Verdict:
+    """Collapse checks for the uniqueness statements, graded at 10 tol.
 
     Re-solves from tails 3 and 5 steps below the window top must reproduce
-    (lambda, m); any normalized candidate chain satisfying the eigenrelations
-    recovers its scalars as exactly lambda_n; and backward re-solves from
-    fresh cone seeds must reproduce h.  The four backward seeds are the
-    first members of the sample family's "uniqueness seeds" range in the
-    forward solution's cone (an interior and an extremal pair), and the
+    (lambda, m) ("dlam", "dm"); any normalized candidate chain satisfying
+    the eigenrelations recovers its scalars as exactly lambda_n ("xi gap",
+    relative, at every reported h index); and backward re-solves from
+    fresh cone seeds must reproduce h ("dh").  The four backward seeds are
+    the first members of the sample family's "uniqueness seeds" range in
+    the forward solution's cone (an interior and an extremal pair), and the
     candidate scale c of the r-th reported h is its "uniqueness scales"
     member r on a one-point space, a number in [0.5, 2].  Raises
     ConvergenceError when neither tail leaves a reported index a full
     headroom below it.
     """
     seq = fwd.seq
-    thr = 10.0 * tol
     tails = {t: MeasureVec.uniform(seq.space(t)).weights[None]
              for t in (seq.n_max - 3, seq.n_max - 5)}
-    dlam, dm, dh = (max(g.values(), default=0.0)
-                    for g in _reseed_gaps(fwd, bwd, tails, _cone_seeds(fwd, "uniqueness seeds", 4)))
-    xi = 0.0
+    dlam, dm, dh = _reseed_gaps(fwd, bwd, tails, _cone_seeds(fwd, "uniqueness seeds", 4))
+    xi = {}
     if bwd is not None:
         # candidate g = c h_n normalized against m_n, one index at a time
         scale = family_rows(PointSpace.simplex(1), DEFAULT_CONE,
@@ -544,10 +524,8 @@ def verify_uniqueness(fwd: ForwardSolution, bwd: Optional[BackwardSolution], *,
             g = bwd.h[n].values * c
             g *= 1.0 / float(g @ fwd.m[n].weights)
             xi_n = float(_apply_values(seq.stage(n), g) @ fwd.m[n + 1].weights)
-            xi = max(xi, abs(xi_n - fwd.lam[n]) / fwd.lam[n])
-    passed = dlam < thr and dm < thr and xi < thr and dh < thr
-    return UniquenessReport(max_dlam_shift=dlam, max_dm_shift=dm, max_xi_gap=xi,
-                            max_dh_seed=dh, threshold=thr, passed=passed)
+            xi[n] = abs(xi_n - fwd.lam[n]) / fwd.lam[n]
+    return Verdict({"dlam": dlam, "dm": dm, "xi gap": xi, "dh": dh}, 10.0 * tol)
 
 
 _RATE_RECORD = np.dtype([("n", np.int64), ("k", np.int64), ("err_lambda", np.float64),
@@ -676,12 +654,19 @@ def _pair_images(seq: StageSeq, tau: int, starts: list, f: np.ndarray, g: np.nda
 @dataclass
 class ContractionReport:
     Delta_measured: float
-    block_factor: float
     ratios: np.ndarray
     monotone_violations: int
-    n_pairs: int
     passed: bool
     members: Optional[range] = None   # the family ids drawn; None with a generator
+
+    @property
+    def block_factor(self) -> float:
+        """tanh(Delta_measured/4), the factor every ratio is held to."""
+        return birkhoff_rate(self.Delta_measured)
+
+    @property
+    def n_pairs(self) -> int:
+        return len(self.ratios)
 
 
 def verify_cone_contraction(seq: StageSeq, p: ConeParams, *, tau: int,
@@ -764,11 +749,9 @@ def verify_cone_contraction(seq: StageSeq, p: ConeParams, *, tau: int,
             delta_m = max(delta_m, *theta_out2)
             mono_viol += sum(t2 > theta_out[i] + slack for i, t2 in zip(mono, theta_out2))
     ratios = np.array(ratios)
-    bf = birkhoff_rate(delta_m)
-    passed = bool(np.all(ratios <= bf + slack)) and mono_viol == 0
-    return ContractionReport(Delta_measured=delta_m, block_factor=bf, ratios=ratios,
-                             monotone_violations=mono_viol, n_pairs=len(ratios),
-                             passed=passed, members=members)
+    passed = bool(np.all(ratios <= birkhoff_rate(delta_m) + slack)) and mono_viol == 0
+    return ContractionReport(Delta_measured=delta_m, ratios=ratios,
+                             monotone_violations=mono_viol, passed=passed, members=members)
 
 
 # ---------------------------------------------------------------------------
@@ -777,7 +760,8 @@ def verify_cone_contraction(seq: StageSeq, p: ConeParams, *, tau: int,
 
 @dataclass
 class InvariantChain:
-    """The checked pseudo-invariant chain: per-index gaps over ``window``.
+    """The checked pseudo-invariant chain: per-index gaps over ``window``,
+    graded at ``tol`` as a Verdict of its ``criteria``.
 
     mu(n) and normalized_stage(n) rebuild mu_n and L~_n from the solutions
     with the calls the check made, so they have its bits; the chain keeps
@@ -789,7 +773,14 @@ class InvariantChain:
     push_gap: dict        # n -> max dictionary pushforward gap
     tilde_one_err: dict   # n -> ||L~ 1 - 1||_inf
     tilde_dual_gap: dict  # n -> max dictionary gap of L~* mu_{n+1} vs mu_n
-    passed: bool
+    tol: float
+
+    @property
+    def criteria(self) -> dict:
+        return {"push gap": self.push_gap, "||L~1 - 1||": self.tilde_one_err,
+                "dual gap": self.tilde_dual_gap}
+
+    worst, passed = Verdict.worst, Verdict.passed
 
     def _index(self, n: int, past: int) -> int:
         if not self.window[0] <= n <= self.window[-1] + past:
@@ -815,7 +806,7 @@ def _normalized(fwd: ForwardSolution, bwd: BackwardSolution, n: int) -> Stage:
 
 
 def build_invariant_chain(fwd: ForwardSolution, bwd: BackwardSolution, *,
-                          tol: float, eigen: Optional[EigenReport] = None) -> InvariantChain:
+                          tol: float, eigen: Optional[Verdict] = None) -> InvariantChain:
     """Measures mu_n with d mu_n = h_n d m_n, plus the normalized stages.
 
     Verifies the pushforward identity through dictionary pairings, the
@@ -841,10 +832,10 @@ def build_invariant_chain(fwd: ForwardSolution, bwd: BackwardSolution, *,
     _check_chain(fwd, bwd)
     seq = fwd.seq
     eig = verify_eigen_relations(fwd, bwd, tol) if eigen is None else eigen
-    if not max(eig.max_resid_dual, eig.max_pair_h, eig.max_resid_h) < tol:
-        raise DomainError(
-            f"eigenrelation residuals (dual {eig.max_resid_dual}, h {eig.max_resid_h}) "
-            f"exceed {tol}; refusing to build the invariant chain")
+    if not max(map(eig.worst, eig.criteria)) < tol:
+        raise DomainError(f"eigenrelation residuals (dual {eig.worst('dual residual')}, "
+                          f"h {eig.worst('h residual')}) exceed {tol}; "
+                          "refusing to build the invariant chain")
     window = bwd.reported_h[:-1]
     if not window:
         raise ConvergenceError("window too short to report any invariant-chain index")
@@ -886,7 +877,5 @@ def build_invariant_chain(fwd: ForwardSolution, bwd: BackwardSolution, *,
         back = _row_dots(_apply_values(nst, d_dom.matrix), mu_up.weights)
         dual_gap[n] = float((np.abs(back - pairing) / d_dom.norms).max())
         mu, pairing = mu_up, pairing_up
-    passed = (max(push_gap.values()) < tol and max(one_err.values()) < tol
-              and max(dual_gap.values()) < tol)
     return InvariantChain(fwd=fwd, bwd=bwd, window=window, push_gap=push_gap,
-                          tilde_one_err=one_err, tilde_dual_gap=dual_gap, passed=passed)
+                          tilde_one_err=one_err, tilde_dual_gap=dual_gap, tol=tol)

@@ -64,26 +64,26 @@ def test_c02_nonstationary_oracle_equivalence(random_chain_suite):
 def test_c03_seed_independence(matrix_pipeline, circle_pipeline):
     _, seq, cone, cert, fwd, bwd = matrix_pipeline
     rep_m = nr.verify_independence(fwd, bwd, tol=1e-10)
-    assert rep_m.passed, (rep_m.max_dlam, rep_m.max_dm)
+    assert rep_m.passed, (rep_m.worst("dlam"), rep_m.worst("dm"))
     cp = circle_pipeline
     rep_c = nr.verify_independence(cp.fwd, cp.bwd, tol=cp.tol)
-    assert rep_c.passed, (rep_c.max_dlam, rep_c.max_dm)
+    assert rep_c.passed, (rep_c.worst("dlam"), rep_c.worst("dm"))
     _report(3, "tail-seed independence: matrix gaps "
-               f"{max(rep_m.max_dlam, rep_m.max_dm):.2e} < {rep_m.threshold:.0e}, "
-               f"grid gaps {max(rep_c.max_dlam, rep_c.max_dm):.2e} "
-               f"< {rep_c.threshold:.0e}")
+               f"{max(rep_m.worst('dlam'), rep_m.worst('dm')):.2e} < {rep_m.tol:.0e}, "
+               f"grid gaps {max(rep_c.worst('dlam'), rep_c.worst('dm')):.2e} "
+               f"< {rep_c.tol:.0e}")
 
 
 def test_c04_eigen_relations(matrix_pipeline, circle_pipeline):
     _, seq, cone, cert, fwd, bwd = matrix_pipeline
     rep_m = nr.verify_eigen_relations(fwd, bwd, 1e-10)
-    assert rep_m.passed, (rep_m.max_resid_dual, rep_m.max_pair_h, rep_m.max_resid_h)
+    assert rep_m.passed, list(map(rep_m.worst, rep_m.criteria))
     cp = circle_pipeline
     assert cp.seq.space(0).n_points == 1024
     rep_c = nr.verify_eigen_relations(cp.fwd, cp.bwd, 1e-6)
-    assert rep_c.passed, (rep_c.max_resid_dual, rep_c.max_pair_h, rep_c.max_resid_h)
-    worst_m = max(rep_m.max_resid_dual, rep_m.max_pair_h, rep_m.max_resid_h)
-    worst_c = max(rep_c.max_resid_dual, rep_c.max_pair_h, rep_c.max_resid_h)
+    assert rep_c.passed, list(map(rep_c.worst, rep_c.criteria))
+    worst_m = max(map(rep_m.worst, rep_m.criteria))
+    worst_c = max(map(rep_c.worst, rep_c.criteria))
     _report(4, f"eigenrelation residuals: matrix {worst_m:.2e} (budget 1e-10), "
                f"grid N=1024 {worst_c:.2e} (budget 1e-6)")
 

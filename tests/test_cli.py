@@ -113,24 +113,30 @@ def _report_lines(tmp_path, name, checks):
 
 
 def test_failing_uniqueness_line_names_the_threshold(tmp_path, monkeypatch):
-    # the real report with its verdict flipped: only the FAIL line gains the
-    # threshold, so passing reports keep their bytes
+    # the real report with one xi gap raised mid-window: only the FAIL line
+    # gains the threshold and the failing criterion with its worst index, so
+    # passing reports keep their bytes
     code, passing = _report_lines(tmp_path, "pass", "uniqueness")
     real = cli.verify_uniqueness
     seen = []
 
-    def failing(fwd, bwd, *, tol):
+    def one_bad_gap(fwd, bwd, *, tol):
         seen.append(real(fwd, bwd, tol=tol))
-        return dataclasses.replace(seen[0], passed=False)
+        xi = seen[0].criteria["xi gap"]
+        n = list(xi)[len(xi) // 2]
+        return dataclasses.replace(seen[0], criteria={**seen[0].criteria,
+                                   "xi gap": {**xi, n: 0.125}})
 
-    monkeypatch.setattr(cli, "verify_uniqueness", failing)
+    monkeypatch.setattr(cli, "verify_uniqueness", one_bad_gap)
     failed, lines = _report_lines(tmp_path, "fail", "uniqueness")
     uq = seen[0]
-    detail = (f"uniqueness: tail-shift dlam {uq.max_dlam_shift:.17g}, "
-              f"dm {uq.max_dm_shift:.17g}, xi gap {uq.max_xi_gap:.17g}, "
-              f"seed dh {uq.max_dh_seed:.17g}")
-    assert (code, passing) == (0, ["PASS " + detail])
-    assert (failed, lines) == (1, [f"FAIL {detail} (threshold {10.0 * 1e-10:.17g})"])
+    assert uq.tol == 10.0 * 1e-10
+    head = f"uniqueness: tail-shift dlam {uq.worst('dlam'):.17g}, dm {uq.worst('dm'):.17g}, "
+    tail = f"seed dh {uq.worst('dh'):.17g}"
+    assert (code, passing) == (0, [f"PASS {head}xi gap {uq.worst('xi gap'):.17g}, {tail}"])
+    n = list(uq.criteria["xi gap"])[len(uq.criteria["xi gap"]) // 2]
+    assert (failed, lines) == (1, [f"FAIL {head}xi gap 0.125, {tail} "
+                                   f"(threshold {10.0 * 1e-10:.17g}); failing: xi gap at n = {n}"])
 
 
 def test_failing_cone_contraction_line_counts_the_monotone_violations(tmp_path, monkeypatch):
@@ -167,21 +173,22 @@ def test_failing_eigen_line_names_each_failing_residual_and_its_worst_index(tmp_
 
     def two_bad_rows(fwd, bwd, tol):
         seen.append(real(fwd, bwd, tol))
-        rows = list(seen[0].rows)
-        (first, d0, p0, h0), (last, d1, p1, _) = rows[0], rows[-1]
-        rows[0], rows[-1] = (first, 0.25, p0, h0), (last, d1, p1, 0.5)
-        return dataclasses.replace(seen[0], rows=rows, max_resid_dual=0.25,
-                                   max_resid_h=0.5, passed=False)
+        dual, resid_h = seen[0].criteria["dual residual"], seen[0].criteria["h residual"]
+        return dataclasses.replace(seen[0], criteria={
+            **seen[0].criteria, "dual residual": {**dual, min(dual): 0.25},
+            "h residual": {**resid_h, max(resid_h): 0.5}})
 
     monkeypatch.setattr(cli, "verify_eigen_relations", two_bad_rows)
     failed, lines = _report_lines(tmp_path, "fail", "eigen")
     eig = seen[0]
-    tail = f"max |<h,m>-1| {eig.max_pair_h:.17g}, "
-    assert (code, passing) == (0, [f"PASS eigen: max dual residual {eig.max_resid_dual:.17g}, "
-                                   f"{tail}max h residual {eig.max_resid_h:.17g} (tol 1e-10)"])
+    tail = f"max |<h,m>-1| {eig.worst('|<h,m>-1|'):.17g}, "
+    assert (code, passing) == (0, [
+        f"PASS eigen: max dual residual {eig.worst('dual residual'):.17g}, "
+        f"{tail}max h residual {eig.worst('h residual'):.17g} (tol 1e-10)"])
+    first, last = min(eig.criteria["dual residual"]), max(eig.criteria["h residual"])
     assert (failed, lines) == (1, [
         f"FAIL eigen: max dual residual 0.25, {tail}max h residual 0.5 (tol 1e-10); "
-        f"failing: dual residual at n = {eig.rows[0][0]}, h residual at n = {eig.rows[-1][0]}"])
+        f"failing: dual residual at n = {first}, h residual at n = {last}"])
 
 
 def test_failing_invariant_chain_line_names_the_failing_gap_and_its_worst_index(
@@ -193,8 +200,7 @@ def test_failing_invariant_chain_line_names_the_failing_gap_and_its_worst_index(
     def one_bad_gap(fwd, bwd, **kwargs):
         seen.append(real(fwd, bwd, **kwargs))
         n = seen[0].window[len(seen[0].window) // 2]
-        return dataclasses.replace(seen[0], push_gap={**seen[0].push_gap, n: 0.125},
-                                   passed=False)
+        return dataclasses.replace(seen[0], push_gap={**seen[0].push_gap, n: 0.125})
 
     monkeypatch.setattr(cli, "build_invariant_chain", one_bad_gap)
     failed, lines = _report_lines(tmp_path, "fail", "invariant_chain")
@@ -218,19 +224,19 @@ def test_failing_independence_line_names_the_failing_gap_and_its_worst_index(
 
     def one_bad_gap(fwd, bwd, *, tol):
         seen.append(real(fwd, bwd, tol=tol))
-        dm = seen[0].gaps["dm"]
+        dm = seen[0].criteria["dm"]
         n = list(dm)[len(dm) // 2]
-        return dataclasses.replace(seen[0], max_dm=0.125, gaps={**seen[0].gaps,
-                                   "dm": {**dm, n: 0.125}}, passed=False)
+        return dataclasses.replace(seen[0], criteria={**seen[0].criteria,
+                                   "dm": {**dm, n: 0.125}})
 
     monkeypatch.setattr(cli, "verify_independence", one_bad_gap)
     failed, lines = _report_lines(tmp_path, "fail", "independence")
     ind = seen[0]
-    detail = "max dh {:.17g} (threshold {:.17g})".format(ind.max_dh, 10.0 * 1e-10)
-    assert (code, passing) == (0, [f"PASS independence: max dlam {ind.max_dlam:.17g}, "
-                                   f"max dm {ind.max_dm:.17g}, {detail}"])
-    n = list(ind.gaps["dm"])[len(ind.gaps["dm"]) // 2]
-    assert (failed, lines) == (1, [f"FAIL independence: max dlam {ind.max_dlam:.17g}, "
+    detail = "max dh {:.17g} (threshold {:.17g})".format(ind.worst("dh"), 10.0 * 1e-10)
+    assert (code, passing) == (0, [f"PASS independence: max dlam {ind.worst('dlam'):.17g}, "
+                                   f"max dm {ind.worst('dm'):.17g}, {detail}"])
+    n = list(ind.criteria["dm"])[len(ind.criteria["dm"]) // 2]
+    assert (failed, lines) == (1, [f"FAIL independence: max dlam {ind.worst('dlam'):.17g}, "
                                    f"max dm 0.125, {detail}; failing: dm at n = {n}"])
 
 
@@ -328,6 +334,19 @@ dir = {out}
 """.format(out=tmp_path / "o"))
     assert main(["run", cfg]) == 3
     assert "certification failure: [uniform-expansion]" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cmd", ["certify", "run"])
+def test_a_block_factor_that_rounds_to_1_is_a_certification_failure(tmp_path, capsys, cmd):
+    # the column diameter log(1e40) = 92.1 makes tanh(Delta/4) exactly 1.0:
+    # no contraction is certified, so neither command writes a ledger
+    cfg = write_cfg(tmp_path, MATRIX_CFG.format(out=tmp_path / "o").replace(
+        "matrix = 2 1 1 1", "matrix = 1e20 1 1 1e20"))
+    assert main([cmd, cfg]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("certification failure: [block-contraction] Delta_measured = 92.1")
+    assert "(set by column diameter at index -30)" in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_matrix_chain_honors_cone_section(tmp_path):

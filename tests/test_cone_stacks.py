@@ -89,7 +89,6 @@ def ref_certify_cone_conditions(seq, p, params=None):
     offer(1e-9, "floor", None, None)
     delta_m, (source, index, ids) = found
     return ConeCertificate(Delta_measured=delta_m, tau=tau,
-                           block_factor=cones.birkhoff_rate(delta_m),
                            density_basis="holder-shift" if has_map else "coordinate-span",
                            n_samples=n_sampled, Delta_source=source, Delta_index=index,
                            Delta_members=ids)
@@ -304,9 +303,10 @@ def test_invariant_chain_reuses_the_eigen_report(monkeypatch):
 def test_invariant_chain_guard_grades_the_report_at_its_own_tol():
     fwd, bwd = _matrix_pipeline()
     eig = verify_eigen_relations(fwd, bwd, 1e-8)
-    worst = max(eig.max_resid_dual, eig.max_pair_h, eig.max_resid_h)
+    worst = max(map(eig.worst, eig.criteria))
     # a report failed at a tighter tolerance still lets a looser chain check build
-    strict = dataclasses.replace(eig, passed=False)
+    strict = dataclasses.replace(eig, tol=worst)
+    assert eig.passed and not strict.passed
     build_invariant_chain(fwd, bwd, tol=1e-8, eigen=strict)
     # and a passed report is refused when a residual reaches the chain's tol
     with pytest.raises(DomainError, match="refusing to build the invariant chain"):

@@ -439,6 +439,26 @@ def test_cone_conditions_circle():
     assert 0.0 < cert.block_factor < 1.0
 
 
+def test_a_block_factor_that_rounds_to_1_is_refused():
+    """A stage whose column diameter is log(1e40) has tanh(Delta/4) == 1.0
+    in floats: no contraction is certified, and the error names Delta, its
+    source and index.  A diameter just below keeps a factor under 1."""
+    window = (-4, 4)
+    flat = build_matrix_chain(MatrixChainSpec.stationary(np.array([[1e20, 1.0], [1.0, 1e20]]),
+                                                         window))
+    delta = float(_column_diameter(flat.stage(-4).dense))
+    assert math.tanh(delta / 4.0) == 1.0
+    with pytest.raises(CertificationError, match=r"\[block-contraction\] Delta_measured = "
+                       + f"{delta} \\(set by column diameter at index -4\\)") as err:
+        certify_cone_conditions(flat, ConeParams(Q=1.0, delta=0.5))
+    assert err.value.axiom == "block-contraction"
+    steep = build_matrix_chain(MatrixChainSpec.stationary(np.array([[1e8, 1.0], [1.0, 1e8]]),
+                                                          window))
+    cert = certify_cone_conditions(steep, ConeParams(Q=1.0, delta=0.5))
+    assert 0.0 < cert.block_factor < 1.0
+    assert cert.block_factor == math.tanh(cert.Delta_measured / 4.0)
+
+
 def test_cone_conditions_reject_low_Q():
     spec = CircleMapSpec.make(N=256, window=(0, 6), eps=0.05,
                               eps_mode="alternating", a=0.1, a_mode="sin")

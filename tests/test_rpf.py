@@ -112,9 +112,9 @@ def test_eigen_relations_report():
     seq, cert, fwd, bwd = small_matrix_pipeline([[2.0, 1.0], [1.0, 1.0]])
     rep = verify_eigen_relations(fwd, bwd, 1e-10)
     assert rep.passed
-    assert rep.max_resid_dual < 1e-13
-    assert rep.max_pair_h < 1e-13
-    assert rep.max_resid_h < 1e-13
+    assert rep.worst("dual residual") < 1e-13
+    assert rep.worst("|<h,m>-1|") < 1e-13
+    assert rep.worst("h residual") < 1e-13
 
 
 def test_adjoint_chain_telescoping():
@@ -132,7 +132,7 @@ def test_independence_of_seeds():
     seq, cert, fwd, bwd = small_matrix_pipeline([[2.0, 1.0], [1.0, 1.0]])
     rep = verify_independence(fwd, bwd, tol=1e-11)
     assert rep.passed
-    assert rep.max_dlam < 1e-10 and rep.max_dm < 1e-10 and rep.max_dh < 1e-10
+    assert rep.worst("dlam") < 1e-10 and rep.worst("dm") < 1e-10 and rep.worst("dh") < 1e-10
 
 
 def test_uniqueness_report():
@@ -144,7 +144,7 @@ def test_uniqueness_report():
     bwd = solve_backward(fwd)
     rep = verify_uniqueness(fwd, bwd, tol=1e-10)
     assert rep.passed
-    assert rep.max_xi_gap < 1e-12
+    assert rep.worst("xi gap") < 1e-12
 
 
 def test_seed_verifiers_on_spaces_that_change_size():
@@ -155,14 +155,14 @@ def test_seed_verifiers_on_spaces_that_change_size():
     fwd = solve_forward(seq, tol=1e-2, tau=1, block_factor=0.1)
     assert [seq.space(n).n_points for n in fwd.reported_m] == [256, 128, 64]
     ind = verify_independence(fwd, None, tol=1e-2)
-    assert ind.passed and 0.0 < ind.max_dm < ind.threshold
+    assert ind.passed and 0.0 < ind.worst("dm") < ind.tol
     # the tails 3 and 5 steps below the top need two more levels to reach
     # a reported index
     seq = build_halving_chain(levels=8, n_top=256)
     fwd = solve_forward(seq, tol=1e-2, tau=1, block_factor=0.1)
     assert [seq.space(n).n_points for n in fwd.reported_m] == [256, 128, 64, 32, 16]
     uq = verify_uniqueness(fwd, None, tol=1e-2)
-    assert uq.passed and 0.0 < uq.max_dm_shift < uq.threshold
+    assert uq.passed and 0.0 < uq.worst("dm") < uq.tol
 
 
 def test_seed_verifiers_refuse_to_compare_nothing():

@@ -4,7 +4,9 @@ Each reference below is the plain loop the verifiers ran before they were
 stacked: one public kernel call, one Field or MeasureVec and one scalar
 comparison per index or sampled pair.  The stacked verifiers must report
 exactly the same numbers (floats compared with ==), on chains with one
-matrix shape, with branch tables, and with spaces that change size.
+matrix shape, with branch tables, and with spaces that change size.  The
+graded checks (eigen, independence, uniqueness) are compared criterion by
+criterion at every index, and their verdict against the reference's.
 """
 import math
 import random
@@ -21,10 +23,10 @@ from nsrpf.cones import (DEFAULT_CONE, ConeParams, birkhoff_rate, family_rows,
 from nsrpf.dictionaries import pairing_vector, weak_dictionary
 from nsrpf.errors import ConvergenceError, StructuralError
 from nsrpf.hypotheses import RateConstants
-from nsrpf.rpf import (ContractionReport, EigenReport, RatesReport, UniquenessReport,
-                       IndependenceReport, build_invariant_chain, solve_backward, solve_forward,
-                       verify_cone_contraction, verify_eigen_relations,
-                       verify_exponential_rates, verify_independence, verify_uniqueness)
+from nsrpf.rpf import (ContractionReport, RatesReport, Verdict, build_invariant_chain,
+                       solve_backward, solve_forward, verify_cone_contraction,
+                       verify_eigen_relations, verify_exponential_rates, verify_independence,
+                       verify_uniqueness)
 from nsrpf.spaces import Field, MeasureVec, PointSpace, normalize, pair, unit_field
 from nsrpf.systems import (CircleMapSpec, MatrixChainSpec, build_circle_chain,
                            build_matrix_chain)
@@ -39,26 +41,19 @@ CONE2 = ConeParams(Q=1.0, delta=0.5, beta=1.0)
 # per-index references
 # ---------------------------------------------------------------------------
 
-def ref_eigen(fwd, bwd, tol):
+def ref_eigen(fwd, bwd):
+    """{criterion: {n: residual}}; the h criteria only where h is reported."""
     seq = fwd.seq
-    rows = []
-    md = mp = mh = 0.0
+    resid, pair_h, resid_h = {}, {}, {}
     h_idx = set(bwd.reported_h) if bwd is not None else set()
     for n in fwd.reported_lam:
         back = apply_L_dual(seq.stage(n), fwd.m[n + 1])
-        resid = float(np.abs(back.weights - fwd.lam[n] * fwd.m[n].weights).sum())
-        md = max(md, resid)
-        ph = rh = math.nan
+        resid[n] = float(np.abs(back.weights - fwd.lam[n] * fwd.m[n].weights).sum())
         if bwd is not None and n in h_idx:
-            ph = abs(pair(bwd.h[n], fwd.m[n]) - 1.0)
-            mp = max(mp, ph)
+            pair_h[n] = abs(pair(bwd.h[n], fwd.m[n]) - 1.0)
             img = apply_L(seq.stage(n), bwd.h[n])
-            rh = float(np.abs(img.values - fwd.lam[n] * bwd.h[n + 1].values).max())
-            mh = max(mh, rh)
-        rows.append((n, resid, ph, rh))
-    passed = md < tol and (bwd is None or (mp < tol and mh < tol))
-    return EigenReport(rows=rows, max_resid_dual=md, max_pair_h=mp,
-                       max_resid_h=mh, passed=passed)
+            resid_h[n] = float(np.abs(img.values - fwd.lam[n] * bwd.h[n + 1].values).max())
+    return {"dual residual": resid, "|<h,m>-1|": pair_h, "h residual": resid_h}
 
 
 def _ref_frozen_forward(seq, tail, sigma_family):
@@ -128,27 +123,24 @@ def _ref_reseed_gaps(fwd, bwd, runs, seed_families):
             h2 = _ref_frozen_backward(fwd, fam(bottom, seq.space(bottom)))
             for n in bwd.reported_h:
                 dh[n] = max(dh.get(n, 0.0), float(np.abs(h2[n].values - bwd.h[n].values).max()))
-    return dlam, dm, dh
+    return tuple(dict(sorted(g.items())) for g in (dlam, dm, dh))
 
 
-def ref_independence(fwd, bwd, tol):
-    thr = 10.0 * tol
-    gaps = dict(zip(("dlam", "dm", "dh"), _ref_reseed_gaps(
+def ref_independence(fwd, bwd):
+    """{criterion: {n: largest gap}}."""
+    return dict(zip(("dlam", "dm", "dh"), _ref_reseed_gaps(
         fwd, bwd, [(fwd.seq.n_max, _member_sigma(k, fwd.cone))
                    for k in member_range("independence tails", 2)],
         [_member_seed(k, fwd.cone) for k in member_range("independence seeds", 2)])))
-    dlam, dm, dh = (max(g.values(), default=0.0) for g in gaps.values())
-    return IndependenceReport(max_dlam=dlam, max_dm=dm, max_dh=dh, threshold=thr,
-                              passed=dlam < thr and dm < thr and dh < thr, gaps=gaps)
 
 
-def ref_uniqueness(fwd, bwd, tol):
+def ref_uniqueness(fwd, bwd):
+    """{criterion: {n: largest gap}}, the xi gap at every reported h index."""
     seq = fwd.seq
-    thr = 10.0 * tol
-    dlam, dm, dh = (max(g.values(), default=0.0) for g in _ref_reseed_gaps(
+    dlam, dm, dh = _ref_reseed_gaps(
         fwd, bwd, [(seq.n_max - shift, _uniform_sigma) for shift in (3, 5)],
-        [_member_seed(k, fwd.cone) for k in member_range("uniqueness seeds", 4)]))
-    xi = 0.0
+        [_member_seed(k, fwd.cone) for k in member_range("uniqueness seeds", 4)])
+    xi = {}
     if bwd is not None:
         scales = member_range("uniqueness scales", len(bwd.reported_h))
         for n, k in zip(bwd.reported_h, scales):
@@ -156,10 +148,8 @@ def ref_uniqueness(fwd, bwd, tol):
             g = bwd.h[n] * c
             g = g * (1.0 / pair(g, fwd.m[n]))
             xi_n = pair(apply_L(seq.stage(n), g), fwd.m[n + 1])
-            xi = max(xi, abs(xi_n - fwd.lam[n]) / fwd.lam[n])
-    return UniquenessReport(max_dlam_shift=dlam, max_dm_shift=dm, max_xi_gap=xi,
-                            max_dh_seed=dh, threshold=thr,
-                            passed=dlam < thr and dm < thr and xi < thr and dh < thr)
+            xi[n] = abs(xi_n - fwd.lam[n]) / fwd.lam[n]
+    return {"dlam": dlam, "dm": dm, "xi gap": xi, "dh": dh}
 
 
 def _ref_fit_slope(ks, errs, k_lo):
@@ -254,9 +244,8 @@ def ref_cone_contraction(seq, p, *, tau, n_samples=100, rng=None, seed=0, extra_
     ratios = np.array(ratios)
     bf = birkhoff_rate(delta_m)
     passed = bool(np.all(ratios <= bf + slack)) and mono_viol == 0
-    return ContractionReport(Delta_measured=delta_m, block_factor=bf, ratios=ratios,
-                             monotone_violations=mono_viol, n_pairs=len(ratios),
-                             passed=passed, members=members)
+    return ContractionReport(Delta_measured=delta_m, ratios=ratios,
+                             monotone_violations=mono_viol, passed=passed, members=members)
 
 
 def ref_invariant_chain(fwd, bwd):
@@ -374,6 +363,17 @@ def _assert_same_report(got, want, skip=()):
             assert _same(getattr(got, name), getattr(want, name)), name
 
 
+def _assert_same_verdict(got, criteria, tol):
+    """``got`` holds the reference ``criteria`` at every index, graded at
+    ``tol``: passed exactly when every criterion's largest value, 0.0 for
+    one with no index, is below it."""
+    assert type(got) is Verdict and got.tol == tol
+    assert _same(got.criteria, criteria)
+    worst = {name: max(values.values(), default=0.0) for name, values in criteria.items()}
+    assert {name: got.worst(name) for name in criteria} == worst
+    assert got.passed == all(w < tol for w in worst.values())
+
+
 # ---------------------------------------------------------------------------
 # tests
 # ---------------------------------------------------------------------------
@@ -392,23 +392,24 @@ def cells(request, monkeypatch):
 
 
 def test_eigen_relations_equal_the_per_index_loop(case, cells):
-    _assert_same_report(verify_eigen_relations(case.fwd, case.bwd, case.tol),
-                        ref_eigen(case.fwd, case.bwd, case.tol))
+    _assert_same_verdict(verify_eigen_relations(case.fwd, case.bwd, case.tol),
+                         ref_eigen(case.fwd, case.bwd), case.tol)
 
 
 def test_independence_equals_the_per_index_loop(case):
-    _assert_same_report(verify_independence(case.fwd, case.bwd, tol=case.tol),
-                        ref_independence(case.fwd, case.bwd, case.tol))
+    _assert_same_verdict(verify_independence(case.fwd, case.bwd, tol=case.tol),
+                         ref_independence(case.fwd, case.bwd), 10.0 * case.tol)
 
 
 def test_uniqueness_equals_the_per_index_loop(case, cells):
     try:
-        want = ref_uniqueness(case.fwd, case.bwd, case.tol)
+        want = ref_uniqueness(case.fwd, case.bwd)
     except ConvergenceError:
         with pytest.raises(ConvergenceError, match="no re-solve reaches"):
             verify_uniqueness(case.fwd, case.bwd, tol=case.tol)
         return
-    _assert_same_report(verify_uniqueness(case.fwd, case.bwd, tol=case.tol), want)
+    _assert_same_verdict(verify_uniqueness(case.fwd, case.bwd, tol=case.tol), want,
+                         10.0 * case.tol)
 
 
 def test_rates_equal_the_per_index_loop(case):
