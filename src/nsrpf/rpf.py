@@ -833,8 +833,8 @@ def build_invariant_chain(fwd: ForwardSolution, bwd: BackwardSolution, *,
     seq = fwd.seq
     eig = verify_eigen_relations(fwd, bwd, tol) if eigen is None else eigen
     if not max(map(eig.worst, eig.criteria)) < tol:
-        raise DomainError(f"eigenrelation residuals (dual {eig.worst('dual residual')}, "
-                          f"h {eig.worst('h residual')}) exceed {tol}; "
+        worst = ", ".join(f"{name} {eig.worst(name)}" for name in eig.criteria)
+        raise DomainError(f"eigenrelation residuals ({worst}) exceed {tol}; "
                           "refusing to build the invariant chain")
     window = bwd.reported_h[:-1]
     if not window:

@@ -543,6 +543,27 @@ def test_overflowing_q_is_a_certification_failure(tmp_path, monkeypatch, capsys)
     assert "overflows" in capsys.readouterr().err
 
 
+def test_a_refused_invariant_chain_keeps_the_report_and_every_artifact(tmp_path, monkeypatch):
+    """At tol 1e-16 the rounding-level eigenrelation residuals refuse the
+    invariant chain: its FAIL line names all three residuals, and the other
+    checks' lines and every artifact are written all the same."""
+    body = (SHIPPED / "matrix_random.ini").read_text()
+    assert "\ntol = 1e-10\n" in body
+    out = tmp_path / "o"
+    monkeypatch.setenv("NSRPF_OUTDIR", str(out))
+    cfg = write_cfg(tmp_path, body.replace("\ntol = 1e-10\n", "\ntol = 1e-16\n"))
+    assert main(["run", cfg]) == 1
+    lines = (out / "report.txt").read_text().splitlines()
+    assert [ln.split(":")[0] for ln in lines] == [
+        "FAIL eigen", "PASS rates", "PASS independence", "PASS uniqueness",
+        "PASS cone_contraction", "FAIL invariant_chain"]
+    assert lines[-1].startswith("FAIL invariant_chain: refused: eigenrelation residuals (")
+    assert all(f"{name} " in lines[-1] for name in ("dual residual", "|<h,m>-1|", "h residual"))
+    names = {f.name for f in out.iterdir()}
+    assert {"constants.txt", "lambda.csv", "rates.csv", "report.txt"} <= names
+    assert any(n.startswith("m_") for n in names) and any(n.startswith("h_") for n in names)
+
+
 def test_matrix_chain_with_a_large_q_passes_every_check(tmp_path, monkeypatch):
     """The cone of a simplex space is C+ for every q, so certification draws
     no exp(0.98 q) field that could overflow."""

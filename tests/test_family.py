@@ -184,7 +184,7 @@ def test_circle_runs_import_no_random_generator_and_repeat_byte_for_byte(tmp_pat
 def test_drawn_chains_import_no_random_generator_and_repeat_byte_for_byte(tmp_path):
     """Configs whose chain is drawn from a seed when parsed: a random matrix
     chain (run and oracle), the seed-72 matrix chain and a random-mode
-    circle draw through ``systems._uniform``, not numpy.random."""
+    circle draw through ``systems._draw``, not numpy.random."""
     matrix = ROOT / "configs" / "matrix_random.ini"
     data = ROOT / "tests" / "data"
     _assert_twice_without_a_random_generator(tmp_path, [

@@ -1,3 +1,4 @@
+import functools
 import math
 import pathlib
 import warnings
@@ -8,7 +9,7 @@ import pytest
 from nsrpf.cli import parse_config
 from nsrpf.errors import ConvergenceError, DomainError, StructuralError
 from nsrpf.spaces import Field, MeasureVec, PointSpace
-from nsrpf.systems import (CircleMapSpec, MatrixChainSpec, _uniform, build_circle_chain,
+from nsrpf.systems import (CircleMapSpec, MatrixChainSpec, _draw, build_circle_chain,
                            build_matrix_chain, oracle_rpf_chain,
                            oracle_stationary_rpf)
 from nsrpf.transfer import Stage, StageSeq, apply_L, apply_L_dual
@@ -66,39 +67,90 @@ def test_matrix_spec_and_stage_reject_entries_outside_the_positive_reals(bad):
 
 
 @pytest.mark.parametrize("d", [2, 3, 4])
-def test_one_stacked_draw_equals_one_draw_per_matrix(d):
-    """MatrixChainSpec.random holds the bits of numpy's stream: W draws of
-    one (d, d) matrix each from ``default_rng(seed)``, which one stacked
-    (W, d, d) draw reproduces, bits and final generator state.  The spec
-    keeps the matrices only, no generator state."""
-    low, high, seed, window = 1.0, 2.0, 1472442089 + d, (-50, 50)
-    rng = np.random.default_rng(seed)
-    loop = [rng.uniform(low, high, size=(d, d)) for _ in range(window[1] - window[0])]
-    stacked = np.random.default_rng(seed)
-    draw = stacked.uniform(low, high, size=(len(loop), d, d))
-    assert stacked.bit_generator.state == rng.bit_generator.state
-    spec = MatrixChainSpec.random(d=d, window=window, low=low, high=high, seed=seed)
-    assert spec.matrices.shape == (len(loop), d, d) and spec.matrices.dtype == np.float64
-    for k, m in enumerate(loop):
-        assert np.array_equal(draw[k], m) and np.array_equal(spec.matrix(window[0] + k), m)
+def test_a_window_is_the_prefix_of_any_longer_window(d):
+    """A seed's stream is indexed by the draw, not by the shape: the matrices
+    of a window are the first matrices of every longer window with the same
+    start, and so are a random circle's coefficients.  The spec keeps the
+    matrices only, no generator state."""
+    seed, start = 1472442089 + d, -50
+    short = MatrixChainSpec.random(d=d, window=(start, 10), seed=seed)
+    assert short.matrices.shape == (60, d, d) and short.matrices.dtype == np.float64
+    circle = CircleMapSpec.make(N=64, window=(start, 10), eps_mode="random", a_mode="random",
+                                b=0.1, b_mode="random", seed=seed)
+    for end in (11, 50, 300):
+        longer = MatrixChainSpec.random(d=d, window=(start, end), seed=seed)
+        assert np.array_equal(longer.matrices[:60].view(np.uint64),
+                              short.matrices.view(np.uint64))
+        wide = CircleMapSpec.make(N=64, window=(start, end), eps_mode="random", a_mode="random",
+                                  b=0.1, b_mode="random", seed=seed)
+        for name in ("eps", "a", "b"):
+            assert np.array_equal(getattr(wide, name)[:60], getattr(circle, name)), (end, name)
+
+
+_M64 = (1 << 64) - 1
+
+
+def _splitmix64(z: int) -> int:
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _M64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _M64
+    return z ^ (z >> 31)
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_u(seed: int, stream: str, n: int) -> tuple:
+    """The first n unit draws of a seed's stream in Python ints and floats:
+    the key is the mixed stream name folded with each 64-bit seed word, and
+    draw i mixes key + i * 0x9E3779B97F4A7C15 and keeps its top 53 bits."""
+    key = _splitmix64(int.from_bytes(stream.encode(), "little"))
+    for s in range(0, max(seed.bit_length(), 1), 64):
+        key = _splitmix64(key ^ ((seed >> s) & _M64))
+    return tuple((_splitmix64((key + i * 0x9E3779B97F4A7C15) & _M64) >> 11) * 2.0 ** -53
+                 for i in range(n))
 
 
 UNIFORM_SEEDS = [*range(200), 2**32 - 1, 2**32, 2**40 + 7, 2**64 + 3, 2**160 + 11]
 UNIFORM_SHAPES = [s for w in (1, 100) for s in [(w,)] + [(w, d, d) for d in range(1, 5)]]
+STREAMS = ("matrix", "eps", "a", "b")
 
 
 @pytest.mark.parametrize("low, high", [(1.0, 2.0), (-0.05, 0.05), (-0.0, 0.0), (5.0, 5.0)])
-def test_uniform_is_numpys_default_generator_bit_for_bit(low, high):
-    """``_uniform`` against ``default_rng(seed).uniform`` itself, compared as
-    uint64 bit patterns: one-word seeds 0..199, the largest one-word seed,
-    seeds of two and three 32-bit words and one of six (more words than the
-    entropy pool holds), flat and (W, d, d) shapes."""
+def test_draw_is_the_reference_mixer_bit_for_bit(low, high):
+    """``_draw`` against a pure-Python-int SplitMix64 reference, compared as
+    uint64 bit patterns: seeds 0..199, the largest 32-bit seed, 2^32 and
+    2^40 + 7, 2^64 + 3 (two 64-bit words) and 2^160 + 11 (three), every
+    stream, flat and (W, d, d) shapes."""
+    n = max(math.prod(s) for s in UNIFORM_SHAPES)
     for seed in UNIFORM_SEEDS:
+        stream = STREAMS[seed % len(STREAMS)]
+        want_all = np.array([low + (high - low) * u for u in _reference_u(seed, stream, n)])
         for shape in UNIFORM_SHAPES:
-            got = _uniform(seed, low, high, shape)
-            want = np.random.default_rng(seed).uniform(low, high, size=shape)
-            assert got.shape == want.shape and got.dtype == np.float64
+            got = _draw(seed, stream, low, high, shape)
+            want = want_all[:math.prod(shape)].reshape(shape)
+            assert got.shape == shape and got.dtype == np.float64
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (seed, shape)
+
+
+def test_seeds_and_streams_draw_distinct_sequences():
+    """Seeds that agree in their low 64 bits, and the four streams of one
+    seed, draw different sequences."""
+    draws = {(seed, stream): _draw(seed, stream, 0.0, 1.0, (16,)).tobytes()
+             for seed in (0, 3, 2**64, 2**64 + 3, 2**128 + 3) for stream in STREAMS}
+    assert len(set(draws.values())) == len(draws)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_a_seeds_coefficients_are_not_the_next_seeds_rescaled(seed):
+    """Each coefficient of a random circle draws its own stream of the seed,
+    so no coefficient of seed s is another coefficient of seed s + 1
+    rescaled, as a drawn from seed + 1 would be eps of seed s + 1 doubled."""
+    def make(s):
+        return CircleMapSpec.make(N=64, window=(-32, 32), eps=0.05, eps_mode="random",
+                                  a=0.1, a_mode="random", b=0.1, b_mode="random", seed=s)
+    this, after = make(seed), make(seed + 1)
+    assert not np.array_equal(this.a * 0.5, after.eps)
+    for mine, theirs in ((this.a, after.eps), (this.b, after.a), (this.b, after.eps),
+                         (this.a, this.eps), (this.b, this.a)):
+        assert abs(np.corrcoef(mine, theirs)[0, 1]) < 0.5
 
 
 def test_stationary_spec_is_one_stack_of_copies():

@@ -417,8 +417,9 @@ def test_empty_stacks_give_empty_results(name):
 
 
 def test_normalize_stage_iterated_cocycle_matrix():
-    spec = MatrixChainSpec.random(d=3, window=(-21, 21), seed=21)
-    seq = build_matrix_chain(spec)
+    # numpy's default_rng(21) draw, on which this window reports backward indices
+    drawn = np.random.default_rng(21).uniform(1.0, 2.0, size=(42, 3, 3))
+    seq = build_matrix_chain(MatrixChainSpec(d=3, window=(-21, 21), matrices=drawn, seed=21))
     cone = ConeParams(Q=1.0, delta=0.5, beta=1.0)
     cert = nr.certify_cone_conditions(seq, cone)
     fwd = nr.solve_forward(seq, tol=1e-11, tau=1, block_factor=cert.block_factor,
