@@ -2,8 +2,7 @@
 
 from .cones import (ConeParams, PairSet, birkhoff_rate, hilbert_gap_positive,
                     in_log_holder_cone, in_positive_cone, norm_theta_bound,
-                    pair_set, sample_log_holder_field, theta_log_holder,
-                    theta_positive)
+                    pair_set, theta_log_holder, theta_positive)
 from .errors import (CertificationError, ConvergenceError, DomainError,
                      StructuralError)
 from .hypotheses import (ConeCertificate, ConstantsLedger, HypothesisParams,

@@ -27,11 +27,11 @@ matrix chain's seed, a circle's random modes) draws them once, when it is
 parsed, from the seed's named streams of the in-package counter-based
 mixer (systems._draw), without importing numpy.random.  So a rerun of a
 config reproduces every file byte for byte.  A refused invariant chain
-(eigenrelation residuals at or above its tolerance) is a FAIL line of
-report.txt, and every other artifact is still written.  constants.txt
-names what set the certified Delta on its Delta_source line, and the
-cone_contraction line of report.txt the member ids its pairs were drawn
-from.
+(eigenrelation residuals at or above its tolerance, or a window too short
+for one index) is a FAIL line of report.txt, and every other artifact is
+still written.  constants.txt names what set the certified Delta on its
+Delta_source line, and the cone_contraction line of report.txt the member
+ids its pairs were drawn from.
 
 Every CSV has a per-column row template, "%d" for the integer columns (n,
 index, k, k_star, which is -1 where no k* was found) and "%.17g" for every
@@ -479,7 +479,9 @@ def cmd_run(cfg: RunConfig) -> int:
             chain_tol = max(cfg.tol, 1e-4 * (1024.0 / n) ** 2)
         try:
             chain = build_invariant_chain(fwd, bwd, tol=chain_tol, eigen=eig)
-        except DomainError as e:   # refused: the other checks and the artifacts stand
+        except (DomainError, ConvergenceError) as e:
+            # refused (residuals too large, or no index to check): the
+            # other checks and the artifacts stand
             results.append(("invariant_chain", False, f"refused: {e}"))
         else:
             results.append(("invariant_chain", chain.passed, _graded(chain, "tol")))

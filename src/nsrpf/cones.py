@@ -56,8 +56,7 @@ family_rows: member k is a named field (the unit function, an extremal
 exp(+-q d(x, c)^beta), or an interior log-field whose coefficients are the
 Kronecker point of k), computed with integer and float arithmetic and no
 random generator, and each consumer draws from a range of ids of its own
-(member_range).  sample_log_holder_field draws interior fields from a
-numpy Generator instead, for callers that bring one.
+(member_range).
 """
 from __future__ import annotations
 
@@ -390,46 +389,6 @@ def _trig_logs(space, a: np.ndarray, b: np.ndarray, scale: np.ndarray) -> np.nda
     return logf
 
 
-def _log_holder_rows(space, p: ConeParams, rng: np.random.Generator, k: int) -> np.ndarray:
-    """k draws of sample_log_holder_field as the rows of one (k, N) array.
-
-    The generator is consumed as by k single calls, so each row has the bits
-    of its single draw and the generator ends in the same state.
-    """
-    if space.kind != KIND_CIRCLE:
-        return np.stack([sample_log_holder_field(space, p, rng).values for _ in range(k)])
-    a, b, scale = np.empty((k, 6)), np.empty((k, 6)), np.empty((k, 1))
-    for r in range(k):
-        a[r], b[r] = rng.normal(size=6), rng.normal(size=6)
-        lip = float(np.sum(2.0 * np.pi * _MODES * (np.abs(a[r]) + np.abs(b[r]))))
-        target = 0.9 * p.Q * rng.uniform(0.2, 1.0)
-        scale[r] = 0.0 if lip == 0.0 else target / lip
-    return np.exp(_trig_logs(space, a, b, scale))
-
-
-def sample_log_holder_field(space, p: ConeParams, rng: np.random.Generator) -> Field:
-    """A random field strictly inside Lambda(Q), drawn from ``rng``: the
-    interior members of the sample family with Gaussian coefficients and a
-    uniform Lipschitz target in place of its Kronecker points.
-
-    On a circle grid, log f is a random trigonometric polynomial of six
-    modes whose Lipschitz constant is held below 0.9 Q (beta = 1 samples
-    remain valid for any beta <= 1 on subunit distances).  On a discrete
-    space whose pair set is empty, the cone is all of C+ and any positive
-    vector works.
-    """
-    if space.kind == KIND_CIRCLE:
-        return Field(space, _log_holder_rows(space, p, rng, 1)[0])
-    if len(pair_set(space, p)) == 0:
-        return Field(space, rng.uniform(0.5, 2.0, size=space.n_points))
-    # generic finite metric space: rescale a random field's log-oscillation
-    v = rng.normal(size=space.n_points)
-    s = holder_seminorm(Field(space, v), p.beta)
-    if s > 0.0:
-        v = v * (0.9 * p.Q * rng.uniform(0.2, 1.0) / s)
-    return Field(space, np.exp(v))
-
-
 # ---------------------------------------------------------------------------
 # the enumerated sample family
 # ---------------------------------------------------------------------------
@@ -494,8 +453,8 @@ def family_rows(space, p: ConeParams, ids) -> np.ndarray:
       - an interior k is exp of a log-field with Holder constant
         0.9 Q (0.2 + 0.8 u_last) in [0.18 Q, 0.9 Q] (the last coordinate of
         its Kronecker point u): on a circle grid the six trigonometric modes
-        of sample_log_holder_field with coefficients 2 u - 1 and that
-        target over their Lipschitz bound (u in [0, 1)^13); on a finite
+        of _trig_logs with coefficients 2 u - 1 and that target over their
+        Lipschitz bound (u in [0, 1)^13); on a finite
         space the field 2 u - 1 (u in [0, 1)^(N + 1)) rescaled by its
         holder_seminorm.
 

@@ -89,8 +89,8 @@ from typing import Optional
 
 import numpy as np
 
-from .cones import (DEFAULT_CONE, ConeParams, _gaps, _log_holder_rows, _runs,
-                    birkhoff_rate, family_rows, member_range)
+from .cones import (DEFAULT_CONE, ConeParams, _gaps, _runs, birkhoff_rate, family_rows,
+                    member_range)
 from .dictionaries import cone_dictionary, pairing_vector, weak_dictionary
 from .errors import ConvergenceError, DomainError, StructuralError
 from .hypotheses import RateConstants
@@ -657,7 +657,7 @@ class ContractionReport:
     ratios: np.ndarray
     monotone_violations: int
     passed: bool
-    members: Optional[range] = None   # the family ids drawn; None with a generator
+    members: range   # the family ids drawn
 
     @property
     def block_factor(self) -> float:
@@ -670,9 +670,7 @@ class ContractionReport:
 
 
 def verify_cone_contraction(seq: StageSeq, p: ConeParams, *, tau: int,
-                            n_samples: int = 100,
-                            rng: Optional[np.random.Generator] = None,
-                            seed: int = 0,
+                            n_samples: int = 100, seed: int = 0,
                             extra_delta: float = 0.0,
                             monotone_every: int = 1) -> ContractionReport:
     """Sampled tau-block contraction factors against tanh(Delta_measured/4).
@@ -687,8 +685,7 @@ def verify_cone_contraction(seq: StageSeq, p: ConeParams, *, tau: int,
 
     Sample s is the pair of members 2 s and 2 s + 1 of the sample family's
     contraction range at ``seed`` (cones.member_range), which no other
-    consumer draws from, so the pairs are never the certificate's; with a
-    generator ``rng`` it is instead two draws of sample_log_holder_field.
+    consumer draws from, so the pairs are never the certificate's.
     Sample s sits at index s modulo the indices with a full tau-block.
 
     Consecutive samples whose blocks pass through the same spaces are
@@ -702,7 +699,7 @@ def verify_cone_contraction(seq: StageSeq, p: ConeParams, *, tau: int,
     if not all(isinstance(v, (int, np.integer)) and v >= 1
                for v in (tau, n_samples, monotone_every)):
         raise DomainError("tau, n_samples and monotone_every must be integers of at least 1")
-    members = None if rng is not None else member_range("contraction", 2 * n_samples, seed)
+    members = member_range("contraction", 2 * n_samples, seed)
     slack = 1e-9
     indices = [n for n in seq.stage_indices if n + tau <= seq.n_max]
     if not indices:
@@ -723,9 +720,8 @@ def verify_cone_contraction(seq: StageSeq, p: ConeParams, *, tau: int,
     for run in _runs(range(n_samples), lambda s: path(at[s]), rows=8):
         sp = seq.space(at[run[0]])
         # rows 2i and 2i + 1 of the draws are the pair (f_i, g_i)
-        f, g = (_log_holder_rows(sp, p, rng, 2 * len(run)) if members is None else
-                family_rows(sp, p, members[2 * run[0]:2 * run[-1] + 2])   # runs are consecutive
-                ).reshape(len(run), 2, -1).swapaxes(0, 1)
+        f, g = family_rows(sp, p, members[2 * run[0]:2 * run[-1] + 2]   # runs are consecutive
+                           ).reshape(len(run), 2, -1).swapaxes(0, 1)
         A, B, thetas = _gaps(f, g, sp, p)
         keep = [i for i, t in enumerate(thetas) if 0.0 < t < math.inf]
         if not keep:

@@ -97,13 +97,6 @@ class PointSpace:
         close = d <= delta + 1e-15
         return o[close], d[close]
 
-    def circle_distance_points(self, x, y) -> np.ndarray:
-        """Arc distance between raw positions (circle spaces only)."""
-        if self.kind != KIND_CIRCLE:
-            raise StructuralError("positions only make sense on a circle grid")
-        o = np.abs(np.asarray(x) - np.asarray(y)) % 1.0
-        return np.minimum(o, 1.0 - o)
-
 
 def _check_same_space(a, b):
     if a.space is not b.space:

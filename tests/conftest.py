@@ -10,8 +10,47 @@ import nsrpf as nr
 
 hypothesis.settings.register_profile("repro", derandomize=True, database=None)
 hypothesis.settings.load_profile("repro")
-from nsrpf.spaces import Field, PointSpace
+from nsrpf.cones import pair_set
+from nsrpf.spaces import KIND_CIRCLE, Field, PointSpace, holder_seminorm
 from nsrpf.transfer import Stage, StageSeq
+
+
+def six_mode_field(space, a, b, target):
+    """exp of scale sum_m (a_m cos 2 pi m x + b_m sin 2 pi m x), m = 1..6,
+    on a circle grid, with the scale that takes the Lipschitz bound
+    sum_m 2 pi m (|a_m| + |b_m|) to ``target``: the uncached formula, every
+    mode's cos and sin evaluated afresh."""
+    x = space.positions
+    ms = np.arange(1, 7)
+    lip = float(np.sum(2.0 * np.pi * ms * (np.abs(a) + np.abs(b))))
+    scale = 0.0 if lip == 0.0 else target / lip
+    logf = np.zeros_like(x)
+    for k, m in enumerate(ms):
+        logf += scale * (a[k] * np.cos(2 * np.pi * m * x) + b[k] * np.sin(2 * np.pi * m * x))
+    return np.exp(logf)
+
+
+def random_cone_field(space, p, rng):
+    """A random field strictly inside Lambda(Q), drawn from the numpy
+    Generator ``rng``.
+
+    On a circle grid, the six_mode_field of Gaussian coefficients with a
+    uniform Lipschitz target in [0.18 Q, 0.9 Q] (beta = 1 samples remain
+    valid for any beta <= 1 on subunit distances).  On a finite space whose
+    pair set is empty the cone is all of C+ and the field is uniform in
+    [0.5, 2]; on any other finite space a Gaussian log-field is rescaled by
+    its holder_seminorm.
+    """
+    if space.kind == KIND_CIRCLE:
+        a, b = rng.normal(size=6), rng.normal(size=6)
+        return Field(space, six_mode_field(space, a, b, 0.9 * p.Q * rng.uniform(0.2, 1.0)))
+    if len(pair_set(space, p)) == 0:
+        return Field(space, rng.uniform(0.5, 2.0, size=space.n_points))
+    v = rng.normal(size=space.n_points)
+    s = holder_seminorm(Field(space, v), p.beta)
+    if s > 0.0:
+        v = v * (0.9 * p.Q * rng.uniform(0.2, 1.0) / s)
+    return Field(space, np.exp(v))
 
 
 def build_halving_chain(levels=3, n_top=16, seed=0, potentials=None):

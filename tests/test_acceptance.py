@@ -7,12 +7,13 @@ import numpy as np
 import pytest
 
 import nsrpf as nr
-from nsrpf.cones import (ConeParams, birkhoff_rate, in_log_holder_cone,
-                         sample_log_holder_field, theta_positive)
+from nsrpf.cones import ConeParams, birkhoff_rate, in_log_holder_cone, theta_positive
 from nsrpf.errors import DomainError
 from nsrpf.spaces import Field, MeasureVec, PointSpace, pair, unit_field
 from nsrpf.systems import MatrixChainSpec, build_matrix_chain, oracle_stationary_rpf
 from nsrpf.transfer import apply_L, compose_L
+
+from conftest import random_cone_field
 
 RNG = np.random.default_rng(20250811)
 
@@ -118,7 +119,7 @@ def test_c06_birkhoff_contraction(random_chain_suite, circle_small):
     runs, _ = random_chain_suite
     run = runs[0]
     rep_m = nr.verify_cone_contraction(run.seq, run.cone, tau=1, n_samples=1000,
-                                       rng=np.random.default_rng(1),
+                                       seed=1,
                                        extra_delta=run.cert.Delta_measured,
                                        monotone_every=25)
     assert rep_m.n_pairs >= 950
@@ -127,7 +128,7 @@ def test_c06_birkhoff_contraction(random_chain_suite, circle_small):
 
     seq, params, cone = circle_small
     rep_c = nr.verify_cone_contraction(seq, cone, tau=params.tau, n_samples=1000,
-                                       rng=np.random.default_rng(2),
+                                       seed=2,
                                        monotone_every=25)
     assert rep_c.n_pairs >= 950
     assert rep_c.passed
@@ -147,7 +148,7 @@ def test_c07_cone_invariance(circle_small):
     worst_ratio = 0.0
     for i in range(1000):
         n = i % 4
-        f = sample_log_holder_field(seq.space(n), cone, rng)
+        f = random_cone_field(seq.space(n), cone, rng)
         assert in_log_holder_cone(apply_L(seq.stage(n), f), target)
         img = compose_L(seq, n, params.tau, f)
         ratio = img.sup() / img.inf()
@@ -219,8 +220,8 @@ def test_c09_inequality_properties(circle_pipeline, matrix_pipeline):
     p64 = ConeParams(Q=2.0, delta=0.25, beta=1.0)
     one64 = unit_field(sp64)
     for _ in range(1000):
-        f = sample_log_holder_field(sp64, p64, rng)
-        g = sample_log_holder_field(sp64, p64, rng)
+        f = random_cone_field(sp64, p64, rng)
+        g = random_cone_field(sp64, p64, rng)
         tp = theta_positive(f, g)
         tl = nr.theta_log_holder(f, g, p64, checked=False)
         assert tp <= tl + 1e-12

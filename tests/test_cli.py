@@ -440,8 +440,11 @@ def test_an_output_directory_that_cannot_be_created_is_a_config_error(
     assert not (tmp_path / "unused").exists()
 
 
-def test_invariant_chain_on_a_too_short_window_is_a_typed_error(tmp_path, capsys):
-    # one reported backward index leaves no invariant-chain step to check
+def test_an_invariant_chain_on_a_too_short_window_keeps_the_report(tmp_path, capsys):
+    """One reported backward index leaves no invariant-chain step to check:
+    the chain is refused with a FAIL line, and the eigen line and every
+    artifact are written all the same."""
+    out = tmp_path / "o"
     cfg = write_cfg(tmp_path, """
 [system]
 kind = matrix
@@ -461,10 +464,16 @@ dir = {out}
 
 [checks]
 run = eigen invariant_chain
-""".format(out=tmp_path / "o"))
+""".format(out=out))
     assert main(["run", cfg]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "invariant-chain" in err
+    assert capsys.readouterr().err == ""
+    lines = (out / "report.txt").read_text().splitlines()
+    assert [ln.split(":")[0] for ln in lines] == ["PASS eigen", "FAIL invariant_chain"]
+    assert lines[-1] == ("FAIL invariant_chain: refused: "
+                         "window too short to report any invariant-chain index")
+    names = {f.name for f in out.iterdir()}
+    assert {"constants.txt", "lambda.csv", "rates.csv", "report.txt"} <= names
+    assert any(n.startswith("m_") for n in names) and any(n.startswith("h_") for n in names)
 
 
 SHIPPED = HERE.parent / "configs"

@@ -5,10 +5,10 @@ ran before it was stacked: one Field per sample, pushed through apply_L and
 compose_L, tested with in_log_holder_cone and measured with
 theta_log_holder.  The stacked certificate must certify exactly the same
 constants (floats compared with ==) and raise the same first failure.  The
-sampling basis cached on a circle grid and the stacked draws must give the
-bits of the uncached single-field formula, and consume the generator alike.
-The reference draws each sample as its own one-member call of the sample
-family, so a member's bits must not depend on what it is drawn with.
+interior family members drawn on the sampling basis cached on a circle grid
+must give the bits of the uncached six-mode formula.  The reference draws
+each sample as its own one-member call of the sample family, so a member's
+bits must not depend on what it is drawn with.
 """
 import dataclasses
 import math
@@ -19,8 +19,8 @@ import numpy as np
 import pytest
 
 from nsrpf import cli, cones, rpf
-from nsrpf.cones import (ConeParams, _log_holder_rows, family_rows, in_log_holder_cone,
-                         member_range, pair_set, sample_log_holder_field, theta_log_holder)
+from nsrpf.cones import (ConeParams, _kronecker, family_rows, in_log_holder_cone, member_range,
+                         pair_set, theta_log_holder)
 from nsrpf.errors import CertificationError, DomainError
 from nsrpf.hypotheses import (ConeCertificate, _circle_holder,
                               certify_cone_conditions, certify_map_hypotheses, default_Q)
@@ -29,7 +29,8 @@ from nsrpf.spaces import Field, PointSpace, unit_field
 from nsrpf.systems import CircleMapSpec, MatrixChainSpec, build_circle_chain, build_matrix_chain
 from nsrpf.transfer import Stage, StageSeq, apply_L, compose_L
 
-from conftest import rectangular_operator_chain, ref_column_diameter
+from conftest import (random_cone_field, rectangular_operator_chain, ref_column_diameter,
+                      six_mode_field)
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -94,20 +95,13 @@ def ref_certify_cone_conditions(seq, p, params=None):
                            Delta_members=ids)
 
 
-def ref_sample_log_holder_field(space, p, rng):
-    """The uncached circle-grid formula: every mode's cos and sin rows
-    evaluated afresh on each draw."""
-    x = space.positions
-    a = rng.normal(size=6)
-    b = rng.normal(size=6)
-    ms = np.arange(1, 7)
-    lip = float(np.sum(2.0 * np.pi * ms * (np.abs(a) + np.abs(b))))
-    target = 0.9 * p.Q * rng.uniform(0.2, 1.0)
-    scale = 0.0 if lip == 0.0 else target / lip
-    logf = np.zeros_like(x)
-    for k, m in enumerate(ms):
-        logf += scale * (a[k] * np.cos(2 * np.pi * m * x) + b[k] * np.sin(2 * np.pi * m * x))
-    return np.exp(logf)
+def ref_interior_member(space, p, k):
+    """Interior member k of the sample family on a circle grid, from the
+    uncached formula: the coefficients 2 u - 1 and the Lipschitz target
+    0.9 Q (0.2 + 0.8 u_13) of its Kronecker point u in [0, 1)^13."""
+    u = _kronecker(np.array([k], dtype=np.uint64), 13)[0]
+    return six_mode_field(space, 2.0 * u[:6] - 1.0, 2.0 * u[6:12] - 1.0,
+                          0.9 * p.Q * (0.2 + 0.8 * u[12]))
 
 
 # ---------------------------------------------------------------------------
@@ -185,7 +179,7 @@ def test_row_membership_is_the_field_rule():
     sp = PointSpace.circle_grid(64)
     p = ConeParams(Q=2.0, delta=0.2)
     rng = np.random.default_rng(3)
-    rows = [sample_log_holder_field(sp, p, rng).values for _ in range(4)]
+    rows = [random_cone_field(sp, p, rng).values for _ in range(4)]
     rows += [np.exp(3.0 * np.sin(2 * np.pi * sp.positions)), np.zeros(64),
              np.where(np.arange(64) < 32, 1.0, 0.0), -rows[0]]
     inside = cones._inside(np.stack(rows), sp, p)
@@ -206,7 +200,8 @@ def test_kernel_blocks_stay_within_the_budget(kernel):
     p = ConeParams(Q=2.0, delta=0.2)
     assert len(pair_set(sp, p)) == 2 * sp.n_points
     rng = np.random.default_rng(9)
-    F, G = (_log_holder_rows(sp, p, rng, 64) for _ in range(2))
+    F, G = (np.stack([random_cone_field(sp, p, rng).values for _ in range(64)])
+            for _ in range(2))
 
     def run():
         return cones._gaps(F, G, sp, p) if kernel == "gaps" else cones._inside(F, sp, p)
@@ -222,48 +217,35 @@ def test_kernel_blocks_stay_within_the_budget(kernel):
 
 
 # ---------------------------------------------------------------------------
-# the cached basis and the stacked draws
+# the cached basis
 # ---------------------------------------------------------------------------
+
+_INTERIOR = [k for r in (member_range("certificate", 48), member_range("contraction", 48, 123))
+             for k in r if not (k >> 1) & 1]   # interior pairs, both members
+
 
 @pytest.mark.parametrize("n", [16, 64, 1024])
 def test_cached_basis_draws_equal_the_uncached_formula(n):
     sp = PointSpace.circle_grid(n)
     p = ConeParams(Q=1.8, delta=0.2)
-    got, ref = np.random.default_rng(n), np.random.default_rng(n)
-    for _ in range(3):
-        assert np.array_equal(sample_log_holder_field(sp, p, got).values,
-                              ref_sample_log_holder_field(sp, p, ref))
+    rows = family_rows(sp, p, _INTERIOR)
+    for k, row in zip(_INTERIOR, rows):
+        assert np.array_equal(row, ref_interior_member(sp, p, k))
     basis = sp._caches["log_holder_basis"]
-    sample_log_holder_field(sp, p, got)
+    family_rows(sp, p, _INTERIOR[:2])
     assert sp._caches["log_holder_basis"] is basis   # built once per space
 
 
 def test_grids_of_different_size_get_their_own_basis():
     small, large = PointSpace.circle_grid(16), PointSpace.circle_grid(64)
     p = ConeParams(Q=1.0, delta=0.2)
-    rng = np.random.default_rng(0)
-    sample_log_holder_field(small, p, rng)
-    sample_log_holder_field(large, p, rng)
+    family_rows(small, p, [1])
+    family_rows(large, p, [1])
     cos16, sin16 = small._caches["log_holder_basis"]
     cos64, sin64 = large._caches["log_holder_basis"]
     assert cos16.shape == sin16.shape == (6, 16) and cos64.shape == sin64.shape == (6, 64)
     assert np.array_equal(cos64[2], np.cos(2 * np.pi * 3 * large.positions))
     assert np.array_equal(sin16[5], np.sin(2 * np.pi * 6 * small.positions))
-
-
-@pytest.mark.parametrize("space, p", [
-    (PointSpace.circle_grid(64), ConeParams(Q=1.8, delta=0.2)),
-    (PointSpace.circle_grid(100), ConeParams(Q=0.3, delta=0.2, beta=0.5)),
-    (PointSpace.finite(np.full((3, 3), 0.1) - 0.1 * np.eye(3)), ConeParams(Q=1.0, delta=0.5)),
-    (PointSpace.simplex(4), ConeParams(Q=1.0, delta=0.5))])
-@pytest.mark.parametrize("k", [1, 2, 7])
-def test_stacked_draws_equal_sequential_draws(space, p, k):
-    stacked, single = np.random.default_rng(11), np.random.default_rng(11)
-    rows = _log_holder_rows(space, p, stacked, k)
-    assert rows.shape == (k, space.n_points)
-    for row in rows:
-        assert np.array_equal(row, sample_log_holder_field(space, p, single).values)
-    assert stacked.bit_generator.state == single.bit_generator.state
 
 
 def test_circle_holder_equals_the_rolled_differences():

@@ -9,10 +9,11 @@ from nsrpf.cones import (MEMBERSHIP_SLACK, ConeParams, PairSet, _cone_violation,
                          _gap_log_holder_raw, _theta_from_gap, birkhoff_rate,
                          hilbert_gap_log_holder, hilbert_gap_positive, in_log_holder_cone,
                          in_positive_cone, norm_theta_bound, pair_set,
-                         family_rows, sample_log_holder_field, theta_log_holder,
-                         theta_positive)
+                         family_rows, theta_log_holder, theta_positive)
 from nsrpf.errors import DomainError
 from nsrpf.spaces import Field, MeasureVec, PointSpace, pair, unit_field
+
+from conftest import random_cone_field
 
 RNG = np.random.default_rng(42)
 
@@ -60,7 +61,7 @@ def test_log_holder_membership(circle16, params16):
     assert in_log_holder_cone(unit_field(circle16) * 3.0, params16)
     # exp(Q d(x, 0)) saturates the defining inequality along adjacent pairs
     # in one direction; the pair scan is the oracle
-    d0 = circle16.circle_distance_points(circle16.positions, 0.0)
+    d0 = circle16.distance(np.arange(16), 0)
     f = Field(circle16, np.exp(params16.Q * d0))
     assert _pair_scan_inside(f, params16)
     assert in_log_holder_cone(f, params16)
@@ -145,8 +146,8 @@ def _sup_t_in_cone_bisect(f, g, p, hi=1e6, iters=200):
 
 def test_theta_log_holder_against_bisection(circle16, params16):
     for trial in range(12):
-        f = sample_log_holder_field(circle16, params16, RNG)
-        g = sample_log_holder_field(circle16, params16, RNG)
+        f = random_cone_field(circle16, params16, RNG)
+        g = random_cone_field(circle16, params16, RNG)
         a_formula, b_formula = nr.hilbert_gap_positive(f, g)  # only for scale
         from nsrpf.cones import hilbert_gap_log_holder
         a, b = hilbert_gap_log_holder(f, g, params16)
@@ -158,7 +159,7 @@ def test_theta_log_holder_against_bisection(circle16, params16):
 
 
 def test_theta_log_holder_basics(circle16, params16):
-    f = sample_log_holder_field(circle16, params16, RNG)
+    f = random_cone_field(circle16, params16, RNG)
     assert theta_log_holder(f, 1.7 * f, params16) == 0.0
     one = unit_field(circle16)
     assert theta_log_holder(one, one, params16) == 0.0
@@ -168,14 +169,14 @@ def test_theta_log_holder_basics(circle16, params16):
 
 def test_metric_nesting(circle16, params16):
     for _ in range(50):
-        f = sample_log_holder_field(circle16, params16, RNG)
-        g = sample_log_holder_field(circle16, params16, RNG)
+        f = random_cone_field(circle16, params16, RNG)
+        g = random_cone_field(circle16, params16, RNG)
         assert theta_positive(f, g) <= theta_log_holder(f, g, params16) + 1e-12
 
 
 def test_sup_inf_identity(circle16, params16):
     for _ in range(30):
-        f = sample_log_holder_field(circle16, params16, RNG)
+        f = random_cone_field(circle16, params16, RNG)
         t = theta_log_holder(f, unit_field(circle16), params16)
         assert f.sup() <= math.exp(t) * f.inf() * (1 + 1e-12)
 
@@ -331,7 +332,7 @@ def test_reduced_pair_set_matches_full_scan(space, Q, beta):
     full = _full_scan(space, p)
     rng = np.random.default_rng(17)
     extremal = (k for k in itertools.count() if (k >> 1) & 1)   # the family's extremal ids
-    draws = [lambda: sample_log_holder_field(space, p, rng),
+    draws = [lambda: random_cone_field(space, p, rng),
              lambda: Field(space, family_rows(space, p, [next(extremal)])[0])]
     for trial in range(24 if space.n_points < 1024 else 6):
         f = draws[trial % 2]()

@@ -491,7 +491,7 @@ def test_log_shift_bound_examples():
     # f = d(., 0) with c = 1: |f|_1 = 1 so the bound is 1/(c + inf f) = 1,
     # approached by log(f + 1) at the finest pairs near 0 where the slope
     # 1/(f + 1) is maximal
-    f = Field(sp, sp.circle_distance_points(sp.positions, 0.0))
+    f = Field(sp, sp.distance(np.arange(128), 0))
     assert holder_seminorm(f, 1.0) == pytest.approx(1.0, rel=1e-12)
     lhs, rhs = log_shift_seminorm_bound(f, 1.0, 1.0)
     assert rhs == pytest.approx(1.0, rel=1e-12)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import nsrpf as nr
-from nsrpf.cones import ConeParams, in_log_holder_cone, sample_log_holder_field
+from nsrpf.cones import ConeParams, in_log_holder_cone
 from nsrpf.errors import DomainError, StructuralError
 from nsrpf.spaces import Field, MeasureVec, PointSpace, pair, unit_field
 from nsrpf.systems import CircleMapSpec, MatrixChainSpec, build_circle_chain, build_matrix_chain
@@ -14,7 +14,7 @@ from nsrpf.rpf import _compose_rows
 from nsrpf.transfer import (AffinePotential, Stage, StageSeq, _apply_values, _dual_weights,
                             apply_L, apply_L_dual, compose_L, normalize_stage)
 
-from conftest import (PERTURBED, brute_compose_values, build_halving_chain,
+from conftest import (PERTURBED, brute_compose_values, build_halving_chain, random_cone_field,
                       sampled_doubling_chain, snapped_stage)
 
 RNG = np.random.default_rng(7)
@@ -257,12 +257,12 @@ def test_cone_invariance_of_images():
     s_q = params.rho ** params.beta * (params.H + q)
     target = ConeParams(Q=s_q, delta=p.delta, beta=p.beta)
     for _ in range(40):
-        f = sample_log_holder_field(seq.space(0), p, RNG)
+        f = random_cone_field(seq.space(0), p, RNG)
         assert in_log_holder_cone(apply_L(seq.stage(0), f), target)
     # image regularity after tau steps: sup <= R inf
     ledger = nr.derive_constants(params, q)
     for _ in range(20):
-        f = sample_log_holder_field(seq.space(0), p, RNG)
+        f = random_cone_field(seq.space(0), p, RNG)
         img = compose_L(seq, 0, params.tau, f)
         assert img.sup() <= ledger.R * img.inf() * (1 + 1e-12)
 

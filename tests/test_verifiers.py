@@ -18,8 +18,7 @@ import pytest
 import nsrpf as nr
 from nsrpf import cones
 from nsrpf.cones import (DEFAULT_CONE, ConeParams, birkhoff_rate, family_rows,
-                         hilbert_gap_log_holder, member_range, sample_log_holder_field,
-                         theta_log_holder)
+                         hilbert_gap_log_holder, member_range, theta_log_holder)
 from nsrpf.dictionaries import pairing_vector, weak_dictionary
 from nsrpf.errors import ConvergenceError, StructuralError
 from nsrpf.hypotheses import RateConstants
@@ -197,9 +196,9 @@ def ref_rates(fwd, bwd, rc, slack=1e-9):
                        passed=(viol == 0 and slope_ok))
 
 
-def ref_cone_contraction(seq, p, *, tau, n_samples=100, rng=None, seed=0, extra_delta=0.0,
+def ref_cone_contraction(seq, p, *, tau, n_samples=100, seed=0, extra_delta=0.0,
                          monotone_every=1):
-    members = None if rng is not None else member_range("contraction", 2 * n_samples, seed)
+    members = member_range("contraction", 2 * n_samples, seed)
     slack = 1e-9
     indices = [n for n in seq.stage_indices if n + tau <= seq.n_max]
     delta_m = extra_delta
@@ -211,11 +210,7 @@ def ref_cone_contraction(seq, p, *, tau, n_samples=100, rng=None, seed=0, extra_
     for s in range(n_samples):
         n = indices[s % len(indices)]
         sp = seq.space(n)
-        if members is None:
-            f = sample_log_holder_field(sp, p, rng)
-            g = sample_log_holder_field(sp, p, rng)
-        else:
-            f, g = (Field(sp, _member(sp, p, members[2 * s + j])) for j in (0, 1))
+        f, g = (Field(sp, _member(sp, p, members[2 * s + j])) for j in (0, 1))
         A, B = hilbert_gap_log_holder(f, g, p)
         if not (A > 0.0) or math.isinf(B):
             continue
@@ -430,27 +425,20 @@ def test_rates_equal_the_per_index_loop(case):
     assert (got.violations, got.passed) == (want.violations, want.passed)
 
 
+@pytest.mark.parametrize("seed", [0, 123])
 @pytest.mark.parametrize("n_samples, monotone_every", [(100, 1), (57, 4)])
-def test_cone_contraction_equals_the_per_sample_loop(case, n_samples, monotone_every, cells):
+def test_cone_contraction_from_the_family_equals_the_per_sample_loop(case, seed, n_samples,
+                                                                    monotone_every, cells):
+    """The pairs are members of the sample family's contraction range at
+    ``seed``, drawn in blocks; the reference draws each member on its own."""
     kw = dict(tau=case.tau, n_samples=n_samples, extra_delta=case.extra_delta,
               monotone_every=monotone_every)
-    got = verify_cone_contraction(case.seq, case.cone, rng=np.random.default_rng(123), **kw)
-    want = ref_cone_contraction(case.seq, case.cone, rng=np.random.default_rng(123), **kw)
-    _assert_same_report(got, want)
-    if case.seq.space(case.seq.n_min).n_points > 1:
-        assert want.n_pairs > 0
-
-
-@pytest.mark.parametrize("seed", [0, 123])
-def test_cone_contraction_from_the_family_equals_the_per_sample_loop(case, seed, cells):
-    """Without a generator the pairs are members of the sample family's
-    contraction range at ``seed``, drawn in blocks; the reference draws
-    each member on its own."""
-    kw = dict(tau=case.tau, n_samples=57, extra_delta=case.extra_delta, monotone_every=4)
     got = verify_cone_contraction(case.seq, case.cone, seed=seed, **kw)
     want = ref_cone_contraction(case.seq, case.cone, seed=seed, **kw)
     _assert_same_report(got, want)
-    assert got.members == member_range("contraction", 114, seed)
+    assert got.members == member_range("contraction", 2 * n_samples, seed)
+    if case.seq.space(case.seq.n_min).n_points > 1:
+        assert want.n_pairs > 0
 
 
 def _assert_same_invariant_chain(fwd, bwd, tol):
