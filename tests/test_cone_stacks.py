@@ -217,7 +217,7 @@ def test_kernel_blocks_stay_within_the_budget(kernel):
 
 
 # ---------------------------------------------------------------------------
-# the cached basis
+# the cached basis and the stacked draws
 # ---------------------------------------------------------------------------
 
 _INTERIOR = [k for r in (member_range("certificate", 48), member_range("contraction", 48, 123))
@@ -246,6 +246,24 @@ def test_grids_of_different_size_get_their_own_basis():
     assert cos16.shape == sin16.shape == (6, 16) and cos64.shape == sin64.shape == (6, 64)
     assert np.array_equal(cos64[2], np.cos(2 * np.pi * 3 * large.positions))
     assert np.array_equal(sin16[5], np.sin(2 * np.pi * 6 * small.positions))
+
+
+@pytest.mark.parametrize("space, p", [
+    (PointSpace.circle_grid(64), ConeParams(Q=1.8, delta=0.2)),
+    (PointSpace.circle_grid(100), ConeParams(Q=0.3, delta=0.2, beta=0.5)),
+    (PointSpace.finite(np.full((3, 3), 0.1) - 0.1 * np.eye(3)), ConeParams(Q=1.0, delta=0.5)),
+    (PointSpace.simplex(4), ConeParams(Q=1.0, delta=0.5))])
+@pytest.mark.parametrize("k", [1, 2, 7])
+def test_stacked_draws_equal_sequential_draws(space, p, k):
+    """A stack of k family members has the rows of k one-member draws, and
+    the next k members continue it: two stacks give the bits of one."""
+    ids = member_range("contraction", 2 * k, 11)
+    rows = family_rows(space, p, ids[:k])
+    assert rows.shape == (k, space.n_points)
+    for i, row in zip(ids, rows):
+        assert np.array_equal(row, family_rows(space, p, [i])[0])
+    assert np.array_equal(np.vstack([rows, family_rows(space, p, ids[k:])]),
+                          family_rows(space, p, ids))
 
 
 def test_circle_holder_equals_the_rolled_differences():
